@@ -18,7 +18,6 @@ from .matrix import (
     Matrix,
     check_scan_cap,
     det,
-    mat_pow,
     minor,
     minor_levels,
 )
@@ -276,6 +275,3 @@ def first_zero_corner(a: Matrix) -> CornerSpec | None:
                 return CornerSpec(side, size)
     return None
 
-
-def power_is_tp(a: Matrix, k: int, cap: int | None = None) -> bool:
-    return is_tp(mat_pow(a, k), cap).ok

@@ -42,6 +42,7 @@ from .exponent import (
     with_transpose,
 )
 from .matrix import (
+    SCAN_CAP_DEFAULT,
     Matrix,
     loads_matrix,
     matrix_from_csv,
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("definition", "gk", "irreducible", "seb", "all"),
         default="all",
     )
-    p.add_argument("--cap", type=int, default=8, help="minor-scan dimension cap")
+    p.add_argument("--cap", type=int, default=SCAN_CAP_DEFAULT, help="minor-scan dimension cap")
     common(p)
     p.set_defaults(fn=cmd_classify)
 
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponent", help="exponent of an oscillatory matrix")
     p.add_argument("--input", required=True, help="matrix file (JSON or CSV)")
     p.add_argument("--method", choices=("brute", "theorem", "predict"), default="brute")
-    p.add_argument("--cap", type=int, default=8)
+    p.add_argument("--cap", type=int, default=SCAN_CAP_DEFAULT)
     common(p)
     p.set_defaults(fn=cmd_exponent)
 

@@ -13,6 +13,8 @@ closed forms for the lower exponent:
 
 Recognition works on the positivity pattern of the canonical flat
 multipliers only; multiplier values never matter for these results.
+The canonical support of every class shape is known in closed form, so
+recognition refactorizes its input only, never the class shapes.
 """
 
 from __future__ import annotations
@@ -196,10 +198,13 @@ def enumerate_psi_patterns(n: int, s: int) -> tuple[frozenset[int] | None, ...]:
     if s == 2:
         return (None,)
     optional = sorted(range(s, n + 1))
-    out = []
-    for mask in range(2 ** len(optional) - 1):
-        out.append(frozenset(optional[t] for t in range(len(optional)) if mask >> t & 1))
-    return tuple(out)
+    masks = range(2 ** len(optional) - 1)
+    return tuple(_psi_from_mask(optional, mask) for mask in masks)
+
+
+def _psi_from_mask(optional: list[int], mask: int) -> frozenset[int]:
+    """Decode bit t of the mask as membership of optional[t]."""
+    return frozenset(optional[t] for t in range(len(optional)) if mask >> t & 1)
 
 
 def generate_z1(n: int, s: int, seed: int) -> SEBFactorization:
@@ -226,8 +231,9 @@ def resolve_psi_choice(n: int, s: int, psi_choice, rng: random.Random):
     if psi_choice is None:
         return frozenset()
     if psi_choice == "random":
-        patterns = enumerate_psi_patterns(n, s)
-        return patterns[rng.randrange(len(patterns))]
+        # draws enumerate_psi_patterns(n, s)[i] without building the tuple
+        _check_class_params(n, s)
+        return _psi_from_mask(optional, rng.randrange(2 ** len(optional) - 1))
     try:
         members = {int(x) for x in psi_choice}
     except (TypeError, ValueError) as exc:
@@ -323,29 +329,22 @@ class ClassTag:
 def _class_support_catalog(n: int) -> dict[frozenset[int], tuple[ClassMatch, ...]]:
     """Canonical-support table for every class shape at dimension n.
 
-    Each shape is instantiated with unit multipliers, composed, and
-    refactorized; the support of the canonical flat vector depends only
-    on the shape, not on the multiplier values.
+    Written in closed form: the canonical factorization is unique and each
+    of its chain supports is a run starting at the chain's own factor.
+    Z1(s) is made of full chains, so it is already canonical; in Z2(s) the
+    partial chain through L_{s-1} keeps the run s, s+1, ... of its pattern,
+    and its later members commute into the full chains W_s .. W_n.
     """
     catalog: dict[frozenset[int], list[ClassMatch]] = {}
-
-    def add(slots: frozenset[int], match: ClassMatch):
-        flat = [_ZERO] * multiplier_count(n)
-        for pos in slots:
-            flat[pos] = _ONE
-        part = SEBFactorization(
-            n, tuple(flat), (_ONE,) * n, (_ZERO,) * multiplier_count(n)
-        )
-        canon = neville_factorize(compose(part))
-        support = frozenset(p for p, v in enumerate(canon.l) if v > 0)
-        catalog.setdefault(support, []).append(match)
-
     for s in range(2, n + 1):
-        add(z1_slots(n, s), ClassMatch("Z1", s, None))
+        catalog.setdefault(z1_slots(n, s), []).append(ClassMatch("Z1", s, None))
     for s in range(2, n + 1):
         for psi in enumerate_psi_patterns(n, s):
-            key = None if psi is None else tuple(sorted(psi))
-            add(z2_slots(n, s, psi), ClassMatch("Z2", s, key))
+            key = run = None
+            if psi is not None:
+                key = tuple(sorted(psi))
+                run = frozenset(itertools.takewhile(psi.__contains__, itertools.count(s)))
+            catalog.setdefault(z2_slots(n, s, run), []).append(ClassMatch("Z2", s, key))
     # distinct shapes sharing one canonical support describe the same
     # matrices, so their formula values must coincide
     for supp, ms in catalog.items():

@@ -33,6 +33,7 @@ from .exponent import (
     random_oscillatory_factorization,
     recognize_class,
     recognize_sides,
+    resolve_psi_choice,
 )
 from .matrix import Matrix, cauchy_binet_check, mat_mul, mat_pow, minor
 from .planar import build_network, minor_via_paths, enumerate_path_families
@@ -494,10 +495,7 @@ def _extra_factor(pos: int, value: Fraction, n: int):
 def _random_class(rng: random.Random, n: int) -> tuple[str, int, frozenset | None]:
     family = rng.choice(("Z1", "Z2"))
     s = rng.randint(2, n)
-    psi = None
-    if family == "Z2" and s >= 3:
-        patterns = enumerate_psi_patterns(n, s)
-        psi = patterns[rng.randrange(len(patterns))]
+    psi = resolve_psi_choice(n, s, "random", rng) if family == "Z2" else None
     return family, s, psi
 
 

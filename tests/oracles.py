@@ -2,7 +2,18 @@
 
 from fractions import Fraction
 
-from oscillax.seb import SEBFactorization, multiplier_count, x_offset
+from oscillax.errors import InvariantViolation
+from oscillax.exponent import ClassMatch, enumerate_psi_patterns, z1_slots, z2_slots
+from oscillax.seb import (
+    SEBFactorization,
+    compose,
+    multiplier_count,
+    neville_factorize,
+    x_offset,
+)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def laplace_det(rows):
@@ -49,3 +60,40 @@ def random_canonical_factorization(n, rng):
         tuple(Fraction(rng.randint(1, 5)) for _ in range(n)),
         staircase_flat(n, rng, "u"),
     )
+
+
+def enumerated_class_catalog(n):
+    """Canonical-support table for every class shape at dimension n.
+
+    Each shape is instantiated with unit multipliers, composed, and
+    refactorized; the support of the canonical flat vector depends only
+    on the shape, not on the multiplier values.
+    """
+    catalog: dict[frozenset[int], list[ClassMatch]] = {}
+
+    def add(slots: frozenset[int], match: ClassMatch):
+        flat = [_ZERO] * multiplier_count(n)
+        for pos in slots:
+            flat[pos] = _ONE
+        part = SEBFactorization(
+            n, tuple(flat), (_ONE,) * n, (_ZERO,) * multiplier_count(n)
+        )
+        canon = neville_factorize(compose(part))
+        support = frozenset(p for p, v in enumerate(canon.l) if v > 0)
+        catalog.setdefault(support, []).append(match)
+
+    for s in range(2, n + 1):
+        add(z1_slots(n, s), ClassMatch("Z1", s, None))
+    for s in range(2, n + 1):
+        for psi in enumerate_psi_patterns(n, s):
+            key = None if psi is None else tuple(sorted(psi))
+            add(z2_slots(n, s, psi), ClassMatch("Z2", s, key))
+    # distinct shapes sharing one canonical support describe the same
+    # matrices, so their formula values must coincide
+    for supp, ms in catalog.items():
+        values = {m.mu(n) for m in ms}
+        if len(values) != 1:
+            raise InvariantViolation(
+                f"classes {ms} share a support but disagree on the formula"
+            )
+    return {supp: tuple(sorted(ms)) for supp, ms in catalog.items()}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import enumerated_class_catalog
 from oscillax.errors import (
     ClassMismatch,
     InvalidPsiPattern,
@@ -13,6 +14,7 @@ from oscillax.errors import (
 from oscillax.classify import is_tp
 from oscillax.exponent import (
     ClassMatch,
+    _class_support_catalog,
     early_tp_product_scan,
     enumerate_psi_patterns,
     exponent_bruteforce,
@@ -35,6 +37,7 @@ from oscillax.exponent import (
     random_oscillatory_factorization,
     recognize_class,
     recognize_sides,
+    resolve_psi_choice,
     with_transpose,
 )
 from oscillax.matrix import Matrix, mat_pow, minor
@@ -68,6 +71,22 @@ def test_enumerate_psi_patterns():
     pats = enumerate_psi_patterns(5, 4)
     assert frozenset() in pats and frozenset({4}) in pats and frozenset({5}) in pats
     assert frozenset({4, 5}) not in pats
+
+
+def test_random_psi_draw_matches_enumerated_pattern():
+    for n in range(3, 9):
+        for s in range(2, n + 1):
+            patterns = enumerate_psi_patterns(n, s)
+            for seed in range(6):
+                rng, ref = random.Random(seed), random.Random(seed)
+                expected = patterns[ref.randrange(len(patterns))] if s >= 3 else None
+                assert resolve_psi_choice(n, s, "random", rng) == expected
+                assert rng.random() == ref.random()  # same stream afterwards
+
+
+def test_random_psi_draw_at_large_n():
+    f = generate_z2(30, 3, "random", seed=1)
+    assert f.n == 30 and f == generate_z2(30, 3, "random", seed=1)
 
 
 def test_generate_z1_shape_and_determinism():
@@ -226,6 +245,30 @@ def test_recognize_full_support_is_z1_n():
     tag = recognize_class(f.l, 4)
     labels = {(m.family, m.s) for m in tag.exact}
     assert ("Z1", 4) in labels and ("Z2", 2) in labels
+
+
+def test_class_catalog_matches_enumerated_oracle():
+    for n in range(2, 10):
+        assert _class_support_catalog(n) == enumerated_class_catalog(n)
+
+
+def test_recognition_past_enumerated_catalog_limit():
+    n = 12
+    rng = random.Random(12)
+    for s in range(2, n + 1):
+        f = generate_z1(n, s, seed=s)
+        tag = recognize_class(f.l, n)
+        assert (tag.family, tag.s) == ("Z1", s)
+        pred, _, _ = exponent_via_prediction(compose(with_transpose(f)))
+        assert (pred.kind, pred.value) == ("exact", mu1(n, s))
+    for s in range(3, n + 1):
+        optional = list(range(s, n + 1))
+        psi = set(rng.sample(optional, rng.randrange(len(optional))))
+        run = []
+        while s + len(run) in psi:
+            run.append(s + len(run))
+        tag = recognize_class(generate_z2(n, s, psi | {s - 1}, seed=s).l, n)
+        assert (tag.family, tag.s, tag.psi_pattern) == ("Z2", s, tuple(run))
 
 
 def test_recognize_reordered_upper_example():
