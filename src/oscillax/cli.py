@@ -5,6 +5,9 @@ stderr.  Exit codes: 0 ok, 1 verification failure, 2 parse error,
 3 feasibility cap, 4 not invertible-TN, 5 not oscillatory, 6 bad
 parameters.  All randomness flows through one seed, taken from --seed
 or the OSCILLAX_SEED environment variable (flag wins).
+
+Each subcommand imports the modules only it runs, so a cold call compiles
+and loads no more than its own work needs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -33,14 +35,6 @@ from .errors import (
     Unpredictable,
     ZeroDenominator,
 )
-from .exponent import (
-    exponent_bruteforce,
-    exponent_via_prediction,
-    exponent_via_theorem,
-    generate_z1,
-    generate_z2,
-    with_transpose,
-)
 from .matrix import (
     SCAN_CAP_DEFAULT,
     Matrix,
@@ -48,23 +42,6 @@ from .matrix import (
     matrix_from_csv,
     matrix_to_json_dict,
 )
-from .planar import (
-    build_network,
-    concat_copies,
-    export_dot,
-    min_copies_lower_corner,
-    network_to_json_dict,
-)
-from .seb import (
-    compose,
-    factorization_from_text,
-    factorization_to_json_dict,
-    factorization_to_text,
-    loads_factorization,
-    neville_factorize,
-    w_q_form,
-)
-from .verify import run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -109,6 +86,8 @@ def _read_matrix(path: str) -> Matrix:
 
 
 def _read_factorization(path: str):
+    from .seb import factorization_from_text, loads_factorization
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -163,6 +142,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_factorize(args) -> int:
+    from .seb import (
+        factorization_to_json_dict,
+        factorization_to_text,
+        neville_factorize,
+        w_q_form,
+    )
+
     a = _read_matrix(args.input)
     f = neville_factorize(a)
     text = factorization_to_text(f)
@@ -181,6 +167,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_exponent(args) -> int:
+    from .exponent import exponent_bruteforce, exponent_via_prediction, exponent_via_theorem
+
     a = _read_matrix(args.input)
     payload = {"schema": _schema("exponent"), "status": "ok", "method": args.method}
     if args.method == "brute":
@@ -192,8 +180,6 @@ def cmd_exponent(args) -> int:
         payload["report"] = report.to_json_dict()
         summary = f"r={report.r} (lower {report.r_lower}, upper {report.r_upper})"
     else:
-        if not is_oscillatory(a, "seb"):
-            raise NotOscillatory("input is not oscillatory")
         prediction, l_tag, u_tag = exponent_via_prediction(a)
         payload["prediction"] = prediction.to_json_dict()
         payload["l_class"] = l_tag.to_json_dict()
@@ -205,6 +191,14 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_network(args) -> int:
+    from .planar import (
+        build_network,
+        concat_copies,
+        export_dot,
+        min_copies_lower_corner,
+        network_to_json_dict,
+    )
+
     f = _read_factorization(args.input)
     net = build_network(f)
     dot = export_dot(net)
@@ -242,6 +236,11 @@ def cmd_network(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    import random
+
+    from .exponent import generate_z1, generate_z2, with_transpose
+    from .seb import compose, factorization_to_json_dict
+
     seed = _resolve_seed(args.seed)
     psi = None
     if args.psi:
@@ -280,6 +279,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
+
     seed = _resolve_seed(args.seed)
     results = run_suites([args.suite], nmax=args.nmax, cases=args.cases, seed=seed)
     suites = [r.to_json_dict() for r in results]

@@ -38,13 +38,15 @@ from .errors import (
     NotITN,
     NotOscillatory,
     ParamOutOfRange,
+    ShapeMismatch,
     Unpredictable,
 )
 from .matrix import Matrix, mat_mul, mat_pow, minor
-from .planar import PlanarNetwork, build_network, min_copies_lower_corner
 from .seb import (
     EBFactor,
+    FactorizationClass,
     SEBFactorization,
+    classify_factorization,
     compose,
     ebl,
     flat_slot,
@@ -514,6 +516,8 @@ def r_upper(a: Matrix, max_power: int | None = None) -> int:
 def r_lower_via_network(source) -> int:
     """Independent route to the lower exponent through copy counting on
     the planar network; agrees with the algebraic computation."""
+    from .planar import PlanarNetwork, build_network, min_copies_lower_corner
+
     net = source if isinstance(source, PlanarNetwork) else build_network(source)
     n = net.n
     worst = 0
@@ -576,10 +580,11 @@ def recognize_sides(f: SEBFactorization) -> tuple[ClassTag, ClassTag]:
     )
 
 
-def _zero_corner_witness(a: Matrix, r: int) -> CornerZeroWitness | None:
+def _zero_corner_witness(below: Matrix | None, r: int) -> CornerZeroWitness | None:
+    """The first corner minor that vanishes in ``below`` = A^(r-1)."""
     if r <= 1:
         return None
-    corner = first_zero_corner(mat_pow(a, r - 1))
+    corner = first_zero_corner(below)
     if corner is None:
         raise InvariantViolation("no vanishing corner below the exponent")
     return CornerZeroWitness(side=corner.side, size=corner.size, power=r - 1)
@@ -591,14 +596,12 @@ def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
         raise NotOscillatory("input is not oscillatory")
     n = a.rows
     r = None
-    power = a
-    witness_power = a
+    power = below = a
     for k in range(1, n):
         if is_tp(power, cap).ok:
             r = k
-            witness_power = power
             break
-        power = mat_mul(power, a)
+        below, power = power, mat_mul(power, a)
     if r is None:
         raise InvariantViolation("no totally positive power within n-1")
     rl, ru = r_lower(a), r_upper(a)
@@ -616,16 +619,14 @@ def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
         method="bruteforce",
         l_class=l_tag,
         u_class=u_tag,
-        witness_power=witness_power,
-        zero_witness=_zero_corner_witness(a, r),
+        witness_power=power,
+        zero_witness=_zero_corner_witness(below, r),
     )
 
 
 def exponent_via_theorem(a: Matrix) -> ExponentReport:
     """Factor the input, then take the max of the lower part's lower
     exponent and the upper part's upper exponent."""
-    from .seb import FactorizationClass, classify_factorization
-
     try:
         f = neville_factorize(a)
     except NotITN as exc:
@@ -636,6 +637,7 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
     ru = r_upper(compose(upper_part(f)))
     r = max(rl, ru)
     l_tag, u_tag = recognize_sides(f)
+    below = mat_pow(a, r - 1) if r > 1 else None
     return ExponentReport(
         n=f.n,
         r=r,
@@ -644,17 +646,27 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
         method="theorem",
         l_class=l_tag,
         u_class=u_tag,
-        witness_power=mat_pow(a, r),
-        zero_witness=_zero_corner_witness(a, r),
+        witness_power=a if below is None else mat_mul(below, a),
+        zero_witness=_zero_corner_witness(below, r),
     )
 
 
 def exponent_via_prediction(a: Matrix) -> tuple[Prediction, ClassTag, ClassTag]:
-    """Recognize both sides of the factorization and predict the exponent."""
+    """Recognize both sides of the factorization and predict the exponent.
+
+    Shape errors and the verdict are those of ``is_oscillatory(a, "seb")``,
+    from the one factorization the prediction needs.
+    """
+    if not a.is_square():
+        raise ShapeMismatch("oscillatory test requires a square matrix")
+    if a.rows < 2:
+        raise ShapeMismatch("classification requires at least a 2x2 matrix")
     try:
         f = neville_factorize(a)
     except NotITN as exc:
-        raise NotOscillatory(f"not invertible TN: {exc}") from exc
+        raise NotOscillatory("input is not oscillatory") from exc
+    if classify_factorization(f) is FactorizationClass.ITN_ONLY:
+        raise NotOscillatory("input is not oscillatory")
     l_tag, u_tag = recognize_sides(f)
     return predict_exponent(l_tag, u_tag), l_tag, u_tag
 

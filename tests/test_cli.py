@@ -134,6 +134,33 @@ def test_exponent_not_oscillatory_exit(tmp_path, capsys):
     assert code == 5
 
 
+NOT_OSCILLATORY_PAYLOAD = """{
+  "schema": "oscillax.error/1",
+  "status": "error",
+  "error": {
+    "type": "NotOscillatory",
+    "message": "input is not oscillatory"
+  }
+}
+"""
+
+
+def test_exponent_predict_not_oscillatory_bytes(tmp_path, capsys):
+    from oscillax.matrix import Matrix
+
+    inputs = {
+        "itn_only.json": Matrix.identity(3),
+        "not_itn.json": Matrix([[1, 2], [3, 1]]),
+    }
+    for name, matrix in inputs.items():
+        path = write_matrix(tmp_path, name, matrix)
+        code = main(["exponent", "--input", path, "--method", "predict"])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == NOT_OSCILLATORY_PAYLOAD
+        assert captured.err == "error: NotOscillatory: input is not oscillatory\n"
+
+
 def test_network_dot_and_corner_table(tmp_path, capsys):
     f = neville_factorize(M["elim3"])
     fpath = tmp_path / "elim3.fact.json"

@@ -11,9 +11,10 @@ from oscillax.errors import (
     ParamOutOfRange,
     Unpredictable,
 )
-from oscillax.classify import is_tp
+from oscillax.classify import corner_index_sets, is_oscillatory, is_tp
 from oscillax.exponent import (
     ClassMatch,
+    Prediction,
     _class_support_catalog,
     early_tp_product_scan,
     enumerate_psi_patterns,
@@ -353,6 +354,58 @@ def test_exponent_via_prediction_route():
     assert pred.kind == "exact" and pred.value == 3
     assert (l_tag.family, l_tag.s) == ("Z1", 2)
     assert (u_tag.family, u_tag.s) == ("Z1", 3)
+
+
+def _class_inputs(seed, sizes):
+    """Seeded full matrices whose lower and transposed upper parts are
+    Z1/Z2 shapes, plus a diagonal."""
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        for _ in range(3):
+            s = rng.randint(2, n)
+            part = (
+                generate_z1(n, s, rng.randint(0, 10**6))
+                if rng.random() < 0.5
+                else generate_z2(n, s, "random", rng.randint(0, 10**6))
+            )
+            other = generate_z1(n, rng.randint(2, n), rng.randint(0, 10**6))
+            d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
+            out.append(compose(SEBFactorization(n, part.l, d, mirror_flat(other.l, n))))
+    return out
+
+
+def _assert_witnesses(a, rep):
+    """The report's witness power is A^r, and its zero witness names a
+    corner minor that vanishes in A^(r-1)."""
+    assert rep.witness_power == mat_pow(a, rep.r)
+    if rep.r == 1:
+        assert rep.zero_witness is None
+        return
+    w = rep.zero_witness
+    assert w.power == rep.r - 1
+    rows, cols = corner_index_sets(a.rows, w.side, w.size)
+    assert minor(mat_pow(a, rep.r - 1), rows, cols) == 0
+
+
+def test_witness_power_and_zero_corner_on_both_routes():
+    for a in list(M.values()) + _class_inputs(113, (3, 4, 5)):
+        _assert_witnesses(a, exponent_via_theorem(a))
+        _assert_witnesses(a, exponent_bruteforce(a))
+    for a in _class_inputs(127, (6, 7, 8)):  # brute force scans every minor
+        _assert_witnesses(a, exponent_via_theorem(a))
+
+
+def test_prediction_route_rejects_non_oscillatory_inputs():
+    itn_only = (Matrix.identity(3), compose(generate_z1(4, 3, seed=5)))
+    for a in itn_only + (Matrix([[1, 2], [3, 1]]),):
+        assert not is_oscillatory(a, "seb")
+        with pytest.raises(NotOscillatory, match="^input is not oscillatory$"):
+            exponent_via_prediction(a)
+    for a in _class_inputs(131, (3, 4, 5, 6)):
+        assert is_oscillatory(a, "seb")
+        pred, _, _ = exponent_via_prediction(a)
+        assert pred == Prediction("exact", exponent_via_theorem(a).r)
 
 
 def test_product_family_check_pair():

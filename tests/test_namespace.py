@@ -1,0 +1,219 @@
+"""The lazy package namespace: what `import oscillax` exposes, and what each
+CLI subcommand loads.
+
+Both checks run in a fresh interpreter: by the time a test runs, pytest has
+already imported every oscillax module into its own process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import oscillax
+from oscillax.matrix import dumps_matrix
+from oscillax.seb import dumps_factorization, neville_factorize
+from oscillax.verify import corpus_matrices
+
+SRC = Path(oscillax.__file__).resolve().parents[1]
+M = corpus_matrices()
+
+# The public names of dir(oscillax) when every re-export was eager: the
+# submodules loaded by `import oscillax`, and each submodule's re-exports.
+SUBMODULES = ("errors", "rational", "matrix", "seb", "planar", "exponent")
+REEXPORTS = {
+    "errors": (
+        "ClassMismatch",
+        "FeasibilityExceeded",
+        "IndexOutOfRange",
+        "InvalidPsiPattern",
+        "InvariantViolation",
+        "MalformedNumber",
+        "MethodDisagreement",
+        "NotITN",
+        "NotNormalizable",
+        "NotOscillatory",
+        "NotTN",
+        "OrderOutOfRange",
+        "OscillaxError",
+        "ParamOutOfRange",
+        "ShapeMismatch",
+        "TrackMismatch",
+        "Unpredictable",
+        "ZeroDenominator",
+    ),
+    "rational": ("coerce_rational", "format_rational", "parse_rational"),
+    "matrix": (
+        "CompoundMatrix",
+        "IndexSet",
+        "Matrix",
+        "cauchy_binet_check",
+        "det",
+        "lex_subsets",
+        "mat_mul",
+        "mat_pow",
+        "minor",
+        "multiplicative_compound",
+    ),
+    "classify": (
+        "ClassificationReport",
+        "CornerSpec",
+        "MinorWitness",
+        "classify",
+        "corner_minors",
+        "is_irreducible",
+        "is_oscillatory",
+        "is_tn",
+        "is_tp",
+        "is_tp_given_tn",
+    ),
+    "seb": (
+        "EBFactor",
+        "FactorizationClass",
+        "PackedParams",
+        "SEBFactorization",
+        "classify_factorization",
+        "compose",
+        "eb_matrix",
+        "factorization_from_text",
+        "factorization_to_text",
+        "neville_factorize",
+        "normalize_commutation",
+        "pack_parameters",
+        "w_q_form",
+    ),
+    "planar": (
+        "PathFamily",
+        "PlanarNetwork",
+        "build_network",
+        "concat",
+        "enumerate_path_families",
+        "export_dot",
+        "min_copies_lower_corner",
+        "minor_via_paths",
+        "strip_u_diagonals",
+    ),
+    "exponent": (
+        "ClassTag",
+        "ExponentReport",
+        "Prediction",
+        "early_tp_product_scan",
+        "exponent_bruteforce",
+        "exponent_via_theorem",
+        "generate_z1",
+        "generate_z2",
+        "mu1",
+        "mu2",
+        "predict_exponent",
+        "product_family_check",
+        "psi_membership",
+        "r_lower",
+        "r_upper",
+        "recognize_class",
+    ),
+}
+
+
+def run_fresh(code: str) -> str:
+    """Run `code` in a new interpreter that imports this checkout; return
+    its stdout."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OSCILLAX_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_public_names_resolve_to_their_defining_objects():
+    assert len(SUBMODULES) + sum(map(len, REEXPORTS.values())) == 85
+    run_fresh(
+        f"""
+        import importlib
+        import sys
+
+        import oscillax
+
+        submodules = {SUBMODULES!r}
+        homes = {REEXPORTS!r}
+        names = [*submodules, *(name for group in homes.values() for name in group)]
+        assert set(names) <= set(dir(oscillax)), set(names) - set(dir(oscillax))
+        assert set(names) <= set(oscillax.__all__)
+
+        # loading the classify submodule again must not rebind the function
+        import oscillax.exponent
+        assert callable(oscillax.classify)
+        classify_mod = importlib.import_module("oscillax.classify")
+        assert oscillax.classify is classify_mod.classify
+
+        # planar is still unloaded: the star import resolves it lazily
+        assert "oscillax.planar" not in sys.modules
+        star = {{}}
+        exec("from oscillax import *", star)
+        for name in submodules:
+            assert star[name] is importlib.import_module("oscillax." + name), name
+        for home, group in homes.items():
+            module = importlib.import_module("oscillax." + home)
+            for name in group:
+                assert star[name] is getattr(module, name), name
+                assert getattr(oscillax, name) is star[name], name
+        assert oscillax.__version__ == "0.1.0"
+
+        for missing in ("no_such_name", "verify", "cli"):
+            try:
+                getattr(oscillax, missing)
+            except AttributeError:
+                pass
+            else:
+                raise AssertionError(missing + " resolved")
+        """
+    )
+
+
+NO_EXPONENT = ("oscillax.exponent", "oscillax.planar", "oscillax.verify")
+NO_PLANAR = ("oscillax.planar", "oscillax.verify")
+
+
+@pytest.mark.parametrize(
+    "argv, input_kind, forbidden",
+    [
+        (["classify"], "matrix", NO_EXPONENT),
+        (["factorize"], "matrix", NO_EXPONENT),
+        (["network", "--copies", "2"], "factorization", ("oscillax.exponent", "oscillax.verify")),
+        (["exponent", "--method", "brute"], "matrix", NO_PLANAR),
+        (["exponent", "--method", "theorem"], "matrix", NO_PLANAR),
+        (["exponent", "--method", "predict"], "matrix", NO_PLANAR),
+    ],
+    ids=["classify", "factorize", "network", "brute", "theorem", "predict"],
+)
+def test_subcommand_loads_only_what_it_runs(tmp_path, argv, input_kind, forbidden):
+    path = tmp_path / "input.json"
+    if input_kind == "matrix":
+        path.write_text(dumps_matrix(M["exp4"]))
+    else:
+        path.write_text(dumps_factorization(neville_factorize(M["exp4"])))
+    out = run_fresh(
+        f"""
+        import contextlib, io, json, sys
+        from oscillax.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main({[*argv, "--input", str(path)]!r})
+        print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+        """
+    )
+    result = json.loads(out)
+    assert result["code"] == 0
+    loaded = set(result["modules"])
+    assert "oscillax.cli" in loaded
+    assert not loaded & set(forbidden), sorted(loaded & set(forbidden))
