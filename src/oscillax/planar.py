@@ -12,6 +12,12 @@ corresponding minor of the composed matrix.  Minor evaluation sweeps the
 layers with a dynamic program over occupied track subsets, which encodes
 vertex-disjointness exactly: no two paths may share a track at any layer
 boundary.  Explicit family enumeration is also provided for small cases.
+
+Copy counting (:func:`min_copies_lower_corner`) continues one sweep copy
+by copy from a corner's sources and stops at the first copy whose sink
+state is positive, so it never rebuilds or re-sweeps the concatenated
+network.  Like every sweep it is capped at ``SCAN_CAP_DEFAULT`` (8)
+tracks and raises :class:`FeasibilityExceeded` beyond that.
 """
 
 from __future__ import annotations
@@ -132,8 +138,20 @@ def minor_via_paths(
     if net.n > limit:
         raise FeasibilityExceeded(f"path sweep over {net.n} tracks exceeds cap {limit}")
 
-    dp: dict[tuple[int, ...], Fraction] = {src.indices: _ONE}
-    for layer in net.layers:
+    dp = _sweep(net.layers, {src.indices: _ONE})
+    return dp.get(snk.indices, _ZERO)
+
+
+def _sweep(
+    layers, dp: dict[tuple[int, ...], Fraction]
+) -> dict[tuple[int, ...], Fraction]:
+    """Carry the weights of occupied track subsets across ``layers``.
+
+    ``dp`` maps each sorted tuple of occupied tracks at the left boundary
+    to the summed weight of the disjoint partial families ending there;
+    the result is the same map at the right boundary.
+    """
+    for layer in layers:
         ndp: dict[tuple[int, ...], Fraction] = {}
         if layer.kind == "scale":
             w = layer.weights
@@ -155,7 +173,7 @@ def minor_via_paths(
                     )
                     ndp[moved] = ndp.get(moved, _ZERO) + acc * layer.weight
         dp = ndp
-    return dp.get(snk.indices, _ZERO)
+    return dp
 
 
 def enumerate_path_families(
@@ -222,19 +240,37 @@ def min_copies_lower_corner(net: PlanarNetwork, c: int):
     """Minimal number of concatenated copies admitting a disjoint family
     from the lower-left corner's sources to its sinks.
 
-    Returns infinity when some track level has no downward diagonal at
-    all, since no number of copies can produce the required descents.
-    A finite answer never exceeds n-1; running past that bound would
-    contradict the power bound for oscillatory matrices and raises
-    :class:`InvariantViolation`.
+    Returns infinity when some track level has no positive-weight
+    downward diagonal at all, since no number of copies can produce the
+    required descents.  A finite answer never exceeds n-1; running past
+    that bound would contradict the power bound for oscillatory matrices
+    and raises :class:`InvariantViolation`.
+
+    One path sweep continues copy by copy from the corner's sources, so
+    k copies cost k single-copy sweeps in total, not 1 + 2 + ... + k.
+    Both the n-1 bound and reading "no family" off a zero sum need
+    nonnegative diagonal weights and positive scale weights; other
+    weights raise :class:`ParamOutOfRange`.
     """
     n = net.n
     sources, sinks = lower_corner_tracks(n, c)
-    down_levels = {l.index for l in net.layers if l.kind == "down"}
+    for layer in net.layers:
+        if layer.kind == "scale":
+            if any(x <= 0 for x in layer.weights):
+                raise ParamOutOfRange("copy counting needs positive scale weights")
+        elif layer.weight < 0:
+            raise ParamOutOfRange("copy counting needs nonnegative diagonal weights")
+    down_levels = {l.index for l in net.layers if l.kind == "down" and l.weight > 0}
     if not set(range(2, n + 1)) <= down_levels:
         return INFINITE_COPIES
+    if n > SCAN_CAP_DEFAULT:
+        raise FeasibilityExceeded(
+            f"path sweep over {n} tracks exceeds cap {SCAN_CAP_DEFAULT}"
+        )
+    dp = {sources.indices: _ONE}
     for copies in range(1, n):
-        if minor_via_paths(concat_copies(net, copies), sources, sinks) > 0:
+        dp = _sweep(net.layers, dp)
+        if dp.get(sinks.indices, _ZERO) > 0:
             return copies
     raise InvariantViolation(
         f"no disjoint family for corner size {c} within {n - 1} copies"

@@ -35,7 +35,7 @@ from .errors import (
     NotNormalizable,
     ShapeMismatch,
 )
-from .matrix import Matrix, mat_mul
+from .matrix import Matrix
 from .rational import coerce_rational, format_rational
 
 _ZERO = Fraction(0)
@@ -207,6 +207,27 @@ def identity_factorization(n: int) -> SEBFactorization:
     return SEBFactorization(n, (_ZERO,) * k, (_ONE,) * n, (_ZERO,) * k)
 
 
+def _add_column(rows: list[list[Fraction]], dst: int, src: int, q: Fraction) -> None:
+    """Column ``dst`` += q * column ``src`` (0-based), in place.
+
+    This is right-multiplication by one elementary factor: L_j(q) is
+    ``dst = j-2, src = j-1`` and U_j(q) is ``dst = j-1, src = j-2``.
+    """
+    for row in rows:
+        row[dst] += q * row[src]
+
+
+def _scale_columns(rows: list[list[Fraction]], diag) -> None:
+    """Right-multiply by a diagonal factor, in place."""
+    for c, scale in enumerate(diag):
+        for row in rows:
+            row[c] *= scale
+
+
+def _identity_rows(n: int) -> list[list[Fraction]]:
+    return [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
+
+
 def compose(f: SEBFactorization) -> Matrix:
     """Exact product of all factors in canonical order.
 
@@ -214,22 +235,32 @@ def compose(f: SEBFactorization) -> Matrix:
     composition costs O(k n) rational operations.
     """
     n = f.n
-    rows = [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
+    rows = _identity_rows(n)
     for i in range(2, n + 1):
         for t, q in enumerate(f.l_chain(i)):
             if q:
-                j = n - t  # right-multiply by L_j(q): col j-1 += q * col j
-                for row in rows:
-                    row[j - 2] += q * row[j - 1]
-    for c, scale in enumerate(f.d):
-        for row in rows:
-            row[c] *= scale
+                j = n - t  # right-multiply by L_j(q)
+                _add_column(rows, j - 2, j - 1, q)
+    _scale_columns(rows, f.d)
     for i in range(n, 1, -1):
         for t, q in enumerate(f.u_chain(i)):
             if q:
-                j = i + t  # right-multiply by U_j(q): col j += q * col j-1
-                for row in rows:
-                    row[j - 1] += q * row[j - 2]
+                j = i + t  # right-multiply by U_j(q)
+                _add_column(rows, j - 1, j - 2, q)
+    return Matrix(rows)
+
+
+def _word_product(factors, n: int) -> Matrix:
+    """Exact product of elementary factors in the given order, one column
+    operation per factor (O(n) each)."""
+    rows = _identity_rows(n)
+    for fac in factors:
+        if fac.kind == "D":
+            _scale_columns(rows, fac.diag)
+        elif fac.kind == "L":
+            _add_column(rows, fac.index - 2, fac.index - 1, fac.multiplier)
+        else:
+            _add_column(rows, fac.index - 1, fac.index - 2, fac.multiplier)
     return Matrix(rows)
 
 
@@ -579,9 +610,7 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
     d = diag if diag is not None else (_ONE,) * n
     f = SEBFactorization(n, tuple(l_flat), tuple(d), tuple(u_flat))
 
-    product = Matrix.identity(n)
-    for fac in seq:
-        product = mat_mul(product, fac.matrix(n))
+    product = _word_product(seq, n)
     if compose(f) != product:
         raise InvariantViolation("normalization changed the composed matrix")
 

@@ -4,6 +4,13 @@ from fractions import Fraction
 
 from oscillax.errors import InvariantViolation
 from oscillax.exponent import ClassMatch, enumerate_psi_patterns, z1_slots, z2_slots
+from oscillax.matrix import Matrix, mat_mul
+from oscillax.planar import (
+    INFINITE_COPIES,
+    concat_copies,
+    lower_corner_tracks,
+    minor_via_paths,
+)
 from oscillax.seb import (
     SEBFactorization,
     compose,
@@ -97,3 +104,29 @@ def enumerated_class_catalog(n):
                 f"classes {ms} share a support but disagree on the formula"
             )
     return {supp: tuple(sorted(ms)) for supp, ms in catalog.items()}
+
+
+def dense_word_product(factors, n):
+    """Product of a factor word by one dense n x n multiplication per
+    factor, starting from the identity."""
+    product = Matrix.identity(n)
+    for fac in factors:
+        product = mat_mul(product, fac.matrix(n))
+    return product
+
+
+def min_copies_restart(net, c):
+    """Copy count of a lower-left corner by sweeping 1, 2, ..., n-1
+    concatenated copies, each from scratch; every diagonal counts as a
+    descent, whatever its weight."""
+    n = net.n
+    sources, sinks = lower_corner_tracks(n, c)
+    down_levels = {l.index for l in net.layers if l.kind == "down"}
+    if not set(range(2, n + 1)) <= down_levels:
+        return INFINITE_COPIES
+    for copies in range(1, n):
+        if minor_via_paths(concat_copies(net, copies), sources, sinks) > 0:
+            return copies
+    raise InvariantViolation(
+        f"no disjoint family for corner size {c} within {n - 1} copies"
+    )

@@ -191,6 +191,33 @@ def test_network_dot_and_corner_table(tmp_path, capsys):
     assert table[3]["positive_at_copies"] is True
 
 
+NETWORK_CAP_PAYLOAD = """{
+  "schema": "oscillax.error/1",
+  "status": "error",
+  "error": {
+    "type": "FeasibilityExceeded",
+    "message": "path sweep over 9 tracks exceeds cap 8"
+  }
+}
+"""
+
+
+def test_network_copies_past_track_cap(tmp_path, capsys):
+    from oscillax.seb import SEBFactorization
+
+    f = SEBFactorization(9, (1,) * 36, (1,) * 9, (1,) * 36)
+    fpath = tmp_path / "tp9.fact.json"
+    fpath.write_text(dumps_factorization(f))
+    assert main(["network", "--input", str(fpath), "--copies", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == NETWORK_CAP_PAYLOAD
+    assert captured.err == (
+        "error: FeasibilityExceeded: path sweep over 9 tracks exceeds cap 8\n"
+    )
+    code, payload, _ = run(capsys, ["network", "--input", str(fpath)])
+    assert code == 0 and payload["network"]["n"] == 9
+
+
 def test_network_accepts_text_form(tmp_path, capsys):
     fpath = tmp_path / "fact.txt"
     fpath.write_text("L3(1) L2(2) L3(3) D(1,2,3) U3(2) U2(1) U3(1)\n")

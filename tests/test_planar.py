@@ -5,14 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from oracles import random_canonical_factorization
+from oracles import min_copies_restart, random_canonical_factorization
 from oscillax.errors import (
     FeasibilityExceeded,
+    NotOscillatory,
     ParamOutOfRange,
     ShapeMismatch,
     TrackMismatch,
 )
-from oscillax.exponent import generate_z1, generate_z2
+from oscillax.exponent import (
+    generate_z1,
+    generate_z2,
+    r_lower_via_network,
+    random_oscillatory_factorization,
+)
 from oscillax.matrix import mat_mul, minor
 from oscillax.planar import (
     INFINITE_COPIES,
@@ -28,7 +34,13 @@ from oscillax.planar import (
     network_to_json_dict,
     strip_u_diagonals,
 )
-from oscillax.seb import compose, identity_factorization, neville_factorize
+from oscillax.seb import (
+    SEBFactorization,
+    compose,
+    identity_factorization,
+    multiplier_count,
+    neville_factorize,
+)
 from oscillax.verify import corpus_matrices
 
 M = corpus_matrices()
@@ -183,6 +195,74 @@ def test_min_copies_unreachable_is_infinite():
     assert min_copies_lower_corner(net, 1) == INFINITE_COPIES
     with pytest.raises(ParamOutOfRange):
         min_copies_lower_corner(net, 4)
+
+
+def _copy_count_networks(n, rng):
+    """All-positive, sparse oscillatory and random staircase factorizations
+    at dimension n, as networks and with their upward diagonals stripped,
+    plus the identity."""
+    k = multiplier_count(n)
+    full = SEBFactorization(
+        n,
+        tuple(rng.randint(1, 9) for _ in range(k)),
+        tuple(rng.randint(1, 4) for _ in range(n)),
+        tuple(rng.randint(1, 9) for _ in range(k)),
+    )
+    sparse = random_oscillatory_factorization(n, rng, density=0.1)
+    staircase = random_canonical_factorization(n, rng)
+    nets = [build_network(f) for f in (full, sparse, staircase)]
+    nets += [strip_u_diagonals(net) for net in nets]
+    nets.append(build_network(identity_factorization(n)))
+    return nets
+
+
+def test_min_copies_matches_restart_oracle():
+    rng = random.Random(131)
+    seen = set()
+    for n in range(2, 9):
+        for net in _copy_count_networks(n, rng):
+            for c in range(1, n):
+                copies = min_copies_lower_corner(net, c)
+                assert copies == min_copies_restart(net, c)
+                seen.add(copies)
+    assert {1, 2, 3, INFINITE_COPIES} <= seen
+
+
+def test_min_copies_keeps_track_cap():
+    net = build_network(SEBFactorization(9, (1,) * 36, (1,) * 9, (1,) * 36))
+    message = "path sweep over 9 tracks exceeds cap 8"
+    with pytest.raises(FeasibilityExceeded, match=message):
+        min_copies_lower_corner(net, 1)
+    with pytest.raises(FeasibilityExceeded, match=message):
+        r_lower_via_network(net)
+    # a level without descents is decided before the cap is consulted
+    identity = build_network(identity_factorization(9))
+    assert min_copies_lower_corner(identity, 1) == INFINITE_COPIES
+
+
+def test_min_copies_zero_weight_level_is_infinite():
+    net = PlanarNetwork(
+        3, (Layer("down", index=3, weight=1), Layer("down", index=2, weight=0))
+    )
+    assert min_copies_lower_corner(net, 1) == INFINITE_COPIES
+    assert min_copies_lower_corner(net, 2) == INFINITE_COPIES
+    with pytest.raises(NotOscillatory):
+        r_lower_via_network(net)
+
+
+def test_min_copies_rejects_negative_and_zero_scale_weights():
+    signed = PlanarNetwork(
+        2, (Layer("down", index=2, weight=1), Layer("down", index=2, weight=-1))
+    )
+    with pytest.raises(ParamOutOfRange):
+        min_copies_lower_corner(signed, 1)
+    # the sweep itself stays general: the two families cancel
+    assert minor_via_paths(signed, (2,), (1,)) == 0
+    blocked = PlanarNetwork(
+        2, (Layer("scale", weights=(1, 0)), Layer("down", index=2, weight=1))
+    )
+    with pytest.raises(ParamOutOfRange):
+        min_copies_lower_corner(blocked, 1)
 
 
 def test_sweep_validation():

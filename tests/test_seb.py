@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_canonical_factorization
+import oscillax.seb as seb
+from oracles import dense_word_product, random_canonical_factorization
 from oscillax.errors import (
     IndexOutOfRange,
+    InvariantViolation,
     NotITN,
     NotNormalizable,
     ShapeMismatch,
 )
 from oscillax.matrix import Matrix, mat_mul
 from oscillax.seb import (
+    EBFactor,
     FactorizationClass,
     SEBFactorization,
     classify_factorization,
@@ -260,6 +263,84 @@ def test_normalize_recovers_canonical_after_commuting_shuffle():
             if commutes(seq[i], seq[i + 1]):
                 seq[i], seq[i + 1] = seq[i + 1], seq[i]
         assert normalize_commutation(seq, n=n) == f
+
+
+def _is_identity(fac):
+    if fac.kind == "D":
+        return all(x == 1 for x in fac.diag)
+    return fac.multiplier == 0
+
+
+def _legal_swap(f1, f2):
+    """Adjacent factors that the normalizer's relations let trade places."""
+    if _is_identity(f1) or _is_identity(f2):
+        return True
+    if f1.kind == "D" or f2.kind == "D":
+        return False
+    if f1.kind == f2.kind:
+        return abs(f1.index - f2.index) > 1
+    return f1.index != f2.index
+
+
+def _random_factor(n, rng):
+    kind = rng.choice("LUD")
+    if kind == "D":
+        return ebd(rng.choice((1, 1, 2, 3, 0, -1)) for _ in range(n))
+    return EBFactor(kind, index=rng.randint(2, n), multiplier=rng.randint(-1, 3))
+
+
+def _normalization_words(n, rng):
+    """A canonical word with its zero multipliers, the same word with
+    identity factors inserted and shuffled by legal swaps, and a random
+    word that is usually not normalizable."""
+    f = random_canonical_factorization(n, rng)
+    canonical = list(f.factor_sequence(include_zero=True))
+    shuffled = list(canonical)
+    for _ in range(2):
+        shuffled.insert(rng.randrange(len(shuffled) + 1), ebd((1,) * n))
+        side = rng.choice((ebl, ebu))
+        shuffled.insert(rng.randrange(len(shuffled) + 1), side(rng.randint(2, n), 0))
+    for _ in range(4 * len(shuffled)):
+        i = rng.randrange(len(shuffled) - 1)
+        if _legal_swap(shuffled[i], shuffled[i + 1]):
+            shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
+    scrambled = [_random_factor(n, rng) for _ in range(rng.randint(1, 2 * n))]
+    return [canonical, shuffled, scrambled]
+
+
+def _normalization_cases():
+    rng = random.Random(907)
+    return [
+        (n, word)
+        for n in range(2, 9)
+        for _ in range(3 if n < 7 else 1)
+        for word in _normalization_words(n, rng)
+    ]
+
+
+def _normalization_outcome(word, n):
+    try:
+        return normalize_commutation(word, n=n)
+    except (NotNormalizable, InvariantViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_word_product_matches_dense_oracle():
+    for n, word in _normalization_cases():
+        full_diagonals = [f for f in word if f.kind != "D" or len(f.diag) == n]
+        assert seb._word_product(full_diagonals, n) == dense_word_product(
+            full_diagonals, n
+        )
+
+
+def test_normalize_matches_dense_rebuild(monkeypatch):
+    cases = _normalization_cases()
+    column_ops = [_normalization_outcome(word, n) for n, word in cases]
+    monkeypatch.setattr(seb, "_word_product", dense_word_product)
+    dense = [_normalization_outcome(word, n) for n, word in cases]
+    assert column_ops == dense
+    kinds = {o[0] if isinstance(o, tuple) else "ok" for o in column_ops}
+    assert kinds == {"ok", "NotNormalizable"}
 
 
 def test_normalize_drops_identities():
