@@ -4,13 +4,20 @@ The baseline tests scan every minor of every order (exponential, guarded
 by a feasibility cap).  Cheaper criteria (corner minors, tridiagonal
 entries, irreducibility, factorization support) are separate operations
 so their equivalence with the baseline is testable rather than assumed.
+
+:func:`classify` walks the minor table once: the first nonpositive minor
+is the TP witness and the first negative one the TN witness.  It decides
+oscillation by the Gantmacher–Krein test on that TN verdict (nonsingular,
+positive sub- and superdiagonal); the four criteria of
+:func:`is_oscillatory` remain available and are cross-checked by the
+tests and by ``verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import MethodDisagreement, NotTN, ShapeMismatch
 from .matrix import (
@@ -52,32 +59,38 @@ def _require_min_shape(a: Matrix) -> None:
         raise ShapeMismatch("classification requires at least a 2x2 matrix")
 
 
+def _scan(a: Matrix, cap: int | None) -> Iterator[tuple[tuple, Fraction]]:
+    """Every ``((rows, cols), value)`` minor of ``a``: orders ascending,
+    then row subset, then column subset."""
+    _require_min_shape(a)
+    check_scan_cap(a, cap)
+    for _, table in minor_levels(a):
+        yield from table.items()
+
+
+def _first_minor(
+    a: Matrix, cap: int | None, bad: Callable[[Fraction], bool]
+) -> ScanVerdict:
+    for (rset, cset), value in _scan(a, cap):
+        if bad(value):
+            return ScanVerdict(False, MinorWitness(rset, cset, value))
+    return ScanVerdict(True, None)
+
+
 def is_tn(a: Matrix, cap: int | None = None) -> ScanVerdict:
     """Full minor scan for total nonnegativity.
 
     On failure the witness is the lexicographically first negative minor
     (orders ascending, then row subset, then column subset).
     """
-    _require_min_shape(a)
-    check_scan_cap(a, cap)
-    for _, table in minor_levels(a):
-        for (rset, cset), value in table.items():
-            if value < 0:
-                return ScanVerdict(False, MinorWitness(rset, cset, value))
-    return ScanVerdict(True, None)
+    return _first_minor(a, cap, lambda value: value < 0)
 
 
 def is_tp(a: Matrix, cap: int | None = None) -> ScanVerdict:
     """Full minor scan for total positivity of a square matrix."""
     if not a.is_square():
         raise ShapeMismatch("total positivity test requires a square matrix")
-    _require_min_shape(a)
-    check_scan_cap(a, cap)
-    for _, table in minor_levels(a):
-        for (rset, cset), value in table.items():
-            if value <= 0:
-                return ScanVerdict(False, MinorWitness(rset, cset, value))
-    return ScanVerdict(True, None)
+    return _first_minor(a, cap, lambda value: value <= 0)
 
 
 def corner_index_sets(n: int, side: str, size: int) -> tuple[IndexSet, IndexSet]:
@@ -147,7 +160,17 @@ def is_irreducible(a: Matrix) -> bool:
     return reaches_all(0, False) and reaches_all(0, True)
 
 
-def _oscillatory_by_method(a: Matrix, method: str, cap: int | None) -> bool:
+def _off_diagonals_positive(a: Matrix) -> bool:
+    """Gantmacher–Krein: a nonsingular TN matrix is oscillatory iff its
+    sub- and superdiagonal entries are all positive."""
+    return all(a[i, i + 1] > 0 and a[i + 1, i] > 0 for i in range(a.rows - 1))
+
+
+def _oscillatory_by_method(
+    a: Matrix, method: str, cap: int | None, tn: bool | None = None
+) -> bool:
+    """One criterion's verdict; ``tn`` is a TN verdict already known for
+    ``a`` (the scan runs here when it is None and the method needs it)."""
     n = a.rows
     if method == "seb":
         from .seb import FactorizationClass, classify_factorization, neville_factorize
@@ -162,7 +185,9 @@ def _oscillatory_by_method(a: Matrix, method: str, cap: int | None) -> bool:
             FactorizationClass.BASIC_OSCILLATORY,
             FactorizationClass.OSCILLATORY,
         )
-    if not is_tn(a, cap).ok:
+    if tn is None:
+        tn = is_tn(a, cap).ok
+    if not tn:
         return False
     if method == "definition":
         power = a
@@ -174,7 +199,7 @@ def _oscillatory_by_method(a: Matrix, method: str, cap: int | None) -> bool:
     if det(a) == 0:
         return False
     if method == "gk":
-        return all(a[i, i + 1] > 0 and a[i + 1, i] > 0 for i in range(n - 1))
+        return _off_diagonals_positive(a)
     if method == "irreducible":
         return is_irreducible(a)
     raise ValueError(f"unknown oscillatory method {method!r}")
@@ -186,16 +211,18 @@ def is_oscillatory(a: Matrix, method: str = "all", cap: int | None = None) -> bo
     ``definition`` looks for a totally positive power (up to n-1, which
     suffices), ``gk`` checks super/subdiagonal positivity of a nonsingular
     TN matrix, ``irreducible`` checks strong connectivity, and ``seb``
-    checks factorization support.  ``all`` evaluates every criterion and
-    raises :class:`MethodDisagreement` if they differ, which would signal
-    an implementation bug.
+    checks factorization support.  ``all`` evaluates every criterion, the
+    first three on one shared TN scan, and raises
+    :class:`MethodDisagreement` if they differ, which would signal an
+    implementation bug.
     """
     if not a.is_square():
         raise ShapeMismatch("oscillatory test requires a square matrix")
     _require_min_shape(a)
     if method != "all":
         return _oscillatory_by_method(a, method, cap)
-    verdicts = {m: _oscillatory_by_method(a, m, cap) for m in OSCILLATORY_METHODS}
+    tn = is_tn(a, cap).ok
+    verdicts = {m: _oscillatory_by_method(a, m, cap, tn) for m in OSCILLATORY_METHODS}
     values = set(verdicts.values())
     if len(values) > 1:
         raise MethodDisagreement(f"criteria disagree: {verdicts}")
@@ -239,28 +266,39 @@ class ClassificationReport:
 
 
 def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
-    """Produce the full classification report for a square matrix."""
+    """Produce the full classification report for a square matrix.
+
+    One minor scan gives both witnesses.  It stops at the first negative
+    minor, by which point the first nonpositive one has been seen.
+    """
     if not a.is_square():
         raise ShapeMismatch("classification requires a square matrix")
-    _require_min_shape(a)
-    tn = is_tn(a, cap)
-    tp = is_tp(a, cap)
+    tn_witness = tp_witness = None
+    for (rset, cset), value in _scan(a, cap):
+        if value <= 0:
+            found = MinorWitness(rset, cset, value)
+            if tp_witness is None:
+                tp_witness = found
+            if value < 0:
+                tn_witness = found
+                break
+    tn = tn_witness is None
     invertible = det(a) != 0
-    oscillatory = is_oscillatory(a, "all", cap)
+    oscillatory = tn and invertible and _off_diagonals_positive(a)
     basic: bool | None = None
-    if tn.ok and invertible:
+    if tn and invertible:
         from .seb import is_basic_factorization, neville_factorize
 
         basic = is_basic_factorization(neville_factorize(a))
     return ClassificationReport(
         n=a.rows,
-        is_tn=tn.ok,
+        is_tn=tn,
         is_invertible=invertible,
-        is_tp=tp.ok,
+        is_tp=tp_witness is None,
         is_oscillatory=oscillatory,
         is_basic_oscillatory=basic,
-        tn_witness=tn.witness,
-        tp_witness=tp.witness,
+        tn_witness=tn_witness,
+        tp_witness=tp_witness,
     )
 
 

@@ -20,6 +20,7 @@ recognition refactorizes its input only, never the class shapes.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,7 +102,7 @@ def psi_membership(pattern, i: int) -> bool:
 
 def n_from_flat(flat) -> int:
     k = len(flat)
-    n = int((1 + (1 + 8 * k) ** 0.5) / 2)
+    n = (1 + math.isqrt(1 + 8 * k)) // 2
     if multiplier_count(n) != k:
         raise ParamOutOfRange(f"length {k} is not a triangular number")
     return n

@@ -2,9 +2,16 @@
 
 from fractions import Fraction
 
-from oscillax.errors import InvariantViolation
+from oscillax.classify import (
+    ClassificationReport,
+    _require_min_shape,
+    is_oscillatory,
+    is_tn,
+    is_tp,
+)
+from oscillax.errors import InvariantViolation, ShapeMismatch
 from oscillax.exponent import ClassMatch, enumerate_psi_patterns, z1_slots, z2_slots
-from oscillax.matrix import Matrix, mat_mul
+from oscillax.matrix import Matrix, det, mat_mul
 from oscillax.planar import (
     INFINITE_COPIES,
     concat_copies,
@@ -129,4 +136,31 @@ def min_copies_restart(net, c):
             return copies
     raise InvariantViolation(
         f"no disjoint family for corner size {c} within {n - 1} copies"
+    )
+
+
+def classify_four_criteria(a, cap=None):
+    """Classification by separate TN and TP scans, with the oscillatory
+    verdict from all four criteria of ``is_oscillatory(a, "all")``."""
+    if not a.is_square():
+        raise ShapeMismatch("classification requires a square matrix")
+    _require_min_shape(a)
+    tn = is_tn(a, cap)
+    tp = is_tp(a, cap)
+    invertible = det(a) != 0
+    oscillatory = is_oscillatory(a, "all", cap)
+    basic: bool | None = None
+    if tn.ok and invertible:
+        from oscillax.seb import is_basic_factorization, neville_factorize
+
+        basic = is_basic_factorization(neville_factorize(a))
+    return ClassificationReport(
+        n=a.rows,
+        is_tn=tn.ok,
+        is_invertible=invertible,
+        is_tp=tp.ok,
+        is_oscillatory=oscillatory,
+        is_basic_oscillatory=basic,
+        tn_witness=tn.witness,
+        tp_witness=tp.witness,
     )

@@ -1,8 +1,10 @@
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
-from oracles import random_canonical_factorization
+from oracles import classify_four_criteria, random_canonical_factorization
 from oscillax.classify import (
     classify,
     corner_minors,
@@ -14,7 +16,8 @@ from oscillax.classify import (
 )
 from oscillax.errors import FeasibilityExceeded, NotTN
 from oscillax.matrix import Matrix, mat_mul, mat_pow, minor, minor_levels
-from oscillax.seb import compose
+from oscillax.exponent import random_oscillatory_factorization
+from oscillax.seb import SEBFactorization, compose, flat_slot, multiplier_count
 from oscillax.verify import corpus_matrices
 
 M = corpus_matrices()
@@ -212,3 +215,118 @@ def test_classification_report():
     assert rep2.is_basic_oscillatory is True
     rep3 = classify(Matrix([[1, 2], [3, 1]]))
     assert not rep3.is_tn and rep3.is_basic_oscillatory is None
+
+
+def _differential_inputs(n, rng):
+    """Seeded inputs of every classification outcome at dimension n."""
+    k = multiplier_count(n)
+
+    def positive(count):
+        return tuple(Fraction(rng.randint(1, 9)) for _ in range(count))
+
+    def diag():
+        return tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
+
+    chain2 = {flat_slot(2, j, n) for j in range(2, n + 1)}
+
+    def basic_side():
+        return tuple(
+            Fraction(rng.randint(1, 9)) if p in chain2 else Fraction(0)
+            for p in range(k)
+        )
+
+    osc = random_oscillatory_factorization(n, rng)
+    j = rng.randint(2, n)
+    missing = {flat_slot(i, j, n) for i in range(2, j + 1)}
+    itn_l = tuple(Fraction(0) if p in missing else q for p, q in enumerate(osc.l))
+    yield "tp", compose(SEBFactorization(n, positive(k), diag(), positive(k)))
+    yield "oscillatory", compose(osc)
+    yield "basic", compose(SEBFactorization(n, basic_side(), diag(), basic_side()))
+    yield "itn-only", compose(SEBFactorization(n, itn_l, osc.d, osc.u))
+    yield "staircase", compose(random_canonical_factorization(n, rng))
+    rows = [list(r) for r in compose(random_oscillatory_factorization(n, rng)).entries]
+    i = rng.randrange(n - 1)
+    singular = rows[: i + 1] + [rows[i]] + rows[i + 2 :]
+    yield "singular", Matrix(singular)
+    r, c = rng.randrange(n), rng.randrange(n)
+    for kind, base in (("negative-entry", rows), ("singular-negative", singular)):
+        neg = [list(row) for row in base]
+        neg[r][c] = -neg[r][c] - 1
+        yield kind, Matrix(neg)
+    swapped = [list(r) for r in rows]
+    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    yield "swapped-rows", Matrix(swapped)
+    yield "random", Matrix([[rng.randint(0, 4) for _ in range(n)] for _ in range(n)])
+
+
+def test_classify_matches_four_criteria_oracle():
+    rng = random.Random(67)
+    kinds = set()
+    inputs = list(M.values())
+    for n in range(2, 8):
+        for _ in range(2):
+            for kind, a in _differential_inputs(n, rng):
+                kinds.add(kind)
+                inputs.append(a)
+    outcomes = set()
+    for a in inputs:
+        rep = classify(a)
+        expected = classify_four_criteria(a)
+        assert rep.to_json_dict() == expected.to_json_dict()
+        # the oracle's verdict is is_oscillatory(a, "all") itself
+        assert rep.is_oscillatory == expected.is_oscillatory
+        outcomes.add(
+            (
+                rep.is_tn,
+                rep.is_tp,
+                rep.is_oscillatory,
+                rep.is_invertible,
+                rep.is_basic_oscillatory,
+            )
+        )
+    assert len(kinds) == 10
+    # TP, oscillatory (basic or not), ITN-only, singular TN and non-TN all occur
+    assert {
+        (True, True, True, True, True),
+        (True, False, True, True, True),
+        (True, False, True, True, False),
+        (True, False, False, True, False),
+        (True, False, False, False, None),
+        (False, False, False, True, None),
+        (False, False, False, False, None),
+    } <= outcomes
+
+
+def _count_minor_passes(monkeypatch):
+    module = sys.modules["oscillax.classify"]
+    calls = []
+
+    def counting(a, max_order=None):
+        calls.append(a)
+        return minor_levels(a, max_order)
+
+    monkeypatch.setattr(module, "minor_levels", counting)
+    return calls
+
+
+def test_classify_makes_one_minor_pass(monkeypatch):
+    calls = _count_minor_passes(monkeypatch)
+    rng = random.Random(71)
+    for n in range(2, 7):
+        for _, a in _differential_inputs(n, rng):
+            calls.clear()
+            classify(a)
+            assert len(calls) == 1
+
+
+def test_oscillatory_all_shares_one_tn_scan(monkeypatch):
+    calls = _count_minor_passes(monkeypatch)
+    assert not is_oscillatory(Matrix([[1, 2], [3, 1]]), "all")
+    assert len(calls) == 1  # definition, gk and irreducible share it
+
+
+def test_classify_keeps_feasibility_cap():
+    with pytest.raises(FeasibilityExceeded):
+        classify(Matrix.identity(9))
+    with pytest.raises(FeasibilityExceeded):
+        classify(Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), cap=2)

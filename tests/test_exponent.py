@@ -468,6 +468,18 @@ def test_mirror_flat_involution():
         n_from_flat((0,) * 7)
 
 
+def test_n_from_flat_is_exact_at_large_n():
+    # a range has a length without its elements; from n = 94_906_267 on,
+    # 1 + 8k no longer fits a float's 53-bit mantissa
+    for n in (1, 2, 3, 94_906_267, 10**9 + 7, 2**32 - 5, 4 * 10**9):
+        k = multiplier_count(n)
+        assert n_from_flat(range(k)) == n
+        for off in (-1, 1):
+            if multiplier_count(n - 1) < k + off < multiplier_count(n + 1):
+                with pytest.raises(ParamOutOfRange):
+                    n_from_flat(range(k + off))
+
+
 def test_pure_class_prediction_equals_bruteforce():
     rng = random.Random(109)
     for _ in range(12):
