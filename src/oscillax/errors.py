@@ -49,9 +49,10 @@ class InvariantViolation(OscillaxError):
     """An internal consistency condition failed; indicates a bug."""
 
 
-class NotNormalizable(OscillaxError):
+class NotNormalizable(OscillaxError, ValueError):
     """A factor product cannot be reordered into canonical form using only
-    the admissible commutation relations."""
+    the admissible commutation relations, or has a negative multiplier or
+    a nonpositive diagonal entry."""
 
 
 class ParamOutOfRange(OscillaxError, ValueError):

@@ -20,7 +20,6 @@ recognition refactorizes its input only, never the class shapes.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,14 +46,13 @@ from .seb import (
     EBFactor,
     FactorizationClass,
     SEBFactorization,
+    chain_layout,
     classify_factorization,
     compose,
     ebl,
-    flat_slot,
     multiplier_count,
+    n_from_flat,
     neville_factorize,
-    upper_flat_slot,
-    x_offset,
 )
 
 _ZERO = Fraction(0)
@@ -97,39 +95,7 @@ def psi_membership(pattern, i: int) -> bool:
     return vec[-1] > 0 and any(x == 0 for x in vec[:-1])
 
 
-# -- flat-vector helpers --------------------------------------------------------
-
-
-def n_from_flat(flat) -> int:
-    k = len(flat)
-    n = (1 + math.isqrt(1 + 8 * k)) // 2
-    if multiplier_count(n) != k:
-        raise ParamOutOfRange(f"length {k} is not a triangular number")
-    return n
-
-
-def slot_chain_factor(pos: int, n: int) -> tuple[int, int]:
-    """Invert the flat layout: position -> (chain i, factor index j)."""
-    for i in range(2, n + 1):
-        start = x_offset(i, n) - 1
-        width = n - i + 1
-        if start <= pos < start + width:
-            return i, n - (pos - start)
-    raise ParamOutOfRange(f"slot {pos} outside flat vector for n={n}")
-
-
-def mirror_flat(flat, n: int | None = None) -> tuple[Fraction, ...]:
-    """Reverse every chain slice; converts between the lower flat layout
-    of a product and the upper flat layout of its transpose."""
-    flat = tuple(flat)
-    if n is None:
-        n = n_from_flat(flat)
-    out = list(flat)
-    for i in range(2, n + 1):
-        x = x_offset(i, n) - 1
-        width = n - i + 1
-        out[x : x + width] = list(flat[x : x + width])[::-1]
-    return tuple(out)
+# -- triangular parts -----------------------------------------------------------
 
 
 def lower_part(f: SEBFactorization) -> SEBFactorization:
@@ -146,7 +112,7 @@ def with_transpose(lpart: SEBFactorization, d=None) -> SEBFactorization:
     """Pair a lower part with its mirrored upper part and a diagonal,
     composing to (lower) D (lower transposed)."""
     dd = tuple(d) if d is not None else (_ONE,) * lpart.n
-    return SEBFactorization(lpart.n, lpart.l, dd, mirror_flat(lpart.l, lpart.n))
+    return SEBFactorization(lpart.n, lpart.l, dd, lpart.layout.mirror(lpart.l))
 
 
 # -- class generators -----------------------------------------------------------
@@ -161,16 +127,12 @@ def _fill_slots(n: int, slots, rng: random.Random) -> tuple[Fraction, ...]:
 
 def z1_slots(n: int, s: int) -> frozenset[int]:
     _check_class_params(n, s)
-    out = set()
-    for i in range(2, s + 1):
-        for j in range(i, n + 1):
-            out.add(flat_slot(i, j, n))
-    return frozenset(out)
+    # full chains 2 .. s: the flat vector up to the end of chain s
+    return frozenset(range(chain_layout(n).chain(s).stop))
 
 
 def z2_slots(n: int, s: int, psi: frozenset[int] | None) -> frozenset[int]:
     _check_class_params(n, s)
-    out = set()
     if s == 2:
         if psi:
             raise InvalidPsiPattern("s=2 admits no partial chain")
@@ -181,14 +143,11 @@ def z2_slots(n: int, s: int, psi: frozenset[int] | None) -> frozenset[int]:
         raise InvalidPsiPattern(f"pattern {sorted(psi)} not within {sorted(optional)}")
     if psi == optional:
         raise InvalidPsiPattern("pattern must omit at least one optional factor")
-    for i in range(2, s - 1):
-        out.add(flat_slot(i, i, n))
-    out.add(flat_slot(s - 1, s - 1, n))
-    for j in psi:
-        out.add(flat_slot(s - 1, j, n))
-    for i in range(s, n + 1):
-        for j in range(i, n + 1):
-            out.add(flat_slot(i, j, n))
+    layout = chain_layout(n)
+    out = {layout.lower_slot(i, i) for i in range(2, s)}
+    out.update(layout.lower_slot(s - 1, j) for j in psi)
+    # full chains s .. n: the flat vector from the start of chain s
+    out.update(range(layout.chain(s).start, multiplier_count(n)))
     return frozenset(out)
 
 
@@ -262,6 +221,7 @@ def random_oscillatory_factorization(
     """Random factorization with every factor index hit on both sides,
     hence composing to an oscillatory matrix."""
     k = multiplier_count(n)
+    layout = chain_layout(n)
 
     def side(slot_of) -> tuple[Fraction, ...]:
         flat = [_ZERO] * k
@@ -274,8 +234,8 @@ def random_oscillatory_factorization(
                 flat[slots[rng.randrange(len(slots))]] = Fraction(rng.randint(1, 9))
         return tuple(flat)
 
-    l_flat = side(lambda i, j: flat_slot(i, j, n))
-    u_flat = side(lambda i, j: upper_flat_slot(i, j, n))
+    l_flat = side(layout.lower_slot)
+    u_flat = side(layout.upper_slot)
     d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
     return SEBFactorization(n, l_flat, d, u_flat)
 
@@ -376,12 +336,12 @@ def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
     catalog = _class_support_catalog(n)
 
     exact = catalog.get(support, ())
+    cells = canon.layout.lower_cells
     extra_matches: list[tuple[ClassMatch, tuple[EBFactor, ...]]] = []
     for supp, matches in catalog.items():
         if supp < support:
             extras = tuple(
-                ebl(slot_chain_factor(p, n)[1], canon.l[p])
-                for p in sorted(support - supp)
+                ebl(cells[p][1], canon.l[p]) for p in sorted(support - supp)
             )
             for m in matches:
                 extra_matches.append((m, extras))
@@ -577,7 +537,7 @@ def recognize_sides(f: SEBFactorization) -> tuple[ClassTag, ClassTag]:
     """Class tags of the lower part and of the transposed upper part."""
     return (
         recognize_class(f.l, f.n),
-        recognize_class(mirror_flat(f.u, f.n), f.n),
+        recognize_class(f.layout.mirror(f.u), f.n),
     )
 
 

@@ -8,7 +8,9 @@ where W_i(v) = L_n(v_1) L_{n-1}(v_2) ... L_i(v_{n-i+1}) is a descending
 chain of lower elementary factors, Q_i(v) = U_i(v_1) ... U_n(v_{n-i+1})
 the ascending upper chain, and D a positive diagonal.  Flat multiplier
 vectors store l^2 ++ l^3 ++ ... ++ l^n (and the same layout for u), so
-the slice for chain i starts at offset x_i = (i-2)n - (i-3)i/2.
+the slice for chain i starts at offset x_i = (i-2)n - (i-3)i/2 (1-based).
+:class:`ChainLayout` is the one place that maps a chain and a factor
+index to a flat position and back; every other function goes through it.
 
 Factorizations are produced by Neville elimination: columns left to
 right, within each column bottom-up, always pivoting on the row directly
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,6 +36,7 @@ from .errors import (
     MalformedNumber,
     NotITN,
     NotNormalizable,
+    ParamOutOfRange,
     ShapeMismatch,
 )
 from .matrix import Matrix
@@ -119,28 +123,80 @@ def multiplier_count(n: int) -> int:
     return (n - 1) * n // 2
 
 
-def x_offset(i: int, n: int) -> int:
-    """1-based start of the chain-i slice within a flat multiplier vector."""
-    if not 2 <= i <= n:
-        raise IndexOutOfRange(f"chain index {i} outside [2, {n}]")
-    return (i - 2) * n - (i - 3) * i // 2
+def n_from_flat(flat) -> int:
+    """Dimension of a flat multiplier vector, from its length alone."""
+    k = len(flat)
+    n = (1 + math.isqrt(1 + 8 * k)) // 2
+    if multiplier_count(n) != k:
+        raise ParamOutOfRange(f"length {k} is not a triangular number")
+    return n
 
 
-def flat_slot(i: int, factor_index: int, n: int) -> int:
-    """0-based flat position of factor L_j inside lower chain i.
+class ChainLayout:
+    """Which slot of a flat multiplier vector holds chain i's multiplier
+    for factor j, at dimension n.
 
-    Lower chains list factors L_n .. L_i, so the chain's own factor sits
-    in the last slot of its slice.
+    Lower chain W_i lists L_n .. L_i and upper chain Q_i lists U_i .. U_n,
+    both in the slice of chain i.  Use :func:`chain_layout`, which builds
+    the tables once per n.
     """
-    if not i <= factor_index <= n:
-        raise IndexOutOfRange(f"factor {factor_index} not in chain {i}")
-    return x_offset(i, n) - 1 + (n - factor_index)
+
+    def __init__(self, n: int):
+        self.n = n
+        self._chains: dict[int, slice] = {}
+        lower: list[tuple[int, int]] = []
+        upper: list[tuple[int, int]] = []
+        for i in range(2, n + 1):
+            self._chains[i] = slice(len(lower), len(lower) + n - i + 1)
+            lower.extend((i, j) for j in range(n, i - 1, -1))
+            upper.extend((i, j) for j in range(i, n + 1))
+        # flat position -> (chain i, factor index j)
+        self.lower_cells = tuple(lower)
+        self.upper_cells = tuple(upper)
+        self._lower_slot = {cell: p for p, cell in enumerate(lower)}
+        self._upper_slot = {cell: p for p, cell in enumerate(upper)}
+        # (flat position, factor index) in product order: W_2 .. W_n is
+        # flat order, Q_n .. Q_2 walks the chains backwards
+        self.lower_order = tuple((p, j) for p, (_, j) in enumerate(lower))
+        self.upper_order = tuple(
+            (p, upper[p][1])
+            for i in range(n, 1, -1)
+            for p in range(self._chains[i].start, self._chains[i].stop)
+        )
+        # the same cell in the other side's layout: each chain slice reversed
+        self._mirror = tuple(self._upper_slot[cell] for cell in lower)
+
+    def chain(self, i: int) -> slice:
+        """Slice of chain i within a flat vector."""
+        if i not in self._chains:
+            raise IndexOutOfRange(f"chain index {i} outside [2, {self.n}]")
+        return self._chains[i]
+
+    def lower_slot(self, i: int, j: int) -> int:
+        """Flat position of factor L_j in lower chain i."""
+        return self._slot(self._lower_slot, i, j)
+
+    def upper_slot(self, i: int, j: int) -> int:
+        """Flat position of factor U_j in upper chain i."""
+        return self._slot(self._upper_slot, i, j)
+
+    def _slot(self, slots: dict[tuple[int, int], int], i: int, j: int) -> int:
+        try:
+            return slots[i, j]
+        except KeyError:
+            self.chain(i)  # reports a chain outside [2, n] as such
+            raise IndexOutOfRange(f"factor {j} not in chain {i}") from None
+
+    def mirror(self, flat) -> tuple[Fraction, ...]:
+        """Reverse every chain slice; converts between the lower flat layout
+        of a product and the upper flat layout of its transpose."""
+        return tuple(flat[p] for p in self._mirror)
 
 
-def upper_flat_slot(i: int, factor_index: int, n: int) -> int:
-    if not i <= factor_index <= n:
-        raise IndexOutOfRange(f"factor {factor_index} not in chain {i}")
-    return x_offset(i, n) - 1 + (factor_index - i)
+@lru_cache(maxsize=None)
+def chain_layout(n: int) -> ChainLayout:
+    """The layout of dimension n, built once."""
+    return ChainLayout(n)
 
 
 @dataclass(frozen=True)
@@ -165,9 +221,9 @@ class SEBFactorization:
         if len(dv) != n:
             raise ShapeMismatch(f"diagonal must have length {n}")
         if any(x < 0 for x in lv) or any(x < 0 for x in uv):
-            raise ValueError("multipliers must be nonnegative")
+            raise NotNormalizable("multipliers must be nonnegative")
         if any(x <= 0 for x in dv):
-            raise ValueError("diagonal entries must be positive")
+            raise NotNormalizable("diagonal entries must be positive")
         object.__setattr__(self, "l", lv)
         object.__setattr__(self, "u", uv)
         object.__setattr__(self, "d", dv)
@@ -176,29 +232,30 @@ class SEBFactorization:
     def k(self) -> int:
         return multiplier_count(self.n)
 
+    @property
+    def layout(self) -> ChainLayout:
+        return chain_layout(self.n)
+
     def l_chain(self, i: int) -> tuple[Fraction, ...]:
-        x = x_offset(i, self.n)
-        return self.l[x - 1 : x - 1 + self.n - i + 1]
+        return self.l[self.layout.chain(i)]
 
     def u_chain(self, i: int) -> tuple[Fraction, ...]:
-        x = x_offset(i, self.n)
-        return self.u[x - 1 : x - 1 + self.n - i + 1]
+        return self.u[self.layout.chain(i)]
 
     def factor_sequence(self, include_zero: bool = False) -> tuple[EBFactor, ...]:
         """Factors in product order; zero multipliers are elided by default."""
-        n = self.n
-        out: list[EBFactor] = []
-        for i in range(2, n + 1):
-            chain = self.l_chain(i)
-            for t, q in enumerate(chain):
-                if q or include_zero:
-                    out.append(ebl(n - t, q))
+        layout = self.layout
+        out = [
+            ebl(j, self.l[p])
+            for p, j in layout.lower_order
+            if self.l[p] or include_zero
+        ]
         out.append(ebd(self.d))
-        for i in range(n, 1, -1):
-            chain = self.u_chain(i)
-            for t, q in enumerate(chain):
-                if q or include_zero:
-                    out.append(ebu(i + t, q))
+        out.extend(
+            ebu(j, self.u[p])
+            for p, j in layout.upper_order
+            if self.u[p] or include_zero
+        )
         return tuple(out)
 
 
@@ -234,19 +291,15 @@ def compose(f: SEBFactorization) -> Matrix:
     Each elementary factor is applied as a single column operation, so
     composition costs O(k n) rational operations.
     """
-    n = f.n
-    rows = _identity_rows(n)
-    for i in range(2, n + 1):
-        for t, q in enumerate(f.l_chain(i)):
-            if q:
-                j = n - t  # right-multiply by L_j(q)
-                _add_column(rows, j - 2, j - 1, q)
+    layout = f.layout
+    rows = _identity_rows(f.n)
+    for p, j in layout.lower_order:
+        if f.l[p]:
+            _add_column(rows, j - 2, j - 1, f.l[p])  # right-multiply by L_j
     _scale_columns(rows, f.d)
-    for i in range(n, 1, -1):
-        for t, q in enumerate(f.u_chain(i)):
-            if q:
-                j = i + t  # right-multiply by U_j(q)
-                _add_column(rows, j - 1, j - 2, q)
+    for p, j in layout.upper_order:
+        if f.u[p]:
+            _add_column(rows, j - 1, j - 2, f.u[p])  # right-multiply by U_j
     return Matrix(rows)
 
 
@@ -274,9 +327,9 @@ def _lower_elimination(work: list[list[Fraction]], n: int) -> list[Fraction]:
     on the row directly above.  A zero pivot under a nonzero entry, or a
     negative multiplier, disqualifies the input.
     """
+    layout = chain_layout(n)
     flat = [_ZERO] * multiplier_count(n)
     for c in range(n - 1):
-        base = x_offset(c + 2, n) - 1
         for r in range(n - 1, c, -1):
             val = work[r][c]
             if val == 0:
@@ -295,7 +348,7 @@ def _lower_elimination(work: list[list[Fraction]], n: int) -> list[Fraction]:
             row = work[r]
             for j in range(c, n):
                 row[j] -= q * above[j]
-            flat[base + (n - 1 - r)] = q
+            flat[layout.lower_slot(c + 2, r + 1)] = q  # L_{r+1} in chain c+2
     return flat
 
 
@@ -326,16 +379,9 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
             if r != c and workt[r][c] != 0:
                 raise InvariantViolation("elimination left a nondiagonal residue")
 
-    # upper multipliers: transposing a descending lower chain yields the
-    # ascending upper chain with the slice reversed
-    u_flat = [_ZERO] * multiplier_count(n)
-    for i in range(2, n + 1):
-        x = x_offset(i, n) - 1
-        width = n - i + 1
-        chain = v_flat[x : x + width]
-        u_flat[x : x + width] = chain[::-1]
-
-    f = SEBFactorization(n, tuple(l_flat), diag, tuple(u_flat))
+    # transposing a descending lower chain yields the ascending upper chain
+    u_flat = chain_layout(n).mirror(v_flat)
+    f = SEBFactorization(n, tuple(l_flat), diag, u_flat)
     if compose(f) != a:
         raise InvariantViolation("factorization does not reproduce the input")
     return f
@@ -346,7 +392,8 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
 
 @dataclass(frozen=True)
 class PackedParams:
-    """Chain-sliced view of the flat multipliers (a derived view only)."""
+    """Chain-sliced view of the flat multipliers over :class:`ChainLayout`
+    (a derived view only); ``offsets`` are 1-based chain starts."""
 
     n: int
     l_vectors: dict[int, tuple[Fraction, ...]] = field(repr=False)
@@ -355,12 +402,12 @@ class PackedParams:
 
 
 def pack_parameters(f: SEBFactorization) -> PackedParams:
-    n = f.n
+    chains = range(2, f.n + 1)
     return PackedParams(
-        n=n,
-        l_vectors={i: f.l_chain(i) for i in range(2, n + 1)},
-        u_vectors={i: f.u_chain(i) for i in range(2, n + 1)},
-        offsets={i: x_offset(i, n) for i in range(2, n + 1)},
+        n=f.n,
+        l_vectors={i: f.l_chain(i) for i in chains},
+        u_vectors={i: f.u_chain(i) for i in chains},
+        offsets={i: f.layout.chain(i).start + 1 for i in chains},
     )
 
 
@@ -415,15 +462,19 @@ class FactorizationClass(enum.Enum):
 
 def _family_counts(f: SEBFactorization, side: str) -> dict[int, int]:
     """Number of positive multipliers attached to each factor index."""
-    n = f.n
-    counts = {i: 0 for i in range(2, n + 1)}
-    for i in range(2, n + 1):
-        chain = f.l_chain(i) if side == "L" else f.u_chain(i)
-        for t, q in enumerate(chain):
-            j = (n - t) if side == "L" else (i + t)
-            if q > 0:
-                counts[j] += 1
+    flat, order = _side(f, side)
+    counts = {i: 0 for i in range(2, f.n + 1)}
+    for p, j in order:
+        if flat[p] > 0:
+            counts[j] += 1
     return counts
+
+
+def _side(f: SEBFactorization, side: str):
+    """The flat multipliers of one side and its (position, factor) order."""
+    if side == "L":
+        return f.l, f.layout.lower_order
+    return f.u, f.layout.upper_order
 
 
 def is_basic_factorization(f: SEBFactorization) -> bool:
@@ -453,14 +504,6 @@ def classify_factorization(f: SEBFactorization) -> FactorizationClass:
 
 
 # -- commutation normalization -------------------------------------------------
-
-
-def _canonical_lower_slots(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(2, n + 1) for j in range(n, i - 1, -1))
-
-
-def _canonical_upper_slots(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(n, 1, -1) for j in range(i, n + 1))
 
 
 def _assign_word_to_slots(word, slots):
@@ -506,18 +549,9 @@ def _assign_word_to_slots(word, slots):
 
 
 def _factor_multiset(f: SEBFactorization):
-    n = f.n
-    lower = sorted(
-        (n - t, q)
-        for i in range(2, n + 1)
-        for t, q in enumerate(f.l_chain(i))
-        if q
-    )
-    upper = sorted(
-        (i + t, q)
-        for i in range(2, n + 1)
-        for t, q in enumerate(f.u_chain(i))
-        if q
+    lower, upper = (
+        sorted((j, flat[p]) for p, j in order if flat[p])
+        for flat, order in (_side(f, "L"), _side(f, "U"))
     )
     return lower, upper, f.d
 
@@ -588,35 +622,33 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
     lower_word = [(fac.index, fac.multiplier) for fac in seq if fac.kind == "L"]
     upper_word = [(fac.index, fac.multiplier) for fac in seq if fac.kind == "U"]
 
-    lower_slots = _canonical_lower_slots(n)
-    upper_slots = _canonical_upper_slots(n)
-    l_assign = _assign_word_to_slots(tuple(lower_word), lower_slots)
-    if l_assign is None:
-        raise NotNormalizable("lower factors cannot reach canonical order")
-    u_assign = _assign_word_to_slots(tuple(upper_word), upper_slots)
-    if u_assign is None:
-        raise NotNormalizable("upper factors cannot reach canonical order")
-
-    k = multiplier_count(n)
-    l_flat = [_ZERO] * k
-    for si, wp in l_assign.items():
-        i, j = lower_slots[si]
-        l_flat[flat_slot(i, j, n)] = lower_word[wp][1]
-    u_flat = [_ZERO] * k
-    for si, wp in u_assign.items():
-        i, j = upper_slots[si]
-        u_flat[upper_flat_slot(i, j, n)] = upper_word[wp][1]
+    layout = chain_layout(n)
+    flats = []
+    for word, slots, side in (
+        (lower_word, layout.lower_order, "lower"),
+        (upper_word, layout.upper_order, "upper"),
+    ):
+        assign = _assign_word_to_slots(tuple(word), slots)
+        if assign is None:
+            raise NotNormalizable(f"{side} factors cannot reach canonical order")
+        flat = [_ZERO] * multiplier_count(n)
+        for si, wp in assign.items():
+            flat[slots[si][0]] = word[wp][1]
+        flats.append(tuple(flat))
 
     d = diag if diag is not None else (_ONE,) * n
-    f = SEBFactorization(n, tuple(l_flat), tuple(d), tuple(u_flat))
+    f = SEBFactorization(n, flats[0], tuple(d), flats[1])
 
     product = _word_product(seq, n)
+    canonical = neville_factorize(product)
+    if f == canonical:
+        # neville_factorize has already checked its composition against product
+        return canonical
     if compose(f) != product:
         raise InvariantViolation("normalization changed the composed matrix")
 
     # re-express in elimination-canonical coordinates when that keeps the
     # same factors (it always should; the raw assignment is the fallback)
-    canonical = neville_factorize(product)
     if _factor_multiset(canonical) == _factor_multiset(f):
         return canonical
     return f
@@ -636,8 +668,11 @@ def factorization_to_json_dict(f: SEBFactorization) -> dict:
 
 def factorization_from_json_dict(doc: dict) -> SEBFactorization:
     try:
+        n = coerce_rational(doc["n"])
+        if n.denominator != 1:
+            raise MalformedNumber(f"dimension {format_rational(n)} is not an integer")
         return SEBFactorization(
-            n=int(doc["n"]),
+            n=int(n),
             l=tuple(coerce_rational(x) for x in doc["l"]),
             d=tuple(coerce_rational(x) for x in doc["d"]),
             u=tuple(coerce_rational(x) for x in doc["u"]),

@@ -22,7 +22,6 @@ from .exponent import (
     exponent_via_theorem,
     generate_z1,
     generate_z2,
-    mirror_flat,
     mu1,
     mu2,
     plus_extra_tag,
@@ -40,8 +39,10 @@ from .planar import build_network, minor_via_paths, enumerate_path_families
 from .seb import (
     FactorizationClass,
     SEBFactorization,
+    chain_layout,
     classify_factorization,
     compose,
+    ebl,
     factorization_to_text,
     multiplier_count,
     neville_factorize,
@@ -485,13 +486,6 @@ def suite_equivalence(
     return res
 
 
-def _extra_factor(pos: int, value: Fraction, n: int):
-    from .exponent import slot_chain_factor
-    from .seb import ebl
-
-    return ebl(slot_chain_factor(pos, n)[1], value)
-
-
 def _random_class(rng: random.Random, n: int) -> tuple[str, int, frozenset | None]:
     family = rng.choice(("Z1", "Z2"))
     s = rng.randint(2, n)
@@ -525,9 +519,8 @@ def suite_products(cases: int = 20, seed: int = 0, nmax: int = 5) -> SuiteResult
                 lflat = _generate_member(
                     lf, n, ls, lpsi, _case_seed(seed, idx, j, 31)
                 ).l
-                uflat = mirror_flat(
-                    _generate_member(uf, n, us, upsi, _case_seed(seed, idx, j, 37)).l,
-                    n,
+                uflat = chain_layout(n).mirror(
+                    _generate_member(uf, n, us, upsi, _case_seed(seed, idx, j, 37)).l
                 )
                 d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
                 members.append(SEBFactorization(n, lflat, d, uflat))
@@ -565,8 +558,8 @@ def suite_bounds(cases: int = 20, seed: int = 0, nmax: int = 6) -> SuiteResult:
             extra_slots = rng.sample(free, extra_count)
             for p in extra_slots:
                 l[p] = Fraction(rng.randint(1, 9))
-            u = mirror_flat(
-                _generate_member(uf, n, us, upsi, _case_seed(seed, idx, 47)).l, n
+            u = chain_layout(n).mirror(
+                _generate_member(uf, n, us, upsi, _case_seed(seed, idx, 47)).l
             )
             d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
             f = SEBFactorization(n, tuple(l), d, u)
@@ -574,11 +567,10 @@ def suite_bounds(cases: int = 20, seed: int = 0, nmax: int = 6) -> SuiteResult:
             base_match = ClassMatch(
                 lf, ls, None if lpsi is None else tuple(sorted(lpsi))
             )
-            extras = tuple(
-                _extra_factor(p, l[p], n) for p in sorted(extra_slots)
-            )
+            cells = f.layout.lower_cells
+            extras = tuple(ebl(cells[p][1], l[p]) for p in sorted(extra_slots))
             l_tag = plus_extra_tag(n, base_match, extras)
-            u_tag = recognize_class(mirror_flat(f.u, n), n)
+            u_tag = recognize_class(f.layout.mirror(f.u), n)
             assert u_tag.is_pure, "upper side should recognize exactly"
             pred = predict_exponent(l_tag, u_tag)
             brute = exponent_bruteforce(a)

@@ -9,7 +9,12 @@ from oscillax.classify import (
     is_tn,
     is_tp,
 )
-from oscillax.errors import InvariantViolation, ShapeMismatch
+from oscillax.errors import (
+    IndexOutOfRange,
+    InvariantViolation,
+    ParamOutOfRange,
+    ShapeMismatch,
+)
 from oscillax.exponent import ClassMatch, enumerate_psi_patterns, z1_slots, z2_slots
 from oscillax.matrix import Matrix, det, mat_mul
 from oscillax.planar import (
@@ -20,10 +25,11 @@ from oscillax.planar import (
 )
 from oscillax.seb import (
     SEBFactorization,
+    chain_layout,
     compose,
     multiplier_count,
+    n_from_flat,
     neville_factorize,
-    x_offset,
 )
 
 _ZERO = Fraction(0)
@@ -60,7 +66,7 @@ def staircase_flat(n, rng, side):
     for i in range(2, n + 1):
         width = n - i + 1
         t = rng.randint(0, width)
-        x = x_offset(i, n) - 1
+        x = chain_layout(n).chain(i).start
         span = range(x + width - t, x + width) if side == "l" else range(x, x + t)
         for pos in span:
             flat[pos] = Fraction(rng.randint(1, 9))
@@ -164,3 +170,54 @@ def classify_four_criteria(a, cap=None):
         tn_witness=tn.witness,
         tp_witness=tp.witness,
     )
+
+
+# The closed-form flat layout that ChainLayout replaced.
+
+
+def x_offset(i: int, n: int) -> int:
+    """1-based start of the chain-i slice within a flat multiplier vector."""
+    if not 2 <= i <= n:
+        raise IndexOutOfRange(f"chain index {i} outside [2, {n}]")
+    return (i - 2) * n - (i - 3) * i // 2
+
+
+def flat_slot(i: int, factor_index: int, n: int) -> int:
+    """0-based flat position of factor L_j inside lower chain i.
+
+    Lower chains list factors L_n .. L_i, so the chain's own factor sits
+    in the last slot of its slice.
+    """
+    if not i <= factor_index <= n:
+        raise IndexOutOfRange(f"factor {factor_index} not in chain {i}")
+    return x_offset(i, n) - 1 + (n - factor_index)
+
+
+def upper_flat_slot(i: int, factor_index: int, n: int) -> int:
+    if not i <= factor_index <= n:
+        raise IndexOutOfRange(f"factor {factor_index} not in chain {i}")
+    return x_offset(i, n) - 1 + (factor_index - i)
+
+
+def slot_chain_factor(pos: int, n: int) -> tuple[int, int]:
+    """Invert the flat layout: position -> (chain i, factor index j)."""
+    for i in range(2, n + 1):
+        start = x_offset(i, n) - 1
+        width = n - i + 1
+        if start <= pos < start + width:
+            return i, n - (pos - start)
+    raise ParamOutOfRange(f"slot {pos} outside flat vector for n={n}")
+
+
+def mirror_flat(flat, n: int | None = None) -> tuple[Fraction, ...]:
+    """Reverse every chain slice; converts between the lower flat layout
+    of a product and the upper flat layout of its transpose."""
+    flat = tuple(flat)
+    if n is None:
+        n = n_from_flat(flat)
+    out = list(flat)
+    for i in range(2, n + 1):
+        x = x_offset(i, n) - 1
+        width = n - i + 1
+        out[x : x + width] = list(flat[x : x + width])[::-1]
+    return tuple(out)

@@ -17,7 +17,7 @@ from oscillax.classify import (
 from oscillax.errors import FeasibilityExceeded, NotTN
 from oscillax.matrix import Matrix, mat_mul, mat_pow, minor, minor_levels
 from oscillax.exponent import random_oscillatory_factorization
-from oscillax.seb import SEBFactorization, compose, flat_slot, multiplier_count
+from oscillax.seb import SEBFactorization, chain_layout, compose, multiplier_count
 from oscillax.verify import corpus_matrices
 
 M = corpus_matrices()
@@ -227,7 +227,7 @@ def _differential_inputs(n, rng):
     def diag():
         return tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
 
-    chain2 = {flat_slot(2, j, n) for j in range(2, n + 1)}
+    chain2 = {chain_layout(n).lower_slot(2, j) for j in range(2, n + 1)}
 
     def basic_side():
         return tuple(
@@ -237,7 +237,7 @@ def _differential_inputs(n, rng):
 
     osc = random_oscillatory_factorization(n, rng)
     j = rng.randint(2, n)
-    missing = {flat_slot(i, j, n) for i in range(2, j + 1)}
+    missing = {chain_layout(n).lower_slot(i, j) for i in range(2, j + 1)}
     itn_l = tuple(Fraction(0) if p in missing else q for p, q in enumerate(osc.l))
     yield "tp", compose(SEBFactorization(n, positive(k), diag(), positive(k)))
     yield "oscillatory", compose(osc)

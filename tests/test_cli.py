@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oscillax.cli import main
 from oscillax.matrix import dumps_matrix
 from oscillax.seb import dumps_factorization, neville_factorize
@@ -225,6 +227,29 @@ def test_network_accepts_text_form(tmp_path, capsys):
     assert code == 0 and payload["network"]["n"] == 3
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("l", ["1", "-2", "3"], "NotNormalizable"),
+        ("d", ["1", "0", "3"], "NotNormalizable"),
+        ("n", "x", "MalformedNumber"),
+        ("n", 3.5, "MalformedNumber"),
+    ],
+)
+def test_network_rejects_malformed_factorization_json(
+    tmp_path, capsys, field, value, error
+):
+    doc = {"n": 3, "l": ["1", "2", "3"], "d": ["1", "2", "3"], "u": ["1", "1", "2"]}
+    doc[field] = value
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    code, payload, err = run(capsys, ["network", "--input", str(path)])
+    assert code == 2
+    assert payload["schema"] == "oscillax.error/1"
+    assert payload["error"]["type"] == error
+    assert "Traceback" not in err
+
+
 def test_generate_deterministic(tmp_path, capsys):
     argv = ["generate", "--class", "z1", "--n", "4", "--s", "2", "--seed", "7"]
     code1, payload1, _ = run(capsys, argv)
@@ -240,10 +265,10 @@ def test_generate_z2_jacobi_shape(capsys):
     )
     assert code == 0
     l = payload["factorization"]["l"]
-    from oscillax.seb import flat_slot
+    from oscillax.seb import chain_layout
 
     nonzero = {pos for pos, v in enumerate(l) if v != "0"}
-    assert nonzero == {flat_slot(i, i, 5) for i in (2, 3, 4, 5)}
+    assert nonzero == {chain_layout(5).lower_slot(i, i) for i in (2, 3, 4, 5)}
 
 
 def test_generate_full_matrix_is_oscillatory(tmp_path, capsys):

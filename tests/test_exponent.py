@@ -24,7 +24,6 @@ from oscillax.exponent import (
     generate_z1,
     generate_z2,
     lower_part,
-    mirror_flat,
     mu1,
     mu2,
     n_from_flat,
@@ -42,7 +41,13 @@ from oscillax.exponent import (
     with_transpose,
 )
 from oscillax.matrix import Matrix, mat_pow, minor
-from oscillax.seb import SEBFactorization, compose, multiplier_count, neville_factorize
+from oscillax.seb import (
+    SEBFactorization,
+    chain_layout,
+    compose,
+    multiplier_count,
+    neville_factorize,
+)
 from oscillax.verify import corpus_matrices
 
 M = corpus_matrices()
@@ -277,13 +282,13 @@ def test_recognize_reordered_upper_example():
 
     facs = [ebu(5, 1), ebu(4, 2), ebu(3, 4), ebu(5, 6), ebu(2, 7), ebu(4, 9)]
     f = normalize_commutation(facs, n=5)
-    tag = recognize_class(mirror_flat(f.u, 5), 5)
+    tag = recognize_class(chain_layout(5).mirror(f.u), 5)
     assert (tag.family, tag.s, tag.psi_pattern) == ("Z2", 4, (4,))
 
 
 def test_recognize_plus_extra_framing():
     f = neville_factorize(M["bound3"])
-    u_tag = recognize_class(mirror_flat(f.u, 3), 3)
+    u_tag = recognize_class(chain_layout(3).mirror(f.u), 3)
     assert u_tag.is_pure  # full support is also the s = n chain class
     bases = [(m.family, m.s) for m, _ in u_tag.with_extras]
     assert ("Z2", 3) in bases
@@ -327,7 +332,7 @@ def test_predict_exact_and_bound():
     # committed plus-extra framing yields a bound
     fb = neville_factorize(M["bound3"])
     l_tag = recognize_class(fb.l, 3)
-    u_full = recognize_class(mirror_flat(fb.u, 3), 3)
+    u_full = recognize_class(chain_layout(3).mirror(fb.u), 3)
     base, extras = next(
         (m, e) for m, e in u_full.with_extras if (m.family, m.s) == ("Z2", 3)
     )
@@ -371,7 +376,8 @@ def _class_inputs(seed, sizes):
             )
             other = generate_z1(n, rng.randint(2, n), rng.randint(0, 10**6))
             d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
-            out.append(compose(SEBFactorization(n, part.l, d, mirror_flat(other.l, n))))
+            upper = chain_layout(n).mirror(other.l)
+            out.append(compose(SEBFactorization(n, part.l, d, upper)))
     return out
 
 
@@ -462,7 +468,7 @@ def test_mirror_flat_involution():
     rng = random.Random(103)
     for n in (2, 3, 5, 6):
         flat = tuple(Fraction(rng.randint(0, 5)) for _ in range(multiplier_count(n)))
-        assert mirror_flat(mirror_flat(flat, n), n) == flat
+        assert chain_layout(n).mirror(chain_layout(n).mirror(flat)) == flat
     assert n_from_flat((0,) * 10) == 5
     with pytest.raises(ParamOutOfRange):
         n_from_flat((0,) * 7)
@@ -490,7 +496,7 @@ def test_pure_class_prediction_equals_bruteforce():
             n,
             generate_z1(n, ls, rng.randint(0, 10**6)).l,
             tuple(Fraction(rng.randint(1, 4)) for _ in range(n)),
-            mirror_flat(generate_z1(n, us, rng.randint(0, 10**6)).l, n),
+            chain_layout(n).mirror(generate_z1(n, us, rng.randint(0, 10**6)).l),
         )
         a = compose(f)
         pred, _, _ = exponent_via_prediction(a)
@@ -513,13 +519,13 @@ def test_early_scan_cross_family_recorded():
         4,
         generate_z1(4, 2, seed=31).l,
         (1, 1, 1, 1),
-        mirror_flat(generate_z1(4, 3, seed=32).l, 4),
+        chain_layout(4).mirror(generate_z1(4, 3, seed=32).l),
     )
     f2 = SEBFactorization(
         4,
         generate_z1(4, 3, seed=33).l,
         (1, 1, 1, 1),
-        mirror_flat(generate_z1(4, 2, seed=34).l, 4),
+        chain_layout(4).mirror(generate_z1(4, 2, seed=34).l),
     )
     hits = early_tp_product_scan([f1, f2], 2)
     assert hits == early_tp_product_scan([f1, f2], 2)

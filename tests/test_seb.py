@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscillax.seb as seb
-from oracles import dense_word_product, random_canonical_factorization
+from oracles import (
+    dense_word_product,
+    flat_slot,
+    mirror_flat,
+    random_canonical_factorization,
+    slot_chain_factor,
+    upper_flat_slot,
+    x_offset,
+)
 from oscillax.errors import (
     IndexOutOfRange,
     InvariantViolation,
@@ -19,6 +27,7 @@ from oscillax.seb import (
     EBFactor,
     FactorizationClass,
     SEBFactorization,
+    chain_layout,
     classify_factorization,
     compose,
     eb_matrix,
@@ -36,7 +45,6 @@ from oscillax.seb import (
     pack_parameters,
     parse_factor_text,
     w_q_form,
-    x_offset,
 )
 from oscillax.verify import corpus_matrices
 
@@ -139,12 +147,60 @@ def test_noncanonical_zero_pattern_refactorizes_differently():
 
 
 def test_pack_offsets_n4():
-    assert x_offset(2, 4) == 1
-    assert x_offset(3, 4) == 4
-    assert x_offset(4, 4) == 6
+    assert chain_layout(4).chain(2).start + 1 == 1
+    assert chain_layout(4).chain(3).start + 1 == 4
+    assert chain_layout(4).chain(4).start + 1 == 6
     f = identity_factorization(4)
     packed = pack_parameters(f)
     assert [len(packed.l_vectors[i]) for i in (2, 3, 4)] == [3, 2, 1]
+
+
+def test_chain_layout_matches_closed_form_oracle():
+    rng = random.Random(211)
+    for n in range(2, 13):
+        layout = chain_layout(n)
+        assert chain_layout(n) is layout
+        k = multiplier_count(n)
+        pairs = [(i, j) for i in range(2, n + 1) for j in range(i, n + 1)]
+        for i in range(2, n + 1):
+            start = x_offset(i, n) - 1
+            assert layout.chain(i) == slice(start, start + n - i + 1)
+        for i, j in pairs:
+            assert layout.lower_slot(i, j) == flat_slot(i, j, n)
+            assert layout.upper_slot(i, j) == upper_flat_slot(i, j, n)
+        assert layout.lower_cells == tuple(slot_chain_factor(p, n) for p in range(k))
+        upper_cells = {upper_flat_slot(i, j, n): (i, j) for i, j in pairs}
+        assert layout.upper_cells == tuple(upper_cells[p] for p in range(k))
+        assert layout.lower_order == tuple(
+            (flat_slot(i, j, n), j)
+            for i in range(2, n + 1)
+            for j in range(n, i - 1, -1)
+        )
+        assert layout.upper_order == tuple(
+            (upper_flat_slot(i, j, n), j)
+            for i in range(n, 1, -1)
+            for j in range(i, n + 1)
+        )
+        for _ in range(3):
+            flat = tuple(Fraction(rng.randint(0, 9)) for _ in range(k))
+            assert layout.mirror(flat) == mirror_flat(flat, n)
+            assert layout.mirror(layout.mirror(flat)) == flat
+        outside = [(i, j) for i in (0, 1, n + 1) for j in (i, n)]
+        outside += [(i, j) for i in range(2, n + 1) for j in (i - 1, n + 1)]
+        for i, j in outside:
+            for slot, oracle in (
+                (layout.lower_slot, flat_slot),
+                (layout.upper_slot, upper_flat_slot),
+            ):
+                with pytest.raises(IndexOutOfRange):
+                    oracle(i, j, n)
+                with pytest.raises(IndexOutOfRange):
+                    slot(i, j)
+        for i in (0, 1, n + 1):
+            with pytest.raises(IndexOutOfRange):
+                x_offset(i, n)
+            with pytest.raises(IndexOutOfRange):
+                layout.chain(i)
 
 
 def test_pack_slices_n3():
@@ -222,6 +278,42 @@ def test_normalize_reordering_example():
 def test_normalize_canonical_input_unchanged():
     f = neville_factorize(M["elim3"])
     assert normalize_commutation(f.factor_sequence()) == f
+
+
+def test_normalize_canonical_word_composes_once(monkeypatch):
+    f = neville_factorize(M["elim3"])
+    calls = []
+    compose_once = seb.compose
+
+    def counting_compose(g):
+        calls.append(g)
+        return compose_once(g)
+
+    monkeypatch.setattr(seb, "compose", counting_compose)
+    assert factorization_from_text(factorization_to_text(f)) == f
+    assert len(calls) == 1
+
+
+def test_normalize_rejects_assignment_that_changes_the_product(monkeypatch):
+    assign_once = seb._assign_word_to_slots
+
+    def swap_first_two(word, slots):
+        assign = assign_once(word, slots)
+        if assign:
+            assign[0], assign[1] = assign[1], assign[0]
+        return assign
+
+    monkeypatch.setattr(seb, "_assign_word_to_slots", swap_first_two)
+    # slots 0 and 1 take L3(1) and L2(2): adjacent indices, different multipliers
+    with pytest.raises(InvariantViolation):
+        factorization_from_text("L3(1) L2(2) L3(3)")
+
+
+def test_factorization_rejects_negative_and_nonpositive_entries():
+    with pytest.raises(NotNormalizable, match="multipliers must be nonnegative"):
+        SEBFactorization(2, (-1,), (1, 1), (0,))
+    with pytest.raises(ValueError, match="diagonal entries must be positive"):
+        SEBFactorization(2, (0,), (1, 0), (0,))
 
 
 def test_normalize_commuting_swap():
