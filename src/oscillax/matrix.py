@@ -1,23 +1,30 @@
 """Dense exact-rational matrices, index sets, minors, and compounds.
 
-Everything here is immutable and pure.  Determinants use fraction-free
-Bareiss elimination; bulk minor scans use an order-by-order Laplace
-recurrence over lexicographically ordered index subsets, which is the
-documented external ordering for compound matrices.
+Everything here is immutable and pure.  ``Fraction`` is the boundary
+type: entries, minors and results are ``Fraction``s.  Inside, ``mat_mul``
+and the Bareiss determinant behind ``det`` and ``minor`` scale their
+operands by the entries' least common denominator (``_scaled``) and run
+on Python ints, building one ``Fraction`` per result entry.  Bulk minor
+scans use an order-by-order Laplace recurrence over lexicographically
+ordered index subsets, which is the documented external ordering for
+compound matrices.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import (
     FeasibilityExceeded,
     IndexOutOfRange,
     OrderOutOfRange,
+    ParamOutOfRange,
     ShapeMismatch,
 )
 from .rational import coerce_rational, format_rational
@@ -145,16 +152,29 @@ class Matrix:
         return [[format_rational(x) for x in row] for row in self._rows]
 
 
+def _scaled(rows) -> tuple[list[list[int]], int]:
+    """The entries as Python ints scaled by their least common
+    denominator ``d``, and ``d``; the rows are fresh lists."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    if d == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product."""
+    """Exact matrix product, summed on integers and divided once per entry."""
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = tuple(zip(*b.entries))
+    a_int, d_a = _scaled(a.entries)
+    b_int, d_b = _scaled(b.entries)
+    d = d_a * d_b
+    bt = tuple(zip(*b_int))
+    if d == 1:  # integer operands: no gcd per entry
+        return Matrix(
+            [[Fraction(sum(map(mul, row, col))) for col in bt] for row in a_int]
+        )
     return Matrix(
-        [
-            [sum(x * y for x, y in zip(row, col)) for col in bt]
-            for row in a.entries
-        ]
+        [[Fraction(sum(map(mul, row, col)), d) for col in bt] for row in a_int]
     )
 
 
@@ -163,7 +183,7 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     if not a.is_square():
         raise ShapeMismatch("powers require a square matrix")
     if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
+        raise ParamOutOfRange(f"power must be >= 1, got {k}")
     result = a
     for _ in range(k - 1):
         result = mat_mul(result, a)
@@ -173,12 +193,13 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 # -- determinants and minors ----------------------------------------------
 
 
-def _det_bareiss(rows: list[list[Fraction]]) -> Fraction:
-    """Fraction-free Bareiss elimination; exact for rational entries."""
-    n = len(rows)
-    m = [row[:] for row in rows]
+def _det_bareiss(rows) -> Fraction:
+    """Fraction-free Bareiss elimination on the LCD-scaled integer rows;
+    every division is exact, so ``//`` keeps it in ``int``."""
+    m, d = _scaled(rows)
+    n = len(m)
     sign = 1
-    prev = _ONE
+    prev = 1
     for i in range(n - 1):
         if m[i][i] == 0:
             for r in range(i + 1, n):
@@ -188,23 +209,22 @@ def _det_bareiss(rows: list[list[Fraction]]) -> Fraction:
                     break
             else:
                 return _ZERO
-        piv = m[i][i]
+        row_i = m[i]
+        piv = row_i[i]
         for r in range(i + 1, n):
-            mri = m[r][i]
             row_r = m[r]
-            row_i = m[i]
+            mri = row_r[i]
             for c in range(i + 1, n):
-                row_r[c] = (row_r[c] * piv - mri * row_i[c]) / prev
-            row_r[i] = _ZERO
+                row_r[c] = (row_r[c] * piv - mri * row_i[c]) // prev
         prev = piv
-    return sign * m[n - 1][n - 1]
+    return Fraction(sign * m[n - 1][n - 1], d**n)
 
 
 def det(a: Matrix) -> Fraction:
     """Determinant via fraction-free elimination."""
     if not a.is_square():
         raise ShapeMismatch("determinant requires a square matrix")
-    return _det_bareiss([list(row) for row in a.entries])
+    return _det_bareiss(a.entries)
 
 
 def minor(a: Matrix, rows, cols) -> Fraction:
@@ -217,8 +237,8 @@ def minor(a: Matrix, rows, cols) -> Fraction:
         )
     rset.check_range(a.rows, "row")
     cset.check_range(a.cols, "column")
-    sub = [[a[i - 1, j - 1] for j in cset] for i in rset]
-    return _det_bareiss(sub)
+    ent = a.entries
+    return _det_bareiss([[ent[i - 1][j - 1] for j in cset] for i in rset])
 
 
 def lex_subsets(n: int, p: int) -> tuple[tuple[int, ...], ...]:

@@ -2,6 +2,10 @@
 
 The scalar type throughout the library is :class:`fractions.Fraction`,
 which keeps values in canonical form (positive denominator, reduced).
+It is the boundary type: every value passed in or returned is a
+``Fraction``.  The hot kernels in :mod:`oscillax.matrix` (``mat_mul`` and
+the Bareiss determinant) scale their operands to Python ints by the
+least common denominator and convert back once per result entry.
 This module owns the text grammar: integers, ``p/q`` fractions, and
 finite decimals.  Decimals are converted exactly, never through a
 binary float.  Floats themselves are rejected everywhere.

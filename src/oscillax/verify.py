@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classify import is_oscillatory, is_tn, is_tp, is_tp_given_tn
-from .errors import OscillaxError
+from .errors import FeasibilityExceeded, OscillaxError, ParamOutOfRange
 from .exponent import (
     ClassMatch,
     enumerate_psi_patterns,
@@ -34,7 +34,14 @@ from .exponent import (
     recognize_sides,
     resolve_psi_choice,
 )
-from .matrix import Matrix, cauchy_binet_check, mat_mul, mat_pow, minor
+from .matrix import (
+    SCAN_CAP_DEFAULT,
+    Matrix,
+    cauchy_binet_check,
+    mat_mul,
+    mat_pow,
+    minor,
+)
 from .planar import build_network, minor_via_paths, enumerate_path_families
 from .seb import (
     FactorizationClass,
@@ -584,18 +591,46 @@ def suite_bounds(cases: int = 20, seed: int = 0, nmax: int = 6) -> SuiteResult:
     return res
 
 
+#: Default and ceiling of ``nmax`` for each seeded suite.  ``products``
+#: and ``bounds`` scan every minor of an n x n power, so their ceiling is
+#: the scan cap; ``z2`` enumerates up to 2^(s-3) partial-chain patterns per
+#: shape; ``z1`` is polynomial in n and stops where a run at the default
+#: ``cases`` takes a few seconds.  Above its ceiling a suite is refused
+#: with ``FeasibilityExceeded`` before any suite runs.
+SUITE_NMAX = {
+    "z1": (7, 12),
+    "z2": (6, 8),
+    "products": (5, SCAN_CAP_DEFAULT),
+    "bounds": (6, SCAN_CAP_DEFAULT),
+}
+DEFAULT_CASES = 20
+
 SUITE_BUILDERS = {
     "paper": lambda nmax, cases, seed: suite_paper(),
-    "z1": lambda nmax, cases, seed: suite_z1(nmax or 7, cases or 20, seed),
-    "z2": lambda nmax, cases, seed: suite_z2(min(nmax or 6, 6), cases or 20, seed),
-    "products": lambda nmax, cases, seed: suite_products(cases or 20, seed, nmax or 5),
-    "bounds": lambda nmax, cases, seed: suite_bounds(cases or 20, seed, nmax or 6),
+    "z1": suite_z1,
+    "z2": suite_z2,
+    "products": lambda nmax, cases, seed: suite_products(cases, seed, nmax),
+    "bounds": lambda nmax, cases, seed: suite_bounds(cases, seed, nmax),
 }
 
 
 def run_suites(
     names, nmax: int | None = None, cases: int | None = None, seed: int = 0
 ) -> list[SuiteResult]:
+    """Run the named suites; ``None`` picks each suite's default size."""
     if "all" in names:
         names = list(SUITE_BUILDERS)
-    return [SUITE_BUILDERS[name](nmax, cases, seed) for name in names]
+    if nmax is not None and nmax < 3:
+        raise ParamOutOfRange(f"nmax must be >= 3, got {nmax}")
+    if cases is not None and cases < 1:
+        raise ParamOutOfRange(f"cases must be >= 1, got {cases}")
+    sizes = {}
+    for name in names:
+        default, ceiling = SUITE_NMAX.get(name, (None, None))
+        if nmax is not None and ceiling is not None and nmax > ceiling:
+            raise FeasibilityExceeded(
+                f"suite {name}: nmax {nmax} exceeds its ceiling {ceiling}"
+            )
+        sizes[name] = default if nmax is None else nmax
+    cases = DEFAULT_CASES if cases is None else cases
+    return [SUITE_BUILDERS[name](sizes[name], cases, seed) for name in names]

@@ -58,6 +58,48 @@ def laplace_minor(matrix, row_set, col_set):
     return laplace_det(sub)
 
 
+def fraction_mat_mul(a, b):
+    """The matrix product summed entry by entry in ``Fraction``: the
+    reference for the integer kernel of ``matrix.mat_mul``."""
+    if a.cols != b.rows:
+        raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    bt = tuple(zip(*b.entries))
+    return Matrix(
+        [
+            [sum(x * y for x, y in zip(row, col)) for col in bt]
+            for row in a.entries
+        ]
+    )
+
+
+def fraction_det_bareiss(rows):
+    """Bareiss elimination carried out in ``Fraction``: the reference for
+    the integer kernel of ``matrix._det_bareiss``."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = _ONE
+    for i in range(n - 1):
+        if m[i][i] == 0:
+            for r in range(i + 1, n):
+                if m[r][i] != 0:
+                    m[i], m[r] = m[r], m[i]
+                    sign = -sign
+                    break
+            else:
+                return _ZERO
+        piv = m[i][i]
+        for r in range(i + 1, n):
+            mri = m[r][i]
+            row_r = m[r]
+            row_i = m[i]
+            for c in range(i + 1, n):
+                row_r[c] = (row_r[c] * piv - mri * row_i[c]) / prev
+            row_r[i] = _ZERO
+        prev = piv
+    return sign * m[n - 1][n - 1]
+
+
 def staircase_flat(n, rng, side):
     """Random flat multipliers in elimination-canonical form: each chain's
     positive slots form a contiguous run anchored at the chain's own factor."""

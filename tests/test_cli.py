@@ -346,6 +346,58 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "forced failure" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "products", "--nmax", "1"],
+        ["--suite", "products", "--nmax", "2"],
+        ["--suite", "bounds", "--nmax", "1"],
+        ["--suite", "bounds", "--nmax", "2"],
+        ["--suite", "z1", "--nmax", "2"],
+        ["--suite", "z1", "--cases", "-3"],
+        ["--suite", "z1", "--nmax", "0"],
+        ["--suite", "z1", "--cases", "0"],
+        ["--suite", "all", "--nmax", "0"],
+        ["--suite", "paper", "--cases", "0"],
+    ],
+)
+def test_verify_rejects_low_sizes(capsys, argv):
+    code, payload, err = run(capsys, ["verify", *argv])
+    assert code == 6
+    assert payload["schema"] == "oscillax.error/1"
+    assert payload["error"]["type"] == "ParamOutOfRange"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "suite, nmax",
+    [("products", 9), ("bounds", 9), ("z1", 13), ("z2", 9), ("all", 9)],
+)
+def test_verify_refuses_nmax_above_suite_ceiling(capsys, monkeypatch, suite, nmax):
+    import oscillax.verify as verify_mod
+
+    def must_not_run(nmax, cases, seed):
+        raise AssertionError("a suite ran before the ceiling check")
+
+    for name in verify_mod.SUITE_BUILDERS:
+        monkeypatch.setitem(verify_mod.SUITE_BUILDERS, name, must_not_run)
+    code, payload, err = run(capsys, ["verify", "--suite", suite, "--nmax", str(nmax)])
+    assert code == 3
+    assert payload["error"]["type"] == "FeasibilityExceeded"
+    assert "ceiling" in payload["error"]["message"]
+    assert "Traceback" not in err
+
+
+def test_verify_runs_z2_up_to_its_ceiling(capsys):
+    code, payload, _ = run(
+        capsys, ["verify", "--suite", "z2", "--nmax", "7", "--cases", "1"]
+    )
+    assert code == 0
+    assert payload["suites"][0]["failed"] == 0
+    # 46 cases for n = 3..6 and 58 for n = 7
+    assert payload["suites"][0]["total"] == 104
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     path = write_matrix(tmp_path, "elim3.json", M["elim3"])
     out = tmp_path / "payload.json"

@@ -6,15 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import laplace_det, laplace_minor
+from oracles import (
+    fraction_det_bareiss,
+    fraction_mat_mul,
+    laplace_det,
+    laplace_minor,
+)
 from oscillax.errors import (
     MalformedNumber,
     OrderOutOfRange,
+    ParamOutOfRange,
     ShapeMismatch,
 )
 from oscillax.matrix import (
     IndexSet,
     Matrix,
+    _det_bareiss,
     cauchy_binet_check,
     det,
     dumps_matrix,
@@ -106,6 +113,104 @@ def test_mat_pow():
     assert mat_pow(a, 2).row(0) == (27, 40, 97, 133)
     with pytest.raises(ValueError):
         mat_pow(a, 0)
+
+
+def test_mat_pow_zero_raises_param_out_of_range():
+    with pytest.raises(ParamOutOfRange, match="power must be >= 1, got 0"):
+        mat_pow(M["exp4"], 0)
+    with pytest.raises(ParamOutOfRange):
+        mat_pow(M["exp4"], -2)
+
+
+# -- integer kernels against their Fraction oracles -------------------------
+
+#: Entry kinds of the differential tests: small integers with zeros and
+#: negatives, p/q with distinct denominators, and 300+-bit values.
+ENTRY_KINDS = ("int", "ratio", "big")
+
+
+def rand_entry(rng, kind):
+    if rng.random() < 0.2:
+        return Fraction(0)
+    sign = rng.choice((-1, 1))
+    if kind == "int":
+        return Fraction(sign * rng.randint(1, 9))
+    if kind == "ratio":
+        return Fraction(sign * rng.randint(1, 30), rng.randint(1, 12))
+    return Fraction(sign * rng.getrandbits(330), rng.getrandbits(24) | 1)
+
+
+def rand_entry_matrix(rng, rows, cols, kind):
+    return Matrix([[rand_entry(rng, kind) for _ in range(cols)] for _ in range(rows)])
+
+
+def assert_exact(value, expected):
+    assert type(value) is Fraction
+    assert value == expected
+
+
+def test_mat_mul_matches_fraction_oracle():
+    rng = random.Random(8101)
+    shapes = [(1, 1, 1), (1, 4, 1), (4, 1, 3), (2, 3, 5), (5, 2, 1), (6, 6, 6)]
+    shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(12)]
+    for kind in ENTRY_KINDS:
+        for r, k, c in shapes:
+            a = rand_entry_matrix(rng, r, k, kind)
+            b = rand_entry_matrix(rng, k, c, rng.choice(ENTRY_KINDS))
+            got = mat_mul(a, b)
+            expected = fraction_mat_mul(a, b)
+            assert (got.rows, got.cols) == (r, c)
+            for x, y in zip(
+                itertools.chain(*got.entries), itertools.chain(*expected.entries)
+            ):
+                assert_exact(x, y)
+
+
+def _bareiss_cases(rng):
+    for kind in ENTRY_KINDS:
+        for n in range(1, 8):
+            yield rand_entry_matrix(rng, n, n, kind).entries
+    # zero leading pivot: the first row swap happens at step 1
+    yield [[0, 2, 1], [3, 1, 4], [5, 0, 2]]
+    # the leading 2x2 minor vanishes: a swap in the middle of the elimination
+    yield [[1, 2, 3], [2, 4, 5], [1, 1, 1]]
+    yield [
+        [Fraction(1, 3), Fraction(2, 3), 7],
+        [Fraction(1, 2), 1, Fraction(-5, 4)],
+        [0, 9, 2],
+    ]
+    # singular: repeated row, zero column, vanishing trailing pivot
+    yield [[1, 2, 3], [4, 5, 6], [1, 2, 3]]
+    yield [[0, 1, 2], [0, 3, 4], [0, 5, Fraction(6, 7)]]
+    yield [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    yield [[0]]
+    yield [[Fraction(-3, 7)]]
+    for n in range(2, 7):
+        rows = [[rand_entry(rng, "big") for _ in range(n)] for _ in range(n - 1)]
+        rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        yield rows
+
+
+def test_det_bareiss_matches_fraction_oracle():
+    rng = random.Random(8103)
+    for rows in _bareiss_cases(rng):
+        a = Matrix(rows)
+        expected = fraction_det_bareiss(a.entries)
+        assert_exact(_det_bareiss(a.entries), expected)
+        assert_exact(det(a), expected)
+        n = a.rows
+        for p in range(1, n + 1):
+            rset = tuple(sorted(rng.sample(range(1, n + 1), p)))
+            cset = tuple(sorted(rng.sample(range(1, n + 1), p)))
+            sub = [[a[i - 1, j - 1] for j in cset] for i in rset]
+            assert_exact(minor(a, rset, cset), fraction_det_bareiss(sub))
+
+
+def test_det_bareiss_singular_and_swap_values():
+    assert det(Matrix([[1, 2, 3], [4, 5, 6], [1, 2, 3]])) == 0
+    assert det(Matrix([[0, 2, 1], [3, 1, 4], [5, 0, 2]])) == 23
+    assert det(Matrix([[1, 2, 3], [2, 4, 5], [1, 1, 1]])) == -1
+    assert det(Matrix([["1/2", "1/3"], ["1/5", "1/7"]])) == Fraction(1, 210)
 
 
 def test_lex_subsets_order():
