@@ -14,7 +14,9 @@ closed forms for the lower exponent:
 Recognition works on the positivity pattern of the canonical flat
 multipliers only; multiplier values never matter for these results.
 The canonical support of every class shape is known in closed form, so
-recognition refactorizes its input only, never the class shapes.
+recognition never refactorizes the class shapes.  It refactorizes its
+input only when that is not canonical already; a Neville factorization
+is, so each exponent route factorizes its input once.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from .classify import (
     first_zero_corner,
     is_oscillatory,
     is_tp,
+    is_tp_given_tn,
 )
 from .errors import (
     ClassMismatch,
+    FeasibilityExceeded,
     InvalidPsiPattern,
     InvariantViolation,
     NotITN,
@@ -41,7 +45,7 @@ from .errors import (
     ShapeMismatch,
     Unpredictable,
 )
-from .matrix import Matrix, mat_mul, mat_pow, minor
+from .matrix import Matrix, check_scan_cap, mat_mul, mat_pow, minor
 from .seb import (
     EBFactor,
     FactorizationClass,
@@ -322,26 +326,32 @@ def _class_support_catalog(n: int) -> dict[frozenset[int], tuple[ClassMatch, ...
 def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
     """Tag a flat lower multiplier vector with its class memberships.
 
-    The vector is first refactorized into canonical coordinates; the
-    positivity pattern is then matched against the catalog of class
-    supports.  A strict superset of a class support yields a
+    The positivity pattern of the canonical coordinates is matched
+    against the catalog of class supports.  A vector that is already
+    canonical (:meth:`ChainLayout.is_canonical`, as every Neville
+    factorization is) is read as it stands; only any other vector is
+    refactorized first.  A strict superset of a class support yields a
     'plus-extra' tag carrying the surplus factors.
     """
     flat = tuple(l_part_multipliers)
     if n is None:
         n = n_from_flat(flat)
     part = SEBFactorization(n, flat, (_ONE,) * n, (_ZERO,) * multiplier_count(n))
-    canon = neville_factorize(compose(part))
-    support = frozenset(p for p, v in enumerate(canon.l) if v > 0)
+    layout = part.layout
+    if layout.is_canonical(part.l):
+        canon_l = part.l
+    else:
+        canon_l = neville_factorize(compose(part)).l
+    support = frozenset(p for p, v in enumerate(canon_l) if v > 0)
     catalog = _class_support_catalog(n)
 
     exact = catalog.get(support, ())
-    cells = canon.layout.lower_cells
+    cells = layout.lower_cells
     extra_matches: list[tuple[ClassMatch, tuple[EBFactor, ...]]] = []
     for supp, matches in catalog.items():
         if supp < support:
             extras = tuple(
-                ebl(cells[p][1], canon.l[p]) for p in sorted(support - supp)
+                ebl(cells[p][1], canon_l[p]) for p in sorted(support - supp)
             )
             for m in matches:
                 extra_matches.append((m, extras))
@@ -634,6 +644,31 @@ def exponent_via_prediction(a: Matrix) -> tuple[Prediction, ClassTag, ClassTag]:
 
 # -- product families --------------------------------------------------------------
 
+#: Most ordered products a family check tests: the default sample size of
+#: :func:`product_family_check` and the bound on the exhaustive sweep of
+#: :func:`early_tp_product_scan`.
+PRODUCT_LIMIT = 10_000
+
+
+def _exceeds(m: int, k: int, limit: int) -> bool:
+    """Whether m**k > limit, without forming a huge power."""
+    if m > 1 and k > limit.bit_length():
+        return True
+    return m**k > limit
+
+
+def _is_tp_product(mats, combo, cap: int | None) -> bool:
+    """Total positivity of the ordered product of ``mats`` over ``combo``.
+
+    The members are invertible TN, hence so is the product, and on such
+    a matrix the corner minors decide total positivity.
+    """
+    prod = mats[combo[0]]
+    for idx in combo[1:]:
+        prod = mat_mul(prod, mats[idx])
+    check_scan_cap(prod, cap)
+    return is_tp_given_tn(prod)
+
 
 @dataclass(frozen=True)
 class ProductFamilyResult:
@@ -656,7 +691,7 @@ class ProductFamilyResult:
 def product_family_check(
     factorizations,
     k: int,
-    sample_limit: int = 10_000,
+    sample_limit: int = PRODUCT_LIMIT,
     seed: int = 0,
     cap: int | None = None,
 ) -> ProductFamilyResult:
@@ -682,11 +717,10 @@ def product_family_check(
 
     mats = [compose(f) for f in members]
     m = len(members)
-    total = m**k
-    if total <= sample_limit:
+    if not _exceeds(m, k, sample_limit):
         mode = "exhaustive"
         combos = itertools.product(range(m), repeat=k)
-        count = total
+        count = m**k
     else:
         mode = "sampled"
         rng = random.Random(seed)
@@ -695,10 +729,7 @@ def product_family_check(
         )
         count = sample_limit
     for combo in combos:
-        prod = mats[combo[0]]
-        for idx in combo[1:]:
-            prod = mat_mul(prod, mats[idx])
-        if not is_tp(prod, cap).ok:
+        if not _is_tp_product(mats, combo, cap):
             return ProductFamilyResult(False, mode, count, tuple(combo))
     return ProductFamilyResult(True, mode, count, None)
 
@@ -707,18 +738,25 @@ def early_tp_product_scan(
     factorizations, k: int, cap: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Ordered k-products that are already totally positive although every
-    member involved has exponent above k.  An exploration tool."""
+    member involved has exponent above k.  An exploration tool.
+
+    Raises :class:`FeasibilityExceeded` when the m**k ordered products of
+    m members exceed :data:`PRODUCT_LIMIT`.
+    """
     members = list(factorizations)
     if not members or k < 1:
         raise ParamOutOfRange("need at least one member and k >= 1")
+    m = len(members)
+    if _exceeds(m, k, PRODUCT_LIMIT):
+        raise FeasibilityExceeded(
+            f"{m}**{k} ordered products exceed the limit {PRODUCT_LIMIT}"
+        )
     mats = [compose(f) for f in members]
-    exps = [exponent_bruteforce(mat, cap).r for mat in mats]
-    hits = []
-    for combo in itertools.product(range(len(members)), repeat=k):
-        if all(exps[i] > k for i in combo):
-            prod = mats[combo[0]]
-            for idx in combo[1:]:
-                prod = mat_mul(prod, mats[idx])
-            if is_tp(prod, cap).ok:
-                hits.append(tuple(combo))
-    return tuple(hits)
+    eligible = [i for i, mat in enumerate(mats) if exponent_bruteforce(mat, cap).r > k]
+    if not eligible:
+        return ()
+    return tuple(
+        combo
+        for combo in itertools.product(eligible, repeat=k)
+        if _is_tp_product(mats, combo, cap)
+    )

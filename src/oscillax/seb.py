@@ -137,8 +137,9 @@ class ChainLayout:
     for factor j, at dimension n.
 
     Lower chain W_i lists L_n .. L_i and upper chain Q_i lists U_i .. U_n,
-    both in the slice of chain i.  Use :func:`chain_layout`, which builds
-    the tables once per n.
+    both in the slice of chain i.  :meth:`is_canonical` tells whether a
+    lower flat vector already is the Neville factorization of its
+    product.  Use :func:`chain_layout`, which builds the tables once per n.
     """
 
     def __init__(self, n: int):
@@ -186,6 +187,24 @@ class ChainLayout:
         except KeyError:
             self.chain(i)  # reports a chain outside [2, n] as such
             raise IndexOutOfRange(f"factor {j} not in chain {i}") from None
+
+    def is_canonical(self, flat) -> bool:
+        """Whether the positive entries of every chain slice of a lower
+        flat vector form a suffix: the run of factors i, i+1, ... that
+        starts at chain i's own factor, as Neville elimination leaves them.
+
+        A nonnegative vector of that shape is the unique canonical
+        factorization of its product, so refactorizing it returns it
+        unchanged (Gasca & Peña, LAA 165, 1992).
+        """
+        for chain in self._chains.values():
+            run = False
+            for x in flat[chain]:
+                if x > 0:
+                    run = True
+                elif run:
+                    return False
+        return True
 
     def mirror(self, flat) -> tuple[Fraction, ...]:
         """Reverse every chain slice; converts between the lower flat layout

@@ -1,5 +1,7 @@
 """Independent reference implementations used only by the tests."""
 
+import itertools
+import random
 from fractions import Fraction
 
 from oscillax.classify import (
@@ -10,12 +12,23 @@ from oscillax.classify import (
     is_tp,
 )
 from oscillax.errors import (
+    ClassMismatch,
     IndexOutOfRange,
     InvariantViolation,
     ParamOutOfRange,
     ShapeMismatch,
 )
-from oscillax.exponent import ClassMatch, enumerate_psi_patterns, z1_slots, z2_slots
+from oscillax.exponent import (
+    ClassMatch,
+    ClassTag,
+    ProductFamilyResult,
+    _class_support_catalog,
+    enumerate_psi_patterns,
+    exponent_bruteforce,
+    recognize_sides,
+    z1_slots,
+    z2_slots,
+)
 from oscillax.matrix import Matrix, det, mat_mul
 from oscillax.planar import (
     INFINITE_COPIES,
@@ -27,6 +40,7 @@ from oscillax.seb import (
     SEBFactorization,
     chain_layout,
     compose,
+    ebl,
     multiplier_count,
     n_from_flat,
     neville_factorize,
@@ -263,3 +277,120 @@ def mirror_flat(flat, n: int | None = None) -> tuple[Fraction, ...]:
         width = n - i + 1
         out[x : x + width] = list(flat[x : x + width])[::-1]
     return tuple(out)
+
+
+def refactorizing_recognize_class(l_part_multipliers, n=None):
+    """Class recognition that refactorizes every input vector, canonical
+    or not: the reference for the canonical fast path of
+    ``exponent.recognize_class``."""
+    flat = tuple(l_part_multipliers)
+    if n is None:
+        n = n_from_flat(flat)
+    part = SEBFactorization(n, flat, (_ONE,) * n, (_ZERO,) * multiplier_count(n))
+    canon = neville_factorize(compose(part))
+    support = frozenset(p for p, v in enumerate(canon.l) if v > 0)
+    catalog = _class_support_catalog(n)
+
+    exact = catalog.get(support, ())
+    cells = canon.layout.lower_cells
+    extra_matches = []
+    for supp, matches in catalog.items():
+        if supp < support:
+            extras = tuple(
+                ebl(cells[p][1], canon.l[p]) for p in sorted(support - supp)
+            )
+            for m in matches:
+                extra_matches.append((m, extras))
+    extra_matches.sort(key=lambda pair: (len(pair[1]), pair[0]))
+
+    if exact:
+        primary = exact[0]
+        return ClassTag(
+            n=n,
+            family=primary.family,
+            s=primary.s,
+            psi_pattern=primary.psi,
+            extras=(),
+            exact=exact,
+            with_extras=tuple(extra_matches),
+        )
+    if extra_matches:
+        base, extras = extra_matches[0]
+        return ClassTag(
+            n=n,
+            family=f"{base.family}-plus-extra",
+            s=base.s,
+            psi_pattern=base.psi,
+            extras=extras,
+            exact=(),
+            with_extras=tuple(extra_matches),
+        )
+    return ClassTag(
+        n=n,
+        family="unrecognized",
+        s=None,
+        psi_pattern=None,
+        extras=(),
+        exact=(),
+        with_extras=(),
+    )
+
+
+# Product sweeps with a full ``is_tp`` minor scan on every product: the
+# reference for the corner-minor test of ``exponent.product_family_check``
+# and ``exponent.early_tp_product_scan``.
+
+
+def _product(mats, combo):
+    prod = mats[combo[0]]
+    for idx in combo[1:]:
+        prod = mat_mul(prod, mats[idx])
+    return prod
+
+
+def scan_product_family_check(factorizations, k, sample_limit=10_000, seed=0, cap=None):
+    members = list(factorizations)
+    if not members or k < 1:
+        raise ParamOutOfRange("need at least one member and k >= 1")
+    shared_l = None
+    shared_u = None
+    for f in members:
+        l_tag, u_tag = recognize_sides(f)
+        l_set, u_set = set(l_tag.exact), set(u_tag.exact)
+        shared_l = l_set if shared_l is None else shared_l & l_set
+        shared_u = u_set if shared_u is None else shared_u & u_set
+    if not shared_l or not shared_u:
+        raise ClassMismatch("members do not share pure class tags on both sides")
+
+    mats = [compose(f) for f in members]
+    m = len(members)
+    total = m**k
+    if total <= sample_limit:
+        mode = "exhaustive"
+        combos = itertools.product(range(m), repeat=k)
+        count = total
+    else:
+        mode = "sampled"
+        rng = random.Random(seed)
+        combos = (
+            tuple(rng.randrange(m) for _ in range(k)) for _ in range(sample_limit)
+        )
+        count = sample_limit
+    for combo in combos:
+        if not is_tp(_product(mats, combo), cap).ok:
+            return ProductFamilyResult(False, mode, count, tuple(combo))
+    return ProductFamilyResult(True, mode, count, None)
+
+
+def scan_early_tp_product_scan(factorizations, k, cap=None):
+    members = list(factorizations)
+    if not members or k < 1:
+        raise ParamOutOfRange("need at least one member and k >= 1")
+    mats = [compose(f) for f in members]
+    exps = [exponent_bruteforce(mat, cap).r for mat in mats]
+    hits = []
+    for combo in itertools.product(range(len(members)), repeat=k):
+        if all(exps[i] > k for i in combo):
+            if is_tp(_product(mats, combo), cap).ok:
+                hits.append(tuple(combo))
+    return tuple(hits)

@@ -1,13 +1,24 @@
+import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from oracles import enumerated_class_catalog
+from oracles import (
+    enumerated_class_catalog,
+    refactorizing_recognize_class,
+    scan_early_tp_product_scan,
+    scan_product_family_check,
+    staircase_flat,
+)
 from oscillax.errors import (
     ClassMismatch,
+    FeasibilityExceeded,
     InvalidPsiPattern,
     NotOscillatory,
+    OscillaxError,
     ParamOutOfRange,
     Unpredictable,
 )
@@ -563,3 +574,214 @@ def test_upper_bound_suite_holds():
 
     res = suite_bounds(cases=20, seed=211, nmax=6)
     assert res.ok, [c.detail for c in res.cases if not c.ok]
+
+
+def _canonical_flats(n, rng):
+    """One vector for every canonical lower support at dimension n: chain i
+    keeps a run of t = 0 .. n-i+1 factors ending at its own factor L_i."""
+    layout = chain_layout(n)
+    for runs in itertools.product(*(range(n - i + 2) for i in range(2, n + 1))):
+        flat = [Fraction(0)] * multiplier_count(n)
+        for i, t in zip(range(2, n + 1), runs):
+            stop = layout.chain(i).stop
+            for p in range(stop - t, stop):
+                flat[p] = Fraction(rng.randint(1, 9))
+        yield tuple(flat)
+
+
+def _prediction(l_tag, u_tag):
+    try:
+        return predict_exponent(l_tag, u_tag)
+    except OscillaxError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_recognition_matches_oracle(flats, n):
+    """Each tag equals the refactorizing oracle's, and so does the
+    prediction (or its error) against itself and the previous vector."""
+    prev = None
+    canonical = set()
+    for flat in flats:
+        canonical.add(chain_layout(n).is_canonical(flat))
+        fast = recognize_class(flat, n)
+        slow = refactorizing_recognize_class(flat, n)
+        assert fast == slow, flat
+        assert fast.to_json_dict() == slow.to_json_dict(), flat
+        prev_fast, prev_slow = prev or (fast, slow)
+        assert _prediction(fast, prev_fast) == _prediction(slow, prev_slow)
+        assert _prediction(prev_fast, fast) == _prediction(prev_slow, slow)
+        prev = fast, slow
+    return canonical
+
+
+def test_recognize_class_matches_oracle_on_every_canonical_support():
+    rng = random.Random(137)
+    for n in range(2, 7):
+        flats = list(_canonical_flats(n, rng))
+        assert len(flats) == math.factorial(n)
+        assert _assert_recognition_matches_oracle(flats, n) == {True}
+
+
+def test_recognize_class_matches_oracle_seeded():
+    rng = random.Random(139)
+    seen = set()
+    for n in range(2, 10):
+        layout = chain_layout(n)
+        k = multiplier_count(n)
+        flats = []
+        for _ in range(3):
+            flats.append(staircase_flat(n, rng, "l"))
+            flats.append(layout.mirror(staircase_flat(n, rng, "u")))
+            density = rng.choice((0.2, 0.5, 0.8))
+            flats.append(
+                tuple(
+                    Fraction(rng.randint(1, 9)) if rng.random() < density else Fraction(0)
+                    for _ in range(k)
+                )
+            )
+            s = rng.randint(2, n)
+            flats.append(generate_z1(n, s, seed=rng.randrange(10**6)).l)
+            flats.append(generate_z2(n, s, "random", seed=rng.randrange(10**6)).l)
+            f = random_oscillatory_factorization(n, rng, density=rng.choice((0.2, 0.5)))
+            flats.append(layout.mirror(f.u))
+            flats.append(layout.mirror(neville_factorize(compose(f)).u))
+            flats.append(layout.mirror(with_transpose(generate_z2(n, s, "random", seed=s)).u))
+        seen |= _assert_recognition_matches_oracle(flats, n)
+    assert seen == {True, False}
+
+
+def _count_factorizations(monkeypatch):
+    module = sys.modules["oscillax.exponent"]
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return neville_factorize(a)
+
+    monkeypatch.setattr(module, "neville_factorize", counting)
+    return calls
+
+
+def test_each_exponent_route_factorizes_once(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    rng = random.Random(149)
+    inputs = [M["exp4"], M["exp5"], M["basic4"], M["bound3"]]
+    for _ in range(6):
+        n = rng.randint(3, 6)
+        f = random_oscillatory_factorization(n, rng, density=rng.choice((0.2, 0.5)))
+        inputs.append(compose(f))
+    for a in inputs:
+        for route in (exponent_via_theorem, exponent_bruteforce):
+            calls.clear()
+            route(a)
+            assert len(calls) == 1, route
+        calls.clear()
+        try:
+            exponent_via_prediction(a)
+        except Unpredictable:
+            pass
+        assert len(calls) == 1
+
+
+def test_recognize_sides_refactorizes_only_non_canonical_sides(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    n = 6
+    l_flat = generate_z2(n, 3, {2, 4}, seed=151).l
+    u_flat = chain_layout(n).mirror(generate_z1(n, 3, seed=152).l)
+    f = SEBFactorization(n, l_flat, (1,) * n, u_flat)
+    assert not f.layout.is_canonical(f.l)
+    l_tag, u_tag = recognize_sides(f)
+    assert len(calls) == 1
+    assert (l_tag.family, l_tag.s) == ("Z2", 3)
+    assert (u_tag.family, u_tag.s) == ("Z1", 3)
+    calls.clear()
+    recognize_sides(neville_factorize(compose(f)))
+    assert calls == []
+
+
+def _class_family(rng, n, count):
+    """Members sharing one lower and one upper class shape."""
+    ls, us = rng.randint(2, n), rng.randint(2, n)
+    lz2, uz2 = rng.random() < 0.5, rng.random() < 0.5
+    members = []
+    for _ in range(count):
+        side = [
+            generate_z2(n, s, None, seed=rng.randrange(10**6))
+            if z2
+            else generate_z1(n, s, seed=rng.randrange(10**6))
+            for s, z2 in ((ls, lz2), (us, uz2))
+        ]
+        d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
+        members.append(
+            SEBFactorization(n, side[0].l, d, chain_layout(n).mirror(side[1].l))
+        )
+    return members
+
+
+def test_product_family_check_matches_scan_oracle():
+    rng = random.Random(157)
+    outcomes = set()
+    for _ in range(14):
+        n = rng.randint(3, 5)
+        members = _class_family(rng, n, rng.randint(1, 3))
+        for k in range(1, 4):
+            for limit in (10_000, 4):
+                fast = product_family_check(members, k, sample_limit=limit, seed=k)
+                slow = scan_product_family_check(members, k, sample_limit=limit, seed=k)
+                assert fast == slow
+                outcomes.add((fast.mode, fast.all_tp))
+    assert outcomes == {(mode, ok) for mode in ("exhaustive", "sampled") for ok in (True, False)}
+
+
+def test_early_tp_product_scan_matches_scan_oracle():
+    # members with swapped Z1 sides (as early_a and early_b) often have
+    # totally positive cross products below their exponents
+    rng = random.Random(163)
+    found = 0
+    for _ in range(10):
+        n = rng.randint(4, 5)
+        a, b = rng.randint(2, n - 1), rng.randint(2, n - 1)
+        members = [
+            SEBFactorization(
+                n,
+                generate_z1(n, ls, seed=rng.randrange(10**6)).l,
+                tuple(Fraction(rng.randint(1, 4)) for _ in range(n)),
+                chain_layout(n).mirror(generate_z1(n, us, seed=rng.randrange(10**6)).l),
+            )
+            for ls, us in ((a, b), (b, a))
+        ]
+        if rng.random() < 0.5:
+            members.append(random_oscillatory_factorization(n, rng, density=0.1))
+        for k in (1, 2):
+            hits = early_tp_product_scan(members, k)
+            assert hits == scan_early_tp_product_scan(members, k)
+            found += len(hits)
+    assert found
+    fa = neville_factorize(M["early_a"])
+    fb = neville_factorize(M["early_b"])
+    assert early_tp_product_scan([fa, fb], 2) == scan_early_tp_product_scan([fa, fb], 2)
+
+
+def test_product_checks_keep_the_scan_cap():
+    fa = neville_factorize(M["pair_a"])
+    fb = neville_factorize(M["pair_b"])
+    with pytest.raises(FeasibilityExceeded):
+        product_family_check([fa, fb], 2, cap=3)
+    with pytest.raises(FeasibilityExceeded):
+        early_tp_product_scan([fa, fb], 1, cap=3)
+
+
+def test_early_tp_product_scan_bounds_its_sweep(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        sys.modules["oscillax.exponent"], "compose", lambda f: built.append(f)
+    )
+    f = neville_factorize(M["early_a"])
+    for members, k in (([f] * 10, 8), ([f] * 2, 14), ([f] * 2, 10**9)):
+        with pytest.raises(FeasibilityExceeded, match="exceed the limit 10000"):
+            early_tp_product_scan(members, k)
+    assert built == []
+    monkeypatch.undo()
+    # 10**4 products are within the limit; one member has one product
+    assert early_tp_product_scan([f] * 10, 4) == ()
+    assert early_tp_product_scan([f], 10**9) == ()

@@ -12,6 +12,7 @@ from oracles import (
     mirror_flat,
     random_canonical_factorization,
     slot_chain_factor,
+    staircase_flat,
     upper_flat_slot,
     x_offset,
 )
@@ -144,6 +145,32 @@ def test_noncanonical_zero_pattern_refactorizes_differently():
     g = neville_factorize(a)
     assert compose(g) == a
     assert g != f_odd
+
+
+def test_is_canonical_matches_refactorization():
+    # a lower vector is canonical iff refactorizing its product returns it
+    rng = random.Random(73)
+    seen = set()
+    for n in range(2, 9):
+        layout = chain_layout(n)
+        k = multiplier_count(n)
+        for _ in range(40):
+            if rng.random() < 0.25:
+                flat = staircase_flat(n, rng, "l")
+            else:
+                density = rng.choice((0.15, 0.5, 0.85))
+                flat = tuple(
+                    Fraction(rng.randint(1, 9)) if rng.random() < density else Fraction(0)
+                    for _ in range(k)
+                )
+            part = SEBFactorization(n, flat, (1,) * n, (0,) * k)
+            refactorized = neville_factorize(compose(part)).l == part.l
+            assert layout.is_canonical(part.l) == refactorized, flat
+            seen.add(refactorized)
+    assert seen == {True, False}
+    # the own factor missing under a present higher one; a bare own factor
+    assert not chain_layout(3).is_canonical((1, 0, 0))
+    assert chain_layout(3).is_canonical((0, 1, 0))
 
 
 def test_pack_offsets_n4():
