@@ -5,10 +5,14 @@ by a feasibility cap).  Cheaper criteria (corner minors, tridiagonal
 entries, irreducibility, factorization support) are separate operations
 so their equivalence with the baseline is testable rather than assumed.
 
-:func:`classify` walks the minor table once: the first nonpositive minor
-is the TP witness and the first negative one the TN witness.  It decides
-oscillation by the Gantmacher–Krein test on that TN verdict (nonsingular,
-positive sub- and superdiagonal); the four criteria of
+:func:`classify` starts from one Neville elimination.  An invertible
+matrix is TN iff the elimination runs with nonnegative multipliers and a
+positive diagonal, and TP iff every multiplier is positive (Gasca & Peña,
+LAA 165, 1992), so an invertible TN input is decided in O(n^3) and the
+minor table is scanned only up to the TP witness of a non-TP one.  Inputs
+the elimination refuses keep the one scan that stops at the first
+negative minor.  Oscillation is the Gantmacher–Krein test (nonsingular
+TN, positive sub- and superdiagonal); the four criteria of
 :func:`is_oscillatory` remain available and are cross-checked by the
 tests and by ``verify``.
 """
@@ -19,7 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import MethodDisagreement, NotTN, ShapeMismatch
+from .errors import (
+    InvariantViolation,
+    MethodDisagreement,
+    NotITN,
+    NotTN,
+    ShapeMismatch,
+)
 from .matrix import (
     IndexSet,
     Matrix,
@@ -174,7 +184,6 @@ def _oscillatory_by_method(
     n = a.rows
     if method == "seb":
         from .seb import FactorizationClass, classify_factorization, neville_factorize
-        from .errors import NotITN
 
         try:
             f = neville_factorize(a)
@@ -268,11 +277,41 @@ class ClassificationReport:
 def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
     """Produce the full classification report for a square matrix.
 
-    One minor scan gives both witnesses.  It stops at the first negative
-    minor, by which point the first nonpositive one has been seen.
+    Invertible TN inputs are decided by their Neville factorization; only
+    a non-TP one scans the minor table, up to its first zero minor.  The
+    other inputs take one scan, which stops at the first negative minor,
+    by which point the first nonpositive one has been seen.
     """
+    from .seb import is_basic_factorization, neville_factorize
+
     if not a.is_square():
         raise ShapeMismatch("classification requires a square matrix")
+    _require_min_shape(a)
+    try:
+        f = neville_factorize(a)
+    except NotITN:
+        return _classify_not_itn(a, cap)
+    tp_witness = None
+    if not all(x > 0 for x in f.l + f.u):
+        tp_witness = _first_minor(a, cap, lambda value: value <= 0).witness
+        if tp_witness is None or tp_witness.value < 0:
+            raise InvariantViolation(
+                f"Neville elimination succeeded but the TP scan found {tp_witness}"
+            )
+    return ClassificationReport(
+        n=a.rows,
+        is_tn=True,
+        is_invertible=True,
+        is_tp=tp_witness is None,
+        is_oscillatory=_off_diagonals_positive(a),
+        is_basic_oscillatory=is_basic_factorization(f),
+        tn_witness=None,
+        tp_witness=tp_witness,
+    )
+
+
+def _classify_not_itn(a: Matrix, cap: int | None) -> ClassificationReport:
+    """Report on an input Neville elimination refused: singular or not TN."""
     tn_witness = tp_witness = None
     for (rset, cset), value in _scan(a, cap):
         if value <= 0:
@@ -282,21 +321,18 @@ def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
             if value < 0:
                 tn_witness = found
                 break
-    tn = tn_witness is None
     invertible = det(a) != 0
-    oscillatory = tn and invertible and _off_diagonals_positive(a)
-    basic: bool | None = None
-    if tn and invertible:
-        from .seb import is_basic_factorization, neville_factorize
-
-        basic = is_basic_factorization(neville_factorize(a))
+    if tn_witness is None and invertible:
+        raise InvariantViolation(
+            "Neville elimination refused an invertible matrix with no negative minor"
+        )
     return ClassificationReport(
         n=a.rows,
-        is_tn=tn,
+        is_tn=tn_witness is None,
         is_invertible=invertible,
         is_tp=tp_witness is None,
-        is_oscillatory=oscillatory,
-        is_basic_oscillatory=basic,
+        is_oscillatory=False,
+        is_basic_oscillatory=None,
         tn_witness=tn_witness,
         tp_witness=tp_witness,
     )

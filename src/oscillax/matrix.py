@@ -258,19 +258,23 @@ def minor_levels(
     """
     n, m = a.rows, a.cols
     limit = min(n, m) if max_order is None else min(max_order, n, m)
+    ent = a.entries
     prev: dict = {}
     for p in range(1, limit + 1):
+        # one tuple per column subset, shared by the keys of every row subset
+        # instead of a copy per key: a level holds C(n, p) * C(m, p) keys
+        csets = list(itertools.combinations(range(1, m + 1), p))
         table: dict = {}
         if p == 1:
             for i in range(1, n + 1):
-                for j in range(1, m + 1):
-                    table[((i,), (j,))] = a[i - 1, j - 1]
+                rset, row = (i,), ent[i - 1]
+                for cset in csets:
+                    table[(rset, cset)] = row[cset[0] - 1]
         else:
-            ent = a.entries
             for rset in itertools.combinations(range(1, n + 1), p):
                 head = rset[:-1]
                 last_row = ent[rset[-1] - 1]
-                for cset in itertools.combinations(range(1, m + 1), p):
+                for cset in csets:
                     acc = _ZERO
                     for t, c in enumerate(cset):
                         coeff = last_row[c - 1]

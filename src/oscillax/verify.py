@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classify import is_oscillatory, is_tn, is_tp, is_tp_given_tn
+from .classify import classify, is_oscillatory, is_tn, is_tp, is_tp_given_tn
 from .errors import FeasibilityExceeded, OscillaxError, ParamOutOfRange
 from .exponent import (
     ClassMatch,
@@ -38,6 +38,7 @@ from .matrix import (
     SCAN_CAP_DEFAULT,
     Matrix,
     cauchy_binet_check,
+    det,
     mat_mul,
     mat_pow,
     minor,
@@ -466,6 +467,10 @@ def suite_equivalence(
             tp = is_tp(a)
             if tn.ok:
                 assert is_tp_given_tn(a) == tp.ok, "corner shortcut disagrees"
+            rep = classify(a)
+            assert (rep.is_tn, rep.tn_witness) == tn, "classify disagrees on TN"
+            assert (rep.is_tp, rep.tp_witness) == tp, "classify disagrees on TP"
+            assert rep.is_invertible == (det(a) != 0), "classify disagrees on det"
             is_oscillatory(a, "all")  # raises MethodDisagreement on any split
             if f is not None:
                 net = build_network(f)

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -185,10 +186,20 @@ def test_tp_times_invertible_tn_is_tp():
 
 def test_scan_tables_match_minor_kernel():
     rng = random.Random(61)
-    a = Matrix([[rng.randint(-2, 4) for _ in range(4)] for _ in range(4)])
-    for p, table in minor_levels(a):
-        for (rows, cols), value in table.items():
-            assert value == minor(a, rows, cols)
+    for rows_n, cols_n in ((4, 4), (3, 5), (5, 3)):
+        a = Matrix(
+            [[rng.randint(-2, 4) for _ in range(cols_n)] for _ in range(rows_n)]
+        )
+        count = 0
+        for p, table in minor_levels(a):
+            for (rows, cols), value in table.items():
+                assert len(rows) == len(cols) == p
+                assert value == minor(a, rows, cols)
+                count += 1
+        assert count == sum(
+            math.comb(rows_n, p) * math.comb(cols_n, p)
+            for p in range(1, min(rows_n, cols_n) + 1)
+        )
 
 
 def test_two_by_two_end_to_end():
@@ -309,14 +320,34 @@ def _count_minor_passes(monkeypatch):
     return calls
 
 
+def _count_factorizations(monkeypatch):
+    module = sys.modules["oscillax.seb"]
+    calls = []
+    original = module.neville_factorize
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(module, "neville_factorize", counting)
+    return calls
+
+
 def test_classify_makes_one_minor_pass(monkeypatch):
-    calls = _count_minor_passes(monkeypatch)
+    # at most one minor pass and exactly one Neville elimination per call;
+    # a TP input is decided by its multipliers alone
+    passes = _count_minor_passes(monkeypatch)
+    eliminations = _count_factorizations(monkeypatch)
     rng = random.Random(71)
     for n in range(2, 7):
-        for _, a in _differential_inputs(n, rng):
-            calls.clear()
+        for kind, a in _differential_inputs(n, rng):
+            passes.clear()
+            eliminations.clear()
             classify(a)
-            assert len(calls) == 1
+            assert len(passes) <= 1
+            if kind == "tp":
+                assert passes == []
+            assert len(eliminations) == 1
 
 
 def test_oscillatory_all_shares_one_tn_scan(monkeypatch):
@@ -325,7 +356,68 @@ def test_oscillatory_all_shares_one_tn_scan(monkeypatch):
     assert len(calls) == 1  # definition, gk and irreducible share it
 
 
+def _dense_factorization(n, rng, density):
+    """Composed factorization whose multipliers are positive with
+    probability ``density`` each."""
+    k = multiplier_count(n)
+
+    def side():
+        return tuple(
+            Fraction(rng.randint(1, 9)) if rng.random() < density else Fraction(0)
+            for _ in range(k)
+        )
+
+    d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
+    return compose(SEBFactorization(n, side(), d, side()))
+
+
+def _fast_path_inputs(n, rng):
+    """Random integer matrices and composed factorizations, each also with
+    an adjacent row duplicated and with one entry lowered."""
+    bases = [
+        Matrix([[rng.randint(-2, 4) for _ in range(n)] for _ in range(n)]),
+        Matrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]),
+    ]
+    bases += [_dense_factorization(n, rng, d) for d in (0.2, 0.5, 0.8, 1.0)]
+    for a in bases:
+        yield a
+        rows = [list(r) for r in a.entries]
+        i = rng.randrange(n - 1)
+        yield Matrix(rows[: i + 1] + [rows[i]] + rows[i + 2 :])
+        r, c = rng.randrange(n), rng.randrange(n)
+        rows[r][c] -= rng.randint(1, 3)
+        yield Matrix(rows)
+
+
+def test_classify_fast_path_matches_four_criteria():
+    rng = random.Random(73)
+    classes = set()
+    for n in range(2, 7):
+        for _ in range(3):
+            for a in _fast_path_inputs(n, rng):
+                rep = classify(a)
+                assert rep.to_json_dict() == classify_four_criteria(a).to_json_dict()
+                classes.add((rep.is_tn, rep.is_tp, rep.is_invertible))
+    assert {
+        (True, True, True),  # TP
+        (True, False, True),  # invertible TN, not TP
+        (True, False, False),  # singular TN
+        (False, False, True),  # invertible, not TN
+        (False, False, False),  # singular, not TN
+    } <= classes
+
+
+def test_classify_decides_tp_past_the_cap(monkeypatch):
+    passes = _count_minor_passes(monkeypatch)
+    n = 12
+    a = _dense_factorization(n, random.Random(79), 1.0)
+    rep = classify(a)
+    assert rep.is_tp and rep.is_oscillatory and rep.tp_witness is None
+    assert passes == []
+
+
 def test_classify_keeps_feasibility_cap():
+    # identity(9) is invertible TN but not TP: its witness needs the scan
     with pytest.raises(FeasibilityExceeded):
         classify(Matrix.identity(9))
     with pytest.raises(FeasibilityExceeded):
