@@ -17,6 +17,14 @@ The canonical support of every class shape is known in closed form, so
 recognition never refactorizes the class shapes.  It refactorizes its
 input only when that is not canonical already; a Neville factorization
 is, so each exponent route factorizes its input once.
+
+The theorem route reads r_lower, r_upper and its zero witness off copy
+counts on the canonical support: the least number of copies of a
+triangular part's planar network that carry a disjoint path family onto
+each corner, counted by moving tokens down the positive multipliers.  It
+forms no power of a triangular part and tests no corner of one; the
+brute-force route keeps the matrix-power :func:`r_lower` as its
+cross-check.
 """
 
 from __future__ import annotations
@@ -500,6 +508,45 @@ def r_lower_via_network(source) -> int:
     return worst
 
 
+def _corner_copies(flat, n: int) -> tuple[int | float, ...]:
+    """Copy counts of the lower-left corners, sizes 1..n-1, of the
+    network of a lower flat vector.
+
+    The count of size c is the least number of concatenated copies that
+    carry a vertex-disjoint path family from tracks n-c+1..n to tracks
+    1..c.  With positive weights such a family exists exactly when that
+    corner minor of the matching power is positive (Lindstrom-Gessel-
+    Viennot), so the largest count is the lower exponent.  Tokens start
+    on the sources; at each positive L_j, in product order, the token on
+    track j moves to track j-1 if that track is free.  Moving down
+    whenever possible keeps every token as low as any family can bring
+    it, so the count is the first copy that leaves tracks 1..c full.
+
+    Every count is infinite when some level 2..n has no positive
+    multiplier, as in ``planar.min_copies_lower_corner``; a count past
+    n-1 contradicts the power bound and raises
+    :class:`InvariantViolation`.
+    """
+    descents = [j for p, j in chain_layout(n).lower_order if flat[p] > 0]
+    if not set(range(2, n + 1)) <= set(descents):
+        return (float("inf"),) * (n - 1)
+    counts = []
+    for c in range(1, n):
+        occupied = [False] * (n - c + 1) + [True] * c  # tracks 1..n; 0 unused
+        copies = 0
+        while not all(occupied[1 : c + 1]):
+            if copies == n - 1:
+                raise InvariantViolation(
+                    f"no disjoint family for corner size {c} within {n - 1} copies"
+                )
+            copies += 1
+            for j in descents:
+                if occupied[j] and not occupied[j - 1]:
+                    occupied[j - 1], occupied[j] = True, False
+        counts.append(copies)
+    return tuple(counts)
+
+
 @dataclass(frozen=True)
 class CornerZeroWitness:
     """A corner minor that still vanishes at the given power."""
@@ -597,20 +644,46 @@ def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
 
 def exponent_via_theorem(a: Matrix) -> ExponentReport:
     """Factor the input, then take the max of the lower part's lower
-    exponent and the upper part's upper exponent."""
+    exponent and the upper part's upper exponent.
+
+    Both come from copy counts on the canonical support
+    (:func:`_corner_copies`) of the lower part and of the mirrored upper
+    part, so no power of a triangular part is formed.  The zero witness
+    is the first corner, by size and lower-left first, whose count
+    exceeds r-1; one minor of A^(r-1) confirms that it vanishes.
+    """
     try:
         f = neville_factorize(a)
     except NotITN as exc:
         raise NotOscillatory(f"not invertible TN: {exc}") from exc
     if classify_factorization(f) is FactorizationClass.ITN_ONLY:
         raise NotOscillatory("factorization misses a factor index on some side")
-    rl = r_lower(compose(lower_part(f)))
-    ru = r_upper(compose(upper_part(f)))
+    n = f.n
+    counts = {
+        "lower-left": _corner_copies(f.l, n),
+        "upper-right": _corner_copies(f.layout.mirror(f.u), n),
+    }
+    rl, ru = max(counts["lower-left"]), max(counts["upper-right"])
     r = max(rl, ru)
     l_tag, u_tag = recognize_sides(f)
-    below = mat_pow(a, r - 1) if r > 1 else None
+    below = witness = None
+    if r > 1:
+        below = mat_pow(a, r - 1)
+        side, size = next(
+            (side, size)
+            for size in range(1, n)
+            for side in ("lower-left", "upper-right")
+            if counts[side][size - 1] > r - 1
+        )
+        rows, cols = corner_index_sets(n, side, size)
+        if minor(below, rows, cols) != 0:
+            raise InvariantViolation(
+                f"{side} corner of size {size} counted as zero at power {r - 1}"
+                " but its minor is not"
+            )
+        witness = CornerZeroWitness(side=side, size=size, power=r - 1)
     return ExponentReport(
-        n=f.n,
+        n=n,
         r=r,
         r_lower=rl,
         r_upper=ru,
@@ -618,7 +691,7 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
         l_class=l_tag,
         u_class=u_tag,
         witness_power=a if below is None else mat_mul(below, a),
-        zero_witness=_zero_corner_witness(below, r),
+        zero_witness=witness,
     )
 
 

@@ -41,6 +41,10 @@ _ONE = Fraction(1)
 
 INFINITE_COPIES = float("inf")
 
+#: Most layers :func:`concat_copies` builds.  Rendering writes n+1 DOT
+#: lines per layer, so an unbounded copy count would exhaust memory.
+COPIES_LAYER_LIMIT = 100_000
+
 
 @dataclass(frozen=True)
 class Layer:
@@ -105,8 +109,16 @@ def concat(net1: PlanarNetwork, net2: PlanarNetwork) -> PlanarNetwork:
 
 
 def concat_copies(net: PlanarNetwork, copies: int) -> PlanarNetwork:
+    """``copies`` copies of the network in a row; more than
+    :data:`COPIES_LAYER_LIMIT` layers raise :class:`FeasibilityExceeded`
+    before anything is built."""
     if copies < 1:
         raise ParamOutOfRange("copies must be >= 1")
+    if copies * len(net.layers) > COPIES_LAYER_LIMIT:
+        raise FeasibilityExceeded(
+            f"{copies} copies of {len(net.layers)} layers exceed the limit"
+            f" of {COPIES_LAYER_LIMIT} layers"
+        )
     return PlanarNetwork(n=net.n, layers=net.layers * copies)
 
 

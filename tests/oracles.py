@@ -15,21 +15,29 @@ from oscillax.errors import (
     ClassMismatch,
     IndexOutOfRange,
     InvariantViolation,
+    NotITN,
+    NotOscillatory,
     ParamOutOfRange,
     ShapeMismatch,
 )
 from oscillax.exponent import (
     ClassMatch,
     ClassTag,
+    ExponentReport,
     ProductFamilyResult,
     _class_support_catalog,
+    _zero_corner_witness,
     enumerate_psi_patterns,
     exponent_bruteforce,
+    lower_part,
+    r_lower,
+    r_upper,
     recognize_sides,
+    upper_part,
     z1_slots,
     z2_slots,
 )
-from oscillax.matrix import Matrix, det, mat_mul
+from oscillax.matrix import Matrix, det, mat_mul, mat_pow
 from oscillax.planar import (
     INFINITE_COPIES,
     concat_copies,
@@ -37,8 +45,10 @@ from oscillax.planar import (
     minor_via_paths,
 )
 from oscillax.seb import (
+    FactorizationClass,
     SEBFactorization,
     chain_layout,
+    classify_factorization,
     compose,
     ebl,
     multiplier_count,
@@ -394,3 +404,32 @@ def scan_early_tp_product_scan(factorizations, k, cap=None):
             if is_tp(_product(mats, combo), cap).ok:
                 hits.append(tuple(combo))
     return tuple(hits)
+
+
+def power_loop_exponent_via_theorem(a):
+    """The theorem route by matrix powers: each triangular part is composed
+    and raised to successive powers until its corner minors turn positive,
+    and A^(r-1) is scanned for its first vanishing corner.  The reference
+    for the copy counts of ``exponent.exponent_via_theorem``."""
+    try:
+        f = neville_factorize(a)
+    except NotITN as exc:
+        raise NotOscillatory(f"not invertible TN: {exc}") from exc
+    if classify_factorization(f) is FactorizationClass.ITN_ONLY:
+        raise NotOscillatory("factorization misses a factor index on some side")
+    rl = r_lower(compose(lower_part(f)))
+    ru = r_upper(compose(upper_part(f)))
+    r = max(rl, ru)
+    l_tag, u_tag = recognize_sides(f)
+    below = mat_pow(a, r - 1) if r > 1 else None
+    return ExponentReport(
+        n=f.n,
+        r=r,
+        r_lower=rl,
+        r_upper=ru,
+        method="theorem",
+        l_class=l_tag,
+        u_class=u_tag,
+        witness_power=a if below is None else mat_mul(below, a),
+        zero_witness=_zero_corner_witness(below, r),
+    )

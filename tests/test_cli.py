@@ -220,6 +220,19 @@ def test_network_copies_past_track_cap(tmp_path, capsys):
     assert code == 0 and payload["network"]["n"] == 9
 
 
+def test_network_copies_past_layer_limit(tmp_path, capsys):
+    fpath = tmp_path / "exp4.fact.json"
+    fpath.write_text(dumps_factorization(neville_factorize(M["exp4"])))
+    assert main(["network", "--input", str(fpath), "--copies", str(10**12)]) == 3
+    captured = capsys.readouterr()
+    message = "1000000000000 copies of 9 layers exceed the limit of 100000 layers"
+    assert json.loads(captured.out)["error"] == {
+        "type": "FeasibilityExceeded",
+        "message": message,
+    }
+    assert captured.err == f"error: FeasibilityExceeded: {message}\n"
+
+
 def test_network_accepts_text_form(tmp_path, capsys):
     fpath = tmp_path / "fact.txt"
     fpath.write_text("L3(1) L2(2) L3(3) D(1,2,3) U3(2) U2(1) U3(1)\n")

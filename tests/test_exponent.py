@@ -8,6 +8,8 @@ import pytest
 
 from oracles import (
     enumerated_class_catalog,
+    min_copies_restart,
+    power_loop_exponent_via_theorem,
     refactorizing_recognize_class,
     scan_early_tp_product_scan,
     scan_product_family_check,
@@ -26,6 +28,7 @@ from oscillax.classify import corner_index_sets, is_oscillatory, is_tp
 from oscillax.exponent import (
     ClassMatch,
     Prediction,
+    _corner_copies,
     _class_support_catalog,
     early_tp_product_scan,
     enumerate_psi_patterns,
@@ -49,9 +52,11 @@ from oscillax.exponent import (
     recognize_class,
     recognize_sides,
     resolve_psi_choice,
+    upper_part,
     with_transpose,
 )
 from oscillax.matrix import Matrix, mat_pow, minor
+from oscillax.planar import INFINITE_COPIES, build_network, min_copies_lower_corner
 from oscillax.seb import (
     SEBFactorization,
     chain_layout,
@@ -785,3 +790,139 @@ def test_early_tp_product_scan_bounds_its_sweep(monkeypatch):
     # 10**4 products are within the limit; one member has one product
     assert early_tp_product_scan([f] * 10, 4) == ()
     assert early_tp_product_scan([f], 10**9) == ()
+
+
+# -- copy counts on the canonical support ------------------------------------------
+
+
+def _lower_network(flat, n):
+    return build_network(
+        SEBFactorization(n, flat, (1,) * n, (0,) * multiplier_count(n))
+    )
+
+
+def _copy_count_flats(n, rng):
+    """Lower flat vectors with full, sparse, staircase, randomly zeroed and
+    empty supports, each also as the mirrored upper side."""
+    k = multiplier_count(n)
+    layout = chain_layout(n)
+    sparse = random_oscillatory_factorization(n, rng, density=0.1)
+    zeroed = tuple(rng.randint(1, 9) if rng.random() < 0.3 else 0 for _ in range(k))
+    flats = [
+        tuple(rng.randint(1, 9) for _ in range(k)),
+        sparse.l,
+        layout.mirror(sparse.u),
+        staircase_flat(n, rng, "l"),
+        layout.mirror(staircase_flat(n, rng, "u")),
+        zeroed,
+        (0,) * k,
+    ]
+    return [tuple(Fraction(x) for x in flat) for flat in flats]
+
+
+def test_corner_copies_match_network_copy_counts():
+    rng = random.Random(157)
+    seen = set()
+    for n in range(2, 9):
+        for flat in _copy_count_flats(n, rng):
+            counts = _corner_copies(flat, n)
+            net = _lower_network(flat, n)
+            for c in range(1, n):
+                assert counts[c - 1] == min_copies_lower_corner(net, c)
+                assert counts[c - 1] == min_copies_restart(net, c)
+            seen.update(counts)
+    assert {1, 2, 3, INFINITE_COPIES} <= seen
+
+
+def test_corner_copies_match_matrix_power_exponents():
+    rng = random.Random(163)
+    for n in (2, 3, 5, 7, 9, 11, 14):
+        for density in (0.1, 0.3, 1.0):
+            f = random_oscillatory_factorization(n, rng, density=density)
+            upper = f.layout.mirror(f.u)
+            assert max(_corner_copies(f.l, n)) == r_lower(compose(lower_part(f)))
+            assert max(_corner_copies(upper, n)) == r_upper(compose(upper_part(f)))
+
+
+def _report_or_error(route, a):
+    try:
+        return route(a).to_json_dict()
+    except OscillaxError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_theorem_route_matches_power_loop_oracle():
+    rng = random.Random(167)
+    inputs = list(M.values()) + _class_inputs(173, (2, 3, 4, 5, 6, 7))
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        density = rng.choice((0.1, 0.3, 0.55, 1.0))
+        inputs.append(compose(random_oscillatory_factorization(n, rng, density)))
+    inputs += [
+        Matrix.identity(3),
+        compose(generate_z1(4, 3, seed=5)),  # ITN only
+        Matrix([[1, 2], [3, 1]]),
+        Matrix([[2]]),
+        Matrix([[1, 1, 1], [1, 2, 3]]),
+    ]
+    outcomes = set()
+    for a in inputs:
+        expected = _report_or_error(power_loop_exponent_via_theorem, a)
+        assert _report_or_error(exponent_via_theorem, a) == expected
+        outcomes.add(expected[0] if isinstance(expected, tuple) else expected["r"])
+    assert {1, 2, 3, "NotOscillatory", "ShapeMismatch"} <= outcomes
+
+
+def test_theorem_route_equals_prediction_on_large_class_inputs():
+    rng = random.Random(179)
+    for n in (12, 13, 14):
+        for family in ("Z1", "Z2"):
+            s = rng.randint(2, n)
+            seed = rng.randrange(10**6)
+            if family == "Z1":
+                part = generate_z1(n, s, seed)
+            else:
+                part = generate_z2(n, s, "random", seed)
+            other = generate_z2(n, rng.randint(2, n), "random", seed + 1)
+            d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
+            upper = chain_layout(n).mirror(other.l)
+            rep = exponent_via_theorem(compose(SEBFactorization(n, part.l, d, upper)))
+            assert predict_exponent(rep.l_class, rep.u_class) == Prediction(
+                "exact", rep.r
+            )
+
+
+def test_theorem_route_composes_once_and_scans_no_corners(monkeypatch):
+    from oscillax import matrix, seb
+
+    calls = {"compose": 0, "minor": 0, "r_lower": 0, "first_zero_corner": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    originals = {"compose": seb.compose, "minor": matrix.minor}
+    for module in [m for k, m in sys.modules.items() if k.startswith("oscillax.")]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    exponent = sys.modules["oscillax.exponent"]
+    for name in ("r_lower", "first_zero_corner"):
+        monkeypatch.setattr(exponent, name, counting(name, getattr(exponent, name)))
+
+    rng = random.Random(181)
+    inputs = [M["exp4"], M["exp5"]] + _class_inputs(191, (5, 7))
+    for _ in range(4):
+        f = random_oscillatory_factorization(rng.randint(4, 8), rng, density=0.3)
+        inputs.append(compose(f))
+    rs = set()
+    for a in inputs:
+        calls.update(dict.fromkeys(calls, 0))
+        rs.add(exponent_via_theorem(a).r)
+        assert calls["compose"] == 1  # the round-trip check of neville_factorize
+        assert calls["r_lower"] == calls["first_zero_corner"] == 0
+        assert calls["minor"] <= 1
+    assert len(rs) > 1

@@ -21,6 +21,7 @@ from oscillax.exponent import (
 )
 from oscillax.matrix import mat_mul, minor
 from oscillax.planar import (
+    COPIES_LAYER_LIMIT,
     INFINITE_COPIES,
     Layer,
     PlanarNetwork,
@@ -158,6 +159,15 @@ def test_two_copies_exp4_corner_family_weight_zero():
     f = neville_factorize(M["exp4"])
     net = concat_copies(build_network(f), 2)
     assert minor_via_paths(net, (2, 3, 4), (1, 2, 3)) == 0
+
+
+def test_concat_copies_bounds_its_layers():
+    net = build_network(neville_factorize(M["exp4"]))
+    most = COPIES_LAYER_LIMIT // len(net.layers)
+    assert len(concat_copies(net, most).layers) == most * len(net.layers)
+    for copies in (most + 1, 10**18):
+        with pytest.raises(FeasibilityExceeded, match="exceed the limit of 100000"):
+            concat_copies(net, copies)
 
 
 def test_strip_u_diagonals():
