@@ -201,7 +201,9 @@ def cmd_network(args) -> int:
 
     f = _read_factorization(args.input)
     net = build_network(f)
-    dot = export_dot(net)
+    # the DOT shows the copies when asked for; concat_copies rejects copies < 1
+    shown = net if args.copies is None else concat_copies(net, args.copies)
+    dot = export_dot(shown)
     payload = {
         "schema": _schema("network"),
         "status": "ok",
@@ -210,7 +212,6 @@ def cmd_network(args) -> int:
     }
     if args.copies is not None:
         table = []
-        shown = concat_copies(net, args.copies)  # rejects copies < 1
         for c in range(1, net.n):
             copies = min_copies_lower_corner(net, c)
             table.append(
@@ -224,8 +225,6 @@ def cmd_network(args) -> int:
             )
         payload["copies"] = args.copies
         payload["lower_corner_table"] = table
-        dot = export_dot(shown)
-        payload["dot"] = dot
     if args.dot:
         Path(args.dot).write_text(dot)
         _note(f"network: wrote DOT to {args.dot}")

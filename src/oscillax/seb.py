@@ -26,11 +26,13 @@ import enum
 import json
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    FeasibilityExceeded,
     IndexOutOfRange,
     InvariantViolation,
     MalformedNumber,
@@ -524,47 +526,34 @@ def classify_factorization(f: SEBFactorization) -> FactorizationClass:
 
 # -- commutation normalization -------------------------------------------------
 
+# flat slots per side that normalize_commutation lays out (n <= 447)
+NORMALIZE_SLOT_LIMIT = 100_000
+
 
 def _assign_word_to_slots(word, slots):
     """Map word positions to canonical slots using only adjacent swaps of
     commuting factors (indices differing by more than one).
 
-    Returns a dict {slot position: word position} or None.  The search
-    consumes, for each slot, the earliest word occurrence of the slot's
-    factor index, and only when no earlier unconsumed factor blocks it.
+    Returns a dict {slot position: word position} or None.  The swaps
+    keep exactly the order of factors whose indices differ by at most
+    one, so one right-to-left pass decides it: each factor takes the
+    latest slot of its index before the slots of the next later factors
+    of indices j-1, j and j+1, which leaves the most room to its left.
     """
-    indices = [j for j, _ in word]
-
-    @lru_cache(maxsize=None)
-    def solve(si: int, remaining: frozenset):
-        if not remaining:
-            return ()
-        if si == len(slots):
+    ranks: dict[int, list[int]] = {}
+    for si, (_, j) in enumerate(slots):
+        ranks.setdefault(j, []).append(si)
+    nearest: dict[int, int] = {}  # factor index -> slot of its next later factor
+    assign = {}
+    for wp in range(len(word) - 1, -1, -1):
+        j = word[wp][0]
+        before = min(nearest.get(i, len(slots)) for i in (j - 1, j, j + 1))
+        k = bisect_left(ranks.get(j, ()), before)
+        if k == 0:
             return None
-        _, slot_j = slots[si]
-        ordered = sorted(remaining)
-        take = None
-        for p in ordered:
-            if indices[p] == slot_j:
-                blocked = any(
-                    q < p and abs(indices[q] - slot_j) <= 1 for q in ordered
-                )
-                if not blocked:
-                    take = p
-                break
-        # prefer deferring a factor to a later chain when both fit
-        deferred = solve(si + 1, remaining)
-        if deferred is not None:
-            return deferred
-        if take is not None:
-            taken = solve(si + 1, remaining - {take})
-            if taken is not None:
-                return ((si, take),) + taken
-        return None
-
-    result = solve(0, frozenset(range(len(word))))
-    solve.cache_clear()
-    return None if result is None else dict(result)
+        nearest[j] = ranks[j][k - 1]
+        assign[nearest[j]] = wp
+    return assign
 
 
 def _factor_multiset(f: SEBFactorization):
@@ -583,7 +572,9 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
     commute when their indices differ; zero multipliers and identity
     diagonals vanish.  A nonidentity diagonal commutes with nothing, so
     it must already separate the lower factors from the upper ones.
-    Raises :class:`NotNormalizable` when no such reordering exists.
+    Each side takes one linear pass.  Raises :class:`NotNormalizable`
+    when no such reordering exists, and :class:`FeasibilityExceeded`,
+    before any layout is built, past :data:`NORMALIZE_SLOT_LIMIT` slots.
     """
     factors = list(factors)
     if n is None:
@@ -595,6 +586,11 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
             n = max(idxs)
         else:
             raise NotNormalizable("cannot infer dimension from an empty product")
+    if multiplier_count(n) > NORMALIZE_SLOT_LIMIT:
+        raise FeasibilityExceeded(
+            f"{multiplier_count(n)} slots per side at n={n} exceed the limit"
+            f" of {NORMALIZE_SLOT_LIMIT} slots"
+        )
 
     diag = None
     seq: list[EBFactor] = []

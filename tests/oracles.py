@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from oscillax.classify import (
     ClassificationReport,
@@ -192,6 +193,48 @@ def dense_word_product(factors, n):
     for fac in factors:
         product = mat_mul(product, fac.matrix(n))
     return product
+
+
+def search_assign_word_to_slots(word, slots):
+    """Map word positions to canonical slots using only adjacent swaps of
+    commuting factors (indices differing by more than one).
+
+    Returns a dict {slot position: word position} or None.  The search
+    consumes, for each slot, the earliest word occurrence of the slot's
+    factor index, and only when no earlier unconsumed factor blocks it.
+    """
+    indices = [j for j, _ in word]
+
+    @lru_cache(maxsize=None)
+    def solve(si: int, remaining: frozenset):
+        if not remaining:
+            return ()
+        if si == len(slots):
+            return None
+        _, slot_j = slots[si]
+        ordered = sorted(remaining)
+        take = None
+        for p in ordered:
+            if indices[p] == slot_j:
+                blocked = any(
+                    q < p and abs(indices[q] - slot_j) <= 1 for q in ordered
+                )
+                if not blocked:
+                    take = p
+                break
+        # prefer deferring a factor to a later chain when both fit
+        deferred = solve(si + 1, remaining)
+        if deferred is not None:
+            return deferred
+        if take is not None:
+            taken = solve(si + 1, remaining - {take})
+            if taken is not None:
+                return ((si, take),) + taken
+        return None
+
+    result = solve(0, frozenset(range(len(word))))
+    solve.cache_clear()
+    return None if result is None else dict(result)
 
 
 def min_copies_restart(net, c):

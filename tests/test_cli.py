@@ -240,6 +240,49 @@ def test_network_accepts_text_form(tmp_path, capsys):
     assert code == 0 and payload["network"]["n"] == 3
 
 
+def _network_stdout(capsys, path):
+    code = main(["network", "--input", str(path)])
+    return code, capsys.readouterr().out
+
+
+def test_network_text_matches_json_at_large_n(tmp_path, capsys):
+    import random
+
+    from oscillax.exponent import random_oscillatory_factorization
+    from oscillax.seb import (
+        SEBFactorization,
+        compose,
+        factorization_to_text,
+        identity_factorization,
+    )
+
+    eye = identity_factorization(40)
+    one = SEBFactorization(40, eye.l[:-1] + (1,), eye.d, eye.u)  # L40 in chain 40
+    raw = random_oscillatory_factorization(16, random.Random(5))
+    osc = neville_factorize(compose(raw))
+    for name, text, f in (
+        ("one40", "L40(1)", one),
+        ("osc16", factorization_to_text(osc), osc),
+    ):
+        text_path = tmp_path / f"{name}.txt"
+        text_path.write_text(text + "\n")
+        json_path = tmp_path / f"{name}.json"
+        json_path.write_text(dumps_factorization(f))
+        from_text = _network_stdout(capsys, text_path)
+        assert from_text[0] == 0
+        assert from_text == _network_stdout(capsys, json_path)
+
+
+def test_network_text_over_dimension_limit(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("L100000(1)\n")
+    code, payload, err = run(capsys, ["network", "--input", str(path)])
+    message = "4999950000 slots per side at n=100000 exceed the limit of 100000 slots"
+    assert code == 3
+    assert payload["error"] == {"type": "FeasibilityExceeded", "message": message}
+    assert err == f"error: FeasibilityExceeded: {message}\n"
+
+
 @pytest.mark.parametrize(
     "field, value, error",
     [

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,18 +12,21 @@ from oracles import (
     flat_slot,
     mirror_flat,
     random_canonical_factorization,
+    search_assign_word_to_slots,
     slot_chain_factor,
     staircase_flat,
     upper_flat_slot,
     x_offset,
 )
 from oscillax.errors import (
+    FeasibilityExceeded,
     IndexOutOfRange,
     InvariantViolation,
     NotITN,
     NotNormalizable,
     ShapeMismatch,
 )
+from oscillax.exponent import random_oscillatory_factorization
 from oscillax.matrix import Matrix, mat_mul
 from oscillax.seb import (
     EBFactor,
@@ -465,6 +469,74 @@ def test_normalize_matches_dense_rebuild(monkeypatch):
 def test_normalize_drops_identities():
     f = normalize_commutation([ebl(2, 0), ebd((1, 1)), ebu(2, 3)], n=2)
     assert f.l == (0,) and f.u == (3,)
+
+
+def _assert_assignment_matches_search(word, slots):
+    expected = search_assign_word_to_slots(word, slots)
+    got = seb._assign_word_to_slots(word, slots)
+    assert got == expected, word
+    return got
+
+
+def test_assign_word_matches_search_on_every_short_word():
+    for n in range(2, 6):
+        layout = chain_layout(n)
+        for length in range(7):
+            for indices in itertools.product(range(2, n + 1), repeat=length):
+                word = tuple((j, 1) for j in indices)
+                for slots in (layout.lower_order, layout.upper_order):
+                    _assert_assignment_matches_search(word, slots)
+
+
+def test_assign_word_matches_search_on_random_words():
+    rng = random.Random(4271)
+    for _ in range(20_000):
+        n = rng.randint(2, 8)
+        layout = chain_layout(n)
+        word = tuple(
+            (rng.randint(2, n), rng.randint(1, 9)) for _ in range(rng.randint(1, n + 3))
+        )
+        slots = rng.choice((layout.lower_order, layout.upper_order))
+        _assert_assignment_matches_search(word, slots)
+
+
+def test_assign_word_matches_search_on_commuted_canonical_words():
+    rng = random.Random(613)
+    makers = (random_canonical_factorization, random_oscillatory_factorization)
+    for n in range(2, 13):
+        for make in makers * (8 if n <= 8 else 2):
+            f = make(n, rng)
+            for flat, slots in (seb._side(f, "L"), seb._side(f, "U")):
+                word = [(j, flat[p]) for p, j in slots if flat[p]]
+                for _ in range(4 * (len(word) - 1)):
+                    i = rng.randrange(len(word) - 1)
+                    if abs(word[i][0] - word[i + 1][0]) > 1:
+                        word[i], word[i + 1] = word[i + 1], word[i]
+                assert _assert_assignment_matches_search(tuple(word), slots) is not None
+
+
+def test_normalize_words_at_n_40():
+    k = multiplier_count(40)
+    f = SEBFactorization(40, (1,) * k, (1,) * 40, (1,) * k)
+    assert factorization_from_text(factorization_to_text(f)) == f
+    assert normalize_commutation([ebl(40, 1)]).l == (0,) * (k - 1) + (1,)
+
+
+def test_normalize_bounds_the_dimension(monkeypatch):
+    limit = seb.NORMALIZE_SLOT_LIMIT
+    assert multiplier_count(447) <= limit < multiplier_count(448)
+
+    def no_layout(n):
+        raise AssertionError(f"laid out n={n}")
+
+    monkeypatch.setattr(seb, "chain_layout", no_layout)
+    for word, n in (
+        ([ebl(100_000, 1)], None),
+        ([ebd((2,) * 100_000)], None),
+        ([ebl(2, 1)], 448),
+    ):
+        with pytest.raises(FeasibilityExceeded, match=f"exceed the limit of {limit}"):
+            normalize_commutation(word, n=n)
 
 
 def test_text_format_roundtrip():
