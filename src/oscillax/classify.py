@@ -337,15 +337,3 @@ def _classify_not_itn(a: Matrix, cap: int | None) -> ClassificationReport:
         tp_witness=tp_witness,
     )
 
-
-def first_zero_corner(a: Matrix) -> CornerSpec | None:
-    """First vanishing corner minor, scanning sizes 1..n-1, lower-left
-    before upper-right within each size.  None if all are positive."""
-    n = a.rows
-    for size in range(1, n):
-        for side in ("lower-left", "upper-right"):
-            rset, cset = corner_index_sets(n, side, size)
-            if minor(a, rset, cset) == 0:
-                return CornerSpec(side, size)
-    return None
-

@@ -71,34 +71,32 @@ def _resolve_seed(value) -> int:
     return 0
 
 
-def _read_matrix(path: str) -> Matrix:
+def _read_input(path: str, loads, parse_text, noun: str):
+    """Read a JSON document (first non-blank character ``{``) by ``loads``,
+    anything else by ``parse_text``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise MalformedNumber(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            return loads_matrix(text)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise MalformedNumber(f"bad matrix JSON in {path}: {exc}") from exc
-    return matrix_from_csv(text)
+    if not text.lstrip().startswith("{"):
+        return parse_text(text)
+    try:
+        return loads(text)
+    except OscillaxError:
+        raise  # several are ValueErrors; they keep their type
+    # ValueError includes JSONDecodeError and integers past the digit limit
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise MalformedNumber(f"bad {noun} JSON in {path}: {exc}") from exc
+
+
+def _read_matrix(path: str) -> Matrix:
+    return _read_input(path, loads_matrix, matrix_from_csv, "matrix")
 
 
 def _read_factorization(path: str):
     from .seb import factorization_from_text, loads_factorization
 
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise MalformedNumber(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            return loads_factorization(text)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise MalformedNumber(f"bad factorization JSON in {path}: {exc}") from exc
-    return factorization_from_text(text)
+    return _read_input(path, loads_factorization, factorization_from_text, "factorization")
 
 
 def _emit(payload: dict, args, text_body: str | None = None) -> None:

@@ -18,13 +18,13 @@ recognition never refactorizes the class shapes.  It refactorizes its
 input only when that is not canonical already; a Neville factorization
 is, so each exponent route factorizes its input once.
 
-The theorem route reads r_lower, r_upper and its zero witness off copy
-counts on the canonical support: the least number of copies of a
-triangular part's planar network that carry a disjoint path family onto
-each corner, counted by moving tokens down the positive multipliers.  It
-forms no power of a triangular part and tests no corner of one; the
-brute-force route keeps the matrix-power :func:`r_lower` as its
-cross-check.
+Both exponent routes count, for each corner, the power at which its minor
+turns positive, and take the zero witness from these counts by one rule
+(:func:`_vanishing_corner`).  The brute-force route tests the corners of
+successive powers (:func:`_corner_powers`, behind :func:`r_lower` and
+:func:`r_upper`) and confirms A^r by one full minor scan.  The theorem
+route reads the counts off the canonical support (:func:`_corner_copies`),
+so it forms no power of a triangular part.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from functools import lru_cache
 
 from .classify import (
     corner_index_sets,
-    first_zero_corner,
     is_oscillatory,
     is_tp,
     is_tp_given_tn,
@@ -459,53 +458,51 @@ def predict_exponent(l_tag: ClassTag, u_tag: ClassTag) -> Prediction:
 # -- exponent computation ---------------------------------------------------------
 
 
-def _lower_corners_positive(a: Matrix) -> bool:
+_SIDES = ("lower-left", "upper-right")
+
+
+def _corner_powers(a: Matrix, sides, limit: int):
+    """Per side, the least k <= limit at which each corner minor of A^k,
+    sizes 1..n-1, is positive (infinite if none is), and the last power.
+
+    On invertible TN inputs, bare triangular parts included, a positive
+    corner minor stays positive in every higher power (Cauchy-Binet), so
+    each corner is tested only until it turns positive.
+    """
     n = a.rows
-    for size in range(1, n):
-        rset, cset = corner_index_sets(n, "lower-left", size)
-        if minor(a, rset, cset) <= 0:
-            return False
-    return True
+    counts = {side: [float("inf")] * (n - 1) for side in sides}
+    power = a
+    for k in range(1, limit + 1):
+        for side, size in itertools.product(sides, range(1, n)):
+            rows, cols = corner_index_sets(n, side, size)
+            if counts[side][size - 1] > k and minor(power, rows, cols) > 0:
+                counts[side][size - 1] = k
+        if k == limit or all(c <= k for cs in counts.values() for c in cs):
+            break
+        power = mat_mul(power, a)
+    return counts, power
+
+
+def _side_exponent(a: Matrix, side: str, max_power: int | None) -> int:
+    if not a.is_square():
+        raise ParamOutOfRange("square matrix required")
+    limit = a.rows - 1 if max_power is None else max_power
+    r = max(_corner_powers(a, (side,), limit)[0][side], default=1)
+    if r > limit:
+        raise NotOscillatory(f"{side} corner minors not all positive within {limit} powers")
+    return r
 
 
 def r_lower(a: Matrix, max_power: int | None = None) -> int:
     """Least power making every lower-left corner minor (sizes 1..n-1)
     positive.  Defined for invertible TN inputs, including bare
     triangular parts; bounded by n-1 for anything oscillatory-shaped."""
-    if not a.is_square():
-        raise ParamOutOfRange("square matrix required")
-    n = a.rows
-    limit = n - 1 if max_power is None else max_power
-    power = a
-    for w in range(1, limit + 1):
-        if _lower_corners_positive(power):
-            return w
-        if w < limit:
-            power = mat_mul(power, a)
-    raise NotOscillatory(
-        f"lower-left corner minors not all positive within {limit} powers"
-    )
+    return _side_exponent(a, "lower-left", max_power)
 
 
 def r_upper(a: Matrix, max_power: int | None = None) -> int:
     """Least power making every upper-right corner minor positive."""
-    return r_lower(a.transpose(), max_power)
-
-
-def r_lower_via_network(source) -> int:
-    """Independent route to the lower exponent through copy counting on
-    the planar network; agrees with the algebraic computation."""
-    from .planar import PlanarNetwork, build_network, min_copies_lower_corner
-
-    net = source if isinstance(source, PlanarNetwork) else build_network(source)
-    n = net.n
-    worst = 0
-    for c in range(1, n):
-        copies = min_copies_lower_corner(net, c)
-        if copies == float("inf"):
-            raise NotOscillatory(f"corner size {c} is never reachable")
-        worst = max(worst, copies)
-    return worst
+    return _side_exponent(a, "upper-right", max_power)
 
 
 def _corner_copies(flat, n: int) -> tuple[int | float, ...]:
@@ -598,35 +595,31 @@ def recognize_sides(f: SEBFactorization) -> tuple[ClassTag, ClassTag]:
     )
 
 
-def _zero_corner_witness(below: Matrix | None, r: int) -> CornerZeroWitness | None:
-    """The first corner minor that vanishes in ``below`` = A^(r-1)."""
+def _vanishing_corner(counts, r: int) -> CornerZeroWitness | None:
+    """The first corner, by size and lower-left first, whose count (the
+    power at which its minor turns positive) exceeds r-1; None if r is 1."""
     if r <= 1:
         return None
-    corner = first_zero_corner(below)
-    if corner is None:
-        raise InvariantViolation("no vanishing corner below the exponent")
-    return CornerZeroWitness(side=corner.side, size=corner.size, power=r - 1)
+    side, size = next(
+        (side, size)
+        for size in range(1, len(counts[_SIDES[0]]) + 1)
+        for side in _SIDES
+        if counts[side][size - 1] > r - 1
+    )
+    return CornerZeroWitness(side=side, size=size, power=r - 1)
 
 
 def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
-    """Scan powers 1..n-1 with the full minor test for total positivity."""
+    """Check oscillation by one full TN scan, find r from the corner minors
+    of successive powers, and confirm A^r by one full TP scan."""
     if not is_oscillatory(a, "gk", cap):
         raise NotOscillatory("input is not oscillatory")
     n = a.rows
-    r = None
-    power = below = a
-    for k in range(1, n):
-        if is_tp(power, cap).ok:
-            r = k
-            break
-        below, power = power, mat_mul(power, a)
-    if r is None:
-        raise InvariantViolation("no totally positive power within n-1")
-    rl, ru = r_lower(a), r_upper(a)
-    if r != max(rl, ru):
-        raise InvariantViolation(
-            f"full scan found r={r} but corner exponents give max({rl}, {ru})"
-        )
+    counts, power = _corner_powers(a, _SIDES, n - 1)
+    rl, ru = max(counts["lower-left"]), max(counts["upper-right"])
+    r = max(rl, ru)
+    if r > n - 1 or not is_tp(power, cap).ok:
+        raise InvariantViolation(f"corner minors give r={r} but A^r is not TP")
     f = neville_factorize(a)
     l_tag, u_tag = recognize_sides(f)
     return ExponentReport(
@@ -638,7 +631,7 @@ def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
         l_class=l_tag,
         u_class=u_tag,
         witness_power=power,
-        zero_witness=_zero_corner_witness(below, r),
+        zero_witness=_vanishing_corner(counts, r),
     )
 
 
@@ -649,8 +642,8 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
     Both come from copy counts on the canonical support
     (:func:`_corner_copies`) of the lower part and of the mirrored upper
     part, so no power of a triangular part is formed.  The zero witness
-    is the first corner, by size and lower-left first, whose count
-    exceeds r-1; one minor of A^(r-1) confirms that it vanishes.
+    follows the brute-force route's rule (:func:`_vanishing_corner`); one
+    minor of A^(r-1) confirms that it vanishes.
     """
     try:
         f = neville_factorize(a)
@@ -666,22 +659,16 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
     rl, ru = max(counts["lower-left"]), max(counts["upper-right"])
     r = max(rl, ru)
     l_tag, u_tag = recognize_sides(f)
-    below = witness = None
-    if r > 1:
+    witness = _vanishing_corner(counts, r)
+    below = None
+    if witness is not None:
         below = mat_pow(a, r - 1)
-        side, size = next(
-            (side, size)
-            for size in range(1, n)
-            for side in ("lower-left", "upper-right")
-            if counts[side][size - 1] > r - 1
-        )
-        rows, cols = corner_index_sets(n, side, size)
+        rows, cols = corner_index_sets(n, witness.side, witness.size)
         if minor(below, rows, cols) != 0:
             raise InvariantViolation(
-                f"{side} corner of size {size} counted as zero at power {r - 1}"
-                " but its minor is not"
+                f"{witness.side} corner of size {witness.size} counted as zero"
+                f" at power {r - 1} but its minor is not"
             )
-        witness = CornerZeroWitness(side=side, size=size, power=r - 1)
     return ExponentReport(
         n=n,
         r=r,

@@ -45,6 +45,10 @@ INFINITE_COPIES = float("inf")
 #: lines per layer, so an unbounded copy count would exhaust memory.
 COPIES_LAYER_LIMIT = 100_000
 
+#: Most edge lines (n+1 per layer) :func:`export_dot` renders: a 4-track
+#: network at :data:`COPIES_LAYER_LIMIT` layers still fits.
+DOT_LINE_LIMIT = 500_000
+
 
 @dataclass(frozen=True)
 class Layer:
@@ -312,8 +316,14 @@ def network_to_json_dict(net: PlanarNetwork) -> dict:
 
 def export_dot(net: PlanarNetwork) -> str:
     """Deterministic Graphviz rendering: nodes ``c{layer}_t{track}``,
-    tracks bottom-to-top, unit weights unlabeled."""
+    tracks bottom-to-top, unit weights unlabeled.  Past
+    :data:`DOT_LINE_LIMIT` it raises :class:`FeasibilityExceeded`."""
     n = net.n
+    if len(net.layers) * (n + 1) > DOT_LINE_LIMIT:
+        raise FeasibilityExceeded(
+            f"DOT rendering of {len(net.layers)} layers over {n} tracks exceeds"
+            f" the limit of {DOT_LINE_LIMIT} lines"
+        )
     cols = len(net.layers) + 1
     lines = [
         "digraph planar_network {",

@@ -28,17 +28,20 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise MalformedNumber(f"expected text, got {type(text).__name__}")
     s = text.strip()
-    if _INT_RE.match(s):
-        return Fraction(int(s))
-    m = _RATIO_RE.match(s)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2))
-        if den == 0:
-            raise ZeroDenominator(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    if _DECIMAL_RE.match(s):
-        # Fraction parses decimal strings exactly (no float intermediate).
-        return Fraction(s)
+    try:
+        if _INT_RE.match(s):
+            return Fraction(int(s))
+        m = _RATIO_RE.match(s)
+        if m:
+            num, den = int(m.group(1)), int(m.group(2))
+            if den == 0:
+                raise ZeroDenominator(f"zero denominator in {text!r}")
+            return Fraction(num, den)
+        if _DECIMAL_RE.match(s):
+            # Fraction parses decimal strings exactly (no float intermediate).
+            return Fraction(s)
+    except ValueError as exc:  # digits past the interpreter's conversion limit
+        raise MalformedNumber(f"number of {len(s)} characters is too long") from exc
     raise MalformedNumber(f"not an integer, fraction, or finite decimal: {text!r}")
 
 
@@ -46,8 +49,18 @@ def format_rational(value: Fraction) -> str:
     """Canonical text for a rational: ``p`` when integral, else ``p/q``."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_text(value.numerator)
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+
+
+def _int_text(value: int) -> str:
+    """Decimal text of an int, also past the interpreter's digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # split at a power of ten near half the digits
+        half = abs(value).bit_length() * 3 // 20
+        high, low = divmod(abs(value), 10**half)
+        return "-" * (value < 0) + _int_text(high) + _int_text(low).zfill(half)
 
 
 def coerce_rational(value) -> Fraction:

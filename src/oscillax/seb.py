@@ -42,7 +42,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .matrix import Matrix
-from .rational import coerce_rational, format_rational
+from .rational import coerce_rational, format_rational, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -394,7 +394,7 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
     v_flat = _lower_elimination(workt, n)
     diag = tuple(workt[i][i] for i in range(n))
     if any(x <= 0 for x in diag):
-        raise NotITN(f"nonpositive diagonal {[str(x) for x in diag]}")
+        raise NotITN(f"nonpositive diagonal {[format_rational(x) for x in diag]}")
     for r in range(n):
         for c in range(n):
             if r != c and workt[r][c] != 0:
@@ -713,16 +713,18 @@ _TOKEN_RE = re.compile(r"([LU])(\d+)\(([^()]*)\)|D\(([^()]*)\)|(\S+)")
 
 
 def parse_factor_text(text: str) -> list[EBFactor]:
-    """Tokenize the factor-sequence form into elementary factors."""
+    """Tokenize the factor-sequence form into elementary factors.  An empty
+    cell in ``D(...)`` is malformed; ``D()`` is an empty diagonal."""
     out: list[EBFactor] = []
     for m in _TOKEN_RE.finditer(text):
         if m.group(5) is not None:
             raise MalformedNumber(f"unrecognized factor token {m.group(5)!r}")
         if m.group(4) is not None:
-            cells = [c for c in m.group(4).split(",") if c.strip()]
+            cells = m.group(4).split(",") if m.group(4).strip() else []
             out.append(ebd(coerce_rational(c) for c in cells))
         else:
-            kind, idx, val = m.group(1), int(m.group(2)), m.group(3)
+            # parse_rational, unlike int, maps an index past the digit limit
+            kind, idx, val = m.group(1), int(parse_rational(m.group(2))), m.group(3)
             out.append(EBFactor(kind, index=idx, multiplier=coerce_rational(val)))
     return out
 

@@ -7,7 +7,9 @@ from functools import lru_cache
 
 from oscillax.classify import (
     ClassificationReport,
+    CornerSpec,
     _require_min_shape,
+    corner_index_sets,
     is_oscillatory,
     is_tn,
     is_tp,
@@ -24,25 +26,26 @@ from oscillax.errors import (
 from oscillax.exponent import (
     ClassMatch,
     ClassTag,
+    CornerZeroWitness,
     ExponentReport,
     ProductFamilyResult,
     _class_support_catalog,
-    _zero_corner_witness,
     enumerate_psi_patterns,
     exponent_bruteforce,
     lower_part,
-    r_lower,
-    r_upper,
     recognize_sides,
     upper_part,
     z1_slots,
     z2_slots,
 )
-from oscillax.matrix import Matrix, det, mat_mul, mat_pow
+from oscillax.matrix import Matrix, det, mat_mul, mat_pow, minor
 from oscillax.planar import (
     INFINITE_COPIES,
+    PlanarNetwork,
+    build_network,
     concat_copies,
     lower_corner_tracks,
+    min_copies_lower_corner,
     minor_via_paths,
 )
 from oscillax.seb import (
@@ -460,8 +463,8 @@ def power_loop_exponent_via_theorem(a):
         raise NotOscillatory(f"not invertible TN: {exc}") from exc
     if classify_factorization(f) is FactorizationClass.ITN_ONLY:
         raise NotOscillatory("factorization misses a factor index on some side")
-    rl = r_lower(compose(lower_part(f)))
-    ru = r_upper(compose(upper_part(f)))
+    rl = power_loop_r_lower(compose(lower_part(f)))
+    ru = power_loop_r_upper(compose(upper_part(f)))
     r = max(rl, ru)
     l_tag, u_tag = recognize_sides(f)
     below = mat_pow(a, r - 1) if r > 1 else None
@@ -474,5 +477,110 @@ def power_loop_exponent_via_theorem(a):
         l_class=l_tag,
         u_class=u_tag,
         witness_power=a if below is None else mat_mul(below, a),
-        zero_witness=_zero_corner_witness(below, r),
+        zero_witness=zero_corner_witness(below, r),
     )
+
+
+# The exponent by separate power loops: a full ``is_tp`` scan of every
+# power, then one loop per side that tests all of a side's corners at each
+# power, with the zero witness found by scanning the corners of A^(r-1).
+# The reference for ``exponent._corner_powers`` and the brute-force route.
+
+
+def _lower_corners_positive(a):
+    n = a.rows
+    for size in range(1, n):
+        rset, cset = corner_index_sets(n, "lower-left", size)
+        if minor(a, rset, cset) <= 0:
+            return False
+    return True
+
+
+def power_loop_r_lower(a, max_power=None):
+    if not a.is_square():
+        raise ParamOutOfRange("square matrix required")
+    n = a.rows
+    limit = n - 1 if max_power is None else max_power
+    power = a
+    for w in range(1, limit + 1):
+        if _lower_corners_positive(power):
+            return w
+        if w < limit:
+            power = mat_mul(power, a)
+    raise NotOscillatory(
+        f"lower-left corner minors not all positive within {limit} powers"
+    )
+
+
+def power_loop_r_upper(a, max_power=None):
+    return power_loop_r_lower(a.transpose(), max_power)
+
+
+def first_zero_corner(a):
+    """First vanishing corner minor, scanning sizes 1..n-1, lower-left
+    before upper-right within each size.  None if all are positive."""
+    n = a.rows
+    for size in range(1, n):
+        for side in ("lower-left", "upper-right"):
+            rset, cset = corner_index_sets(n, side, size)
+            if minor(a, rset, cset) == 0:
+                return CornerSpec(side, size)
+    return None
+
+
+def zero_corner_witness(below, r):
+    """The first corner minor that vanishes in ``below`` = A^(r-1)."""
+    if r <= 1:
+        return None
+    corner = first_zero_corner(below)
+    if corner is None:
+        raise InvariantViolation("no vanishing corner below the exponent")
+    return CornerZeroWitness(side=corner.side, size=corner.size, power=r - 1)
+
+
+def scan_exponent_bruteforce(a, cap=None):
+    """Scan powers 1..n-1 with the full minor test for total positivity."""
+    if not is_oscillatory(a, "gk", cap):
+        raise NotOscillatory("input is not oscillatory")
+    n = a.rows
+    r = None
+    power = below = a
+    for k in range(1, n):
+        if is_tp(power, cap).ok:
+            r = k
+            break
+        below, power = power, mat_mul(power, a)
+    if r is None:
+        raise InvariantViolation("no totally positive power within n-1")
+    rl, ru = power_loop_r_lower(a), power_loop_r_upper(a)
+    if r != max(rl, ru):
+        raise InvariantViolation(
+            f"full scan found r={r} but corner exponents give max({rl}, {ru})"
+        )
+    f = neville_factorize(a)
+    l_tag, u_tag = recognize_sides(f)
+    return ExponentReport(
+        n=n,
+        r=r,
+        r_lower=rl,
+        r_upper=ru,
+        method="bruteforce",
+        l_class=l_tag,
+        u_class=u_tag,
+        witness_power=power,
+        zero_witness=zero_corner_witness(below, r),
+    )
+
+
+def r_lower_via_network(source):
+    """Independent route to the lower exponent through copy counting on
+    the planar network; agrees with the algebraic computation."""
+    net = source if isinstance(source, PlanarNetwork) else build_network(source)
+    n = net.n
+    worst = 0
+    for c in range(1, n):
+        copies = min_copies_lower_corner(net, c)
+        if copies == float("inf"):
+            raise NotOscillatory(f"corner size {c} is never reachable")
+        worst = max(worst, copies)
+    return worst

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -304,6 +305,83 @@ def test_network_rejects_malformed_factorization_json(
     assert payload["schema"] == "oscillax.error/1"
     assert payload["error"]["type"] == error
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("L2(1) D(1,,2)", "MalformedNumber"),
+        ("L2(1) D(1,2,)", "MalformedNumber"),
+        ("D(,1) L2(1)", "MalformedNumber"),
+        ("L2(1) D()", "NotNormalizable"),
+        ("L2(" + "1" * 5000 + ")", "MalformedNumber"),
+        ("L" + "1" * 5000 + "(1)", "MalformedNumber"),
+    ],
+    ids=[
+        "empty-middle", "empty-last", "empty-first", "empty-d", "long-number",
+        "long-index",
+    ],
+)
+def test_network_rejects_malformed_factor_text(tmp_path, capsys, text, error):
+    path = tmp_path / "f.txt"
+    path.write_text(text + "\n")
+    code, payload, err = run(capsys, ["network", "--input", str(path)])
+    assert code == 2
+    assert payload["schema"] == "oscillax.error/1"
+    assert payload["error"]["type"] == error
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "network"])
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"n": ' + "7" * 5000 + "}",
+    ],
+    ids=["deep", "long-int"],
+)
+def test_undecodable_json_is_a_parse_error(tmp_path, capsys, command, body):
+    path = tmp_path / "doc.json"
+    path.write_text(body)
+    code, payload, _ = run(capsys, [command, "--input", str(path)])
+    assert code == 2
+    assert payload["error"]["type"] == "MalformedNumber"
+    assert payload["error"]["message"].startswith("bad ")
+
+
+def test_classify_prints_minors_past_the_digit_limit(tmp_path, capsys):
+    big = "3" * 3000
+    path = tmp_path / "big.csv"
+    path.write_text(f"1,{big}\n{big},1\n")
+    code, payload, _ = run(capsys, ["classify", "--input", str(path)])
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(1 - int(big) ** 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 6001
+    assert payload["witnesses"]["tn"]["value"] == expected
+
+
+def test_network_dot_past_line_limit(tmp_path, capsys):
+    doc = {"n": 120, "l": [1] * 7140, "d": [1] * 120, "u": [1] * 7140}
+    path = tmp_path / "ones120.json"
+    path.write_text(json.dumps(doc))
+    code, payload, err = run(capsys, ["network", "--input", str(path)])
+    message = (
+        "DOT rendering of 14281 layers over 120 tracks exceeds the limit of"
+        " 500000 lines"
+    )
+    assert code == 3
+    assert payload == {
+        "schema": "oscillax.error/1",
+        "status": "error",
+        "error": {"type": "FeasibilityExceeded", "message": message},
+    }
+    assert err == f"error: FeasibilityExceeded: {message}\n"
 
 
 def test_generate_deterministic(tmp_path, capsys):

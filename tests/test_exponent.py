@@ -10,7 +10,11 @@ from oracles import (
     enumerated_class_catalog,
     min_copies_restart,
     power_loop_exponent_via_theorem,
+    power_loop_r_lower,
+    power_loop_r_upper,
+    r_lower_via_network,
     refactorizing_recognize_class,
+    scan_exponent_bruteforce,
     scan_early_tp_product_scan,
     scan_product_family_check,
     staircase_flat,
@@ -46,7 +50,6 @@ from oscillax.exponent import (
     product_family_check,
     psi_membership,
     r_lower,
-    r_lower_via_network,
     r_upper,
     random_oscillatory_factorization,
     recognize_class,
@@ -895,7 +898,7 @@ def test_theorem_route_equals_prediction_on_large_class_inputs():
 def test_theorem_route_composes_once_and_scans_no_corners(monkeypatch):
     from oscillax import matrix, seb
 
-    calls = {"compose": 0, "minor": 0, "r_lower": 0, "first_zero_corner": 0}
+    calls = {"compose": 0, "minor": 0, "r_lower": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -910,8 +913,7 @@ def test_theorem_route_composes_once_and_scans_no_corners(monkeypatch):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     exponent = sys.modules["oscillax.exponent"]
-    for name in ("r_lower", "first_zero_corner"):
-        monkeypatch.setattr(exponent, name, counting(name, getattr(exponent, name)))
+    monkeypatch.setattr(exponent, "r_lower", counting("r_lower", exponent.r_lower))
 
     rng = random.Random(181)
     inputs = [M["exp4"], M["exp5"]] + _class_inputs(191, (5, 7))
@@ -923,6 +925,106 @@ def test_theorem_route_composes_once_and_scans_no_corners(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         rs.add(exponent_via_theorem(a).r)
         assert calls["compose"] == 1  # the round-trip check of neville_factorize
-        assert calls["r_lower"] == calls["first_zero_corner"] == 0
+        assert calls["r_lower"] == 0
         assert calls["minor"] <= 1
+    assert len(rs) > 1
+
+
+def _brute_inputs(rng):
+    """The corpus, class shapes, seeded oscillatory inputs at n = 2..7,
+    and ITN-only, non-TN, non-square, 1x1 and over-cap inputs."""
+    inputs = list(M.values()) + _class_inputs(193, (2, 3, 4, 5, 6))
+    for n in range(2, 8):
+        for density in (0.1, 0.3, 0.55, 1.0)[: 4 if n < 7 else 1]:
+            inputs.append(compose(random_oscillatory_factorization(n, rng, density)))
+    inputs += [
+        Matrix.identity(3),
+        compose(generate_z1(4, 3, seed=5)),  # ITN only
+        compose(with_transpose(generate_z1(5, 3, seed=6))),
+        Matrix([[1, 2], [3, 1]]),
+        Matrix([[2]]),
+        Matrix([[1, 1, 1], [1, 2, 3]]),
+        Matrix.identity(9),
+    ]
+    return inputs
+
+
+def test_bruteforce_matches_scan_oracle():
+    rng = random.Random(197)
+    outcomes = set()
+    for a in _brute_inputs(rng):
+        expected = _report_or_error(scan_exponent_bruteforce, a)
+        assert _report_or_error(exponent_bruteforce, a) == expected
+        outcomes.add(expected[0] if isinstance(expected, tuple) else expected["r"])
+    assert {
+        1, 2, 3, 4, "NotOscillatory", "ShapeMismatch", "FeasibilityExceeded"
+    } <= outcomes
+
+
+def _side_exponent_or_error(fn, a, max_power):
+    try:
+        return fn(a, max_power)
+    except OscillaxError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_r_lower_and_r_upper_match_power_loop():
+    rng = random.Random(199)
+    seen = set()
+    for n in range(2, 10):
+        for density in (0.1, 0.3, 1.0):
+            f = random_oscillatory_factorization(n, rng, density)
+            itn_only = generate_z1(n, rng.randint(2, n), rng.randrange(10**6))
+            for part in (f, lower_part(f), upper_part(f), itn_only):
+                a = compose(part)
+                for fn, oracle, side in (
+                    (r_lower, power_loop_r_lower, "lower-left"),
+                    (r_upper, power_loop_r_upper, "upper-right"),
+                ):
+                    r = _side_exponent_or_error(oracle, a, None)
+                    limits = [None, 0] if isinstance(r, tuple) else [None, r - 1, r]
+                    for max_power in limits:
+                        expected = _side_exponent_or_error(oracle, a, max_power)
+                        if isinstance(expected, tuple):
+                            # the transposing oracle names the lower-left side
+                            message = expected[1].replace("lower-left", side)
+                            expected = (expected[0], message)
+                        got = _side_exponent_or_error(fn, a, max_power)
+                        assert got == expected
+                        seen.add(got if isinstance(got, int) else got[0])
+    assert {1, 2, 3, "NotOscillatory"} <= seen
+
+
+def test_bruteforce_runs_two_scans_and_no_side_loops(monkeypatch):
+    from oscillax import matrix
+
+    calls = {"minor_levels": 0, "mat_mul": 0, "r_lower": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    originals = {"minor_levels": matrix.minor_levels, "mat_mul": matrix.mat_mul}
+    for module in [m for k, m in sys.modules.items() if k.startswith("oscillax.")]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    exponent = sys.modules["oscillax.exponent"]
+    monkeypatch.setattr(exponent, "r_lower", counting("r_lower", exponent.r_lower))
+
+    rng = random.Random(211)
+    inputs = [M["exp4"], M["exp5"]] + _class_inputs(223, (4, 6))
+    for _ in range(4):
+        f = random_oscillatory_factorization(rng.randint(3, 6), rng, density=0.3)
+        inputs.append(compose(f))
+    rs = set()
+    for a in inputs:
+        calls.update(dict.fromkeys(calls, 0))
+        rs.add(exponent_bruteforce(a).r)
+        assert calls["minor_levels"] <= 2  # the TN scan of A, the TP scan of A^r
+        assert calls["mat_mul"] <= a.rows - 1
+        assert calls["r_lower"] == 0
     assert len(rs) > 1

@@ -5,7 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from oracles import min_copies_restart, random_canonical_factorization
+from oracles import (
+    min_copies_restart,
+    r_lower_via_network,
+    random_canonical_factorization,
+)
+from oscillax import planar
 from oscillax.errors import (
     FeasibilityExceeded,
     NotOscillatory,
@@ -16,12 +21,12 @@ from oscillax.errors import (
 from oscillax.exponent import (
     generate_z1,
     generate_z2,
-    r_lower_via_network,
     random_oscillatory_factorization,
 )
 from oscillax.matrix import mat_mul, minor
 from oscillax.planar import (
     COPIES_LAYER_LIMIT,
+    DOT_LINE_LIMIT,
     INFINITE_COPIES,
     Layer,
     PlanarNetwork,
@@ -309,6 +314,18 @@ def test_export_dot_golden():
     net = build_network(neville_factorize(M["net4"]))
     golden = (GOLDEN / "net4_network.dot").read_text()
     assert export_dot(net) == golden
+
+
+def test_export_dot_bounds_its_lines(monkeypatch):
+    # a 4-track network at the copy layer limit still renders
+    assert COPIES_LAYER_LIMIT * (4 + 1) <= DOT_LINE_LIMIT
+    net = build_network(neville_factorize(M["exp4"]))  # 9 layers over 4 tracks
+    full = export_dot(net)
+    monkeypatch.setattr(planar, "DOT_LINE_LIMIT", 9 * 5)
+    assert export_dot(net) == full
+    message = "DOT rendering of 18 layers over 4 tracks exceeds the limit of 45 lines"
+    with pytest.raises(FeasibilityExceeded, match=message):
+        export_dot(concat_copies(net, 2))
 
 
 def test_network_json_dump():
