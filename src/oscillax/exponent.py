@@ -13,10 +13,13 @@ closed forms for the lower exponent:
 
 Recognition works on the positivity pattern of the canonical flat
 multipliers only; multiplier values never matter for these results.
-The canonical support of every class shape is known in closed form, so
-recognition never refactorizes the class shapes.  It refactorizes its
-input only when that is not canonical already; a Neville factorization
-is, so each exponent route factorizes its input once.
+Each canonical chain support is a run, so the chain widths decide the
+class (:func:`recognize_class`): one :class:`ClassMatch` per class
+support, whose ``psi`` is the run its partial chain keeps, and whose
+:meth:`~ClassMatch.patterns` counts the partial-chain patterns sharing
+that support.  The input is refactorized only when it is not canonical
+already; a Neville factorization is, so each exponent route factorizes
+its input once.
 
 Both exponent routes count, for each corner, the power at which its minor
 turns positive, and take the zero witness from these counts by one rule
@@ -30,10 +33,10 @@ so it forms no power of a triangular part.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .classify import (
     corner_index_sets,
@@ -256,7 +259,9 @@ def random_oscillatory_factorization(
 
 @dataclass(frozen=True, order=True)
 class ClassMatch:
-    """One class shape: family 'Z1' or 'Z2', parameter s, partial chain."""
+    """One class support: family 'Z1' or 'Z2', parameter s, and ``psi``,
+    the run (s, ..., s+t-1) that the partial chain of Z2(s), s >= 3, keeps
+    in canonical form (None for Z1 and Z2(2))."""
 
     family: str
     s: int
@@ -268,10 +273,37 @@ class ClassMatch:
     def label(self) -> str:
         return f"{self.family}({self.s})"
 
+    def patterns(self, n: int) -> int:
+        """Partial-chain patterns sharing this support: 2^(n-s-t) for Z2(s),
+        s >= 3, whose factors past s+t commute into the full chains; else 1."""
+        if self.family == "Z2" and self.s >= 3:
+            return 2 ** (n - self.s - len(self.psi))
+        return 1
+
+
+def _class_supports(n: int):
+    """Every class support at dimension n as (widths w_2 .. w_n, family, s,
+    run), in :class:`ClassMatch` order.  Z1(s): chains 2..s full, the rest
+    empty.  Z2(s, t), s >= 3: chains 2..s-2 singletons, chain s-1 of width
+    1+t, chains s..n full.  Z2(2) shares the support of Z1(n)."""
+    full = tuple(range(n - 1, 0, -1))
+    for s in range(2, n + 1):
+        yield full[: s - 1] + (0,) * (n - s), "Z1", s, None
+    yield full, "Z2", 2, None
+    for s in range(3, n + 1):
+        for t in range(n - s + 1):
+            widths = (1,) * (s - 3) + (1 + t,) + full[s - 2 :]
+            yield widths, "Z2", s, tuple(range(s, s + t))
+
 
 @dataclass(frozen=True)
 class ClassTag:
-    """Recognition result for one triangular side of a factorization."""
+    """Recognition result for one triangular side of a factorization.
+
+    ``exact`` and ``with_extras`` hold one :class:`ClassMatch` per class
+    support, at most n(n-1)/2 + 1 in all; the ``oscillax.exponent/1`` JSON
+    lists every partial-chain pattern, so :meth:`to_json_dict` repeats each
+    entry :meth:`ClassMatch.patterns` times."""
 
     n: int
     family: str
@@ -291,55 +323,23 @@ class ClassTag:
             "s": self.s,
             "psi": list(self.psi_pattern) if self.psi_pattern is not None else None,
             "extras": [str(x) for x in self.extras],
-            "exact": [m.label() for m in self.exact],
+            "exact": [m.label() for m in self.exact for _ in range(m.patterns(self.n))],
             "with_extras": [
                 {"base": m.label(), "extras": [str(x) for x in extras]}
                 for m, extras in self.with_extras
+                for _ in range(m.patterns(self.n))
             ],
         }
-
-
-@lru_cache(maxsize=None)
-def _class_support_catalog(n: int) -> dict[frozenset[int], tuple[ClassMatch, ...]]:
-    """Canonical-support table for every class shape at dimension n.
-
-    Written in closed form: the canonical factorization is unique and each
-    of its chain supports is a run starting at the chain's own factor.
-    Z1(s) is made of full chains, so it is already canonical; in Z2(s) the
-    partial chain through L_{s-1} keeps the run s, s+1, ... of its pattern,
-    and its later members commute into the full chains W_s .. W_n.
-    """
-    catalog: dict[frozenset[int], list[ClassMatch]] = {}
-    for s in range(2, n + 1):
-        catalog.setdefault(z1_slots(n, s), []).append(ClassMatch("Z1", s, None))
-    for s in range(2, n + 1):
-        for psi in enumerate_psi_patterns(n, s):
-            key = run = None
-            if psi is not None:
-                key = tuple(sorted(psi))
-                run = frozenset(itertools.takewhile(psi.__contains__, itertools.count(s)))
-            catalog.setdefault(z2_slots(n, s, run), []).append(ClassMatch("Z2", s, key))
-    # distinct shapes sharing one canonical support describe the same
-    # matrices, so their formula values must coincide
-    for supp, ms in catalog.items():
-        values = {m.mu(n) for m in ms}
-        if len(values) != 1:
-            raise InvariantViolation(
-                f"classes {ms} share a support but disagree on the formula"
-            )
-    return {supp: tuple(sorted(ms)) for supp, ms in catalog.items()}
 
 
 def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
     """Tag a flat lower multiplier vector with its class memberships.
 
-    The positivity pattern of the canonical coordinates is matched
-    against the catalog of class supports.  A vector that is already
-    canonical (:meth:`ChainLayout.is_canonical`, as every Neville
-    factorization is) is read as it stands; only any other vector is
-    refactorized first.  A strict superset of a class support yields a
-    'plus-extra' tag carrying the surplus factors.
-    """
+    A vector that is already canonical (:meth:`ChainLayout.is_canonical`,
+    as every Neville factorization is) is read as it stands; any other is
+    refactorized first.  Its chain widths w_2 .. w_n equal to a class's
+    are an exact match; a class whose widths lie below them componentwise
+    yields a 'plus-extra' tag carrying the surplus factors."""
     flat = tuple(l_part_multipliers)
     if n is None:
         n = n_from_flat(flat)
@@ -349,51 +349,37 @@ def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
         canon_l = part.l
     else:
         canon_l = neville_factorize(compose(part)).l
-    support = frozenset(p for p, v in enumerate(canon_l) if v > 0)
-    catalog = _class_support_catalog(n)
+    positive = [x > 0 for x in canon_l]
+    chains = [layout.chain(i) for i in range(2, n + 1)]
+    widths = tuple(sum(positive[c]) for c in chains)
+    factors = [
+        ebl(j, x) if pos else None
+        for (_, j), x, pos in zip(layout.lower_cells, canon_l, positive)
+    ]
 
-    exact = catalog.get(support, ())
-    cells = layout.lower_cells
+    exact: list[ClassMatch] = []
     extra_matches: list[tuple[ClassMatch, tuple[EBFactor, ...]]] = []
-    for supp, matches in catalog.items():
-        if supp < support:
+    for base, *match in _class_supports(n):
+        if base == widths:
+            exact.append(ClassMatch(*match))
+        elif all(map(operator.le, base, widths)):
             extras = tuple(
-                ebl(cells[p][1], canon_l[p]) for p in sorted(support - supp)
+                factors[p]
+                for c, b, w in zip(chains, base, widths)
+                for p in range(c.stop - w, c.stop - b)
             )
-            for m in matches:
-                extra_matches.append((m, extras))
+            extra_matches.append((ClassMatch(*match), extras))
     extra_matches.sort(key=lambda pair: (len(pair[1]), pair[0]))
 
     if exact:
-        primary = exact[0]
-        return ClassTag(
-            n=n,
-            family=primary.family,
-            s=primary.s,
-            psi_pattern=primary.psi,
-            extras=(),
-            exact=exact,
-            with_extras=tuple(extra_matches),
-        )
-    if extra_matches:
-        base, extras = extra_matches[0]
-        return ClassTag(
-            n=n,
-            family=f"{base.family}-plus-extra",
-            s=base.s,
-            psi_pattern=base.psi,
-            extras=extras,
-            exact=(),
-            with_extras=tuple(extra_matches),
-        )
+        primary, family, extras = exact[0], exact[0].family, ()
+    elif extra_matches:
+        primary, extras = extra_matches[0]
+        family = f"{primary.family}-plus-extra"
+    else:
+        return ClassTag(n, "unrecognized", None, None, (), (), ())
     return ClassTag(
-        n=n,
-        family="unrecognized",
-        s=None,
-        psi_pattern=None,
-        extras=(),
-        exact=(),
-        with_extras=(),
+        n, family, primary.s, primary.psi, extras, tuple(exact), tuple(extra_matches)
     )
 
 
@@ -709,6 +695,10 @@ def exponent_via_prediction(a: Matrix) -> tuple[Prediction, ClassTag, ClassTag]:
 #: :func:`early_tp_product_scan`.
 PRODUCT_LIMIT = 10_000
 
+#: Most matrix multiplications a family check may need: each of its
+#: tested tuples costs k-1 of them.
+PRODUCT_MUL_LIMIT = 100_000
+
 
 def _exceeds(m: int, k: int, limit: int) -> bool:
     """Whether m**k > limit, without forming a huge power."""
@@ -760,34 +750,36 @@ def product_family_check(
     Members must share lower-side and upper-side class tags.  All m^k
     ordered tuples are tested when that count stays within the sample
     limit; otherwise seeded random tuples are drawn and the result notes
-    the sampling mode.
+    the sampling mode.  Raises :class:`FeasibilityExceeded`, before any
+    product is formed, when the tested tuples times k-1 multiplications
+    each exceed :data:`PRODUCT_MUL_LIMIT`.
     """
     members = list(factorizations)
     if not members or k < 1:
         raise ParamOutOfRange("need at least one member and k >= 1")
-    shared_l = None
-    shared_u = None
-    for f in members:
-        l_tag, u_tag = recognize_sides(f)
-        l_set, u_set = set(l_tag.exact), set(u_tag.exact)
-        shared_l = l_set if shared_l is None else shared_l & l_set
-        shared_u = u_set if shared_u is None else shared_u & u_set
-    if not shared_l or not shared_u:
+    m = len(members)
+    exhaustive = not _exceeds(m, k, sample_limit)
+    count = m**k if exhaustive else sample_limit
+    if count * (k - 1) > PRODUCT_MUL_LIMIT:
+        raise FeasibilityExceeded(
+            f"{count} products of {k} factors exceed {PRODUCT_MUL_LIMIT} multiplications"
+        )
+    # each class has one support, so members share a class on a side
+    # exactly when their exact matches there are equal and not empty
+    exact = {tuple(tag.exact for tag in recognize_sides(f)) for f in members}
+    if len(exact) != 1 or not all(exact.pop()):
         raise ClassMismatch("members do not share pure class tags on both sides")
 
     mats = [compose(f) for f in members]
-    m = len(members)
-    if not _exceeds(m, k, sample_limit):
+    if exhaustive:
         mode = "exhaustive"
         combos = itertools.product(range(m), repeat=k)
-        count = m**k
     else:
         mode = "sampled"
         rng = random.Random(seed)
         combos = (
             tuple(rng.randrange(m) for _ in range(k)) for _ in range(sample_limit)
         )
-        count = sample_limit
     for combo in combos:
         if not _is_tp_product(mats, combo, cap):
             return ProductFamilyResult(False, mode, count, tuple(combo))

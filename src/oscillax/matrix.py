@@ -362,6 +362,8 @@ def matrix_to_json_dict(a: Matrix) -> dict:
 def matrix_from_json_dict(doc: dict) -> Matrix:
     try:
         entries = doc["entries"]
+        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+            raise ShapeMismatch("matrix entries must be a list of lists")
         m = Matrix(entries)
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed matrix document: {exc}") from exc

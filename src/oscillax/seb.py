@@ -686,6 +686,8 @@ def factorization_from_json_dict(doc: dict) -> SEBFactorization:
         n = coerce_rational(doc["n"])
         if n.denominator != 1:
             raise MalformedNumber(f"dimension {format_rational(n)} is not an integer")
+        if not all(isinstance(doc[key], list) for key in "ldu"):
+            raise ShapeMismatch("factorization fields l, d and u must be lists")
         return SEBFactorization(
             n=int(n),
             l=tuple(coerce_rational(x) for x in doc["l"]),

@@ -576,9 +576,10 @@ def suite_bounds(cases: int = 20, seed: int = 0, nmax: int = 6) -> SuiteResult:
             d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
             f = SEBFactorization(n, tuple(l), d, u)
             a = compose(f)
-            base_match = ClassMatch(
-                lf, ls, None if lpsi is None else tuple(sorted(lpsi))
+            run = None if lpsi is None else tuple(
+                itertools.takewhile(lpsi.__contains__, itertools.count(ls))
             )
+            base_match = ClassMatch(lf, ls, run)
             cells = f.layout.lower_cells
             extras = tuple(ebl(cells[p][1], l[p]) for p in sorted(extra_slots))
             l_tag = plus_extra_tag(n, base_match, extras)

@@ -1,5 +1,6 @@
 """Independent reference implementations used only by the tests."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -29,7 +30,6 @@ from oscillax.exponent import (
     CornerZeroWitness,
     ExponentReport,
     ProductFamilyResult,
-    _class_support_catalog,
     enumerate_psi_patterns,
     exponent_bruteforce,
     lower_part,
@@ -152,8 +152,10 @@ def random_canonical_factorization(n, rng):
     )
 
 
+@lru_cache(maxsize=None)
 def enumerated_class_catalog(n):
-    """Canonical-support table for every class shape at dimension n.
+    """Canonical-support table for every class shape at dimension n, one
+    match per partial-chain pattern.
 
     Each shape is instantiated with unit multipliers, composed, and
     refactorized; the support of the canonical flat vector depends only
@@ -335,61 +337,87 @@ def mirror_flat(flat, n: int | None = None) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def refactorizing_recognize_class(l_part_multipliers, n=None):
-    """Class recognition that refactorizes every input vector, canonical
-    or not: the reference for the canonical fast path of
-    ``exponent.recognize_class``."""
-    flat = tuple(l_part_multipliers)
-    if n is None:
-        n = n_from_flat(flat)
-    part = SEBFactorization(n, flat, (_ONE,) * n, (_ZERO,) * multiplier_count(n))
-    canon = neville_factorize(compose(part))
-    support = frozenset(p for p, v in enumerate(canon.l) if v > 0)
-    catalog = _class_support_catalog(n)
+@lru_cache(maxsize=16)
+def _per_psi_recognize_class(flat, n, refactorize):
+    """Class tag whose matches are the enumerated catalog's, one per
+    partial-chain pattern, for the canonical support of a lower flat
+    vector: refactorized, or read as given when it is canonical by
+    construction."""
+    if refactorize:
+        part = SEBFactorization(n, flat, (_ONE,) * n, (_ZERO,) * multiplier_count(n))
+        flat = neville_factorize(compose(part)).l
+    support = frozenset(p for p, v in enumerate(flat) if v > 0)
+    catalog = enumerated_class_catalog(n)
 
     exact = catalog.get(support, ())
-    cells = canon.layout.lower_cells
+    cells = chain_layout(n).lower_cells
     extra_matches = []
     for supp, matches in catalog.items():
         if supp < support:
-            extras = tuple(
-                ebl(cells[p][1], canon.l[p]) for p in sorted(support - supp)
-            )
+            extras = tuple(ebl(cells[p][1], flat[p]) for p in sorted(support - supp))
             for m in matches:
                 extra_matches.append((m, extras))
     extra_matches.sort(key=lambda pair: (len(pair[1]), pair[0]))
 
     if exact:
-        primary = exact[0]
-        return ClassTag(
-            n=n,
-            family=primary.family,
-            s=primary.s,
-            psi_pattern=primary.psi,
-            extras=(),
-            exact=exact,
-            with_extras=tuple(extra_matches),
-        )
-    if extra_matches:
-        base, extras = extra_matches[0]
-        return ClassTag(
-            n=n,
-            family=f"{base.family}-plus-extra",
-            s=base.s,
-            psi_pattern=base.psi,
-            extras=extras,
-            exact=(),
-            with_extras=tuple(extra_matches),
-        )
+        primary, family, extras = exact[0], exact[0].family, ()
+    elif extra_matches:
+        primary, extras = extra_matches[0]
+        family = f"{primary.family}-plus-extra"
+    else:
+        return ClassTag(n, "unrecognized", None, None, (), (), ())
     return ClassTag(
-        n=n,
-        family="unrecognized",
-        s=None,
-        psi_pattern=None,
-        extras=(),
-        exact=(),
-        with_extras=(),
+        n, family, primary.s, primary.psi, extras, exact, tuple(extra_matches)
     )
+
+
+def _run_form(match):
+    """The match for the run (s, s+1, ...) its partial-chain pattern keeps
+    in canonical form."""
+    if match.psi is None:
+        return match
+    run = itertools.takewhile(set(match.psi).__contains__, itertools.count(match.s))
+    return ClassMatch(match.family, match.s, tuple(run))
+
+
+def refactorizing_recognize_class(l_part_multipliers, n=None, refactorize=True):
+    """Class recognition that refactorizes every input vector, canonical
+    or not, and looks its support up in the enumerated catalog: the
+    reference for ``exponent.recognize_class``.  Matches of one support
+    collapse to one in run form, as ``recognize_class`` keeps them.
+    ``refactorize=False`` skips the refactorization, for vectors that are
+    canonical by construction."""
+    flat = tuple(l_part_multipliers)
+    if n is None:
+        n = n_from_flat(flat)
+    tag = _per_psi_recognize_class(flat, n, refactorize)
+    return dataclasses.replace(
+        tag,
+        exact=tuple(dict.fromkeys(map(_run_form, tag.exact))),
+        with_extras=tuple(dict.fromkeys((_run_form(m), e) for m, e in tag.with_extras)),
+    )
+
+
+def per_psi_class_json(l_part_multipliers, n=None, refactorize=True):
+    """The ``oscillax.exponent/1`` rendering of the class tag of
+    :func:`refactorizing_recognize_class`, with one ``exact`` label and
+    one ``with_extras`` entry per partial-chain pattern of the enumerated
+    catalog."""
+    flat = tuple(l_part_multipliers)
+    if n is None:
+        n = n_from_flat(flat)
+    tag = _per_psi_recognize_class(flat, n, refactorize)
+    return {
+        "family": tag.family,
+        "s": tag.s,
+        "psi": list(tag.psi_pattern) if tag.psi_pattern is not None else None,
+        "extras": [str(x) for x in tag.extras],
+        "exact": [m.label() for m in tag.exact],
+        "with_extras": [
+            {"base": m.label(), "extras": [str(x) for x in extras]}
+            for m, extras in tag.with_extras
+        ],
+    }
 
 
 # Product sweeps with a full ``is_tp`` minor scan on every product: the

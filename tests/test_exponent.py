@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
-    enumerated_class_catalog,
     min_copies_restart,
+    per_psi_class_json,
     power_loop_exponent_via_theorem,
     power_loop_r_lower,
     power_loop_r_upper,
@@ -31,9 +31,9 @@ from oscillax.errors import (
 from oscillax.classify import corner_index_sets, is_oscillatory, is_tp
 from oscillax.exponent import (
     ClassMatch,
+    PRODUCT_MUL_LIMIT,
     Prediction,
     _corner_copies,
-    _class_support_catalog,
     early_tp_product_scan,
     enumerate_psi_patterns,
     exponent_bruteforce,
@@ -272,9 +272,40 @@ def test_recognize_full_support_is_z1_n():
     assert ("Z1", 4) in labels and ("Z2", 2) in labels
 
 
-def test_class_catalog_matches_enumerated_oracle():
-    for n in range(2, 10):
-        assert _class_support_catalog(n) == enumerated_class_catalog(n)
+def test_recognize_class_matches_enumerated_oracle():
+    # every canonical support at n = 7 (n <= 6, refactorized, has its own
+    # test below) and seeded class shapes, with and without extra factors,
+    # at n = 8..9
+    rng = random.Random(131)
+    flats = list(_canonical_flats(7, rng))
+    assert len(flats) == math.factorial(7)
+    assert _assert_recognition_matches_oracle(flats, 7, refactorize=False) == {True}
+    for n in (8, 9):
+        layout = chain_layout(n)
+        flats = []
+        for s in range(2, n + 1):
+            flats.append(generate_z1(n, s, seed=rng.randrange(10**6)).l)
+            patterns = enumerate_psi_patterns(n, s)
+            for psi in rng.sample(patterns, min(3, len(patterns))):
+                members = None if psi is None else psi | {s - 1}
+                flat = list(generate_z2(n, s, members, seed=rng.randrange(10**6)).l)
+                flats.append(tuple(flat))
+                flat[rng.randrange(len(flat))] = Fraction(rng.randint(1, 9))
+                flats.append(tuple(flat))
+        flats.append(layout.mirror(staircase_flat(n, rng, "u")))
+        assert _assert_recognition_matches_oracle(flats, n) == {True, False}
+
+
+def test_recognize_class_holds_one_match_per_support():
+    # the JSON lists 2^(n-1) - 2 with-extras entries on the full support;
+    # the tag itself holds one per class support below it
+    for n, seed in ((30, 3), (40, 4)):
+        tag = recognize_class(generate_z1(n, n, seed).l, n)
+        assert tag.exact == (ClassMatch("Z1", n, None), ClassMatch("Z2", 2, None))
+        assert len(tag.with_extras) == n * (n - 1) // 2 - 1
+        assert sum(m.patterns(n) for m, _ in tag.with_extras) == 2 ** (n - 1) - 2
+    rep = exponent_via_theorem(compose(with_transpose(generate_z1(30, 30, 5))))
+    assert (rep.r, rep.zero_witness) == (1, None)
 
 
 def test_recognition_past_enumerated_catalog_limit():
@@ -442,6 +473,25 @@ def test_product_family_check_pair():
     assert not res1.all_tp and res1.counterexample is not None
 
 
+def test_product_family_check_refuses_huge_k_before_any_product(monkeypatch):
+    fa = neville_factorize(M["pair_a"])
+    fb = neville_factorize(M["pair_b"])
+    module = sys.modules["oscillax.exponent"]
+    formed = []
+    monkeypatch.setattr(module, "mat_mul", lambda *args: formed.append(args))
+    monkeypatch.setattr(module, "compose", lambda *args: formed.append(args))
+    # sampled (2**k tuples) and exhaustive (one tuple) alike cost k - 1
+    # multiplications per tuple
+    for members in ([fa, fb], [fa]):
+        with pytest.raises(FeasibilityExceeded):
+            product_family_check(members, 10**9)
+    # 10,000 sampled tuples of 13 multiplications each
+    with pytest.raises(FeasibilityExceeded):
+        product_family_check([fa, fb], 14)
+    assert formed == []
+    assert 2**13 * 12 <= PRODUCT_MUL_LIMIT  # k = 13 still runs exhaustively
+
+
 def test_product_family_check_single_tp_member():
     rng = random.Random(101)
     n, k = 3, 3
@@ -604,17 +654,20 @@ def _prediction(l_tag, u_tag):
         return type(exc), str(exc)
 
 
-def _assert_recognition_matches_oracle(flats, n):
-    """Each tag equals the refactorizing oracle's, and so does the
-    prediction (or its error) against itself and the previous vector."""
+def _assert_recognition_matches_oracle(flats, n, refactorize=True):
+    """Each tag equals the refactorizing oracle's, its JSON equals the
+    oracle's rendering with one entry per partial-chain pattern, and the
+    prediction (or its error) against itself and the previous vector
+    equals the oracle's.  ``refactorize=False`` spares the oracle its
+    refactorization of vectors that are canonical by construction."""
     prev = None
     canonical = set()
     for flat in flats:
         canonical.add(chain_layout(n).is_canonical(flat))
         fast = recognize_class(flat, n)
-        slow = refactorizing_recognize_class(flat, n)
+        slow = refactorizing_recognize_class(flat, n, refactorize)
         assert fast == slow, flat
-        assert fast.to_json_dict() == slow.to_json_dict(), flat
+        assert fast.to_json_dict() == per_psi_class_json(flat, n, refactorize), flat
         prev_fast, prev_slow = prev or (fast, slow)
         assert _prediction(fast, prev_fast) == _prediction(slow, prev_slow)
         assert _prediction(prev_fast, fast) == _prediction(prev_slow, slow)

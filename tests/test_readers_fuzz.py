@@ -8,6 +8,7 @@ and no exception escapes ``main``.
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -120,3 +121,27 @@ def test_network_reads_any_factorization_json(tmp_path, capsys, doc):
 @given(text=factor_text)
 def test_network_reads_any_factor_text(tmp_path, capsys, text):
     _check(tmp_path, capsys, "network", text)
+
+
+# a string, or a dict, where a list belongs exits 2 instead of being read
+# element by element into a matrix or a network
+STRING_FOR_LIST = [
+    ("classify", {"entries": ["12", "34"]}),
+    ("classify", {"entries": "1234"}),
+    ("classify", {"entries": [[1, 2], "34"]}),
+    ("classify", {"entries": {"1": [1, 2], "2": [3, 4]}}),
+    ("network", {"n": 2, "l": "1", "d": "12", "u": "0"}),
+    ("network", {"n": 2, "l": "1", "d": [1, 2], "u": [0]}),
+    ("network", {"n": 2, "l": [1], "d": "12", "u": [0]}),
+    ("network", {"n": 2, "l": [1], "d": [1, 2], "u": "0"}),
+    ("network", {"n": 2, "l": [1], "d": {"1": 1, "2": 2}, "u": [0]}),
+]
+
+
+@pytest.mark.parametrize("command, doc", STRING_FOR_LIST)
+def test_string_for_list_exits_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "ShapeMismatch"
