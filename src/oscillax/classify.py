@@ -19,7 +19,6 @@ tests and by ``verify``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
@@ -238,8 +237,7 @@ def is_oscillatory(a: Matrix, method: str = "all", cap: int | None = None) -> bo
     return values.pop()
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Combined verdicts with the decisive minors that produced them."""
 
     n: int

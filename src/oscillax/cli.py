@@ -7,7 +7,9 @@ parameters.  All randomness flows through one seed, taken from --seed
 or the OSCILLAX_SEED environment variable (flag wins).
 
 Each subcommand imports the modules only it runs, so a cold call compiles
-and loads no more than its own work needs.
+and loads no more than its own work needs.  The records those modules
+define are NamedTuples, so no call imports ``inspect`` or ``exec``s
+generated record methods at start-up.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import (
     corner_index_sets,
@@ -50,12 +50,14 @@ from .errors import (
     InvalidPsiPattern,
     InvariantViolation,
     NotITN,
+    NotNormalizable,
     NotOscillatory,
     ParamOutOfRange,
     ShapeMismatch,
     Unpredictable,
 )
 from .matrix import Matrix, check_scan_cap, mat_mul, mat_pow, minor
+from .rational import coerce_rational
 from .seb import (
     EBFactor,
     FactorizationClass,
@@ -257,8 +259,7 @@ def random_oscillatory_factorization(
 # -- class recognition -----------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class ClassMatch:
+class ClassMatch(NamedTuple):
     """One class support: family 'Z1' or 'Z2', parameter s, and ``psi``,
     the run (s, ..., s+t-1) that the partial chain of Z2(s), s >= 3, keeps
     in canonical form (None for Z1 and Z2(2))."""
@@ -296,8 +297,7 @@ def _class_supports(n: int):
             yield widths, "Z2", s, tuple(range(s, s + t))
 
 
-@dataclass(frozen=True)
-class ClassTag:
+class ClassTag(NamedTuple):
     """Recognition result for one triangular side of a factorization.
 
     ``exact`` and ``with_extras`` hold one :class:`ClassMatch` per class
@@ -343,11 +343,20 @@ def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
     flat = tuple(l_part_multipliers)
     if n is None:
         n = n_from_flat(flat)
-    part = SEBFactorization(n, flat, (_ONE,) * n, (_ZERO,) * multiplier_count(n))
-    layout = part.layout
-    if layout.is_canonical(part.l):
-        canon_l = part.l
+    # the checks SEBFactorization makes of a lower vector, without building one
+    if n < 2:
+        raise ShapeMismatch("factorizations require n >= 2")
+    k = multiplier_count(n)
+    lv = tuple(coerce_rational(x) for x in flat)
+    if len(lv) != k:
+        raise ShapeMismatch(f"flat multiplier vectors must have length {k}")
+    if any(x < 0 for x in lv):
+        raise NotNormalizable("multipliers must be nonnegative")
+    layout = chain_layout(n)
+    if layout.is_canonical(lv):
+        canon_l = lv
     else:
+        part = SEBFactorization(n, lv, (_ONE,) * n, (_ZERO,) * k)
         canon_l = neville_factorize(compose(part)).l
     positive = [x > 0 for x in canon_l]
     chains = [layout.chain(i) for i in range(2, n + 1)]
@@ -396,8 +405,7 @@ def plus_extra_tag(n: int, base: ClassMatch, extras: tuple[EBFactor, ...]) -> Cl
     )
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     kind: str  # 'exact' or 'upper_bound'
     value: int
 
@@ -530,8 +538,7 @@ def _corner_copies(flat, n: int) -> tuple[int | float, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class CornerZeroWitness:
+class CornerZeroWitness(NamedTuple):
     """A corner minor that still vanishes at the given power."""
 
     side: str
@@ -542,8 +549,7 @@ class CornerZeroWitness:
         return {"side": self.side, "size": self.size, "power": self.power}
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(NamedTuple):
     n: int
     r: int
     r_lower: int
@@ -720,8 +726,7 @@ def _is_tp_product(mats, combo, cap: int | None) -> bool:
     return is_tp_given_tn(prod)
 
 
-@dataclass(frozen=True)
-class ProductFamilyResult:
+class ProductFamilyResult(NamedTuple):
     all_tp: bool
     mode: str  # 'exhaustive' or 'sampled'
     checked: int

@@ -15,10 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     FeasibilityExceeded,
@@ -36,21 +35,44 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A strictly increasing tuple of 1-based indices."""
-
+class _IndexSetFields(NamedTuple):
     indices: tuple[int, ...]
 
-    def __post_init__(self):
-        idx = self.indices
-        if not idx:
+
+class IndexSet(_IndexSetFields):
+    """A strictly increasing tuple of 1-based indices.
+
+    Iteration and ``len`` run over the indices, not over the one-field
+    record, so the record helpers that would rebuild an instance from
+    ``tuple(self)`` are written out over ``indices``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, indices: tuple[int, ...]):
+        if not indices:
             raise ShapeMismatch("index set must be nonempty")
-        for a, b in zip(idx, idx[1:]):
+        for a, b in zip(indices, indices[1:]):
             if b <= a:
-                raise ShapeMismatch(f"indices must be strictly increasing: {idx}")
-        if idx[0] < 1:
-            raise IndexOutOfRange(f"indices are 1-based: {idx}")
+                raise ShapeMismatch(f"indices must be strictly increasing: {indices}")
+        if indices[0] < 1:
+            raise IndexOutOfRange(f"indices are 1-based: {indices}")
+        return tuple.__new__(cls, (indices,))
+
+    @classmethod
+    def _make(cls, iterable) -> "IndexSet":
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "IndexSet":
+        return type(self)(**{"indices": self.indices, **changes})
+
+    __replace__ = _replace
+
+    def _asdict(self) -> dict:
+        return {"indices": self.indices}
+
+    def __reduce__(self):
+        return type(self), (self.indices,)
 
     @classmethod
     def coerce(cls, value) -> "IndexSet":
@@ -291,8 +313,7 @@ def minor_levels(
         prev = table
 
 
-@dataclass(frozen=True)
-class CompoundMatrix:
+class CompoundMatrix(NamedTuple):
     """All p x p minors of an n x n matrix in lexicographic order."""
 
     p: int

@@ -22,8 +22,8 @@ tracks and raises :class:`FeasibilityExceeded` beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     FeasibilityExceeded,
@@ -50,38 +50,42 @@ COPIES_LAYER_LIMIT = 100_000
 DOT_LINE_LIMIT = 500_000
 
 
-@dataclass(frozen=True)
-class Layer:
-    """One elementary diagram: kind 'down', 'up', or 'scale'."""
-
+class _LayerFields(NamedTuple):
     kind: str
     index: int | None = None
     weight: Fraction | None = None
     weights: tuple[Fraction, ...] | None = None
 
-    def __post_init__(self):
-        if self.kind in ("down", "up"):
-            if self.index is None or self.weight is None:
+
+class Layer(_LayerFields):
+    """One elementary diagram: kind 'down', 'up', or 'scale'."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index=None, weight=None, weights=None):
+        if kind in ("down", "up"):
+            if index is None or weight is None:
                 raise ValueError("diagonal layers need an index and a weight")
-            object.__setattr__(self, "weight", coerce_rational(self.weight))
-        elif self.kind == "scale":
-            if self.weights is None:
+            weight = coerce_rational(weight)
+        elif kind == "scale":
+            if weights is None:
                 raise ValueError("scale layers need per-track weights")
-            object.__setattr__(
-                self, "weights", tuple(coerce_rational(x) for x in self.weights)
-            )
+            weights = tuple(coerce_rational(x) for x in weights)
         else:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
+            raise ValueError(f"unknown layer kind {kind!r}")
+        return tuple.__new__(cls, (kind, index, weight, weights))
+
+    @classmethod
+    def _make(cls, iterable) -> "Layer":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PlanarNetwork:
+class PlanarNetwork(NamedTuple):
     n: int
     layers: tuple[Layer, ...]
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     """Vertex-disjoint paths, each recorded as its track at every boundary."""
 
     paths: tuple[tuple[int, ...], ...]

@@ -27,9 +27,9 @@ import json
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     FeasibilityExceeded,
@@ -51,32 +51,38 @@ _ONE = Fraction(1)
 # -- elementary factors ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EBFactor:
+class _EBFactorFields(NamedTuple):
+    kind: str
+    index: int | None = None
+    multiplier: Fraction | None = None
+    diag: tuple[Fraction, ...] | None = None
+
+
+class EBFactor(_EBFactorFields):
     """One factor of a bidiagonal product.
 
     kind 'L' or 'U' carries (index, multiplier); kind 'D' carries the
     positive diagonal.
     """
 
-    kind: str
-    index: int | None = None
-    multiplier: Fraction | None = None
-    diag: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind in ("L", "U"):
-            if self.index is None or self.multiplier is None:
+    def __new__(cls, kind: str, index=None, multiplier=None, diag=None):
+        if kind in ("L", "U"):
+            if index is None or multiplier is None:
                 raise ValueError("L/U factors need an index and a multiplier")
-            object.__setattr__(self, "multiplier", coerce_rational(self.multiplier))
-        elif self.kind == "D":
-            if self.diag is None:
+            multiplier = coerce_rational(multiplier)
+        elif kind == "D":
+            if diag is None:
                 raise ValueError("D factor needs diagonal entries")
-            object.__setattr__(
-                self, "diag", tuple(coerce_rational(x) for x in self.diag)
-            )
+            diag = tuple(coerce_rational(x) for x in diag)
         else:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
+            raise ValueError(f"unknown factor kind {kind!r}")
+        return tuple.__new__(cls, (kind, index, multiplier, diag))
+
+    @classmethod
+    def _make(cls, iterable) -> "EBFactor":
+        return cls(*iterable)
 
     def matrix(self, n: int) -> Matrix:
         if self.kind == "D":
@@ -220,23 +226,25 @@ def chain_layout(n: int) -> ChainLayout:
     return ChainLayout(n)
 
 
-@dataclass(frozen=True)
-class SEBFactorization:
-    """Flat multipliers and diagonal of a successive bidiagonal product."""
-
+class _SEBFactorizationFields(NamedTuple):
     n: int
     l: tuple[Fraction, ...]
     d: tuple[Fraction, ...]
     u: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        n = self.n
+
+class SEBFactorization(_SEBFactorizationFields):
+    """Flat multipliers and diagonal of a successive bidiagonal product."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, l, d, u):
         if n < 2:
             raise ShapeMismatch("factorizations require n >= 2")
         k = multiplier_count(n)
-        lv = tuple(coerce_rational(x) for x in self.l)
-        uv = tuple(coerce_rational(x) for x in self.u)
-        dv = tuple(coerce_rational(x) for x in self.d)
+        lv = tuple(coerce_rational(x) for x in l)
+        uv = tuple(coerce_rational(x) for x in u)
+        dv = tuple(coerce_rational(x) for x in d)
         if len(lv) != k or len(uv) != k:
             raise ShapeMismatch(f"flat multiplier vectors must have length {k}")
         if len(dv) != n:
@@ -245,9 +253,11 @@ class SEBFactorization:
             raise NotNormalizable("multipliers must be nonnegative")
         if any(x <= 0 for x in dv):
             raise NotNormalizable("diagonal entries must be positive")
-        object.__setattr__(self, "l", lv)
-        object.__setattr__(self, "u", uv)
-        object.__setattr__(self, "d", dv)
+        return tuple.__new__(cls, (n, lv, dv, uv))
+
+    @classmethod
+    def _make(cls, iterable) -> "SEBFactorization":
+        return cls(*iterable)
 
     @property
     def k(self) -> int:
@@ -411,15 +421,14 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
 # -- packed views and groupings ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PackedParams:
+class PackedParams(NamedTuple):
     """Chain-sliced view of the flat multipliers over :class:`ChainLayout`
     (a derived view only); ``offsets`` are 1-based chain starts."""
 
     n: int
-    l_vectors: dict[int, tuple[Fraction, ...]] = field(repr=False)
-    u_vectors: dict[int, tuple[Fraction, ...]] = field(repr=False)
-    offsets: dict[int, int] = field(repr=False)
+    l_vectors: dict[int, tuple[Fraction, ...]]
+    u_vectors: dict[int, tuple[Fraction, ...]]
+    offsets: dict[int, int]
 
 
 def pack_parameters(f: SEBFactorization) -> PackedParams:
@@ -432,8 +441,7 @@ def pack_parameters(f: SEBFactorization) -> PackedParams:
     )
 
 
-@dataclass(frozen=True)
-class WQForm:
+class WQForm(NamedTuple):
     """Grouped rendering W_2 .. W_n D Q_n .. Q_2 with empty chains elided."""
 
     n: int

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import classify, is_oscillatory, is_tn, is_tp, is_tp_given_tn
 from .errors import FeasibilityExceeded, OscillaxError, ParamOutOfRange
@@ -119,17 +119,24 @@ def corpus_matrices() -> dict[str, Matrix]:
     }
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
-class SuiteResult:
+class _SuiteResultFields(NamedTuple):
     suite: str
-    cases: list[CaseResult] = field(default_factory=list)
+    cases: list[CaseResult]
+
+
+class SuiteResult(_SuiteResultFields):
+    """One suite's case results; :meth:`add` appends to ``cases``."""
+
+    __slots__ = ()
+
+    def __new__(cls, suite: str, cases: list[CaseResult] | None = None):
+        return tuple.__new__(cls, (suite, [] if cases is None else cases))
 
     @property
     def passed(self) -> int:

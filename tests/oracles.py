@@ -1,6 +1,5 @@
 """Independent reference implementations used only by the tests."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -391,8 +390,7 @@ def refactorizing_recognize_class(l_part_multipliers, n=None, refactorize=True):
     if n is None:
         n = n_from_flat(flat)
     tag = _per_psi_recognize_class(flat, n, refactorize)
-    return dataclasses.replace(
-        tag,
+    return tag._replace(
         exact=tuple(dict.fromkeys(map(_run_form, tag.exact))),
         with_extras=tuple(dict.fromkeys((_run_form(m), e) for m, e in tag.with_extras)),
     )

@@ -182,38 +182,51 @@ def test_public_names_resolve_to_their_defining_objects():
 
 NO_EXPONENT = ("oscillax.exponent", "oscillax.planar", "oscillax.verify")
 NO_PLANAR = ("oscillax.planar", "oscillax.verify")
+# Records are NamedTuples: no call may pay for the dataclass machinery.
+NO_DATACLASSES = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize(
     "argv, input_kind, forbidden",
     [
+        (None, None, ("oscillax.seb", *NO_EXPONENT)),
         (["classify"], "matrix", NO_EXPONENT),
         (["factorize"], "matrix", NO_EXPONENT),
         (["network", "--copies", "2"], "factorization", ("oscillax.exponent", "oscillax.verify")),
         (["exponent", "--method", "brute"], "matrix", NO_PLANAR),
         (["exponent", "--method", "theorem"], "matrix", NO_PLANAR),
         (["exponent", "--method", "predict"], "matrix", NO_PLANAR),
+        (["generate", "--class", "z2", "--n", "5", "--s", "3", "--full"], None, NO_PLANAR),
+        (["verify", "--suite", "paper"], None, ()),
     ],
-    ids=["classify", "factorize", "network", "brute", "theorem", "predict"],
+    ids=["import", "classify", "factorize", "network", "brute", "theorem", "predict",
+         "generate", "verify"],
 )
 def test_subcommand_loads_only_what_it_runs(tmp_path, argv, input_kind, forbidden):
-    path = tmp_path / "input.json"
-    if input_kind == "matrix":
-        path.write_text(dumps_matrix(M["exp4"]))
-    else:
-        path.write_text(dumps_factorization(neville_factorize(M["exp4"])))
+    """`argv` None is a bare `import oscillax`."""
+    call = "0"
+    if argv is not None:
+        if input_kind is not None:
+            path = tmp_path / "input.json"
+            if input_kind == "matrix":
+                path.write_text(dumps_matrix(M["exp4"]))
+            else:
+                path.write_text(dumps_factorization(neville_factorize(M["exp4"])))
+            argv = [*argv, "--input", str(path)]
+        call = f"importlib.import_module('oscillax.cli').main({argv!r})"
     out = run_fresh(
         f"""
-        import contextlib, io, json, sys
-        from oscillax.cli import main
+        import contextlib, importlib, io, json, sys
+        import oscillax
 
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main({[*argv, "--input", str(path)]!r})
+            code = {call}
         print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
         """
     )
     result = json.loads(out)
     assert result["code"] == 0
     loaded = set(result["modules"])
-    assert "oscillax.cli" in loaded
-    assert not loaded & set(forbidden), sorted(loaded & set(forbidden))
+    assert ("oscillax.cli" in loaded) == (argv is not None)
+    unwanted = loaded & {*forbidden, *NO_DATACLASSES}
+    assert not unwanted, sorted(unwanted)

@@ -1,0 +1,316 @@
+"""The record contract: every public record is an immutable NamedTuple whose
+repr, equality, hashing and validation read as they did when the records
+were frozen dataclasses.
+
+The repr strings are pinned literals recorded from the dataclass records;
+payloads and error messages embed them, so a change here shows up in the
+CLI's output.
+"""
+
+import copy
+import importlib
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from oscillax.classify import CornerSpec, MinorWitness, ScanVerdict, classify
+from oscillax.errors import (
+    IndexOutOfRange,
+    MalformedNumber,
+    NotNormalizable,
+    ShapeMismatch,
+)
+from oscillax.exponent import (
+    ClassMatch,
+    CornerZeroWitness,
+    ProductFamilyResult,
+    exponent_bruteforce,
+    predict_exponent,
+    recognize_class,
+)
+from oscillax.matrix import IndexSet, Matrix, multiplicative_compound
+from oscillax.planar import Layer, build_network, enumerate_path_families
+from oscillax.seb import (
+    EBFactor,
+    SEBFactorization,
+    ebd,
+    ebl,
+    neville_factorize,
+    pack_parameters,
+    w_q_form,
+)
+from oscillax.verify import CaseResult, SuiteResult
+
+
+def _records() -> dict:
+    a = Matrix([[1, 1], [1, 2]])
+    f = neville_factorize(a)
+    tag = recognize_class((1, 1, 1), 3)
+    net = build_network(f)
+    suite = SuiteResult("demo")
+    suite.add("passes", lambda: None)
+
+    def fails():
+        raise AssertionError("boom")
+
+    suite.add("fails", fails)
+    return {
+        "IndexSet": IndexSet((1, 3)),
+        "CompoundMatrix": multiplicative_compound(a, 2),
+        "ClassificationReport": classify(Matrix([[1, 2], [3, 1]])),
+        "EBFactor-L": ebl(2, Fraction(1, 2)),
+        "EBFactor-D": ebd((1, 2)),
+        "SEBFactorization": f,
+        "PackedParams": pack_parameters(f),
+        "WQForm": w_q_form(f),
+        "ClassMatch": ClassMatch("Z2", 3, (3,)),
+        "ClassTag": tag,
+        "Prediction": predict_exponent(tag, tag),
+        "CornerZeroWitness": CornerZeroWitness("lower-left", 2, 1),
+        "ExponentReport": exponent_bruteforce(a),
+        "ProductFamilyResult": ProductFamilyResult(False, "exhaustive", 4, (0, 1)),
+        "Layer-down": Layer("down", 2, 1),
+        "Layer-scale": Layer("scale", weights=(1, 2)),
+        "PlanarNetwork": net,
+        "PathFamily": enumerate_path_families(net, (1,), (2,))[0],
+        "CaseResult": CaseResult("x", False, "why"),
+        "SuiteResult": suite,
+        "MinorWitness": MinorWitness((1,), (2,), Fraction(-1, 2)),
+        "ScanVerdict": ScanVerdict(True, None),
+        "CornerSpec": CornerSpec("upper-right", 2),
+    }
+
+
+RECORDS = _records()
+
+# Recorded from the dataclass records.  PackedParams is the one change: the
+# dataclass hid its three dict fields from the repr.
+REPRS = {
+    "IndexSet": "IndexSet(indices=(1, 3))",
+    "CompoundMatrix": "CompoundMatrix(p=2, base_n=2, data=Matrix(1x1: 1))",
+    "ClassificationReport": (
+        "ClassificationReport(n=2, is_tn=False, is_invertible=True, is_tp=False, "
+        "is_oscillatory=False, is_basic_oscillatory=None, "
+        "tn_witness=MinorWitness(rows=(1, 2), cols=(1, 2), value=Fraction(-5, 1)), "
+        "tp_witness=MinorWitness(rows=(1, 2), cols=(1, 2), value=Fraction(-5, 1)))"
+    ),
+    "EBFactor-L": "EBFactor(kind='L', index=2, multiplier=Fraction(1, 2), diag=None)",
+    "EBFactor-D": (
+        "EBFactor(kind='D', index=None, multiplier=None, "
+        "diag=(Fraction(1, 1), Fraction(2, 1)))"
+    ),
+    "SEBFactorization": (
+        "SEBFactorization(n=2, l=(Fraction(1, 1),), d=(Fraction(1, 1), Fraction(1, 1)), "
+        "u=(Fraction(1, 1),))"
+    ),
+    "PackedParams": (
+        "PackedParams(n=2, l_vectors={2: (Fraction(1, 1),)}, "
+        "u_vectors={2: (Fraction(1, 1),)}, offsets={2: 1})"
+    ),
+    "WQForm": (
+        "WQForm(n=2, w_groups=((2, (Fraction(1, 1),)),), d=(Fraction(1, 1), Fraction(1, 1)), "
+        "q_groups=((2, (Fraction(1, 1),)),), show_d=False)"
+    ),
+    "ClassMatch": "ClassMatch(family='Z2', s=3, psi=(3,))",
+    "ClassTag": (
+        "ClassTag(n=3, family='Z1', s=3, psi_pattern=None, extras=(), "
+        "exact=(ClassMatch(family='Z1', s=3, psi=None), ClassMatch(family='Z2', s=2, psi=None)), "
+        "with_extras=((ClassMatch(family='Z1', s=2, psi=None), "
+        "(EBFactor(kind='L', index=3, multiplier=Fraction(1, 1), diag=None),)), "
+        "(ClassMatch(family='Z2', s=3, psi=()), "
+        "(EBFactor(kind='L', index=3, multiplier=Fraction(1, 1), diag=None),))))"
+    ),
+    "Prediction": "Prediction(kind='exact', value=1)",
+    "CornerZeroWitness": "CornerZeroWitness(side='lower-left', size=2, power=1)",
+    "ExponentReport": (
+        "ExponentReport(n=2, r=1, r_lower=1, r_upper=1, method='bruteforce', "
+        "l_class=ClassTag(n=2, family='Z1', s=2, psi_pattern=None, extras=(), "
+        "exact=(ClassMatch(family='Z1', s=2, psi=None), ClassMatch(family='Z2', s=2, psi=None)), "
+        "with_extras=()), "
+        "u_class=ClassTag(n=2, family='Z1', s=2, psi_pattern=None, extras=(), "
+        "exact=(ClassMatch(family='Z1', s=2, psi=None), ClassMatch(family='Z2', s=2, psi=None)), "
+        "with_extras=()), witness_power=Matrix(2x2: 1 1; 1 2), zero_witness=None)"
+    ),
+    "ProductFamilyResult": (
+        "ProductFamilyResult(all_tp=False, mode='exhaustive', checked=4, counterexample=(0, 1))"
+    ),
+    "Layer-down": "Layer(kind='down', index=2, weight=Fraction(1, 1), weights=None)",
+    "Layer-scale": (
+        "Layer(kind='scale', index=None, weight=None, weights=(Fraction(1, 1), Fraction(2, 1)))"
+    ),
+    "PlanarNetwork": (
+        "PlanarNetwork(n=2, layers=(Layer(kind='down', index=2, weight=Fraction(1, 1), "
+        "weights=None), Layer(kind='scale', index=None, weight=None, "
+        "weights=(Fraction(1, 1), Fraction(1, 1))), Layer(kind='up', index=2, "
+        "weight=Fraction(1, 1), weights=None)))"
+    ),
+    "PathFamily": "PathFamily(paths=((1, 1, 1, 2),), weight=Fraction(1, 1))",
+    "CaseResult": "CaseResult(name='x', ok=False, detail='why')",
+    "SuiteResult": (
+        "SuiteResult(suite='demo', cases=[CaseResult(name='passes', ok=True, detail=''), "
+        "CaseResult(name='fails', ok=False, detail='boom')])"
+    ),
+    "MinorWitness": "MinorWitness(rows=(1,), cols=(2,), value=Fraction(-1, 2))",
+    "ScanVerdict": "ScanVerdict(ok=True, witness=None)",
+    "CornerSpec": "CornerSpec(side='upper-right', size=2)",
+}
+
+# Records holding a dict or a list were unhashable before too.  CaseResult,
+# a mutable dataclass before, is the one record that became hashable.
+UNHASHABLE = {"PackedParams", "SuiteResult"}
+
+
+def _fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in type(record)._fields)
+
+
+def test_every_record_is_covered():
+    assert RECORDS.keys() == REPRS.keys()
+    public = set()
+    for home in ("matrix", "classify", "seb", "exponent", "planar", "verify"):
+        module = importlib.import_module("oscillax." + home)
+        public |= {
+            obj
+            for name, obj in vars(module).items()
+            if isinstance(obj, type)
+            and issubclass(obj, tuple)
+            and obj.__module__ == module.__name__
+            and not name.startswith("_")
+        }
+    assert public == {type(r) for r in RECORDS.values()}
+
+
+def test_distinct_records_are_unequal():
+    records = list(RECORDS.values())
+    for i, a in enumerate(records):
+        assert all(a != b for b in records[i + 1 :]), a
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_repr_matches_the_dataclass_record(name):
+    assert repr(RECORDS[name]) == REPRS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_equality_and_hash(name):
+    record = RECORDS[name]
+    again = _records()[name]
+    assert record == again and not record != again
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        # a frozen dataclass hashed the tuple of its field values
+        assert hash(record) == hash(again) == hash(_fields(record))
+
+
+def test_records_compare_as_tuples():
+    assert CornerZeroWitness("lower-left", 2, 1) == ("lower-left", 2, 1)
+    assert ClassMatch("Z1", 3, None) < ClassMatch("Z2", 2, None)
+    assert sorted([ClassMatch("Z2", 3, (3,)), ClassMatch("Z2", 3, ())]) == [
+        ClassMatch("Z2", 3, ()),
+        ClassMatch("Z2", 3, (3,)),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_attribute_assignment_raises(name):
+    record = RECORDS[name]
+    first = type(record)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_pickle_and_copy_round_trip(name):
+    record = RECORDS[name]
+    # protocols 0 and 1 cannot pickle the slotted Matrix inside some records
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is type(record) and back == record, protocol
+    for clone in (copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record
+        assert repr(clone) == repr(record)
+
+
+def test_index_set_keeps_its_sequence_view():
+    s = IndexSet((2, 4, 5))
+    assert list(s) == [2, 4, 5] and len(s) == 3
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(s, protocol)) == s
+    assert s._asdict() == {"indices": (2, 4, 5)}
+    assert s._replace() == s
+    assert s._replace(indices=(1,)) == IndexSet((1,))
+    assert IndexSet._make([(3,)]) == IndexSet((3,))
+    with pytest.raises(ShapeMismatch):
+        s._replace(indices=(2, 1))
+
+
+def test_replace_runs_the_validating_constructors():
+    assert ebl(2, 1)._replace(multiplier="1/2").multiplier == Fraction(1, 2)
+    assert Layer("up", 2, 1)._replace(weight="3").weight == Fraction(3)
+    f = RECORDS["SEBFactorization"]
+    assert f._replace(l=("2",)).l == (Fraction(2),)
+    with pytest.raises(NotNormalizable, match="multipliers must be nonnegative"):
+        f._replace(u=(-1,))
+    with pytest.raises(ValueError, match="unknown factor kind"):
+        ebl(2, 1)._replace(kind="X")
+    assert SuiteResult("s")._replace(suite="t") == SuiteResult("t", [])
+
+
+def test_suite_results_do_not_share_their_case_lists():
+    a, b = SuiteResult("a"), SuiteResult("b")
+    a.add("one", lambda: None)
+    assert len(a.cases) == 1 and b.cases == []
+
+
+VALIDATION = [
+    (lambda: IndexSet(()), ShapeMismatch, "index set must be nonempty"),
+    (lambda: IndexSet((2, 2)), ShapeMismatch, "indices must be strictly increasing: (2, 2)"),
+    (lambda: IndexSet((0, 1)), IndexOutOfRange, "indices are 1-based: (0, 1)"),
+    (lambda: EBFactor("L", 2), ValueError, "L/U factors need an index and a multiplier"),
+    (lambda: EBFactor("U", multiplier=1), ValueError, "L/U factors need an index and a multiplier"),
+    (lambda: EBFactor("D"), ValueError, "D factor needs diagonal entries"),
+    (lambda: EBFactor("X"), ValueError, "unknown factor kind 'X'"),
+    (lambda: EBFactor("L", 2, "x"), MalformedNumber, "not an integer, fraction, or finite decimal: 'x'"),
+    (lambda: SEBFactorization(1, (), (1,), ()), ShapeMismatch, "factorizations require n >= 2"),
+    (
+        lambda: SEBFactorization(2, (1, 1), (1, 1), (1,)),
+        ShapeMismatch,
+        "flat multiplier vectors must have length 1",
+    ),
+    (lambda: SEBFactorization(2, (1,), (1,), (1,)), ShapeMismatch, "diagonal must have length 2"),
+    (
+        lambda: SEBFactorization(2, (-1,), (1, 1), (1,)),
+        NotNormalizable,
+        "multipliers must be nonnegative",
+    ),
+    (
+        lambda: SEBFactorization(2, (1,), (1, 0), (1,)),
+        NotNormalizable,
+        "diagonal entries must be positive",
+    ),
+    (lambda: Layer("down", 1), ValueError, "diagonal layers need an index and a weight"),
+    (lambda: Layer("scale"), ValueError, "scale layers need per-track weights"),
+    (lambda: Layer("x"), ValueError, "unknown layer kind 'x'"),
+    (lambda: recognize_class((1,), 1), ShapeMismatch, "factorizations require n >= 2"),
+    (lambda: recognize_class((1, 1), 3), ShapeMismatch, "flat multiplier vectors must have length 3"),
+    (lambda: recognize_class((1, -1, 1), 3), NotNormalizable, "multipliers must be nonnegative"),
+    (
+        lambda: recognize_class(("x", 1, 1), 3),
+        MalformedNumber,
+        "not an integer, fraction, or finite decimal: 'x'",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, exc_type, message", VALIDATION)
+def test_validation_errors_keep_type_and_message(build, exc_type, message):
+    with pytest.raises(exc_type) as info:
+        build()
+    assert type(info.value) is exc_type
+    assert str(info.value) == message

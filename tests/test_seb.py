@@ -462,7 +462,8 @@ def test_normalize_matches_dense_rebuild(monkeypatch):
     monkeypatch.setattr(seb, "_word_product", dense_word_product)
     dense = [_normalization_outcome(word, n) for n, word in cases]
     assert column_ops == dense
-    kinds = {o[0] if isinstance(o, tuple) else "ok" for o in column_ops}
+    # outcomes are factorizations (NamedTuples) or plain (name, message) tuples
+    kinds = {o[0] if type(o) is tuple else "ok" for o in column_ops}
     assert kinds == {"ok", "NotNormalizable"}
 
 
