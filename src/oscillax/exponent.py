@@ -50,19 +50,18 @@ from .errors import (
     InvalidPsiPattern,
     InvariantViolation,
     NotITN,
-    NotNormalizable,
     NotOscillatory,
     ParamOutOfRange,
     ShapeMismatch,
     Unpredictable,
 )
 from .matrix import Matrix, check_scan_cap, mat_mul, mat_pow, minor
-from .rational import coerce_rational
 from .seb import (
     EBFactor,
     FactorizationClass,
     SEBFactorization,
     chain_layout,
+    checked_vectors,
     classify_factorization,
     compose,
     ebl,
@@ -343,15 +342,8 @@ def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
     flat = tuple(l_part_multipliers)
     if n is None:
         n = n_from_flat(flat)
-    # the checks SEBFactorization makes of a lower vector, without building one
-    if n < 2:
-        raise ShapeMismatch("factorizations require n >= 2")
-    k = multiplier_count(n)
-    lv = tuple(coerce_rational(x) for x in flat)
-    if len(lv) != k:
-        raise ShapeMismatch(f"flat multiplier vectors must have length {k}")
-    if any(x < 0 for x in lv):
-        raise NotNormalizable("multipliers must be nonnegative")
+    (lv,), _ = checked_vectors(n, (flat,))
+    k = len(lv)
     layout = chain_layout(n)
     if layout.is_canonical(lv):
         canon_l = lv

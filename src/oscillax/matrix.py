@@ -164,6 +164,9 @@ class Matrix:
     def __hash__(self):
         return hash(self._rows)
 
+    def __reduce__(self):
+        return type(self), (self._rows,)
+
     def __repr__(self):
         body = "; ".join(
             " ".join(format_rational(x) for x in row) for row in self._rows

@@ -1,10 +1,14 @@
 """Layered planar networks whose disjoint-path weights are matrix minors.
 
 A network has n horizontal tracks, numbered 1 (bottom) to n (top), and a
-sequence of layers read left to right.  Every layer carries an implicit
-weight-one horizontal edge on each track; a ``down`` layer adds one
-diagonal from track i to track i-1, an ``up`` layer one from i-1 to i,
-and a ``scale`` layer reweights the horizontals by a positive diagonal.
+sequence of layers read left to right.  Each layer is the diagram of one
+elementary factor (:class:`~oscillax.seb.EBFactor`), so a network is a
+factor word.  Every layer carries an implicit weight-one horizontal edge
+on each track; an ``L_i`` layer adds one diagonal from track i to track
+i-1 and a ``U_i`` layer one from i-1 to i (:attr:`EBFactor.tracks`),
+weighted by the factor's multiplier, and a ``D`` layer reweights the
+horizontals by its positive diagonal.  The JSON and DOT forms keep the
+diagram names: ``down``, ``up`` and ``horizontal``.
 
 The weight of a family of vertex-disjoint source-to-sink paths is the
 product of its edge weights; summed over all families it equals the
@@ -33,8 +37,8 @@ from .errors import (
     TrackMismatch,
 )
 from .matrix import IndexSet, SCAN_CAP_DEFAULT
-from .rational import coerce_rational, format_rational
-from .seb import SEBFactorization
+from .rational import format_rational
+from .seb import EBFactor, SEBFactorization
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -50,39 +54,9 @@ COPIES_LAYER_LIMIT = 100_000
 DOT_LINE_LIMIT = 500_000
 
 
-class _LayerFields(NamedTuple):
-    kind: str
-    index: int | None = None
-    weight: Fraction | None = None
-    weights: tuple[Fraction, ...] | None = None
-
-
-class Layer(_LayerFields):
-    """One elementary diagram: kind 'down', 'up', or 'scale'."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, index=None, weight=None, weights=None):
-        if kind in ("down", "up"):
-            if index is None or weight is None:
-                raise ValueError("diagonal layers need an index and a weight")
-            weight = coerce_rational(weight)
-        elif kind == "scale":
-            if weights is None:
-                raise ValueError("scale layers need per-track weights")
-            weights = tuple(coerce_rational(x) for x in weights)
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-        return tuple.__new__(cls, (kind, index, weight, weights))
-
-    @classmethod
-    def _make(cls, iterable) -> "Layer":
-        return cls(*iterable)
-
-
 class PlanarNetwork(NamedTuple):
     n: int
-    layers: tuple[Layer, ...]
+    layers: tuple[EBFactor, ...]
 
 
 class PathFamily(NamedTuple):
@@ -93,21 +67,12 @@ class PathFamily(NamedTuple):
 
 
 def build_network(f: SEBFactorization) -> PlanarNetwork:
-    """Concatenate the elementary diagrams of a factorization in order.
+    """The factors of a factorization in product order, one layer each.
 
     Factors with zero multiplier are identities and contribute no layer;
-    the diagonal always contributes its scale layer.
+    the diagonal always contributes its layer.
     """
-    n = f.n
-    layers: list[Layer] = []
-    for fac in f.factor_sequence():
-        if fac.kind == "L":
-            layers.append(Layer("down", index=fac.index, weight=fac.multiplier))
-        elif fac.kind == "U":
-            layers.append(Layer("up", index=fac.index, weight=fac.multiplier))
-        else:
-            layers.append(Layer("scale", weights=fac.diag))
-    return PlanarNetwork(n=n, layers=tuple(layers))
+    return PlanarNetwork(f.n, f.factor_sequence())
 
 
 def concat(net1: PlanarNetwork, net2: PlanarNetwork) -> PlanarNetwork:
@@ -131,9 +96,9 @@ def concat_copies(net: PlanarNetwork, copies: int) -> PlanarNetwork:
 
 
 def strip_u_diagonals(net: PlanarNetwork) -> PlanarNetwork:
-    """Drop every upward diagonal; up layers become identities and vanish."""
+    """Drop every upward diagonal; U layers become identities and vanish."""
     return PlanarNetwork(
-        n=net.n, layers=tuple(l for l in net.layers if l.kind != "up")
+        n=net.n, layers=tuple(l for l in net.layers if l.kind != "U")
     )
 
 
@@ -171,27 +136,25 @@ def _sweep(
     to the summed weight of the disjoint partial families ending there;
     the result is the same map at the right boundary.
     """
-    for layer in layers:
+    for fac in layers:
         ndp: dict[tuple[int, ...], Fraction] = {}
-        if layer.kind == "scale":
-            w = layer.weights
+        if fac.kind == "D":
+            w = fac.diag
             for state, acc in dp.items():
                 factor = _ONE
                 for t in state:
                     factor *= w[t - 1]
                 ndp[state] = ndp.get(state, _ZERO) + acc * factor
         else:
-            i = layer.index
-            down = layer.kind == "down"
-            src_track = i if down else i - 1
-            dst_track = i - 1 if down else i
+            src_track, dst_track = fac.tracks
+            weight = fac.multiplier
             for state, acc in dp.items():
                 ndp[state] = ndp.get(state, _ZERO) + acc
                 if src_track in state and dst_track not in state:
                     moved = tuple(
                         sorted(dst_track if t == src_track else t for t in state)
                     )
-                    ndp[moved] = ndp.get(moved, _ZERO) + acc * layer.weight
+                    ndp[moved] = ndp.get(moved, _ZERO) + acc * weight
         dp = ndp
     return dp
 
@@ -222,24 +185,21 @@ def enumerate_path_families(
                 )
                 families.append(PathFamily(paths=paths, weight=weight))
             return
-        layer = net.layers[depth]
+        fac = net.layers[depth]
         moves: list[tuple[tuple[int, ...], Fraction]] = [(positions, _ONE)]
-        if layer.kind == "scale":
+        if fac.kind == "D":
             factor = _ONE
             for t in positions:
-                factor *= layer.weights[t - 1]
+                factor *= fac.diag[t - 1]
             moves = [(positions, factor)]
         else:
-            i = layer.index
-            down = layer.kind == "down"
-            src_track = i if down else i - 1
-            dst_track = i - 1 if down else i
+            src_track, dst_track = fac.tracks
             if src_track in positions and dst_track not in positions:
                 moved = tuple(
                     dst_track if t == src_track else t for t in positions
                 )
                 moved = tuple(sorted(moved))
-                moves.append((moved, layer.weight))
+                moves.append((moved, fac.multiplier))
         for nxt, factor in moves:
             trajectory.append(list(nxt))
             advance(depth + 1, nxt, weight * factor)
@@ -269,18 +229,20 @@ def min_copies_lower_corner(net: PlanarNetwork, c: int):
     One path sweep continues copy by copy from the corner's sources, so
     k copies cost k single-copy sweeps in total, not 1 + 2 + ... + k.
     Both the n-1 bound and reading "no family" off a zero sum need
-    nonnegative diagonal weights and positive scale weights; other
-    weights raise :class:`ParamOutOfRange`.
+    nonnegative L/U multipliers and a positive D diagonal; other weights
+    raise :class:`ParamOutOfRange`.
     """
     n = net.n
     sources, sinks = lower_corner_tracks(n, c)
-    for layer in net.layers:
-        if layer.kind == "scale":
-            if any(x <= 0 for x in layer.weights):
+    for fac in net.layers:
+        if fac.kind == "D":
+            if any(x <= 0 for x in fac.diag):
                 raise ParamOutOfRange("copy counting needs positive scale weights")
-        elif layer.weight < 0:
+        elif fac.multiplier < 0:
             raise ParamOutOfRange("copy counting needs nonnegative diagonal weights")
-    down_levels = {l.index for l in net.layers if l.kind == "down" and l.weight > 0}
+    down_levels = {
+        fac.index for fac in net.layers if fac.kind == "L" and fac.multiplier > 0
+    }
     if not set(range(2, n + 1)) <= down_levels:
         return INFINITE_COPIES
     if n > SCAN_CAP_DEFAULT:
@@ -301,18 +263,20 @@ def min_copies_lower_corner(net: PlanarNetwork, c: int):
 
 
 def network_to_json_dict(net: PlanarNetwork) -> dict:
+    """Layers as diagrams: ``L``, ``U`` and ``D`` factors are written
+    ``down``, ``up`` and ``horizontal``."""
     layers = []
-    for layer in net.layers:
-        if layer.kind == "scale":
+    for fac in net.layers:
+        if fac.kind == "D":
             layers.append(
-                {"diag": "horizontal", "d": [format_rational(x) for x in layer.weights]}
+                {"diag": "horizontal", "d": [format_rational(x) for x in fac.diag]}
             )
         else:
             layers.append(
                 {
-                    "diag": layer.kind,
-                    "i": layer.index,
-                    "w": format_rational(layer.weight),
+                    "diag": "down" if fac.kind == "L" else "up",
+                    "i": fac.index,
+                    "w": format_rational(fac.multiplier),
                 }
             )
     return {"n": net.n, "layers": layers}
@@ -337,19 +301,17 @@ def export_dot(net: PlanarNetwork) -> str:
     for col in range(cols):
         names = "; ".join(f"c{col}_t{t}" for t in range(1, n + 1))
         lines.append(f"  {{ rank=same; {names}; }}")
-    for col, layer in enumerate(net.layers):
+    for col, fac in enumerate(net.layers):
         for t in range(1, n + 1):
             label = ""
-            if layer.kind == "scale" and layer.weights[t - 1] != 1:
-                label = f' [label="{format_rational(layer.weights[t - 1])}"]'
+            if fac.kind == "D" and fac.diag[t - 1] != 1:
+                label = f' [label="{format_rational(fac.diag[t - 1])}"]'
             lines.append(f"  c{col}_t{t} -> c{col + 1}_t{t}{label};")
-        if layer.kind in ("down", "up"):
-            i = layer.index
-            src = i if layer.kind == "down" else i - 1
-            dst = i - 1 if layer.kind == "down" else i
+        if fac.kind != "D":
+            src, dst = fac.tracks
             label = ""
-            if layer.weight != 1:
-                label = f' [label="{format_rational(layer.weight)}"]'
+            if fac.multiplier != 1:
+                label = f' [label="{format_rational(fac.multiplier)}"]'
             lines.append(f"  c{col}_t{src} -> c{col + 1}_t{dst}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"

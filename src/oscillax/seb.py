@@ -84,6 +84,14 @@ class EBFactor(_EBFactorFields):
     def _make(cls, iterable) -> "EBFactor":
         return cls(*iterable)
 
+    @property
+    def tracks(self) -> tuple[int, int]:
+        """(source, destination) of an L/U factor's diagonal edge: L_i
+        joins track i to i-1, U_i joins i-1 to i.  As a right factor it
+        adds its multiplier times column source to column destination."""
+        i = self.index
+        return (i, i - 1) if self.kind == "L" else (i - 1, i)
+
     def matrix(self, n: int) -> Matrix:
         if self.kind == "D":
             if len(self.diag) != n:
@@ -226,6 +234,30 @@ def chain_layout(n: int) -> ChainLayout:
     return ChainLayout(n)
 
 
+def checked_vectors(n: int, flats, diag=None):
+    """Coerce and check the flat multiplier vectors ``flats`` of a
+    dimension-n factorization and, when given, its diagonal.
+
+    The first failing check raises, in this order: n >= 2; every entry a
+    rational; each flat of length :func:`multiplier_count`; the diagonal
+    of length n; no negative multiplier; a positive diagonal.
+    """
+    if n < 2:
+        raise ShapeMismatch("factorizations require n >= 2")
+    k = multiplier_count(n)
+    vectors = tuple(tuple(coerce_rational(x) for x in flat) for flat in flats)
+    d = None if diag is None else tuple(coerce_rational(x) for x in diag)
+    if any(len(v) != k for v in vectors):
+        raise ShapeMismatch(f"flat multiplier vectors must have length {k}")
+    if d is not None and len(d) != n:
+        raise ShapeMismatch(f"diagonal must have length {n}")
+    if any(x < 0 for v in vectors for x in v):
+        raise NotNormalizable("multipliers must be nonnegative")
+    if d is not None and any(x <= 0 for x in d):
+        raise NotNormalizable("diagonal entries must be positive")
+    return vectors, d
+
+
 class _SEBFactorizationFields(NamedTuple):
     n: int
     l: tuple[Fraction, ...]
@@ -239,20 +271,7 @@ class SEBFactorization(_SEBFactorizationFields):
     __slots__ = ()
 
     def __new__(cls, n: int, l, d, u):
-        if n < 2:
-            raise ShapeMismatch("factorizations require n >= 2")
-        k = multiplier_count(n)
-        lv = tuple(coerce_rational(x) for x in l)
-        uv = tuple(coerce_rational(x) for x in u)
-        dv = tuple(coerce_rational(x) for x in d)
-        if len(lv) != k or len(uv) != k:
-            raise ShapeMismatch(f"flat multiplier vectors must have length {k}")
-        if len(dv) != n:
-            raise ShapeMismatch(f"diagonal must have length {n}")
-        if any(x < 0 for x in lv) or any(x < 0 for x in uv):
-            raise NotNormalizable("multipliers must be nonnegative")
-        if any(x <= 0 for x in dv):
-            raise NotNormalizable("diagonal entries must be positive")
+        (lv, uv), dv = checked_vectors(n, (l, u), d)
         return tuple.__new__(cls, (n, lv, dv, uv))
 
     @classmethod
@@ -298,8 +317,8 @@ def identity_factorization(n: int) -> SEBFactorization:
 def _add_column(rows: list[list[Fraction]], dst: int, src: int, q: Fraction) -> None:
     """Column ``dst`` += q * column ``src`` (0-based), in place.
 
-    This is right-multiplication by one elementary factor: L_j(q) is
-    ``dst = j-2, src = j-1`` and U_j(q) is ``dst = j-1, src = j-2``.
+    This is right-multiplication by one elementary factor whose
+    :attr:`EBFactor.tracks` are ``(src + 1, dst + 1)``.
     """
     for row in rows:
         row[dst] += q * row[src]
@@ -341,10 +360,9 @@ def _word_product(factors, n: int) -> Matrix:
     for fac in factors:
         if fac.kind == "D":
             _scale_columns(rows, fac.diag)
-        elif fac.kind == "L":
-            _add_column(rows, fac.index - 2, fac.index - 1, fac.multiplier)
         else:
-            _add_column(rows, fac.index - 1, fac.index - 2, fac.multiplier)
+            src, dst = fac.tracks
+            _add_column(rows, dst - 1, src - 1, fac.multiplier)
     return Matrix(rows)
 
 

@@ -521,7 +521,7 @@ def _generate_member(
     return generate_z2(n, s, members, seed)
 
 
-def suite_products(cases: int = 20, seed: int = 0, nmax: int = 5) -> SuiteResult:
+def suite_products(nmax: int = 5, cases: int = 20, seed: int = 0) -> SuiteResult:
     """Ordered k-fold products of class-sharing members are all totally
     positive exactly from the formula threshold onward."""
     res = SuiteResult("products")
@@ -557,7 +557,7 @@ def suite_products(cases: int = 20, seed: int = 0, nmax: int = 5) -> SuiteResult
     return res
 
 
-def suite_bounds(cases: int = 20, seed: int = 0, nmax: int = 6) -> SuiteResult:
+def suite_bounds(nmax: int = 6, cases: int = 20, seed: int = 0) -> SuiteResult:
     """A pure class on one side and extra factors on the other bound the
     exponent from above by the pure formula value."""
     res = SuiteResult("bounds")
@@ -622,8 +622,8 @@ SUITE_BUILDERS = {
     "paper": lambda nmax, cases, seed: suite_paper(),
     "z1": suite_z1,
     "z2": suite_z2,
-    "products": lambda nmax, cases, seed: suite_products(cases, seed, nmax),
-    "bounds": lambda nmax, cases, seed: suite_bounds(cases, seed, nmax),
+    "products": suite_products,
+    "bounds": suite_bounds,
 }
 
 

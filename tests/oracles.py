@@ -247,7 +247,7 @@ def min_copies_restart(net, c):
     descent, whatever its weight."""
     n = net.n
     sources, sinks = lower_corner_tracks(n, c)
-    down_levels = {l.index for l in net.layers if l.kind == "down"}
+    down_levels = {l.index for l in net.layers if l.kind == "L"}
     if not set(range(2, n + 1)) <= down_levels:
         return INFINITE_COPIES
     for copies in range(1, n):

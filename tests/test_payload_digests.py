@@ -1,21 +1,37 @@
-"""Pinned SHA-256 digests of ``exponent --method predict|theorem`` payloads
-at n = 11 and 12, past the sizes the benchmark's golden digests cover.
+"""Pinned SHA-256 digests of CLI payloads the benchmark's golden digests
+do not cover.
 
-The inputs are seeded Z1, Z2 (several partial chains), mixed and
-plus-extra shapes.  A digest changes whenever a byte of the
-``oscillax.exponent/1`` payload does, so any such change must come with
-a schema decision and new digests.
+``exponent --method predict|theorem`` payloads are pinned at n = 11 and
+12 on seeded Z1, Z2 (several partial chains), mixed and plus-extra
+shapes.  ``network`` runs, with and without ``--copies 2``, are pinned on
+the factor text of every corpus matrix and of seeded factorizations at
+n = 5..8, and the n = 9 ``--copies`` refusal (exit 3) with them.  A
+digest changes whenever a byte of an ``oscillax.<name>/1`` payload does,
+so any such change must come with a schema decision and new digests.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from oscillax.cli import main
-from oscillax.exponent import generate_z1, generate_z2, with_transpose
+from oscillax.exponent import (
+    generate_z1,
+    generate_z2,
+    random_oscillatory_factorization,
+    with_transpose,
+)
 from oscillax.matrix import dumps_matrix
-from oscillax.seb import SEBFactorization, chain_layout, compose
+from oscillax.seb import (
+    SEBFactorization,
+    chain_layout,
+    compose,
+    factorization_to_text,
+    neville_factorize,
+)
+from oscillax.verify import corpus_matrices
 
 
 def digest_inputs():
@@ -119,3 +135,78 @@ def test_exponent_payload_digests_past_golden_sizes(tmp_path, capsys, method):
         for name, f in digest_inputs()
     }
     assert got == DIGESTS[method]
+
+
+def network_inputs():
+    """(name, factor text) pairs: the corpus, one network with no L2
+    (an unreachable corner), then seeded n = 5..9."""
+    out = [
+        (name, factorization_to_text(neville_factorize(a)))
+        for name, a in corpus_matrices().items()
+    ]
+    out.append(("no L2", "L3(2) D(1,2,3) U2(1/3)"))
+    for n in range(5, 10):
+        f = random_oscillatory_factorization(n, random.Random(n))
+        out.append((f"seeded n={n}", factorization_to_text(f)))
+    return out
+
+
+def network_digest(tmp_path, capsys, text, extra):
+    path = tmp_path / "input.txt"
+    path.write_text(text + "\n")
+    code = main(["network", "--input", str(path), *extra])
+    captured = capsys.readouterr()
+    run = f"{code}\n{captured.out}\n{captured.err}"
+    return hashlib.sha256(run.encode()).hexdigest()
+
+
+# exit code, stdout and stderr of each run, recorded while network layers
+# were a record type of their own (down/up/scale) beside the factors
+NETWORK_DIGESTS = {
+    "plain": {
+        "elim3": "d7741d2ba69eae86df522b36f1c22696994d7577742fff28003a35cbca6f6cff",
+        "basic4": "f33376b70706f999dfc2e43849922200edf3751d5746647c8ed7217000a88b6b",
+        "net4": "e9d7a2dcdb539cc3d346ffafb9650e65574d70943ee611465787bba289089f74",
+        "exp4": "71270a891f5e24ad09f70e20cb8c66bca1dc07cdea388c268538b1276a402855",
+        "exp5": "1f4502f3b16a9d7daa799cba9bc481329572ada72fc6d9b65253d8fc33803682",
+        "pair_a": "b65bbced0da284a137fa89fdfe7091589299dd692666f90702b9f601c0ca062a",
+        "pair_b": "f57aee312e0769375fcccad9c0f1591fa97158c28b6bf90f88ef9e934c705359",
+        "early_a": "0c557a0299b6bdcd61b824b85403c99039e6919c9c63c29c2181160fc121ae32",
+        "early_b": "46ba6d71fa58e997f9fe12b62e54028276ef83731061bc3ec271416f9e9f61a7",
+        "bound3": "87607760dfd0d308e03b6e811fea7f07f506c24c73b0b8d6a504cc0488826959",
+        "no L2": "4a11fc8a666e2384e83f1e999899bf5f2c0a28070faa25ec26a48edee3b27c8c",
+        "seeded n=5": "a50c39aebfb3003d06d75fcd4396e8071cd082af7f3e4613658dbb4821877dfb",
+        "seeded n=6": "6b6bea0dc663195377f53bc7590ea3839258e49d66c67d314e907e4fbcc3ef3d",
+        "seeded n=7": "5f77714cef96ff5f7a164bd29e2282b45f44b2c97f14597c01af3654200decb7",
+        "seeded n=8": "7da2b830a4924e11ea3265bae8dc8b90af202f56f1826dfd4883e59952fd8e02",
+        "seeded n=9": "19858ac8a5a90157aad06733cb894e9dc99631dfeee0fe44324193f85ac59d17",
+    },
+    "copies 2": {
+        "elim3": "489a15c3ce2ea9a373ff3fb053e9e514f788f2e990f5ac79d003fd437c92e23a",
+        "basic4": "eb0505f4bf9d6ff4615765df2176aec6f7fcd47f2ec605eae80e9e3d86d82214",
+        "net4": "9bfb651b971c6e1adb1c8f723b699227b813fd2c64cfc80e87fceabff9d83eca",
+        "exp4": "e370c431a8a7965a448f6c5c3fdead28a390e0c16be44da4c2b5e3de5ba6669f",
+        "exp5": "457597292b5762698fb3d215cf8b68f3832959b9608cab6fa7e7455848664cee",
+        "pair_a": "801be37648c895c7e07e7e9214d02166a762b67ca9b0c3736acdd528226d6d69",
+        "pair_b": "20363f08688fe82fcf7839b10d0d4f478e698f881c6f9dea51e61cb928cf994a",
+        "early_a": "df9b7fe1a5eea4204099dfebb30ee914c6cfe61cdd2f88e3ff0ebe1b0229889c",
+        "early_b": "c0b129aaa9380891910b124a2e1e8ebcbdd3ba9710f1d1ac41dfcf3ec1174865",
+        "bound3": "f49ab314be363504b9a371f742ea262f1f3f24f6c884721a0909ebb1a0eb8870",
+        "no L2": "72aef6e3534afea455c3c0971c40d8be5ba2786a83a1f0facddef0897dd88c9c",
+        "seeded n=5": "796e3bc2ba48f9bc43797cc165cf809c5ba2b8a981afdcba576e666596e562e2",
+        "seeded n=6": "ecd3cd0de09a88ca34610861c726d966b65a88bb4d38d7d0b7d4fced96edaf7d",
+        "seeded n=7": "30598c9f08a727f827860ad368fbe78e30579c36b67ff57d79daa9a9c4b1ffa1",
+        "seeded n=8": "efd1f539ae74cb612cc6c8157e2c04ff0a9fc619952f0836777cd7af0589900b",
+        "seeded n=9": "7f68386c451fa8535922982723f4f75826bf82d95c3bb568ed7f776d3624548e",
+    },
+}
+
+
+@pytest.mark.parametrize("copies", ["plain", "copies 2"])
+def test_network_payload_digests(tmp_path, capsys, copies):
+    extra = [] if copies == "plain" else ["--copies", "2"]
+    got = {
+        name: network_digest(tmp_path, capsys, text, extra)
+        for name, text in network_inputs()
+    }
+    assert got == NETWORK_DIGESTS[copies]

@@ -28,7 +28,6 @@ from oscillax.planar import (
     COPIES_LAYER_LIMIT,
     DOT_LINE_LIMIT,
     INFINITE_COPIES,
-    Layer,
     PlanarNetwork,
     build_network,
     concat,
@@ -43,6 +42,8 @@ from oscillax.planar import (
 from oscillax.seb import (
     SEBFactorization,
     compose,
+    ebd,
+    ebl,
     identity_factorization,
     multiplier_count,
     neville_factorize,
@@ -55,27 +56,27 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def single_down_layer(n, i, weight=1):
-    return PlanarNetwork(n=n, layers=(Layer("down", index=i, weight=weight),))
+    return PlanarNetwork(n=n, layers=(ebl(i, weight),))
 
 
 def test_build_network_elim3_structure():
     net = build_network(neville_factorize(M["elim3"]))
     kinds = [(l.kind, l.index) for l in net.layers]
     assert kinds == [
-        ("down", 3),
-        ("down", 2),
-        ("down", 3),
-        ("scale", None),
-        ("up", 3),
-        ("up", 2),
-        ("up", 3),
+        ("L", 3),
+        ("L", 2),
+        ("L", 3),
+        ("D", None),
+        ("U", 3),
+        ("U", 2),
+        ("U", 3),
     ]
 
 
 def test_build_network_diagonal_only():
     net = build_network(identity_factorization(4))
     assert len(net.layers) == 1
-    assert net.layers[0].kind == "scale"
+    assert net.layers[0].kind == "D"
 
 
 def test_elementary_diagram_families():
@@ -179,7 +180,7 @@ def test_strip_u_diagonals():
     f = neville_factorize(M["elim3"])
     net = build_network(f)
     stripped = strip_u_diagonals(net)
-    assert [l.kind for l in stripped.layers] == ["down", "down", "down", "scale"]
+    assert [l.kind for l in stripped.layers] == ["L", "L", "L", "D"]
     assert strip_u_diagonals(stripped) == stripped
 
 
@@ -256,9 +257,7 @@ def test_min_copies_keeps_track_cap():
 
 
 def test_min_copies_zero_weight_level_is_infinite():
-    net = PlanarNetwork(
-        3, (Layer("down", index=3, weight=1), Layer("down", index=2, weight=0))
-    )
+    net = PlanarNetwork(3, (ebl(3, 1), ebl(2, 0)))
     assert min_copies_lower_corner(net, 1) == INFINITE_COPIES
     assert min_copies_lower_corner(net, 2) == INFINITE_COPIES
     with pytest.raises(NotOscillatory):
@@ -266,16 +265,12 @@ def test_min_copies_zero_weight_level_is_infinite():
 
 
 def test_min_copies_rejects_negative_and_zero_scale_weights():
-    signed = PlanarNetwork(
-        2, (Layer("down", index=2, weight=1), Layer("down", index=2, weight=-1))
-    )
+    signed = PlanarNetwork(2, (ebl(2, 1), ebl(2, -1)))
     with pytest.raises(ParamOutOfRange):
         min_copies_lower_corner(signed, 1)
     # the sweep itself stays general: the two families cancel
     assert minor_via_paths(signed, (2,), (1,)) == 0
-    blocked = PlanarNetwork(
-        2, (Layer("scale", weights=(1, 0)), Layer("down", index=2, weight=1))
-    )
+    blocked = PlanarNetwork(2, (ebd((1, 0)), ebl(2, 1)))
     with pytest.raises(ParamOutOfRange):
         min_copies_lower_corner(blocked, 1)
 
@@ -301,7 +296,7 @@ def test_export_dot_diagonal_count_elim3():
     down = [l for l in dot.splitlines() if "_t3 -> " in l and "_t2;" in l or "_t3 -> " in l and "_t2 [" in l]
     up = [l for l in dot.splitlines() if "_t2 -> " in l and ("_t3;" in l or "_t3 [" in l)]
     assert len(down) == 2 and len(up) == 2  # index-3 diagonals each way
-    assert sum(1 for layer in net.layers if layer.kind in ("down", "up")) == 6
+    assert sum(1 for layer in net.layers if layer.kind in ("L", "U")) == 6
 
 
 def test_export_dot_diag_only():

@@ -30,7 +30,7 @@ from oscillax.exponent import (
     recognize_class,
 )
 from oscillax.matrix import IndexSet, Matrix, multiplicative_compound
-from oscillax.planar import Layer, build_network, enumerate_path_families
+from oscillax.planar import build_network, enumerate_path_families
 from oscillax.seb import (
     EBFactor,
     SEBFactorization,
@@ -70,8 +70,9 @@ def _records() -> dict:
         "CornerZeroWitness": CornerZeroWitness("lower-left", 2, 1),
         "ExponentReport": exponent_bruteforce(a),
         "ProductFamilyResult": ProductFamilyResult(False, "exhaustive", 4, (0, 1)),
-        "Layer-down": Layer("down", 2, 1),
-        "Layer-scale": Layer("scale", weights=(1, 2)),
+        # a network's layers are its factors: an L (down) and the D (scale)
+        "Layer-down": net.layers[0],
+        "Layer-scale": net.layers[1],
         "PlanarNetwork": net,
         "PathFamily": enumerate_path_families(net, (1,), (2,))[0],
         "CaseResult": CaseResult("x", False, "why"),
@@ -135,15 +136,15 @@ REPRS = {
     "ProductFamilyResult": (
         "ProductFamilyResult(all_tp=False, mode='exhaustive', checked=4, counterexample=(0, 1))"
     ),
-    "Layer-down": "Layer(kind='down', index=2, weight=Fraction(1, 1), weights=None)",
+    "Layer-down": "EBFactor(kind='L', index=2, multiplier=Fraction(1, 1), diag=None)",
     "Layer-scale": (
-        "Layer(kind='scale', index=None, weight=None, weights=(Fraction(1, 1), Fraction(2, 1)))"
+        "EBFactor(kind='D', index=None, multiplier=None, diag=(Fraction(1, 1), Fraction(1, 1)))"
     ),
     "PlanarNetwork": (
-        "PlanarNetwork(n=2, layers=(Layer(kind='down', index=2, weight=Fraction(1, 1), "
-        "weights=None), Layer(kind='scale', index=None, weight=None, "
-        "weights=(Fraction(1, 1), Fraction(1, 1))), Layer(kind='up', index=2, "
-        "weight=Fraction(1, 1), weights=None)))"
+        "PlanarNetwork(n=2, layers=(EBFactor(kind='L', index=2, multiplier=Fraction(1, 1), "
+        "diag=None), EBFactor(kind='D', index=None, multiplier=None, "
+        "diag=(Fraction(1, 1), Fraction(1, 1))), EBFactor(kind='U', index=2, "
+        "multiplier=Fraction(1, 1), diag=None)))"
     ),
     "PathFamily": "PathFamily(paths=((1, 1, 1, 2),), weight=Fraction(1, 1))",
     "CaseResult": "CaseResult(name='x', ok=False, detail='why')",
@@ -228,8 +229,7 @@ def test_attribute_assignment_raises(name):
 @pytest.mark.parametrize("name", sorted(REPRS))
 def test_pickle_and_copy_round_trip(name):
     record = RECORDS[name]
-    # protocols 0 and 1 cannot pickle the slotted Matrix inside some records
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
         assert type(back) is type(record) and back == record, protocol
     for clone in (copy.copy(record), copy.deepcopy(record)):
@@ -252,7 +252,6 @@ def test_index_set_keeps_its_sequence_view():
 
 def test_replace_runs_the_validating_constructors():
     assert ebl(2, 1)._replace(multiplier="1/2").multiplier == Fraction(1, 2)
-    assert Layer("up", 2, 1)._replace(weight="3").weight == Fraction(3)
     f = RECORDS["SEBFactorization"]
     assert f._replace(l=("2",)).l == (Fraction(2),)
     with pytest.raises(NotNormalizable, match="multipliers must be nonnegative"):
@@ -284,6 +283,8 @@ VALIDATION = [
         "flat multiplier vectors must have length 1",
     ),
     (lambda: SEBFactorization(2, (1,), (1,), (1,)), ShapeMismatch, "diagonal must have length 2"),
+    # a short diagonal is reported before a negative multiplier
+    (lambda: SEBFactorization(2, (-1,), (1,), (1,)), ShapeMismatch, "diagonal must have length 2"),
     (
         lambda: SEBFactorization(2, (-1,), (1, 1), (1,)),
         NotNormalizable,
@@ -294,9 +295,6 @@ VALIDATION = [
         NotNormalizable,
         "diagonal entries must be positive",
     ),
-    (lambda: Layer("down", 1), ValueError, "diagonal layers need an index and a weight"),
-    (lambda: Layer("scale"), ValueError, "scale layers need per-track weights"),
-    (lambda: Layer("x"), ValueError, "unknown layer kind 'x'"),
     (lambda: recognize_class((1,), 1), ShapeMismatch, "factorizations require n >= 2"),
     (lambda: recognize_class((1, 1), 3), ShapeMismatch, "flat multiplier vectors must have length 3"),
     (lambda: recognize_class((1, -1, 1), 3), NotNormalizable, "multipliers must be nonnegative"),
@@ -314,3 +312,21 @@ def test_validation_errors_keep_type_and_message(build, exc_type, message):
         build()
     assert type(info.value) is exc_type
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "flat, n",
+    [((1,), 1), ((1, 1), 3), ((1, -1, 1), 3), ((-1,), 2), (("x", 1, 1), 3)],
+    ids=["n<2", "length", "sign", "sign-n=2", "number"],
+)
+def test_lower_vector_errors_match_the_factorization(flat, n):
+    k = n * (n - 1) // 2
+    errors = []
+    for build in (
+        lambda: recognize_class(flat, n),
+        lambda: SEBFactorization(n, flat, (1,) * n, (0,) * k),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
