@@ -188,11 +188,7 @@ def _oscillatory_by_method(
             f = neville_factorize(a)
         except NotITN:
             return False
-        return classify_factorization(f) in (
-            FactorizationClass.TP,
-            FactorizationClass.BASIC_OSCILLATORY,
-            FactorizationClass.OSCILLATORY,
-        )
+        return classify_factorization(f) is not FactorizationClass.ITN_ONLY
     if tn is None:
         tn = is_tn(a, cap).ok
     if not tn:

@@ -121,16 +121,10 @@ def _note(message: str) -> None:
 
 def cmd_classify(args) -> int:
     a = _read_matrix(args.input)
-    if args.method == "all":
-        report = classify(a, args.cap)
-        payload = {"schema": _schema("classify"), "status": "ok"}
-        payload.update(report.to_json_dict())
-        verdict = report.is_oscillatory
-    else:
-        verdict = is_oscillatory(a, args.method, args.cap)
-        report = classify(a, args.cap)
-        payload = {"schema": _schema("classify"), "status": "ok"}
-        payload.update(report.to_json_dict())
+    verdict = None if args.method == "all" else is_oscillatory(a, args.method, args.cap)
+    report = classify(a, args.cap)
+    payload = {"schema": _schema("classify"), "status": "ok", **report.to_json_dict()}
+    if verdict is not None:
         payload["method"] = args.method
         payload["method_verdict"] = verdict
     _note(
@@ -386,13 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _ERROR_EXIT = (
     (
-        (
-            MalformedNumber,
-            ZeroDenominator,
-            ShapeMismatch,
-            NotNormalizable,
-            json.JSONDecodeError,
-        ),
+        (MalformedNumber, ZeroDenominator, ShapeMismatch, NotNormalizable),
         EXIT_PARSE,
     ),
     ((FeasibilityExceeded,), EXIT_FEASIBILITY),
@@ -417,7 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OscillaxError, json.JSONDecodeError) as err:
+    except OscillaxError as err:
         for kinds, code in _ERROR_EXIT:
             if isinstance(err, kinds):
                 payload = {

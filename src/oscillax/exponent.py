@@ -26,8 +26,10 @@ turns positive, and take the zero witness from these counts by one rule
 (:func:`_vanishing_corner`).  The brute-force route tests the corners of
 successive powers (:func:`_corner_powers`, behind :func:`r_lower` and
 :func:`r_upper`) and confirms A^r by one full minor scan.  The theorem
-route reads the counts off the canonical support (:func:`_corner_copies`),
-so it forms no power of a triangular part.
+route reads the counts off the L factors of the canonical factor word
+and, for the upper side, off its U factors reversed, which are the L
+factors of the transpose (:func:`_corner_copies`), so it forms no power
+of a triangular part.
 """
 
 from __future__ import annotations
@@ -491,9 +493,11 @@ def r_upper(a: Matrix, max_power: int | None = None) -> int:
     return _side_exponent(a, "upper-right", max_power)
 
 
-def _corner_copies(flat, n: int) -> tuple[int | float, ...]:
+def _corner_copies(descents, n: int) -> tuple[int | float, ...]:
     """Copy counts of the lower-left corners, sizes 1..n-1, of the
-    network of a lower flat vector.
+    network of a word whose positive L factors have the indices
+    ``descents``, in product order; pass the reversed U factors for the
+    upper-right corners, which are the lower-left ones of the transpose.
 
     The count of size c is the least number of concatenated copies that
     carry a vertex-disjoint path family from tracks n-c+1..n to tracks
@@ -510,7 +514,6 @@ def _corner_copies(flat, n: int) -> tuple[int | float, ...]:
     n-1 contradicts the power bound and raises
     :class:`InvariantViolation`.
     """
-    descents = [j for p, j in chain_layout(n).lower_order if flat[p] > 0]
     if not set(range(2, n + 1)) <= set(descents):
         return (float("inf"),) * (n - 1)
     counts = []
@@ -623,9 +626,9 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
     """Factor the input, then take the max of the lower part's lower
     exponent and the upper part's upper exponent.
 
-    Both come from copy counts on the canonical support
-    (:func:`_corner_copies`) of the lower part and of the mirrored upper
-    part, so no power of a triangular part is formed.  The zero witness
+    Both come from copy counts on the canonical factor word
+    (:func:`_corner_copies`): its L factors, and its U factors in reverse
+    order, so no power of a triangular part is formed.  The zero witness
     follows the brute-force route's rule (:func:`_vanishing_corner`); one
     minor of A^(r-1) confirms that it vanishes.
     """
@@ -636,9 +639,12 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
     if classify_factorization(f) is FactorizationClass.ITN_ONLY:
         raise NotOscillatory("factorization misses a factor index on some side")
     n = f.n
+    word = f.factor_sequence()
+    lower = [x.index for x in word if x.kind == "L"]
+    upper = [x.index for x in reversed(word) if x.kind == "U"]
     counts = {
-        "lower-left": _corner_copies(f.l, n),
-        "upper-right": _corner_copies(f.layout.mirror(f.u), n),
+        "lower-left": _corner_copies(lower, n),
+        "upper-right": _corner_copies(upper, n),
     }
     rl, ru = max(counts["lower-left"]), max(counts["upper-right"])
     r = max(rl, ru)

@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 from .errors import (
     FeasibilityExceeded,
+    IndexOutOfRange,
     InvariantViolation,
     ParamOutOfRange,
     ShapeMismatch,
@@ -54,9 +55,33 @@ COPIES_LAYER_LIMIT = 100_000
 DOT_LINE_LIMIT = 500_000
 
 
-class PlanarNetwork(NamedTuple):
+class _PlanarNetworkFields(NamedTuple):
     n: int
     layers: tuple[EBFactor, ...]
+
+
+class PlanarNetwork(_PlanarNetworkFields):
+    """n tracks and the factors of their layers, left to right.
+
+    Every L/U layer's index lies in [2, n] (:class:`IndexOutOfRange`
+    otherwise) and every D layer has n entries (:class:`ShapeMismatch`).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, layers):
+        layers = tuple(layers)
+        for fac in layers:
+            if fac.kind == "D":
+                if len(fac.diag) != n:
+                    raise ShapeMismatch("diagonal length does not match n")
+            elif not 2 <= fac.index <= n:
+                raise IndexOutOfRange(f"factor index {fac.index} outside [2, {n}]")
+        return tuple.__new__(cls, (n, layers))
+
+    @classmethod
+    def _make(cls, iterable) -> "PlanarNetwork":
+        return cls(*iterable)
 
 
 class PathFamily(NamedTuple):

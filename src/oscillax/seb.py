@@ -12,6 +12,12 @@ the slice for chain i starts at offset x_i = (i-2)n - (i-3)i/2 (1-based).
 :class:`ChainLayout` is the one place that maps a chain and a factor
 index to a flat position and back; every other function goes through it.
 
+A factorization is read in product order only through its factor word,
+:meth:`SEBFactorization.factor_sequence`, and every product is built by
+one column operation per factor in :func:`_word_product`: :func:`compose`
+multiplies the word, and the index counts behind
+:func:`classify_factorization` are taken over it.
+
 Factorizations are produced by Neville elimination: columns left to
 right, within each column bottom-up, always pivoting on the row directly
 above.  The transposed pass yields the upper multipliers and diagonal.
@@ -27,6 +33,7 @@ import json
 import math
 import re
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -314,56 +321,29 @@ def identity_factorization(n: int) -> SEBFactorization:
     return SEBFactorization(n, (_ZERO,) * k, (_ONE,) * n, (_ZERO,) * k)
 
 
-def _add_column(rows: list[list[Fraction]], dst: int, src: int, q: Fraction) -> None:
-    """Column ``dst`` += q * column ``src`` (0-based), in place.
-
-    This is right-multiplication by one elementary factor whose
-    :attr:`EBFactor.tracks` are ``(src + 1, dst + 1)``.
-    """
-    for row in rows:
-        row[dst] += q * row[src]
-
-
-def _scale_columns(rows: list[list[Fraction]], diag) -> None:
-    """Right-multiply by a diagonal factor, in place."""
-    for c, scale in enumerate(diag):
-        for row in rows:
-            row[c] *= scale
-
-
-def _identity_rows(n: int) -> list[list[Fraction]]:
-    return [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
+def _word_product(factors, n: int) -> Matrix:
+    """Exact product of elementary factors in the given order, one column
+    operation per factor (O(n) each): as a right factor, D scales the
+    columns and an L/U factor adds its multiplier times column source to
+    column destination (:attr:`EBFactor.tracks`)."""
+    rows = [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
+    for fac in factors:
+        if fac.kind == "D":
+            for row in rows:
+                for c, scale in enumerate(fac.diag):
+                    row[c] *= scale
+        else:
+            src, dst = fac.tracks
+            q = fac.multiplier
+            for row in rows:
+                row[dst - 1] += q * row[src - 1]
+    return Matrix(rows)
 
 
 def compose(f: SEBFactorization) -> Matrix:
-    """Exact product of all factors in canonical order.
-
-    Each elementary factor is applied as a single column operation, so
-    composition costs O(k n) rational operations.
-    """
-    layout = f.layout
-    rows = _identity_rows(f.n)
-    for p, j in layout.lower_order:
-        if f.l[p]:
-            _add_column(rows, j - 2, j - 1, f.l[p])  # right-multiply by L_j
-    _scale_columns(rows, f.d)
-    for p, j in layout.upper_order:
-        if f.u[p]:
-            _add_column(rows, j - 1, j - 2, f.u[p])  # right-multiply by U_j
-    return Matrix(rows)
-
-
-def _word_product(factors, n: int) -> Matrix:
-    """Exact product of elementary factors in the given order, one column
-    operation per factor (O(n) each)."""
-    rows = _identity_rows(n)
-    for fac in factors:
-        if fac.kind == "D":
-            _scale_columns(rows, fac.diag)
-        else:
-            src, dst = fac.tracks
-            _add_column(rows, dst - 1, src - 1, fac.multiplier)
-    return Matrix(rows)
+    """Exact product of all factors in canonical order: the product of
+    the factor word, O(k n) rational operations."""
+    return _word_product(f.factor_sequence(), f.n)
 
 
 # -- Neville elimination -----------------------------------------------------
@@ -507,28 +487,16 @@ class FactorizationClass(enum.Enum):
     ITN_ONLY = "itn-only"
 
 
-def _family_counts(f: SEBFactorization, side: str) -> dict[int, int]:
-    """Number of positive multipliers attached to each factor index."""
-    flat, order = _side(f, side)
-    counts = {i: 0 for i in range(2, f.n + 1)}
-    for p, j in order:
-        if flat[p] > 0:
-            counts[j] += 1
-    return counts
-
-
-def _side(f: SEBFactorization, side: str):
-    """The flat multipliers of one side and its (position, factor) order."""
-    if side == "L":
-        return f.l, f.layout.lower_order
-    return f.u, f.layout.upper_order
+def _index_counts(f: SEBFactorization) -> list[int]:
+    """Positive multipliers per factor index, L_2 .. L_n then U_2 .. U_n,
+    counted over the factor word."""
+    counts = Counter((fac.kind, fac.index) for fac in f.factor_sequence())
+    return [counts[kind, j] for kind in "LU" for j in range(2, f.n + 1)]
 
 
 def is_basic_factorization(f: SEBFactorization) -> bool:
     """Exactly one positive multiplier per factor index on each side."""
-    lc = _family_counts(f, "L")
-    uc = _family_counts(f, "U")
-    return all(v == 1 for v in lc.values()) and all(v == 1 for v in uc.values())
+    return all(c == 1 for c in _index_counts(f))
 
 
 def classify_factorization(f: SEBFactorization) -> FactorizationClass:
@@ -541,13 +509,12 @@ def classify_factorization(f: SEBFactorization) -> FactorizationClass:
     """
     if all(x > 0 for x in f.l) and all(x > 0 for x in f.u):
         return FactorizationClass.TP
-    lc = _family_counts(f, "L")
-    uc = _family_counts(f, "U")
-    if all(v >= 1 for v in lc.values()) and all(v >= 1 for v in uc.values()):
-        if is_basic_factorization(f):
-            return FactorizationClass.BASIC_OSCILLATORY
-        return FactorizationClass.OSCILLATORY
-    return FactorizationClass.ITN_ONLY
+    counts = _index_counts(f)
+    if 0 in counts:
+        return FactorizationClass.ITN_ONLY
+    if all(c == 1 for c in counts):
+        return FactorizationClass.BASIC_OSCILLATORY
+    return FactorizationClass.OSCILLATORY
 
 
 # -- commutation normalization -------------------------------------------------
@@ -580,14 +547,6 @@ def _assign_word_to_slots(word, slots):
         nearest[j] = ranks[j][k - 1]
         assign[nearest[j]] = wp
     return assign
-
-
-def _factor_multiset(f: SEBFactorization):
-    lower, upper = (
-        sorted((j, flat[p]) for p, j in order if flat[p])
-        for flat, order in (_side(f, "L"), _side(f, "U"))
-    )
-    return lower, upper, f.d
 
 
 def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
@@ -690,7 +649,7 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
 
     # re-express in elimination-canonical coordinates when that keeps the
     # same factors (it always should; the raw assignment is the fallback)
-    if _factor_multiset(canonical) == _factor_multiset(f):
+    if sorted(canonical.factor_sequence()) == sorted(f.factor_sequence()):
         return canonical
     return f
 

@@ -199,6 +199,38 @@ def dense_word_product(factors, n):
     return product
 
 
+def _side(f, side):
+    """The flat multipliers of one side and its (position, factor) order."""
+    if side == "L":
+        return f.l, f.layout.lower_order
+    return f.u, f.layout.upper_order
+
+
+def _family_counts(f, side):
+    """Number of positive multipliers attached to each factor index."""
+    flat, order = _side(f, side)
+    counts = {i: 0 for i in range(2, f.n + 1)}
+    for p, j in order:
+        if flat[p] > 0:
+            counts[j] += 1
+    return counts
+
+
+def flat_layout_classification(f):
+    """(``classify_factorization(f)``, ``is_basic_factorization(f)``) from
+    index counts read off each side's flat layout, not off the factor word."""
+    lc = _family_counts(f, "L")
+    uc = _family_counts(f, "U")
+    basic = all(v == 1 for v in lc.values()) and all(v == 1 for v in uc.values())
+    if all(x > 0 for x in f.l) and all(x > 0 for x in f.u):
+        return FactorizationClass.TP, basic
+    if all(v >= 1 for v in lc.values()) and all(v >= 1 for v in uc.values()):
+        if basic:
+            return FactorizationClass.BASIC_OSCILLATORY, basic
+        return FactorizationClass.OSCILLATORY, basic
+    return FactorizationClass.ITN_ONLY, basic
+
+
 def search_assign_word_to_slots(word, slots):
     """Map word positions to canonical slots using only adjacent swaps of
     commuting factors (indices differing by more than one).

@@ -881,8 +881,8 @@ def test_corner_copies_match_network_copy_counts():
     seen = set()
     for n in range(2, 9):
         for flat in _copy_count_flats(n, rng):
-            counts = _corner_copies(flat, n)
             net = _lower_network(flat, n)
+            counts = _corner_copies([x.index for x in net.layers if x.kind == "L"], n)
             for c in range(1, n):
                 assert counts[c - 1] == min_copies_lower_corner(net, c)
                 assert counts[c - 1] == min_copies_restart(net, c)
@@ -895,8 +895,10 @@ def test_corner_copies_match_matrix_power_exponents():
     for n in (2, 3, 5, 7, 9, 11, 14):
         for density in (0.1, 0.3, 1.0):
             f = random_oscillatory_factorization(n, rng, density=density)
-            upper = f.layout.mirror(f.u)
-            assert max(_corner_copies(f.l, n)) == r_lower(compose(lower_part(f)))
+            word = f.factor_sequence()
+            lower = [x.index for x in word if x.kind == "L"]
+            upper = [x.index for x in reversed(word) if x.kind == "U"]
+            assert max(_corner_copies(lower, n)) == r_lower(compose(lower_part(f)))
             assert max(_corner_copies(upper, n)) == r_upper(compose(upper_part(f)))
 
 

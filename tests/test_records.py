@@ -30,12 +30,19 @@ from oscillax.exponent import (
     recognize_class,
 )
 from oscillax.matrix import IndexSet, Matrix, multiplicative_compound
-from oscillax.planar import build_network, enumerate_path_families
+from oscillax.planar import (
+    PlanarNetwork,
+    build_network,
+    enumerate_path_families,
+    export_dot,
+    minor_via_paths,
+)
 from oscillax.seb import (
     EBFactor,
     SEBFactorization,
     ebd,
     ebl,
+    ebu,
     neville_factorize,
     pack_parameters,
     w_q_form,
@@ -258,6 +265,8 @@ def test_replace_runs_the_validating_constructors():
         f._replace(u=(-1,))
     with pytest.raises(ValueError, match="unknown factor kind"):
         ebl(2, 1)._replace(kind="X")
+    with pytest.raises(IndexOutOfRange, match=r"factor index 2 outside \[2, 1\]"):
+        RECORDS["PlanarNetwork"]._replace(n=1)
     assert SuiteResult("s")._replace(suite="t") == SuiteResult("t", [])
 
 
@@ -302,6 +311,27 @@ VALIDATION = [
         lambda: recognize_class(("x", 1, 1), 3),
         MalformedNumber,
         "not an integer, fraction, or finite decimal: 'x'",
+    ),
+    # layers that name a track the network does not have
+    (
+        lambda: minor_via_paths(PlanarNetwork(2, (ebu(3, 5), ebd((1,)))), (2,), (2,)),
+        IndexOutOfRange,
+        "factor index 3 outside [2, 2]",
+    ),
+    (
+        lambda: minor_via_paths(PlanarNetwork(2, (ebu(3, 5),)), (2,), (2,)),
+        IndexOutOfRange,
+        "factor index 3 outside [2, 2]",
+    ),
+    (
+        lambda: export_dot(PlanarNetwork(3, (ebl(1, 5),))),
+        IndexOutOfRange,
+        "factor index 1 outside [2, 3]",
+    ),
+    (
+        lambda: minor_via_paths(PlanarNetwork(2, (ebd((1,)),)), (2,), (2,)),
+        ShapeMismatch,
+        "diagonal length does not match n",
     ),
 ]
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oscillax.seb as seb
 from oracles import (
     dense_word_product,
+    flat_layout_classification,
     flat_slot,
     mirror_flat,
     random_canonical_factorization,
@@ -44,6 +45,7 @@ from oscillax.seb import (
     factorization_from_json_dict,
     factorization_to_text,
     identity_factorization,
+    is_basic_factorization,
     multiplier_count,
     neville_factorize,
     normalize_commutation,
@@ -293,6 +295,51 @@ def test_factorization_class_matches_composition():
         ) == is_oscillatory(a, "definition")
 
 
+def _canonical_flats(n, side, rng):
+    """One flat vector per canonical support of one side: each chain's
+    positive slots are the run that starts at the chain's own factor."""
+    layout = chain_layout(n)
+    for widths in itertools.product(*(range(n - i + 2) for i in range(2, n + 1))):
+        flat = [Fraction(0)] * multiplier_count(n)
+        for i, t in zip(range(2, n + 1), widths):
+            c = layout.chain(i)
+            span = range(c.stop - t, c.stop) if side == "l" else range(c.start, c.start + t)
+            for p in span:
+                flat[p] = Fraction(rng.randint(1, 9))
+        yield tuple(flat)
+
+
+def test_index_counts_match_flat_layout_counts():
+    rng = random.Random(577)
+    cases = []
+    for n in range(2, 5):
+        d = (1,) * n
+        uppers = list(_canonical_flats(n, "u", rng))
+        cases += [
+            SEBFactorization(n, lower, d, upper)
+            for lower in _canonical_flats(n, "l", rng)
+            for upper in uppers
+        ]
+    for n in range(2, 11):
+        k = multiplier_count(n)
+        for density in (0.1, 0.3, 0.6, 0.9):
+            for _ in range(8):
+                lower, upper = (
+                    tuple(rng.randint(1, 9) if rng.random() < density else 0 for _ in range(k))
+                    for _ in "lu"
+                )
+                cases.append(SEBFactorization(n, lower, (1,) * n, upper))
+    # at n = 2 the TP and basic shapes coincide
+    cases += [SEBFactorization(2, (q,), (1, 2), (r,)) for q in (1, 3) for r in (2, 5)]
+    seen = set()
+    for f in cases:
+        got = classify_factorization(f), is_basic_factorization(f)
+        assert got == flat_layout_classification(f), f
+        seen.add(got)
+    assert {label for label, _ in seen} == set(FactorizationClass)
+    assert (FactorizationClass.TP, True) in seen
+
+
 def test_normalize_reordering_example():
     facs = [ebu(5, 1), ebu(4, 2), ebu(3, 4), ebu(5, 6), ebu(2, 7), ebu(4, 9)]
     f = normalize_commutation(facs, n=5)
@@ -507,7 +554,10 @@ def test_assign_word_matches_search_on_commuted_canonical_words():
     for n in range(2, 13):
         for make in makers * (8 if n <= 8 else 2):
             f = make(n, rng)
-            for flat, slots in (seb._side(f, "L"), seb._side(f, "U")):
+            for flat, slots in (
+                (f.l, f.layout.lower_order),
+                (f.u, f.layout.upper_order),
+            ):
                 word = [(j, flat[p]) for p, j in slots if flat[p]]
                 for _ in range(4 * (len(word) - 1)):
                     i = rng.randrange(len(word) - 1)
