@@ -204,9 +204,7 @@ def _oscillatory_by_method(
         return False
     if method == "gk":
         return _off_diagonals_positive(a)
-    if method == "irreducible":
-        return is_irreducible(a)
-    raise ValueError(f"unknown oscillatory method {method!r}")
+    return is_irreducible(a)
 
 
 def is_oscillatory(a: Matrix, method: str = "all", cap: int | None = None) -> bool:
@@ -223,6 +221,8 @@ def is_oscillatory(a: Matrix, method: str = "all", cap: int | None = None) -> bo
     if not a.is_square():
         raise ShapeMismatch("oscillatory test requires a square matrix")
     _require_min_shape(a)
+    if method not in OSCILLATORY_METHODS and method != "all":
+        raise ValueError(f"unknown oscillatory method {method!r}")
     if method != "all":
         return _oscillatory_by_method(a, method, cap)
     tn = is_tn(a, cap).ok

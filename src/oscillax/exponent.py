@@ -22,7 +22,8 @@ already; a Neville factorization is, so each exponent route factorizes
 its input once.
 
 Both exponent routes count, for each corner, the power at which its minor
-turns positive, and take the zero witness from these counts by one rule
+turns positive, and build their report from these counts in one place
+(:func:`_report`), which takes the zero witness by one rule
 (:func:`_vanishing_corner`).  The brute-force route tests the corners of
 successive powers (:func:`_corner_powers`, behind :func:`r_lower` and
 :func:`r_upper`) and confirms A^r by one full minor scan.  The theorem
@@ -426,20 +427,14 @@ def predict_exponent(l_tag: ClassTag, u_tag: ClassTag) -> Prediction:
         if len(values) != 1:
             raise InvariantViolation(f"exact predictions disagree: {sorted(values)}")
         return Prediction("exact", values.pop())
-    if l_tag.is_pure and u_tag.with_extras:
-        value = min(
-            max(lm.mu(n), base.mu(n))
-            for lm in l_tag.exact
-            for base, _ in u_tag.with_extras
-        )
-        return Prediction("upper_bound", value)
-    if u_tag.is_pure and l_tag.with_extras:
-        value = min(
-            max(um.mu(n), base.mu(n))
-            for um in u_tag.exact
-            for base, _ in l_tag.with_extras
-        )
-        return Prediction("upper_bound", value)
+    for pure, other in ((l_tag, u_tag), (u_tag, l_tag)):
+        if pure.is_pure and other.with_extras:
+            value = min(
+                max(pm.mu(n), base.mu(n))
+                for pm in pure.exact
+                for base, _ in other.with_extras
+            )
+            return Prediction("upper_bound", value)
     raise Unpredictable("no closed form covers extras on both sides")
 
 
@@ -596,6 +591,26 @@ def _vanishing_corner(counts, r: int) -> CornerZeroWitness | None:
     return CornerZeroWitness(side=side, size=size, power=r - 1)
 
 
+def _report(f: SEBFactorization, method: str, counts, power) -> ExponentReport:
+    """The report of either route from the factorization of A, the
+    per-side corner counts (the power at which each corner minor turns
+    positive) and A^r."""
+    rl, ru = max(counts["lower-left"]), max(counts["upper-right"])
+    r = max(rl, ru)
+    l_tag, u_tag = recognize_sides(f)
+    return ExponentReport(
+        n=f.n,
+        r=r,
+        r_lower=rl,
+        r_upper=ru,
+        method=method,
+        l_class=l_tag,
+        u_class=u_tag,
+        witness_power=power,
+        zero_witness=_vanishing_corner(counts, r),
+    )
+
+
 def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
     """Check oscillation by one full TN scan, find r from the corner minors
     of successive powers, and confirm A^r by one full TP scan."""
@@ -603,23 +618,10 @@ def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
         raise NotOscillatory("input is not oscillatory")
     n = a.rows
     counts, power = _corner_powers(a, _SIDES, n - 1)
-    rl, ru = max(counts["lower-left"]), max(counts["upper-right"])
-    r = max(rl, ru)
+    r = max(map(max, counts.values()))
     if r > n - 1 or not is_tp(power, cap).ok:
         raise InvariantViolation(f"corner minors give r={r} but A^r is not TP")
-    f = neville_factorize(a)
-    l_tag, u_tag = recognize_sides(f)
-    return ExponentReport(
-        n=n,
-        r=r,
-        r_lower=rl,
-        r_upper=ru,
-        method="bruteforce",
-        l_class=l_tag,
-        u_class=u_tag,
-        witness_power=power,
-        zero_witness=_vanishing_corner(counts, r),
-    )
+    return _report(neville_factorize(a), "bruteforce", counts, power)
 
 
 def exponent_via_theorem(a: Matrix) -> ExponentReport:
@@ -628,27 +630,24 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
 
     Both come from copy counts on the canonical factor word
     (:func:`_corner_copies`): its L factors, and its U factors in reverse
-    order, so no power of a triangular part is formed.  The zero witness
-    follows the brute-force route's rule (:func:`_vanishing_corner`); one
-    minor of A^(r-1) confirms that it vanishes.
+    order, so no power of a triangular part is formed; they are infinite
+    when a side misses a factor index.  The zero witness follows the
+    brute-force route's rule (:func:`_vanishing_corner`); one minor of
+    A^(r-1) confirms that it vanishes.
     """
     try:
         f = neville_factorize(a)
     except NotITN as exc:
         raise NotOscillatory(f"not invertible TN: {exc}") from exc
-    if classify_factorization(f) is FactorizationClass.ITN_ONLY:
-        raise NotOscillatory("factorization misses a factor index on some side")
     n = f.n
     word = f.factor_sequence()
-    lower = [x.index for x in word if x.kind == "L"]
-    upper = [x.index for x in reversed(word) if x.kind == "U"]
     counts = {
-        "lower-left": _corner_copies(lower, n),
-        "upper-right": _corner_copies(upper, n),
+        side: _corner_copies([x.index for x in w if x.kind == kind], n)
+        for side, kind, w in zip(_SIDES, "LU", (word, word[::-1]))
     }
-    rl, ru = max(counts["lower-left"]), max(counts["upper-right"])
-    r = max(rl, ru)
-    l_tag, u_tag = recognize_sides(f)
+    r = max(map(max, counts.values()))
+    if r == float("inf"):
+        raise NotOscillatory("factorization misses a factor index on some side")
     witness = _vanishing_corner(counts, r)
     below = None
     if witness is not None:
@@ -659,17 +658,7 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
                 f"{witness.side} corner of size {witness.size} counted as zero"
                 f" at power {r - 1} but its minor is not"
             )
-    return ExponentReport(
-        n=n,
-        r=r,
-        r_lower=rl,
-        r_upper=ru,
-        method="theorem",
-        l_class=l_tag,
-        u_class=u_tag,
-        witness_power=a if below is None else mat_mul(below, a),
-        zero_witness=witness,
-    )
+    return _report(f, "theorem", counts, a if below is None else mat_mul(below, a))
 
 
 def exponent_via_prediction(a: Matrix) -> tuple[Prediction, ClassTag, ClassTag]:

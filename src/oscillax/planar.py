@@ -176,9 +176,8 @@ def _sweep(
             for state, acc in dp.items():
                 ndp[state] = ndp.get(state, _ZERO) + acc
                 if src_track in state and dst_track not in state:
-                    moved = tuple(
-                        sorted(dst_track if t == src_track else t for t in state)
-                    )
+                    # the free track is adjacent, so the tuple stays sorted
+                    moved = tuple(dst_track if t == src_track else t for t in state)
                     ndp[moved] = ndp.get(moved, _ZERO) + acc * weight
         dp = ndp
     return dp
@@ -220,10 +219,8 @@ def enumerate_path_families(
         else:
             src_track, dst_track = fac.tracks
             if src_track in positions and dst_track not in positions:
-                moved = tuple(
-                    dst_track if t == src_track else t for t in positions
-                )
-                moved = tuple(sorted(moved))
+                # the free track is adjacent, so the tuple stays sorted
+                moved = tuple(dst_track if t == src_track else t for t in positions)
                 moves.append((moved, fac.multiplier))
         for nxt, factor in moves:
             trajectory.append(list(nxt))

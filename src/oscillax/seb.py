@@ -68,7 +68,8 @@ class _EBFactorFields(NamedTuple):
 class EBFactor(_EBFactorFields):
     """One factor of a bidiagonal product.
 
-    kind 'L' or 'U' carries (index, multiplier); kind 'D' carries the
+    kind 'L' or 'U' carries (index, multiplier), an ``int`` index whose
+    range [2, n] is checked where n is known; kind 'D' carries the
     positive diagonal.
     """
 
@@ -78,6 +79,8 @@ class EBFactor(_EBFactorFields):
         if kind in ("L", "U"):
             if index is None or multiplier is None:
                 raise ValueError("L/U factors need an index and a multiplier")
+            if type(index) is bool or not isinstance(index, int):
+                raise ValueError(f"factor index must be an integer, got {index!r}")
             multiplier = coerce_rational(multiplier)
         elif kind == "D":
             if diag is None:
@@ -299,20 +302,12 @@ class SEBFactorization(_SEBFactorizationFields):
     def u_chain(self, i: int) -> tuple[Fraction, ...]:
         return self.u[self.layout.chain(i)]
 
-    def factor_sequence(self, include_zero: bool = False) -> tuple[EBFactor, ...]:
-        """Factors in product order; zero multipliers are elided by default."""
+    def factor_sequence(self) -> tuple[EBFactor, ...]:
+        """Factors in product order; zero multipliers are elided."""
         layout = self.layout
-        out = [
-            ebl(j, self.l[p])
-            for p, j in layout.lower_order
-            if self.l[p] or include_zero
-        ]
+        out = [ebl(j, self.l[p]) for p, j in layout.lower_order if self.l[p]]
         out.append(ebd(self.d))
-        out.extend(
-            ebu(j, self.u[p])
-            for p, j in layout.upper_order
-            if self.u[p] or include_zero
-        )
+        out.extend(ebu(j, self.u[p]) for p, j in layout.upper_order if self.u[p])
         return tuple(out)
 
 

@@ -356,6 +356,20 @@ def test_oscillatory_all_shares_one_tn_scan(monkeypatch):
     assert len(calls) == 1  # definition, gk and irreducible share it
 
 
+@pytest.mark.parametrize(
+    "a",
+    [Matrix([[1, 2], [3, 1]]), M["net4"], Matrix.identity(9)],
+    ids=["non-tn", "tn", "past-cap"],
+)
+def test_unknown_oscillatory_method_is_refused_before_any_scan(monkeypatch, a):
+    calls = _count_minor_passes(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        is_oscillatory(a, "bogus")
+    assert type(info.value) is ValueError
+    assert str(info.value) == "unknown oscillatory method 'bogus'"
+    assert calls == []
+
+
 def _dense_factorization(n, rng, density):
     """Composed factorization whose multipliers are positive with
     probability ``density`` each."""

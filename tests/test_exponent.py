@@ -391,6 +391,30 @@ def test_predict_exact_and_bound():
     assert (pred.kind, pred.value) == ("upper_bound", 2)
 
 
+def test_predict_bound_ignores_which_side_carries_extras():
+    fb = neville_factorize(M["bound3"])
+    l_tag = recognize_class(fb.l, 3)
+    u_full = recognize_class(chain_layout(3).mirror(fb.u), 3)
+    pairs = [(l_tag, plus_extra_tag(3, m, e)) for m, e in u_full.with_extras]
+    rng = random.Random(421)
+    for n in range(3, 9):
+        for _ in range(6):
+            part = generate_z2(n, rng.randint(2, n), "random", rng.random())
+            pure = recognize_class(part.l, n)
+            flat = list(generate_z1(n, rng.randint(2, n - 1), rng.random()).l)
+            zeros = [p for p, x in enumerate(flat) if x == 0]
+            for p in rng.sample(zeros, rng.randint(1, min(2, len(zeros)))):
+                flat[p] = Fraction(rng.randint(1, 9))
+            extra = recognize_class(tuple(flat), n)
+            if not extra.is_pure and extra.with_extras:
+                pairs.append((pure, extra))
+    assert len(pairs) > 20
+    for pure, extra in pairs:
+        pred = predict_exponent(pure, extra)
+        assert pred.kind == "upper_bound"
+        assert predict_exponent(extra, pure) == pred
+
+
 def test_predict_unrecognized_raises():
     k = multiplier_count(4)
     flat = [Fraction(0)] * k

@@ -285,6 +285,15 @@ VALIDATION = [
     (lambda: EBFactor("D"), ValueError, "D factor needs diagonal entries"),
     (lambda: EBFactor("X"), ValueError, "unknown factor kind 'X'"),
     (lambda: EBFactor("L", 2, "x"), MalformedNumber, "not an integer, fraction, or finite decimal: 'x'"),
+    # an L/U index that is not an int; its range is checked where n is known
+    (lambda: ebl("3", 1).matrix(3), ValueError, "factor index must be an integer, got '3'"),
+    (
+        lambda: PlanarNetwork(3, (ebl("3", 1),)),
+        ValueError,
+        "factor index must be an integer, got '3'",
+    ),
+    (lambda: ebl(2.5, 1).matrix(3), ValueError, "factor index must be an integer, got 2.5"),
+    (lambda: str(ebl(True, 1)), ValueError, "factor index must be an integer, got True"),
     (lambda: SEBFactorization(1, (), (1,), ()), ShapeMismatch, "factorizations require n >= 2"),
     (
         lambda: SEBFactorization(2, (1, 1), (1, 1), (1,)),

@@ -464,7 +464,10 @@ def _normalization_words(n, rng):
     identity factors inserted and shuffled by legal swaps, and a random
     word that is usually not normalizable."""
     f = random_canonical_factorization(n, rng)
-    canonical = list(f.factor_sequence(include_zero=True))
+    layout = f.layout
+    canonical = [ebl(j, f.l[p]) for p, j in layout.lower_order]
+    canonical.append(ebd(f.d))
+    canonical.extend(ebu(j, f.u[p]) for p, j in layout.upper_order)
     shuffled = list(canonical)
     for _ in range(2):
         shuffled.insert(rng.randrange(len(shuffled) + 1), ebd((1,) * n))
