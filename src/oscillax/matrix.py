@@ -4,7 +4,9 @@ Everything here is immutable and pure.  ``Fraction`` is the boundary
 type: entries, minors and results are ``Fraction``s.  Inside, ``mat_mul``
 and the Bareiss determinant behind ``det`` and ``minor`` scale their
 operands by the entries' least common denominator (``_scaled``) and run
-on Python ints, building one ``Fraction`` per result entry.  Bulk minor
+on Python ints, building one ``Fraction`` per result entry; the factor
+word product behind ``seb.compose`` is the same kind of integer kernel,
+one denominator per column.  Bulk minor
 scans use an order-by-order Laplace recurrence over lexicographically
 ordered index subsets, which is the documented external ordering for
 compound matrices.

@@ -5,7 +5,9 @@ which keeps values in canonical form (positive denominator, reduced).
 It is the boundary type: every value passed in or returned is a
 ``Fraction``.  The hot kernels in :mod:`oscillax.matrix` (``mat_mul`` and
 the Bareiss determinant) scale their operands to Python ints by the
-least common denominator and convert back once per result entry.
+least common denominator and convert back once per result entry, and
+the factor word product in :mod:`oscillax.seb` keeps each column as ints
+over one denominator.
 This module owns the text grammar: integers, ``p/q`` fractions, and
 finite decimals.  Decimals are converted exactly, never through a
 binary float.  Floats themselves are rejected everywhere.

@@ -16,7 +16,10 @@ A factorization is read in product order only through its factor word,
 :meth:`SEBFactorization.factor_sequence`, and every product is built by
 one column operation per factor in :func:`_word_product`: :func:`compose`
 multiplies the word, and the index counts behind
-:func:`classify_factorization` are taken over it.
+:func:`classify_factorization` are taken over it.  The word product is an
+integer kernel: each column is Python ints over one positive
+denominator, reduced by one gcd per factor, and each entry becomes a
+``Fraction`` once, at the end.
 
 Factorizations are produced by Neville elimination: columns left to
 right, within each column bottom-up, always pivoting on the row directly
@@ -35,7 +38,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .errors import (
@@ -113,6 +116,11 @@ class EBFactor(_EBFactorFields):
         if self.kind == "D":
             return "D(" + ",".join(format_rational(x) for x in self.diag) + ")"
         return f"{self.kind}{self.index}({format_rational(self.multiplier)})"
+
+
+#: An EBFactor from a (kind, index, multiplier, diag) tuple whose fields
+#: are already checked and coerced; skips every check of ``EBFactor``.
+_trusted_factor = partial(tuple.__new__, EBFactor)
 
 
 def ebl(i: int, q) -> EBFactor:
@@ -303,11 +311,12 @@ class SEBFactorization(_SEBFactorizationFields):
         return self.u[self.layout.chain(i)]
 
     def factor_sequence(self) -> tuple[EBFactor, ...]:
-        """Factors in product order; zero multipliers are elided."""
-        layout = self.layout
-        out = [ebl(j, self.l[p]) for p, j in layout.lower_order if self.l[p]]
-        out.append(ebd(self.d))
-        out.extend(ebu(j, self.u[p]) for p, j in layout.upper_order if self.u[p])
+        """Factors in product order; zero multipliers are elided.  The
+        vectors are checked already, so no factor coerces them again."""
+        layout, l, u, make = self.layout, self.l, self.u, _trusted_factor
+        out = [make(("L", j, l[p], None)) for p, j in layout.lower_order if l[p]]
+        out.append(make(("D", None, None, self.d)))
+        out.extend(make(("U", j, u[p], None)) for p, j in layout.upper_order if u[p])
         return tuple(out)
 
 
@@ -320,24 +329,61 @@ def _word_product(factors, n: int) -> Matrix:
     """Exact product of elementary factors in the given order, one column
     operation per factor (O(n) each): as a right factor, D scales the
     columns and an L/U factor adds its multiplier times column source to
-    column destination (:attr:`EBFactor.tracks`)."""
-    rows = [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
+    column destination (:attr:`EBFactor.tracks`).
+
+    Column c is held as Python ints over one positive denominator
+    ``den[c]``.  D multiplies column c's ints by p_c and its denominator
+    by q_c.  A multiplier a/b brings both columns to E = lcm(den[dst],
+    b den[src]), adds, and divides the new column and E by their gcd.
+    Each entry becomes a ``Fraction`` once, at the end.
+    """
+    cols = [[0] * n for _ in range(n)]
+    for c in range(n):
+        cols[c][c] = 1
+    den = [1] * n
     for fac in factors:
         if fac.kind == "D":
-            for row in rows:
-                for c, scale in enumerate(fac.diag):
-                    row[c] *= scale
-        else:
-            src, dst = fac.tracks
-            q = fac.multiplier
-            for row in rows:
-                row[dst - 1] += q * row[src - 1]
-    return Matrix(rows)
+            for c, x in enumerate(fac.diag):
+                p, q = x.numerator, x.denominator
+                if p != 1:
+                    cols[c] = [v * p for v in cols[c]]
+                if q != 1:
+                    den[c] *= q
+            continue
+        a, b = fac.multiplier.numerator, fac.multiplier.denominator
+        if not a:
+            continue
+        src, dst = fac.tracks
+        s, d = src - 1, dst - 1
+        d_src, d_dst = b * den[s], den[d]
+        if d_src == d_dst:  # integer columns and multiplier land here
+            cols[d] = [x + a * y for x, y in zip(cols[d], cols[s])]
+            if d_dst != 1:
+                _reduce(cols, den, d)
+            continue
+        e = math.lcm(d_dst, d_src)
+        fd, fs = e // d_dst, a * (e // d_src)
+        cols[d] = [fd * x + fs * y for x, y in zip(cols[d], cols[s])]
+        den[d] = e
+        _reduce(cols, den, d)
+    out = [
+        [Fraction(x) for x in col] if q == 1 else [Fraction(x, q) for x in col]
+        for col, q in zip(cols, den)
+    ]
+    return Matrix(zip(*out))
+
+
+def _reduce(cols: list[list[int]], den: list[int], c: int) -> None:
+    """Divide column c and its denominator by their gcd."""
+    g = math.gcd(den[c], *cols[c])
+    if g != 1:
+        cols[c] = [x // g for x in cols[c]]
+        den[c] //= g
 
 
 def compose(f: SEBFactorization) -> Matrix:
     """Exact product of all factors in canonical order: the product of
-    the factor word, O(k n) rational operations."""
+    the factor word, O(k n) integer operations."""
     return _word_product(f.factor_sequence(), f.n)
 
 

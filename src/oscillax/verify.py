@@ -633,6 +633,9 @@ def run_suites(
     """Run the named suites; ``None`` picks each suite's default size."""
     if "all" in names:
         names = list(SUITE_BUILDERS)
+    unknown = [name for name in names if name not in SUITE_BUILDERS]
+    if unknown:
+        raise ParamOutOfRange(f"unknown suite {unknown[0]!r}")
     if nmax is not None and nmax < 3:
         raise ParamOutOfRange(f"nmax must be >= 3, got {nmax}")
     if cases is not None and cases < 1:

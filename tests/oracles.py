@@ -190,6 +190,24 @@ def enumerated_class_catalog(n):
     return {supp: tuple(sorted(ms)) for supp, ms in catalog.items()}
 
 
+def fraction_word_product(factors, n):
+    """Product of a factor word by one column operation per factor on
+    ``Fraction`` entries: D scales the columns, an L/U factor adds its
+    multiplier times column source to column destination."""
+    rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for fac in factors:
+        if fac.kind == "D":
+            for row in rows:
+                for c, scale in enumerate(fac.diag):
+                    row[c] *= scale
+        else:
+            src, dst = fac.tracks
+            q = fac.multiplier
+            for row in rows:
+                row[dst - 1] += q * row[src - 1]
+    return Matrix(rows)
+
+
 def dense_word_product(factors, n):
     """Product of a factor word by one dense n x n multiplication per
     factor, starting from the identity."""

@@ -11,6 +11,7 @@ from oracles import (
     dense_word_product,
     flat_layout_classification,
     flat_slot,
+    fraction_word_product,
     mirror_flat,
     random_canonical_factorization,
     search_assign_word_to_slots,
@@ -504,6 +505,95 @@ def test_word_product_matches_dense_oracle():
         assert seb._word_product(full_diagonals, n) == dense_word_product(
             full_diagonals, n
         )
+
+
+def _random_rational(rng, zero_share):
+    """Zero with probability ``zero_share``, else p/q with q <= 97, an
+    integer half of the time."""
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return Fraction(rng.randint(1, 200), rng.choice((1, rng.randint(1, 97))))
+
+
+def _random_word(n, rng):
+    """A word of L, U and D factors in any order, with zero multipliers
+    and non-unit diagonals anywhere.  One word in five is as long as a
+    full factorization."""
+    length = n * (n - 1) + 2 if rng.random() < 0.2 else 3 * n
+    word = []
+    for _ in range(rng.randint(0, length)):
+        kind = rng.choice("LLUUD")
+        if kind == "D":
+            word.append(ebd(_random_rational(rng, 0) for _ in range(n)))
+        else:
+            q = _random_rational(rng, 0.15)
+            word.append(EBFactor(kind, index=rng.randint(2, n), multiplier=q))
+    return word
+
+
+def test_word_product_matches_fraction_oracle():
+    rng = random.Random(2121)
+    words = 0
+    for n in range(2, 13):
+        for _ in range(240 if n <= 6 else 140):
+            word = _random_word(n, rng)
+            got = seb._word_product(word, n)
+            assert got == fraction_word_product(word, n), (n, [str(x) for x in word])
+            assert all(type(x) is Fraction for row in got.entries for x in row)
+            words += 1
+    assert words >= 2_000
+
+
+def _field_types(fac):
+    diag = None if fac.diag is None else tuple(map(type, fac.diag))
+    return type(fac), tuple(map(type, fac)), diag
+
+
+def test_factor_sequence_equals_checked_word():
+    rng = random.Random(2123)
+
+    def fraction_flat(n):
+        k = multiplier_count(n)
+        return tuple(_random_rational(rng, 0.3) for _ in range(k))
+
+    cases = [M["elim3"], M["exp5"], M["net4"]]
+    factorizations = [neville_factorize(a) for a in cases]
+    for n in range(2, 11):
+        factorizations.append(random_canonical_factorization(n, rng))
+        factorizations.append(random_oscillatory_factorization(n, rng))
+        d = tuple(_random_rational(rng, 0) for _ in range(n))
+        l, u = fraction_flat(n), fraction_flat(n)
+        factorizations.append(SEBFactorization(n, l, d, u))
+    for f in factorizations:
+        layout = f.layout
+        checked = [ebl(j, f.l[p]) for p, j in layout.lower_order if f.l[p]]
+        checked.append(ebd(f.d))
+        checked.extend(ebu(j, f.u[p]) for p, j in layout.upper_order if f.u[p])
+        word = f.factor_sequence()
+        assert word == tuple(checked)
+        assert list(map(_field_types, word)) == list(map(_field_types, checked))
+
+
+def test_neville_rejects_a_composition_off_by_one_over_p(monkeypatch):
+    compose_once = seb.compose
+    rng = random.Random(2124)
+    for a in (M["elim3"], M["exp4"], M["exp5"], M["net4"]):
+        n = a.rows
+        for p in (1, 2, 7, 97):
+            r, c = rng.randrange(n), rng.randrange(n)
+
+            def perturbed(f, r=r, c=c, p=p):
+                rows = [list(row) for row in compose_once(f).entries]
+                rows[r][c] += Fraction(1, p)
+                return Matrix(rows)
+
+            monkeypatch.setattr(seb, "compose", perturbed)
+            with pytest.raises(
+                InvariantViolation, match="factorization does not reproduce the input"
+            ):
+                neville_factorize(a)
+            monkeypatch.setattr(seb, "compose", compose_once)
+            assert compose(neville_factorize(a)) == a
 
 
 def test_normalize_matches_dense_rebuild(monkeypatch):
