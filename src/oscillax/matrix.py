@@ -6,7 +6,9 @@ and the Bareiss determinant behind ``det`` and ``minor`` scale their
 operands by the entries' least common denominator (``_scaled``) and run
 on Python ints, building one ``Fraction`` per result entry; the factor
 word product behind ``seb.compose`` is the same kind of integer kernel,
-one denominator per column.  Bulk minor
+one denominator per column.  Neville elimination (``seb.neville_factorize``)
+runs on ``_ScaledRows``: int rows with one positive denominator per row,
+reduced by one gcd per row operation.  Bulk minor
 scans use an order-by-order Laplace recurrence over lexicographically
 ordered index subsets, which is the documented external ordering for
 compound matrices.
@@ -186,6 +188,77 @@ def _scaled(rows) -> tuple[list[list[int]], int]:
     if d == 1:
         return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+class _ScaledRows:
+    """A matrix held as rows of Python ints, each over one positive
+    denominator: entry (r, c) is ``ints[r][c] / dens[r]``.
+
+    Each row operation ends with one gcd reduction of the row and its
+    denominator, not one per entry.  Neville elimination in
+    :mod:`oscillax.seb` runs both of its passes on this kernel.
+    """
+
+    __slots__ = ("ints", "dens")
+
+    def __init__(self, ints: list[list[int]], dens: list[int]):
+        self.ints = ints
+        self.dens = dens
+
+    @classmethod
+    def of(cls, rows) -> "_ScaledRows":
+        """``Fraction`` rows, each scaled by its least common denominator
+        (which leaves the row in lowest terms)."""
+        ints, dens = [], []
+        for row in rows:
+            (scaled,), d = _scaled((row,))
+            ints.append(scaled)
+            dens.append(d)
+        return cls(ints, dens)
+
+    def transpose(self) -> "_ScaledRows":
+        """The transpose: column c over the lcm of the denominators of its
+        nonzero entries, reduced by one gcd."""
+        ints, dens = [], []
+        for col in zip(*self.ints):
+            d = math.lcm(*(q for x, q in zip(col, self.dens) if x))
+            if d == 1:
+                ints.append(list(col))
+            else:
+                row = [x * (d // q) if x else 0 for x, q in zip(col, self.dens)]
+                g = math.gcd(d, *row)
+                if g != 1:
+                    row = [x // g for x in row]
+                    d //= g
+                ints.append(row)
+            dens.append(d)
+        return _ScaledRows(ints, dens)
+
+    def clear_below(self, r: int, c: int) -> None:
+        """Zero entry (r, c), r >= 1, by subtracting the multiple
+        val / piv of row r-1, where val and piv are the entries (r, c)
+        and (r-1, c) and piv is nonzero:
+
+            row_r <- (piv row_r - val row_{r-1}) / (piv den_r).
+
+        Entries left of column c must be zero in both rows; they stay so.
+        """
+        row, above = self.ints[r], self.ints[r - 1]
+        val, piv = row[c], above[c]
+        if piv < 0:  # keeps the denominator positive
+            val, piv = -val, -piv
+        if piv == 1:
+            new = [x - val * y for x, y in zip(row[c + 1 :], above[c + 1 :])]
+        else:
+            new = [piv * x - val * y for x, y in zip(row[c + 1 :], above[c + 1 :])]
+        den = piv * self.dens[r]
+        g = math.gcd(den, *new)
+        if g != 1:
+            new = [x // g for x in new]
+            den //= g
+        row[c] = 0
+        row[c + 1 :] = new
+        self.dens[r] = den
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

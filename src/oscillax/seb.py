@@ -24,6 +24,10 @@ denominator, reduced by one gcd per factor, and each entry becomes a
 Factorizations are produced by Neville elimination: columns left to
 right, within each column bottom-up, always pivoting on the row directly
 above.  The transposed pass yields the upper multipliers and diagonal.
+Elimination is an integer kernel too (``matrix._ScaledRows``): each row
+is Python ints over one positive denominator, reduced by one gcd per row
+operation, and the transposed pass starts from the integer remainder;
+the multipliers and the diagonal are the only ``Fraction``s it builds.
 In the produced form, each chain's positive slots are a contiguous run
 starting at the chain's own index; this is what makes the factorization
 unique, and round-tripping reproduces it exactly.
@@ -51,7 +55,7 @@ from .errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from .matrix import Matrix
+from .matrix import Matrix, _ScaledRows
 from .rational import coerce_rational, format_rational, parse_rational
 
 _ZERO = Fraction(0)
@@ -320,6 +324,11 @@ class SEBFactorization(_SEBFactorizationFields):
         return tuple(out)
 
 
+#: A SEBFactorization from an (n, l, d, u) tuple of ``Fraction`` tuples
+#: that are already checked; skips every check of ``SEBFactorization``.
+_trusted_factorization = partial(tuple.__new__, SEBFactorization)
+
+
 def identity_factorization(n: int) -> SEBFactorization:
     k = multiplier_count(n)
     return SEBFactorization(n, (_ZERO,) * k, (_ONE,) * n, (_ZERO,) * k)
@@ -390,34 +399,34 @@ def compose(f: SEBFactorization) -> Matrix:
 # -- Neville elimination -----------------------------------------------------
 
 
-def _lower_elimination(work: list[list[Fraction]], n: int) -> list[Fraction]:
+def _lower_elimination(rows: _ScaledRows, n: int) -> list[Fraction]:
     """Eliminate below the diagonal in place; return the flat multipliers.
 
     Columns are processed left to right, each column bottom-up, pivoting
     on the row directly above.  A zero pivot under a nonzero entry, or a
-    negative multiplier, disqualifies the input.
+    negative multiplier, disqualifies the input.  Entry (r, c) is
+    val / den_r over the scaled rows, so the multiplier is
+    (val den_{r-1}) / (piv den_r): the one ``Fraction`` of a row operation.
     """
     layout = chain_layout(n)
     flat = [_ZERO] * multiplier_count(n)
+    ints, dens = rows.ints, rows.dens
     for c in range(n - 1):
         for r in range(n - 1, c, -1):
-            val = work[r][c]
-            if val == 0:
+            val = ints[r][c]
+            if not val:
                 continue
-            piv = work[r - 1][c]
-            if piv == 0:
+            piv = ints[r - 1][c]
+            if not piv:
                 raise NotITN(
                     f"zero pivot above nonzero entry at row {r + 1}, column {c + 1}"
                 )
-            q = val / piv
-            if q < 0:
+            q = Fraction(val * dens[r - 1], piv * dens[r])
+            if (val < 0) != (piv < 0):  # q < 0: the denominators are positive
                 raise NotITN(
                     f"negative multiplier {q} at row {r + 1}, column {c + 1}"
                 )
-            above = work[r - 1]
-            row = work[r]
-            for j in range(c, n):
-                row[j] -= q * above[j]
+            rows.clear_below(r, c)
             flat[layout.lower_slot(c + 2, r + 1)] = q  # L_{r+1} in chain c+2
     return flat
 
@@ -428,30 +437,31 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
     Raises :class:`NotITN` when elimination needs a negative multiplier,
     meets a zero pivot above a nonzero entry, or produces a nonpositive
     diagonal; by the classical characterization this happens exactly for
-    inputs that are not invertible TN.
+    inputs that are not invertible TN.  Both passes run on integer rows
+    (:class:`~oscillax.matrix._ScaledRows`); the multipliers and the
+    diagonal are the only ``Fraction``s built.
     """
     if not a.is_square():
         raise ShapeMismatch("factorization requires a square matrix")
     n = a.rows
     if n < 2:
         raise ShapeMismatch("factorization requires n >= 2")
-    work = [list(row) for row in a.entries]
+    work = _ScaledRows.of(a.entries)
     l_flat = _lower_elimination(work, n)
 
     # transpose the upper-triangular remainder and repeat
-    workt = [[work[c][r] for c in range(n)] for r in range(n)]
+    workt = work.transpose()
     v_flat = _lower_elimination(workt, n)
-    diag = tuple(workt[i][i] for i in range(n))
+    diag = tuple(Fraction(workt.ints[i][i], workt.dens[i]) for i in range(n))
     if any(x <= 0 for x in diag):
         raise NotITN(f"nonpositive diagonal {[format_rational(x) for x in diag]}")
-    for r in range(n):
-        for c in range(n):
-            if r != c and workt[r][c] != 0:
-                raise InvariantViolation("elimination left a nondiagonal residue")
+    for r, row in enumerate(workt.ints):
+        if any(x for c, x in enumerate(row) if c != r):
+            raise InvariantViolation("elimination left a nondiagonal residue")
 
     # transposing a descending lower chain yields the ascending upper chain
     u_flat = chain_layout(n).mirror(v_flat)
-    f = SEBFactorization(n, tuple(l_flat), diag, u_flat)
+    f = _trusted_factorization((n, tuple(l_flat), diag, u_flat))
     if compose(f) != a:
         raise InvariantViolation("factorization does not reproduce the input")
     return f

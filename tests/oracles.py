@@ -58,6 +58,7 @@ from oscillax.seb import (
     n_from_flat,
     neville_factorize,
 )
+from oscillax.rational import format_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -206,6 +207,59 @@ def fraction_word_product(factors, n):
             for row in rows:
                 row[dst - 1] += q * row[src - 1]
     return Matrix(rows)
+
+
+def _fraction_lower_elimination(work, n):
+    """Eliminate below the diagonal of ``Fraction`` rows in place, one
+    ``Fraction`` operation per entry update; return the flat multipliers."""
+    layout = chain_layout(n)
+    flat = [_ZERO] * multiplier_count(n)
+    for c in range(n - 1):
+        for r in range(n - 1, c, -1):
+            val = work[r][c]
+            if val == 0:
+                continue
+            piv = work[r - 1][c]
+            if piv == 0:
+                raise NotITN(
+                    f"zero pivot above nonzero entry at row {r + 1}, column {c + 1}"
+                )
+            q = val / piv
+            if q < 0:
+                raise NotITN(
+                    f"negative multiplier {q} at row {r + 1}, column {c + 1}"
+                )
+            above = work[r - 1]
+            row = work[r]
+            for j in range(c, n):
+                row[j] -= q * above[j]
+            flat[layout.lower_slot(c + 2, r + 1)] = q
+    return flat
+
+
+def fraction_neville_factorize(a):
+    """Neville elimination on ``Fraction`` entries, with the same checks,
+    messages and check order as ``seb.neville_factorize``."""
+    if not a.is_square():
+        raise ShapeMismatch("factorization requires a square matrix")
+    n = a.rows
+    if n < 2:
+        raise ShapeMismatch("factorization requires n >= 2")
+    work = [list(row) for row in a.entries]
+    l_flat = _fraction_lower_elimination(work, n)
+    workt = [[work[c][r] for c in range(n)] for r in range(n)]
+    v_flat = _fraction_lower_elimination(workt, n)
+    diag = tuple(workt[i][i] for i in range(n))
+    if any(x <= 0 for x in diag):
+        raise NotITN(f"nonpositive diagonal {[format_rational(x) for x in diag]}")
+    for r in range(n):
+        for c in range(n):
+            if r != c and workt[r][c] != 0:
+                raise InvariantViolation("elimination left a nondiagonal residue")
+    f = SEBFactorization(n, tuple(l_flat), diag, chain_layout(n).mirror(v_flat))
+    if compose(f) != a:
+        raise InvariantViolation("factorization does not reproduce the input")
+    return f
 
 
 def dense_word_product(factors, n):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     dense_word_product,
     flat_layout_classification,
     flat_slot,
+    fraction_neville_factorize,
     fraction_word_product,
     mirror_flat,
     random_canonical_factorization,
@@ -594,6 +596,108 @@ def test_neville_rejects_a_composition_off_by_one_over_p(monkeypatch):
                 neville_factorize(a)
             monkeypatch.setattr(seb, "compose", compose_once)
             assert compose(neville_factorize(a)) == a
+
+
+def test_neville_rejection_messages():
+    cases = {
+        "negative multiplier -1/2 at row 2, column 1": [[2, 1], [-1, 3]],
+        "zero pivot above nonzero entry at row 2, column 1": [[0, 1], [1, 1]],
+        "nonpositive diagonal ['1', '-5']": [[1, 2], [3, 1]],
+    }
+    for message, rows in cases.items():
+        with pytest.raises(NotITN) as info:
+            neville_factorize(Matrix(rows))
+        assert str(info.value) == message
+
+
+def _neville_outcome(factorize, a):
+    try:
+        return factorize(a)
+    except (NotITN, InvariantViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _rational_flat(n, rng, zero_share):
+    return tuple(_random_rational(rng, zero_share) for _ in range(multiplier_count(n)))
+
+
+def _neville_inputs(n, rng):
+    """One matrix of each kind at dimension n: canonical integer and
+    rational ITN products with zero multipliers, a non-canonical rational
+    word, row-scaled rational entries, a repeated row (singular TN), a
+    negated entry and two swapped rows (non-TN)."""
+    canonical = compose(random_canonical_factorization(n, rng))
+    staircase = [x * _random_rational(rng, 0) for x in staircase_flat(n, rng, "l")]
+    d = tuple(_random_rational(rng, 0) for _ in range(n))
+    rational = compose(
+        SEBFactorization(n, staircase, d, staircase_flat(n, rng, "u"))
+    )
+    word = compose(
+        SEBFactorization(n, _rational_flat(n, rng, 0.4), d, _rational_flat(n, rng, 0.4))
+    )
+    out = [canonical, rational, word]
+    scales = [_random_rational(rng, 0) for _ in range(n)]
+    out.append(Matrix([[s * x for x in row] for s, row in zip(scales, word.entries)]))
+    for base in (canonical, rational):
+        rows = [list(row) for row in base.entries]
+        i = rng.randrange(n - 1)
+        rows[i + 1] = list(rows[i])
+        out.append(Matrix(rows))
+        rows = [list(row) for row in base.entries]
+        r, c = rng.randrange(n), rng.randrange(n)
+        rows[r][c] = -rows[r][c] - 1
+        out.append(Matrix(rows))
+        rows = [list(row) for row in base.entries]
+        i, j = rng.sample(range(n), 2)
+        rows[i], rows[j] = rows[j], rows[i]
+        out.append(Matrix(rows))
+    return out
+
+
+def test_neville_matches_fraction_oracle():
+    rng = random.Random(2201)
+    kinds = Counter()  # "ok", or the first word of the NotITN message
+    for n in range(2, 13):
+        for _ in range(28 if n <= 6 else 12):
+            for a in _neville_inputs(n, rng):
+                got = _neville_outcome(neville_factorize, a)
+                assert got == _neville_outcome(fraction_neville_factorize, a), a
+                ok = isinstance(got, SEBFactorization)
+                kinds["ok" if ok else (got[0], got[1].split()[0])] += 1
+    assert sum(kinds.values()) >= 2_000
+    assert set(kinds) == {
+        "ok",
+        ("NotITN", "negative"),
+        ("NotITN", "zero"),
+        ("NotITN", "nonpositive"),
+    }
+    assert min(kinds.values()) >= 150
+
+
+def _factorization_types(f):
+    return type(f), type(f.n), [tuple(map(type, v)) for v in (f.l, f.d, f.u)]
+
+
+def test_neville_result_equals_checked_constructor():
+    rng = random.Random(2202)
+    inputs = [M["elim3"], M["exp4"], M["exp5"], M["net4"]]
+    for n in range(2, 11):
+        inputs.append(compose(random_oscillatory_factorization(n, rng)))
+        inputs.extend(_neville_inputs(n, rng)[:4])
+    for a in inputs:
+        f = neville_factorize(a)
+        for checked in (SEBFactorization(*f), fraction_neville_factorize(a)):
+            assert f == checked
+            assert _factorization_types(f) == _factorization_types(checked)
+
+
+def test_all_ones_text_round_trips_at_n40():
+    n = 40
+    ones = (Fraction(1),) * multiplier_count(n)
+    want = SEBFactorization(n, ones, (Fraction(1),) * n, ones)
+    f = factorization_from_text(factorization_to_text(want))
+    assert f == want
+    assert neville_factorize(compose(f)) == f
 
 
 def test_normalize_matches_dense_rebuild(monkeypatch):
