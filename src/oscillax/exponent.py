@@ -31,6 +31,11 @@ route reads the counts off the L factors of the canonical factor word
 and, for the upper side, off its U factors reversed, which are the L
 factors of the transpose (:func:`_corner_copies`), so it forms no power
 of a triangular part.
+
+The product checks take their verdicts from the same counts over the
+concatenated member words (:func:`_word_counts`): whether a minor of a
+product of networks is positive depends only on which factors are
+positive, so no product is formed.
 """
 
 from __future__ import annotations
@@ -41,12 +46,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .classify import (
-    corner_index_sets,
-    is_oscillatory,
-    is_tp,
-    is_tp_given_tn,
-)
+from .classify import corner_index_sets, is_oscillatory, is_tp
 from .errors import (
     ClassMismatch,
     FeasibilityExceeded,
@@ -58,7 +58,7 @@ from .errors import (
     ShapeMismatch,
     Unpredictable,
 )
-from .matrix import Matrix, check_scan_cap, mat_mul, mat_pow, minor
+from .matrix import Matrix, mat_mul, mat_pow, minor
 from .seb import (
     EBFactor,
     FactorizationClass,
@@ -528,6 +528,16 @@ def _corner_copies(descents, n: int) -> tuple[int | float, ...]:
     return tuple(counts)
 
 
+def _word_counts(word, n: int) -> dict:
+    """Per side, the copy counts (:func:`_corner_copies`) of the network
+    of a factor word: its L indices for the lower-left corners, and the
+    U indices of the reversed word for the upper-right ones."""
+    return {
+        side: _corner_copies([x.index for x in w if x.kind == kind], n)
+        for side, kind, w in zip(_SIDES, "LU", (word, word[::-1]))
+    }
+
+
 class CornerZeroWitness(NamedTuple):
     """A corner minor that still vanishes at the given power."""
 
@@ -640,11 +650,7 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
     except NotITN as exc:
         raise NotOscillatory(f"not invertible TN: {exc}") from exc
     n = f.n
-    word = f.factor_sequence()
-    counts = {
-        side: _corner_copies([x.index for x in w if x.kind == kind], n)
-        for side, kind, w in zip(_SIDES, "LU", (word, word[::-1]))
-    }
+    counts = _word_counts(f.factor_sequence(), n)
     r = max(map(max, counts.values()))
     if r == float("inf"):
         raise NotOscillatory("factorization misses a factor index on some side")
@@ -688,10 +694,6 @@ def exponent_via_prediction(a: Matrix) -> tuple[Prediction, ClassTag, ClassTag]:
 #: :func:`early_tp_product_scan`.
 PRODUCT_LIMIT = 10_000
 
-#: Most matrix multiplications a family check may need: each of its
-#: tested tuples costs k-1 of them.
-PRODUCT_MUL_LIMIT = 100_000
-
 
 def _exceeds(m: int, k: int, limit: int) -> bool:
     """Whether m**k > limit, without forming a huge power."""
@@ -700,17 +702,20 @@ def _exceeds(m: int, k: int, limit: int) -> bool:
     return m**k > limit
 
 
-def _is_tp_product(mats, combo, cap: int | None) -> bool:
-    """Total positivity of the ordered product of ``mats`` over ``combo``.
+def _family_members(factorizations, k: int) -> list[SEBFactorization]:
+    """The members of a product check: at least one, all of one dimension,
+    with k >= 1."""
+    members = list(factorizations)
+    if not members or k < 1:
+        raise ParamOutOfRange("need at least one member and k >= 1")
+    if len({f.n for f in members}) > 1:
+        raise ShapeMismatch("members have different dimensions")
+    return members
 
-    The members are invertible TN, hence so is the product, and on such
-    a matrix the corner minors decide total positivity.
-    """
-    prod = mats[combo[0]]
-    for idx in combo[1:]:
-        prod = mat_mul(prod, mats[idx])
-    check_scan_cap(prod, cap)
-    return is_tp_given_tn(prod)
+
+def _word_exponent(word, n: int) -> int | float:
+    """The largest copy count of a word: the exponent of its product."""
+    return max(map(max, _word_counts(word, n).values()))
 
 
 class ProductFamilyResult(NamedTuple):
@@ -731,76 +736,62 @@ class ProductFamilyResult(NamedTuple):
 
 
 def product_family_check(
-    factorizations,
-    k: int,
-    sample_limit: int = PRODUCT_LIMIT,
-    seed: int = 0,
-    cap: int | None = None,
+    factorizations, k: int, sample_limit: int = PRODUCT_LIMIT, seed: int = 0
 ) -> ProductFamilyResult:
     """Are all ordered k-fold products of family members totally positive?
 
-    Members must share lower-side and upper-side class tags.  All m^k
-    ordered tuples are tested when that count stays within the sample
-    limit; otherwise seeded random tuples are drawn and the result notes
-    the sampling mode.  Raises :class:`FeasibilityExceeded`, before any
-    product is formed, when the tested tuples times k-1 multiplications
-    each exceed :data:`PRODUCT_MUL_LIMIT`.
+    Members must share lower-side and upper-side class tags, hence both
+    canonical supports, so every ordered k-product has the pattern of
+    A_1^k: all are totally positive exactly when k reaches the exponent
+    of the first member.  The result stands for a check of all m^k
+    ordered tuples within the sample limit, else of that many seeded
+    random ones, and a counterexample is the first tuple of that sweep.
     """
-    members = list(factorizations)
-    if not members or k < 1:
-        raise ParamOutOfRange("need at least one member and k >= 1")
-    m = len(members)
-    exhaustive = not _exceeds(m, k, sample_limit)
-    count = m**k if exhaustive else sample_limit
-    if count * (k - 1) > PRODUCT_MUL_LIMIT:
-        raise FeasibilityExceeded(
-            f"{count} products of {k} factors exceed {PRODUCT_MUL_LIMIT} multiplications"
-        )
+    members = _family_members(factorizations, k)
     # each class has one support, so members share a class on a side
     # exactly when their exact matches there are equal and not empty
     exact = {tuple(tag.exact for tag in recognize_sides(f)) for f in members}
     if len(exact) != 1 or not all(exact.pop()):
         raise ClassMismatch("members do not share pure class tags on both sides")
-
-    mats = [compose(f) for f in members]
+    m = len(members)
+    exhaustive = not _exceeds(m, k, sample_limit)
+    mode = "exhaustive" if exhaustive else "sampled"
+    count = m**k if exhaustive else sample_limit
+    if k >= _word_exponent(members[0].factor_sequence(), members[0].n):
+        return ProductFamilyResult(True, mode, count, None)
     if exhaustive:
-        mode = "exhaustive"
-        combos = itertools.product(range(m), repeat=k)
+        first = (0,) * k
     else:
-        mode = "sampled"
         rng = random.Random(seed)
-        combos = (
-            tuple(rng.randrange(m) for _ in range(k)) for _ in range(sample_limit)
-        )
-    for combo in combos:
-        if not _is_tp_product(mats, combo, cap):
-            return ProductFamilyResult(False, mode, count, tuple(combo))
-    return ProductFamilyResult(True, mode, count, None)
+        first = tuple(rng.randrange(m) for _ in range(k))
+    return ProductFamilyResult(False, mode, count, first)
 
 
-def early_tp_product_scan(
-    factorizations, k: int, cap: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def early_tp_product_scan(factorizations, k: int) -> tuple[tuple[int, ...], ...]:
     """Ordered k-products that are already totally positive although every
     member involved has exponent above k.  An exploration tool.
 
-    Raises :class:`FeasibilityExceeded` when the m**k ordered products of
-    m members exceed :data:`PRODUCT_LIMIT`.
+    A product is totally positive when every copy count of its word is
+    1.  Raises :class:`FeasibilityExceeded` when the m**k ordered
+    products of m members exceed :data:`PRODUCT_LIMIT`, and
+    :class:`NotOscillatory` for a member that misses a factor index on
+    some side.
     """
-    members = list(factorizations)
-    if not members or k < 1:
-        raise ParamOutOfRange("need at least one member and k >= 1")
-    m = len(members)
+    members = _family_members(factorizations, k)
+    m, n = len(members), members[0].n
     if _exceeds(m, k, PRODUCT_LIMIT):
         raise FeasibilityExceeded(
             f"{m}**{k} ordered products exceed the limit {PRODUCT_LIMIT}"
         )
-    mats = [compose(f) for f in members]
-    eligible = [i for i, mat in enumerate(mats) if exponent_bruteforce(mat, cap).r > k]
+    words = [f.factor_sequence() for f in members]
+    exponents = [_word_exponent(word, n) for word in words]
+    if float("inf") in exponents:
+        raise NotOscillatory("input is not oscillatory")
+    eligible = [i for i, r in enumerate(exponents) if r > k]
     if not eligible:
         return ()
     return tuple(
         combo
         for combo in itertools.product(eligible, repeat=k)
-        if _is_tp_product(mats, combo, cap)
+        if _word_exponent(sum((words[i] for i in combo), ()), n) == 1
     )

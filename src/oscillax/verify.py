@@ -604,16 +604,16 @@ def suite_bounds(nmax: int = 6, cases: int = 20, seed: int = 0) -> SuiteResult:
     return res
 
 
-#: Default and ceiling of ``nmax`` for each seeded suite.  ``products``
-#: and ``bounds`` scan every minor of an n x n power, so their ceiling is
-#: the scan cap; ``z2`` enumerates up to 2^(s-3) partial-chain patterns per
-#: shape; ``z1`` is polynomial in n and stops where a run at the default
-#: ``cases`` takes a few seconds.  Above its ceiling a suite is refused
+#: Default and ceiling of ``nmax`` for each seeded suite.  ``bounds``
+#: scans every minor of an n x n power, so its ceiling is the scan cap;
+#: ``z2`` enumerates up to 2^(s-3) partial-chain patterns per shape;
+#: ``z1`` and ``products`` are polynomial in n and stop where a run at the
+#: default ``cases`` takes seconds.  Above its ceiling a suite is refused
 #: with ``FeasibilityExceeded`` before any suite runs.
 SUITE_NMAX = {
     "z1": (7, 12),
     "z2": (6, 8),
-    "products": (5, SCAN_CAP_DEFAULT),
+    "products": (5, 20),
     "bounds": (6, SCAN_CAP_DEFAULT),
 }
 DEFAULT_CASES = 20

@@ -505,7 +505,7 @@ def test_verify_rejects_low_sizes(capsys, argv):
 
 @pytest.mark.parametrize(
     "suite, nmax",
-    [("products", 9), ("bounds", 9), ("z1", 13), ("z2", 9), ("all", 9)],
+    [("products", 21), ("bounds", 9), ("z1", 13), ("z2", 9), ("all", 9)],
 )
 def test_verify_refuses_nmax_above_suite_ceiling(capsys, monkeypatch, suite, nmax):
     import oscillax.verify as verify_mod
@@ -520,6 +520,15 @@ def test_verify_refuses_nmax_above_suite_ceiling(capsys, monkeypatch, suite, nma
     assert payload["error"]["type"] == "FeasibilityExceeded"
     assert "ceiling" in payload["error"]["message"]
     assert "Traceback" not in err
+
+
+def test_verify_runs_products_past_the_scan_cap(capsys):
+    code, payload, _ = run(
+        capsys, ["verify", "--suite", "products", "--nmax", "12", "--cases", "2"]
+    )
+    assert code == 0
+    assert payload["suites"][0]["failed"] == 0
+    assert payload["suites"][0]["total"] == 2
 
 
 def test_verify_runs_z2_up_to_its_ceiling(capsys):

@@ -26,12 +26,12 @@ from oscillax.errors import (
     NotOscillatory,
     OscillaxError,
     ParamOutOfRange,
+    ShapeMismatch,
     Unpredictable,
 )
 from oscillax.classify import corner_index_sets, is_oscillatory, is_tp
 from oscillax.exponent import (
     ClassMatch,
-    PRODUCT_MUL_LIMIT,
     Prediction,
     _corner_copies,
     early_tp_product_scan,
@@ -497,23 +497,19 @@ def test_product_family_check_pair():
     assert not res1.all_tp and res1.counterexample is not None
 
 
-def test_product_family_check_refuses_huge_k_before_any_product(monkeypatch):
+def test_product_family_check_forms_no_product(monkeypatch):
     fa = neville_factorize(M["pair_a"])
     fb = neville_factorize(M["pair_b"])
     module = sys.modules["oscillax.exponent"]
     formed = []
     monkeypatch.setattr(module, "mat_mul", lambda *args: formed.append(args))
     monkeypatch.setattr(module, "compose", lambda *args: formed.append(args))
-    # sampled (2**k tuples) and exhaustive (one tuple) alike cost k - 1
-    # multiplications per tuple
-    for members in ([fa, fb], [fa]):
-        with pytest.raises(FeasibilityExceeded):
-            product_family_check(members, 10**9)
-    # 10,000 sampled tuples of 13 multiplications each
-    with pytest.raises(FeasibilityExceeded):
-        product_family_check([fa, fb], 14)
+    # 2**k ordered tuples are past the sample limit, so the check records
+    # 10,000 sampled ones; the verdict comes from the copy counts alone
+    for k in (10**9, 14):
+        res = product_family_check([fa, fb], k)
+        assert (res.all_tp, res.mode, res.checked) == (True, "sampled", 10_000)
     assert formed == []
-    assert 2**13 * 12 <= PRODUCT_MUL_LIMIT  # k = 13 still runs exhaustively
 
 
 def test_product_family_check_single_tp_member():
@@ -845,15 +841,50 @@ def test_early_tp_product_scan_matches_scan_oracle():
     fa = neville_factorize(M["early_a"])
     fb = neville_factorize(M["early_b"])
     assert early_tp_product_scan([fa, fb], 2) == scan_early_tp_product_scan([fa, fb], 2)
+    # arbitrary sparse members, non-canonical flats included
+    rng = random.Random(167)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        members = [
+            random_oscillatory_factorization(n, rng, density=rng.choice((0.1, 0.3)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        for k in (1, 2):
+            assert early_tp_product_scan(members, k) == scan_early_tp_product_scan(
+                members, k
+            )
 
 
-def test_product_checks_keep_the_scan_cap():
-    fa = neville_factorize(M["pair_a"])
-    fb = neville_factorize(M["pair_b"])
-    with pytest.raises(FeasibilityExceeded):
-        product_family_check([fa, fb], 2, cap=3)
-    with pytest.raises(FeasibilityExceeded):
-        early_tp_product_scan([fa, fb], 1, cap=3)
+def test_product_family_of_one_member_reaches_its_exponent():
+    # past the old minor-scan cap of 8: the least k at which a family of
+    # one member is all TP is the member's exponent
+    rng = random.Random(173)
+    for n in range(2, 21):
+        randoms = [
+            random_oscillatory_factorization(n, rng, density)
+            for density in (0.1, 0.3, 1)
+        ]
+        for f in randoms + _class_family(rng, n, 1):
+            if not all(tag.exact for tag in recognize_sides(f)):
+                # the check is defined on class-pure members only
+                with pytest.raises(ClassMismatch):
+                    product_family_check([f], 1)
+                continue
+            r = exponent_via_theorem(compose(f)).r
+            least = next(
+                k for k in itertools.count(1) if product_family_check([f], k).all_tp
+            )
+            assert least == r
+
+
+def test_product_checks_reject_members_of_different_sizes(monkeypatch):
+    module = sys.modules["oscillax.exponent"]
+    members = [with_transpose(generate_z1(n, n, seed=n)) for n in (4, 5)]
+    monkeypatch.setattr(module, "recognize_sides", None)
+    monkeypatch.setattr(module, "_word_counts", None)
+    for check in (product_family_check, early_tp_product_scan):
+        with pytest.raises(ShapeMismatch, match="different dimensions"):
+            check(members, 1)
 
 
 def test_early_tp_product_scan_bounds_its_sweep(monkeypatch):
