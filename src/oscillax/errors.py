@@ -64,7 +64,7 @@ class InvalidPsiPattern(OscillaxError, ValueError):
 
 
 class ClassMismatch(OscillaxError, ValueError):
-    """Family members do not share the required class tags."""
+    """Family members do not share their canonical supports on both sides."""
 
 
 class Unpredictable(OscillaxError):

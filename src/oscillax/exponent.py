@@ -35,7 +35,9 @@ of a triangular part.
 The product checks take their verdicts from the same counts over the
 concatenated member words (:func:`_word_counts`): whether a minor of a
 product of networks is positive depends only on which factors are
-positive, so no product is formed.
+positive, so no product is formed.  Members that share their canonical
+supports (:func:`_canonical_support`) give every ordered k-product the
+pattern of the first member's k-th power.
 """
 
 from __future__ import annotations
@@ -334,26 +336,31 @@ class ClassTag(NamedTuple):
         }
 
 
-def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
-    """Tag a flat lower multiplier vector with its class memberships.
+def _canonical_support(flat, n: int):
+    """The canonical form of a flat lower vector and its positive slots.
 
     A vector that is already canonical (:meth:`ChainLayout.is_canonical`,
     as every Neville factorization is) is read as it stands; any other is
-    refactorized first.  Its chain widths w_2 .. w_n equal to a class's
-    are an exact match; a class whose widths lie below them componentwise
-    yields a 'plus-extra' tag carrying the surplus factors."""
+    refactorized first."""
+    (lv,), _ = checked_vectors(n, (flat,))
+    if not chain_layout(n).is_canonical(lv):
+        part = SEBFactorization(n, lv, (_ONE,) * n, (_ZERO,) * len(lv))
+        lv = neville_factorize(compose(part)).l
+    return lv, tuple(x > 0 for x in lv)
+
+
+def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
+    """Tag a flat lower multiplier vector with its class memberships.
+
+    The vector is read in canonical form (:func:`_canonical_support`).
+    Its chain widths w_2 .. w_n equal to a class's are an exact match; a
+    class whose widths lie below them componentwise yields a 'plus-extra'
+    tag carrying the surplus factors."""
     flat = tuple(l_part_multipliers)
     if n is None:
         n = n_from_flat(flat)
-    (lv,), _ = checked_vectors(n, (flat,))
-    k = len(lv)
+    canon_l, positive = _canonical_support(flat, n)
     layout = chain_layout(n)
-    if layout.is_canonical(lv):
-        canon_l = lv
-    else:
-        part = SEBFactorization(n, lv, (_ONE,) * n, (_ZERO,) * k)
-        canon_l = neville_factorize(compose(part)).l
-    positive = [x > 0 for x in canon_l]
     chains = [layout.chain(i) for i in range(2, n + 1)]
     widths = tuple(sum(positive[c]) for c in chains)
     factors = [
@@ -689,9 +696,7 @@ def exponent_via_prediction(a: Matrix) -> tuple[Prediction, ClassTag, ClassTag]:
 
 # -- product families --------------------------------------------------------------
 
-#: Most ordered products a family check tests: the default sample size of
-#: :func:`product_family_check` and the bound on the exhaustive sweep of
-#: :func:`early_tp_product_scan`.
+#: Most ordered products :func:`early_tp_product_scan` sweeps.
 PRODUCT_LIMIT = 10_000
 
 
@@ -720,51 +725,42 @@ def _word_exponent(word, n: int) -> int | float:
 
 class ProductFamilyResult(NamedTuple):
     all_tp: bool
-    mode: str  # 'exhaustive' or 'sampled'
-    checked: int
     counterexample: tuple[int, ...] | None
 
     def to_json_dict(self) -> dict:
         return {
             "all_tp": self.all_tp,
-            "mode": self.mode,
-            "checked": self.checked,
             "counterexample": (
                 list(self.counterexample) if self.counterexample else None
             ),
         }
 
 
-def product_family_check(
-    factorizations, k: int, sample_limit: int = PRODUCT_LIMIT, seed: int = 0
-) -> ProductFamilyResult:
+def product_family_check(factorizations, k: int) -> ProductFamilyResult:
     """Are all ordered k-fold products of family members totally positive?
 
-    Members must share lower-side and upper-side class tags, hence both
-    canonical supports, so every ordered k-product has the pattern of
-    A_1^k: all are totally positive exactly when k reaches the exponent
-    of the first member.  The result stands for a check of all m^k
-    ordered tuples within the sample limit, else of that many seeded
-    random ones, and a counterexample is the first tuple of that sweep.
+    Members must share their canonical supports on both sides
+    (:func:`_canonical_support` of the lower part and of the transposed
+    upper part), so every ordered k-product has the pattern of A_1^k: all
+    are totally positive exactly when k reaches the exponent of the first
+    member, and A_1^k, the tuple ``(0,) * k``, is the counterexample
+    otherwise.  Raises :class:`ClassMismatch` when supports differ and
+    :class:`NotOscillatory` when the members miss a factor index on some
+    side.
     """
     members = _family_members(factorizations, k)
-    # each class has one support, so members share a class on a side
-    # exactly when their exact matches there are equal and not empty
-    exact = {tuple(tag.exact for tag in recognize_sides(f)) for f in members}
-    if len(exact) != 1 or not all(exact.pop()):
-        raise ClassMismatch("members do not share pure class tags on both sides")
-    m = len(members)
-    exhaustive = not _exceeds(m, k, sample_limit)
-    mode = "exhaustive" if exhaustive else "sampled"
-    count = m**k if exhaustive else sample_limit
-    if k >= _word_exponent(members[0].factor_sequence(), members[0].n):
-        return ProductFamilyResult(True, mode, count, None)
-    if exhaustive:
-        first = (0,) * k
-    else:
-        rng = random.Random(seed)
-        first = tuple(rng.randrange(m) for _ in range(k))
-    return ProductFamilyResult(False, mode, count, first)
+    supports = {
+        tuple(_canonical_support(x, f.n)[1] for x in (f.l, f.layout.mirror(f.u)))
+        for f in members
+    }
+    if len(supports) != 1:
+        raise ClassMismatch("members do not share canonical supports on both sides")
+    r = _word_exponent(members[0].factor_sequence(), members[0].n)
+    if r == float("inf"):
+        raise NotOscillatory("input is not oscillatory")
+    if k >= r:
+        return ProductFamilyResult(True, None)
+    return ProductFamilyResult(False, (0,) * k)
 
 
 def early_tp_product_scan(factorizations, k: int) -> tuple[tuple[int, ...], ...]:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .classify import corner_index_sets
 from .errors import (
     FeasibilityExceeded,
     IndexOutOfRange,
@@ -235,7 +236,7 @@ def lower_corner_tracks(n: int, c: int) -> tuple[IndexSet, IndexSet]:
     """Sources {n-c+1..n} and sinks {1..c} of the size-c lower-left corner."""
     if not 1 <= c <= n - 1:
         raise ParamOutOfRange(f"corner size {c} outside [1, {n - 1}]")
-    return IndexSet(tuple(range(n - c + 1, n + 1))), IndexSet(tuple(range(1, c + 1)))
+    return corner_index_sets(n, "lower-left", c)
 
 
 def min_copies_lower_corner(net: PlanarNetwork, c: int):

@@ -1,7 +1,6 @@
 """Independent reference implementations used only by the tests."""
 
 import itertools
-import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -523,7 +522,7 @@ def per_psi_class_json(l_part_multipliers, n=None, refactorize=True):
 
 
 # Product sweeps with a full ``is_tp`` minor scan on every product: the
-# reference for the corner-minor test of ``exponent.product_family_check``
+# references for the copy-count verdicts of ``exponent.product_family_check``
 # and ``exponent.early_tp_product_scan``.
 
 
@@ -534,38 +533,26 @@ def _product(mats, combo):
     return prod
 
 
-def scan_product_family_check(factorizations, k, sample_limit=10_000, seed=0, cap=None):
+def _supports(f):
+    """Positive slots of the refactorized lower and upper parts."""
+    lower = neville_factorize(compose(lower_part(f))).l
+    upper = neville_factorize(compose(upper_part(f))).u
+    return tuple(x > 0 for x in lower), tuple(x > 0 for x in upper)
+
+
+def scan_product_family_check(factorizations, k, cap=None):
     members = list(factorizations)
     if not members or k < 1:
         raise ParamOutOfRange("need at least one member and k >= 1")
-    shared_l = None
-    shared_u = None
-    for f in members:
-        l_tag, u_tag = recognize_sides(f)
-        l_set, u_set = set(l_tag.exact), set(u_tag.exact)
-        shared_l = l_set if shared_l is None else shared_l & l_set
-        shared_u = u_set if shared_u is None else shared_u & u_set
-    if not shared_l or not shared_u:
-        raise ClassMismatch("members do not share pure class tags on both sides")
-
+    if len({_supports(f) for f in members}) != 1:
+        raise ClassMismatch("members do not share canonical supports on both sides")
     mats = [compose(f) for f in members]
-    m = len(members)
-    total = m**k
-    if total <= sample_limit:
-        mode = "exhaustive"
-        combos = itertools.product(range(m), repeat=k)
-        count = total
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        combos = (
-            tuple(rng.randrange(m) for _ in range(k)) for _ in range(sample_limit)
-        )
-        count = sample_limit
-    for combo in combos:
+    if not all(is_oscillatory(mat, "gk", cap) for mat in mats):
+        raise NotOscillatory("input is not oscillatory")
+    for combo in itertools.product(range(len(members)), repeat=k):
         if not is_tp(_product(mats, combo), cap).ok:
-            return ProductFamilyResult(False, mode, count, tuple(combo))
-    return ProductFamilyResult(True, mode, count, None)
+            return ProductFamilyResult(False, combo)
+    return ProductFamilyResult(True, None)
 
 
 def scan_early_tp_product_scan(factorizations, k, cap=None):

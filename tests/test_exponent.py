@@ -64,6 +64,7 @@ from oscillax.seb import (
     SEBFactorization,
     chain_layout,
     compose,
+    identity_factorization,
     multiplier_count,
     neville_factorize,
 )
@@ -492,7 +493,7 @@ def test_product_family_check_pair():
     fa = neville_factorize(M["pair_a"])
     fb = neville_factorize(M["pair_b"])
     res2 = product_family_check([fa, fb], 2)
-    assert res2.all_tp and res2.mode == "exhaustive" and res2.checked == 4
+    assert res2.all_tp and res2.counterexample is None
     res1 = product_family_check([fa, fb], 1)
     assert not res1.all_tp and res1.counterexample is not None
 
@@ -504,11 +505,10 @@ def test_product_family_check_forms_no_product(monkeypatch):
     formed = []
     monkeypatch.setattr(module, "mat_mul", lambda *args: formed.append(args))
     monkeypatch.setattr(module, "compose", lambda *args: formed.append(args))
-    # 2**k ordered tuples are past the sample limit, so the check records
-    # 10,000 sampled ones; the verdict comes from the copy counts alone
+    # the verdict comes from the copy counts alone, however many ordered
+    # tuples there are
     for k in (10**9, 14):
-        res = product_family_check([fa, fb], k)
-        assert (res.all_tp, res.mode, res.checked) == (True, "sampled", 10_000)
+        assert product_family_check([fa, fb], k).all_tp
     assert formed == []
 
 
@@ -531,19 +531,23 @@ def test_product_family_check_jacobi():
     assert not product_family_check([jac], 2).all_tp
 
 
-def test_product_family_check_sampled_mode():
-    fa = neville_factorize(M["pair_a"])
-    fb = neville_factorize(M["pair_b"])
-    res = product_family_check([fa, fb], 2, sample_limit=3, seed=5)
-    assert res.mode == "sampled" and res.checked == 3 and res.all_tp
-    assert res == product_family_check([fa, fb], 2, sample_limit=3, seed=5)
-
-
 def test_product_family_class_mismatch():
     f1 = with_transpose(generate_z1(4, 2, seed=29))
     f2 = with_transpose(generate_z2(4, 4, None, seed=29))
     with pytest.raises(ClassMismatch):
         product_family_check([f1, f2], 2)
+
+
+def test_product_family_check_rejects_itn_only_members():
+    # a member that misses a factor index on some side has no exponent, so
+    # the check raises before any verdict instead of building (0,) * k
+    identity = identity_factorization(4)
+    # a lower part alone: its upper side holds no U factor
+    itn_only = generate_z1(5, 3, seed=37)
+    for members in ([identity], [itn_only], [itn_only, itn_only]):
+        for k in (1, 10**9):
+            with pytest.raises(NotOscillatory, match="^input is not oscillatory$"):
+                product_family_check(members, k)
 
 
 def test_early_tp_product_scan():
@@ -799,19 +803,47 @@ def _class_family(rng, n, count):
     return members
 
 
+def _support_family(rng, n, m):
+    """m members sharing the canonical supports of a seeded oscillatory
+    factorization: each redraws the multipliers and the diagonal on either
+    the raw slots of that factorization, which need not be canonical, or
+    the slots of its Neville factorization."""
+    raw = random_oscillatory_factorization(n, rng, rng.choice((0.1, 0.3, 0.55)))
+    shapes = (raw, neville_factorize(compose(raw)))
+
+    def redraw(flat):
+        return tuple(Fraction(rng.randint(1, 9)) if x else x for x in flat)
+
+    members = []
+    for _ in range(m):
+        shape = rng.choice(shapes)
+        d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
+        members.append(SEBFactorization(n, redraw(shape.l), d, redraw(shape.u)))
+    return members
+
+
+def _is_canonical(f):
+    return f.layout.is_canonical(f.l) and f.layout.is_canonical(f.layout.mirror(f.u))
+
+
 def test_product_family_check_matches_scan_oracle():
+    # families sharing canonical supports, many of them with a member that
+    # is not canonical or whose sides match no pure class
     rng = random.Random(157)
+    non_canonical = class_refused = 0
     outcomes = set()
-    for _ in range(14):
-        n = rng.randint(3, 5)
-        members = _class_family(rng, n, rng.randint(1, 3))
+    for _ in range(400):
+        n, m = rng.randint(2, 5), rng.randint(1, 3)
+        members = _support_family(rng, n, m)
+        non_canonical += not all(map(_is_canonical, members))
+        exact = {tuple(tag.exact for tag in recognize_sides(f)) for f in members}
+        class_refused += len(exact) != 1 or not all(exact.pop())
         for k in range(1, 4):
-            for limit in (10_000, 4):
-                fast = product_family_check(members, k, sample_limit=limit, seed=k)
-                slow = scan_product_family_check(members, k, sample_limit=limit, seed=k)
-                assert fast == slow
-                outcomes.add((fast.mode, fast.all_tp))
-    assert outcomes == {(mode, ok) for mode in ("exhaustive", "sampled") for ok in (True, False)}
+            fast = product_family_check(members, k)
+            assert fast == scan_product_family_check(members, k)
+            outcomes.add(fast.all_tp)
+    assert non_canonical >= 100 and class_refused >= 150
+    assert outcomes == {True, False}
 
 
 def test_early_tp_product_scan_matches_scan_oracle():
@@ -865,11 +897,6 @@ def test_product_family_of_one_member_reaches_its_exponent():
             for density in (0.1, 0.3, 1)
         ]
         for f in randoms + _class_family(rng, n, 1):
-            if not all(tag.exact for tag in recognize_sides(f)):
-                # the check is defined on class-pure members only
-                with pytest.raises(ClassMismatch):
-                    product_family_check([f], 1)
-                continue
             r = exponent_via_theorem(compose(f)).r
             least = next(
                 k for k in itertools.count(1) if product_family_check([f], k).all_tp

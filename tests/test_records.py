@@ -76,7 +76,7 @@ def _records() -> dict:
         "Prediction": predict_exponent(tag, tag),
         "CornerZeroWitness": CornerZeroWitness("lower-left", 2, 1),
         "ExponentReport": exponent_bruteforce(a),
-        "ProductFamilyResult": ProductFamilyResult(False, "exhaustive", 4, (0, 1)),
+        "ProductFamilyResult": ProductFamilyResult(False, (0, 0)),
         # a network's layers are its factors: an L (down) and the D (scale)
         "Layer-down": net.layers[0],
         "Layer-scale": net.layers[1],
@@ -141,7 +141,7 @@ REPRS = {
         "with_extras=()), witness_power=Matrix(2x2: 1 1; 1 2), zero_witness=None)"
     ),
     "ProductFamilyResult": (
-        "ProductFamilyResult(all_tp=False, mode='exhaustive', checked=4, counterexample=(0, 1))"
+        "ProductFamilyResult(all_tp=False, counterexample=(0, 0))"
     ),
     "Layer-down": "EBFactor(kind='L', index=2, multiplier=Fraction(1, 1), diag=None)",
     "Layer-scale": (
