@@ -301,13 +301,31 @@ def _class_supports(n: int):
             yield widths, "Z2", s, tuple(range(s, s + t))
 
 
+#: Most entries :meth:`ClassTag.to_json_dict` lists in ``exact`` or in
+#: ``with_extras``.  Each list repeats a support once per partial-chain
+#: pattern, 2^(n-1)-2 ``with_extras`` entries on a TP input, whose printed
+#: payload grows about 4.7-fold per two rows (36.7 MB at n = 16): n = 17
+#: still fits, n = 18 does not.
+TAG_ENTRY_LIMIT = 2**16
+
+
+def _repeated(pairs) -> list:
+    """Each item of the (item, count) pairs, count times by reference."""
+    out = []
+    for item, count in pairs:
+        out += [item] * count
+    return out
+
+
 class ClassTag(NamedTuple):
     """Recognition result for one triangular side of a factorization.
 
     ``exact`` and ``with_extras`` hold one :class:`ClassMatch` per class
     support, at most n(n-1)/2 + 1 in all; the ``oscillax.exponent/1`` JSON
     lists every partial-chain pattern, so :meth:`to_json_dict` repeats each
-    entry :meth:`ClassMatch.patterns` times."""
+    entry :meth:`ClassMatch.patterns` times.  It builds each support's
+    label and entry once, and renders each distinct factor once, so only
+    the list of references grows with the pattern count."""
 
     n: int
     family: str
@@ -322,17 +340,38 @@ class ClassTag(NamedTuple):
         return bool(self.exact)
 
     def to_json_dict(self) -> dict:
+        """The ``/1`` rendering.  Raises :class:`FeasibilityExceeded`, before
+        rendering anything, when a list would pass :data:`TAG_ENTRY_LIMIT`
+        entries."""
+        n = self.n
+        counts = {
+            "exact": [m.patterns(n) for m in self.exact],
+            "with_extras": [m.patterns(n) for m, _ in self.with_extras],
+        }
+        for key, per_support in counts.items():
+            if sum(per_support) > TAG_ENTRY_LIMIT:
+                raise FeasibilityExceeded(
+                    f"class tag at n={n} lists {sum(per_support)} {key} entries,"
+                    f" past the limit of {TAG_ENTRY_LIMIT}"
+                )
+        text = {
+            x: str(x)
+            for x in dict.fromkeys(
+                itertools.chain(self.extras, *(e for _, e in self.with_extras))
+            )
+        }
         return {
             "family": self.family,
             "s": self.s,
             "psi": list(self.psi_pattern) if self.psi_pattern is not None else None,
-            "extras": [str(x) for x in self.extras],
-            "exact": [m.label() for m in self.exact for _ in range(m.patterns(self.n))],
-            "with_extras": [
-                {"base": m.label(), "extras": [str(x) for x in extras]}
-                for m, extras in self.with_extras
-                for _ in range(m.patterns(self.n))
-            ],
+            "extras": [text[x] for x in self.extras],
+            "exact": _repeated(
+                (m.label(), k) for m, k in zip(self.exact, counts["exact"])
+            ),
+            "with_extras": _repeated(
+                ({"base": m.label(), "extras": [text[x] for x in extras]}, k)
+                for (m, extras), k in zip(self.with_extras, counts["with_extras"])
+            ),
         }
 
 

@@ -384,6 +384,29 @@ def test_network_dot_past_line_limit(tmp_path, capsys):
     assert err == f"error: FeasibilityExceeded: {message}\n"
 
 
+def test_exponent_past_tag_entry_limit(tmp_path, capsys):
+    # a TP input lists 2^(n-1)-2 with_extras entries per side
+    code, generated, _ = run(
+        capsys,
+        ["generate", "--class", "z1", "--n", "18", "--s", "18", "--seed", "3", "--full"],
+    )
+    assert code == 0
+    path = tmp_path / "tp18.json"
+    path.write_text(json.dumps(generated["matrix"]))
+    message = "class tag at n=18 lists 131070 with_extras entries, past the limit of 65536"
+    for method in ("theorem", "predict"):
+        code, payload, err = run(
+            capsys, ["exponent", "--input", str(path), "--method", method]
+        )
+        assert code == 3
+        assert payload == {
+            "schema": "oscillax.error/1",
+            "status": "error",
+            "error": {"type": "FeasibilityExceeded", "message": message},
+        }
+        assert err == f"error: FeasibilityExceeded: {message}\n"
+
+
 def test_generate_deterministic(tmp_path, capsys):
     argv = ["generate", "--class", "z1", "--n", "4", "--s", "2", "--seed", "7"]
     code1, payload1, _ = run(capsys, argv)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -31,6 +32,7 @@ from oscillax.errors import (
 )
 from oscillax.classify import corner_index_sets, is_oscillatory, is_tp
 from oscillax.exponent import (
+    TAG_ENTRY_LIMIT,
     ClassMatch,
     Prediction,
     _corner_copies,
@@ -61,6 +63,7 @@ from oscillax.exponent import (
 from oscillax.matrix import Matrix, mat_pow, minor
 from oscillax.planar import INFINITE_COPIES, build_network, min_copies_lower_corner
 from oscillax.seb import (
+    EBFactor,
     SEBFactorization,
     chain_layout,
     compose,
@@ -735,6 +738,48 @@ def test_recognize_class_matches_oracle_seeded():
     assert seen == {True, False}
 
 
+def test_class_tag_json_renders_each_distinct_factor_once(monkeypatch):
+    report = exponent_via_theorem(compose(with_transpose(generate_z1(16, 16, seed=1))))
+    tags = (report.l_class, report.u_class)
+    per_tag = collections.Counter(
+        x
+        for tag in tags
+        for x in set(itertools.chain(tag.extras, *(e for _, e in tag.with_extras)))
+    )
+    rendered = collections.Counter()
+    plain = EBFactor.__str__
+
+    def counting(x):
+        rendered[x] += 1
+        return plain(x)
+
+    monkeypatch.setattr(EBFactor, "__str__", counting)
+    doc = report.to_json_dict()
+    assert rendered == per_tag
+    for key, tag in zip(("l_class", "u_class"), tags):
+        entries = doc[key]["with_extras"]
+        assert len(entries) == 2**15 - 2
+        # one entry object per class support, repeated by reference
+        assert len({id(e) for e in entries}) == len(tag.with_extras)
+
+
+def test_class_tag_json_bounds_its_entries(monkeypatch):
+    # a TP lower part lists 2^(n-1)-2 with_extras entries: n = 17 fits
+    tags = {n: recognize_class(generate_z1(n, n, seed=1).l) for n in (17, 18)}
+    assert len(tags[17].to_json_dict()["with_extras"]) == 2**16 - 2 <= TAG_ENTRY_LIMIT
+    # the check comes before any factor is rendered
+    monkeypatch.setattr(EBFactor, "__str__", None)
+    message = "class tag at n=18 lists 131070 with_extras entries, past the limit of 65536"
+    with pytest.raises(FeasibilityExceeded, match=message):
+        tags[18].to_json_dict()
+    # the exact list counts too: Z2(3) with a lone L2 has 2^(n-3) patterns
+    monkeypatch.setattr(sys.modules["oscillax.exponent"], "TAG_ENTRY_LIMIT", 16)
+    lone = recognize_class(generate_z2(8, 3, None, seed=1).l)
+    assert [m.patterns(8) for m in lone.exact] == [32]
+    with pytest.raises(FeasibilityExceeded, match="lists 32 exact entries"):
+        lone.to_json_dict()
+
+
 def _count_factorizations(monkeypatch):
     module = sys.modules["oscillax.exponent"]
     calls = []
@@ -907,7 +952,7 @@ def test_product_family_of_one_member_reaches_its_exponent():
 def test_product_checks_reject_members_of_different_sizes(monkeypatch):
     module = sys.modules["oscillax.exponent"]
     members = [with_transpose(generate_z1(n, n, seed=n)) for n in (4, 5)]
-    monkeypatch.setattr(module, "recognize_sides", None)
+    monkeypatch.setattr(module, "_canonical_support", None)
     monkeypatch.setattr(module, "_word_counts", None)
     for check in (product_family_check, early_tp_product_scan):
         with pytest.raises(ShapeMismatch, match="different dimensions"):

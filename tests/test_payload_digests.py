@@ -3,8 +3,10 @@ do not cover.
 
 ``exponent --method predict|theorem`` payloads are pinned at n = 11 and
 12 on seeded Z1, Z2 (several partial chains), mixed and plus-extra
-shapes.  ``network`` runs, with and without ``--copies 2``, are pinned on
-the factor text of every corpus matrix and of seeded factorizations at
+shapes, and at n = 13 and 14 on TP inputs and a Z2(3) shape, whose
+payloads are mostly repeated ``with_extras`` or ``exact`` entries.
+``network`` runs, with and without ``--copies 2``, are pinned on the
+factor text of every corpus matrix and of seeded factorizations at
 n = 5..8, and the n = 9 ``--copies`` refusal (exit 3) with them.
 ``factorize`` (JSON and ``--form wq --format text``) and ``classify``
 (default and ``--method seb``) are pinned on every corpus matrix and on
@@ -144,6 +146,43 @@ def test_exponent_payload_digests_past_golden_sizes(tmp_path, capsys, method):
         for name, f in digest_inputs()
     }
     assert got == DIGESTS[method]
+
+
+def repetition_inputs():
+    """(name, factorization) pairs whose class tags list one entry per
+    partial-chain pattern: 2^(n-1)-2 ``with_extras`` entries per side of a
+    TP input, 2^(n-3) ``exact`` labels of a Z2(3) shape with a lone L2."""
+    d = tuple(Fraction(1 + i % 3) for i in range(14))
+    return [
+        ("n=13 tp", with_transpose(generate_z1(13, 13, 1))),
+        ("n=14 tp", with_transpose(generate_z1(14, 14, 1))),
+        ("n=14 z2-3-lone", with_transpose(generate_z2(14, 3, None, 12), d)),
+    ]
+
+
+# recorded while ClassTag.to_json_dict still built and rendered every
+# repeated entry anew
+REPETITION_DIGESTS = {
+    "predict": {
+        "n=13 tp": "68be3be9fd2d0ab8b611649cea93e45916ae6737c23d533f9733a4194055855b",
+        "n=14 tp": "23e42a80b4fb9e405c4ed35af578a621261a55b69c8ed9d69a41f29ae415640c",
+        "n=14 z2-3-lone": "870fbf9b62b71ce960615ac68f2710d807cea374f79bd463506937cbbca1aff3",
+    },
+    "theorem": {
+        "n=13 tp": "19a3189d2662263643a9977fc082e58d215d19f1fb7ca038a4f90178ed6d2510",
+        "n=14 tp": "a7eefa990d959cca94730feec1c3041d9d6806d12253462bf5bce1a36d487c69",
+        "n=14 z2-3-lone": "b90fc6286c42466dbc64c9962b446d76ec5e2e15511dc193ba727513de7f820b",
+    },
+}
+
+
+@pytest.mark.parametrize("method", ["predict", "theorem"])
+def test_exponent_payload_digests_where_repetition_dominates(tmp_path, capsys, method):
+    got = {
+        name: payload_digest(tmp_path, capsys, f, method)
+        for name, f in repetition_inputs()
+    }
+    assert got == REPETITION_DIGESTS[method]
 
 
 def network_inputs():
