@@ -27,17 +27,20 @@ turns positive, and build their report from these counts in one place
 (:func:`_vanishing_corner`).  The brute-force route tests the corners of
 successive powers (:func:`_corner_powers`, behind :func:`r_lower` and
 :func:`r_upper`) and confirms A^r by one full minor scan.  The theorem
-route reads the counts off the L factors of the canonical factor word
-and, for the upper side, off its U factors reversed, which are the L
-factors of the transpose (:func:`_corner_copies`), so it forms no power
-of a triangular part.
+route reads the counts off the cells of the canonical factor word
+(:func:`_corner_copies`): its L indices for the lower side, and its U
+indices reversed, the L indices of the transpose, for the upper side.
+The count of the size-c corner is the least k at which the first c
+entries of the k-th Demazure power of the cell all exceed n-c, so no
+power of a triangular part is formed.
 
-The product checks take their verdicts from the same counts over the
-concatenated member words (:func:`_word_counts`): whether a minor of a
-product of networks is positive depends only on which factors are
-positive, so no product is formed.  Members that share their canonical
-supports (:func:`_canonical_support`) give every ordered k-product the
-pattern of the first member's k-th power.
+The product checks read the same two cells (:func:`seb.demazure`).
+Whether a minor of a product of networks is positive depends only on
+which factors are positive, so no product is formed and no member is
+refactorized: members with equal cells give every ordered k-product the
+pattern of the first member's k-th power, and a product is totally
+positive exactly when each side's member cells fold to the longest
+permutation.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from .seb import (
     checked_vectors,
     classify_factorization,
     compose,
+    demazure,
     ebl,
     multiplier_count,
     n_from_flat,
@@ -375,31 +379,24 @@ class ClassTag(NamedTuple):
         }
 
 
-def _canonical_support(flat, n: int):
-    """The canonical form of a flat lower vector and its positive slots.
-
-    A vector that is already canonical (:meth:`ChainLayout.is_canonical`,
-    as every Neville factorization is) is read as it stands; any other is
-    refactorized first."""
-    (lv,), _ = checked_vectors(n, (flat,))
-    if not chain_layout(n).is_canonical(lv):
-        part = SEBFactorization(n, lv, (_ONE,) * n, (_ZERO,) * len(lv))
-        lv = neville_factorize(compose(part)).l
-    return lv, tuple(x > 0 for x in lv)
-
-
 def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
     """Tag a flat lower multiplier vector with its class memberships.
 
-    The vector is read in canonical form (:func:`_canonical_support`).
-    Its chain widths w_2 .. w_n equal to a class's are an exact match; a
-    class whose widths lie below them componentwise yields a 'plus-extra'
-    tag carrying the surplus factors."""
+    The vector is read in canonical form: as it stands when it already is
+    (:meth:`ChainLayout.is_canonical`, as every Neville factorization
+    is), else refactorized first.  Its chain widths w_2 .. w_n equal to a
+    class's are an exact match; a class whose widths lie below them
+    componentwise yields a 'plus-extra' tag carrying the surplus
+    factors."""
     flat = tuple(l_part_multipliers)
     if n is None:
         n = n_from_flat(flat)
-    canon_l, positive = _canonical_support(flat, n)
+    (canon_l,), _ = checked_vectors(n, (flat,))
     layout = chain_layout(n)
+    if not layout.is_canonical(canon_l):
+        part = SEBFactorization(n, canon_l, (_ONE,) * n, (_ZERO,) * len(canon_l))
+        canon_l = neville_factorize(compose(part)).l
+    positive = tuple(x > 0 for x in canon_l)
     chains = [layout.chain(i) for i in range(2, n + 1)]
     widths = tuple(sum(positive[c]) for c in chains)
     factors = [
@@ -544,11 +541,12 @@ def _corner_copies(descents, n: int) -> tuple[int | float, ...]:
     carry a vertex-disjoint path family from tracks n-c+1..n to tracks
     1..c.  With positive weights such a family exists exactly when that
     corner minor of the matching power is positive (Lindstrom-Gessel-
-    Viennot), so the largest count is the lower exponent.  Tokens start
-    on the sources; at each positive L_j, in product order, the token on
-    track j moves to track j-1 if that track is free.  Moving down
-    whenever possible keeps every token as low as any family can bring
-    it, so the count is the first copy that leaves tracks 1..c full.
+    Viennot), so the largest count is the lower exponent.  It depends only
+    on the word's cell w (:func:`seb.demazure`): the entries of w^k, the
+    k-fold Demazure product, above n-c sit on the lowest tracks that c
+    disjoint paths from the sources reach through k copies, so the count
+    is the least k at which they fill the first c entries.  Once they do,
+    they stay, so one pass over the powers finds every count.
 
     Every count is infinite when some level 2..n has no positive
     multiplier, as in ``planar.min_copies_lower_corner``; a count past
@@ -557,31 +555,35 @@ def _corner_copies(descents, n: int) -> tuple[int | float, ...]:
     """
     if not set(range(2, n + 1)) <= set(descents):
         return (float("inf"),) * (n - 1)
-    counts = []
-    for c in range(1, n):
-        occupied = [False] * (n - c + 1) + [True] * c  # tracks 1..n; 0 unused
-        copies = 0
-        while not all(occupied[1 : c + 1]):
-            if copies == n - 1:
-                raise InvariantViolation(
-                    f"no disjoint family for corner size {c} within {n - 1} copies"
-                )
-            copies += 1
-            for j in descents:
-                if occupied[j] and not occupied[j - 1]:
-                    occupied[j - 1], occupied[j] = True, False
-        counts.append(copies)
-    return tuple(counts)
+    counts = [0] * (n - 1)
+    power = None
+    for k in range(1, n):
+        power = demazure(descents, n, power)  # w^k: a word acts as its cell
+        for c, least in enumerate(itertools.accumulate(power[:-1], min), 1):
+            if not counts[c - 1] and least > n - c:
+                counts[c - 1] = k
+        if all(counts):
+            return tuple(counts)
+    raise InvariantViolation(
+        f"no disjoint family for corner size {counts.index(0) + 1}"
+        f" within {n - 1} copies"
+    )
+
+
+def _side_indices(word) -> dict:
+    """Per side, the indices that carry its corners: the L indices of a
+    factor word for the lower-left ones, and the U indices of the
+    reversed word for the upper-right ones."""
+    return {
+        side: [x.index for x in w if x.kind == kind]
+        for side, kind, w in zip(_SIDES, "LU", (word, word[::-1]))
+    }
 
 
 def _word_counts(word, n: int) -> dict:
     """Per side, the copy counts (:func:`_corner_copies`) of the network
-    of a factor word: its L indices for the lower-left corners, and the
-    U indices of the reversed word for the upper-right ones."""
-    return {
-        side: _corner_copies([x.index for x in w if x.kind == kind], n)
-        for side, kind, w in zip(_SIDES, "LU", (word, word[::-1]))
-    }
+    of a factor word."""
+    return {side: _corner_copies(ix, n) for side, ix in _side_indices(word).items()}
 
 
 class CornerZeroWitness(NamedTuple):
@@ -757,9 +759,10 @@ def _family_members(factorizations, k: int) -> list[SEBFactorization]:
     return members
 
 
-def _word_exponent(word, n: int) -> int | float:
-    """The largest copy count of a word: the exponent of its product."""
-    return max(map(max, _word_counts(word, n).values()))
+def _sides_exponent(sides: dict, n: int) -> int | float:
+    """The largest copy count over a word's side indices
+    (:func:`_side_indices`): the exponent of its product."""
+    return max(max(_corner_copies(ix, n)) for ix in sides.values())
 
 
 class ProductFamilyResult(NamedTuple):
@@ -778,23 +781,23 @@ class ProductFamilyResult(NamedTuple):
 def product_family_check(factorizations, k: int) -> ProductFamilyResult:
     """Are all ordered k-fold products of family members totally positive?
 
-    Members must share their canonical supports on both sides
-    (:func:`_canonical_support` of the lower part and of the transposed
-    upper part), so every ordered k-product has the pattern of A_1^k: all
-    are totally positive exactly when k reaches the exponent of the first
+    Members must share their cells on both sides (:func:`seb.demazure` of
+    the L indices of the word and of the U indices of the reversed word),
+    so every ordered k-product lies in the cells of A_1^k: all are
+    totally positive exactly when k reaches the exponent of the first
     member, and A_1^k, the tuple ``(0,) * k``, is the counterexample
-    otherwise.  Raises :class:`ClassMismatch` when supports differ and
+    otherwise.  Equal cells are equal canonical supports, so no member is
+    refactorized.  Raises :class:`ClassMismatch` when cells differ and
     :class:`NotOscillatory` when the members miss a factor index on some
     side.
     """
     members = _family_members(factorizations, k)
-    supports = {
-        tuple(_canonical_support(x, f.n)[1] for x in (f.l, f.layout.mirror(f.u)))
-        for f in members
-    }
-    if len(supports) != 1:
+    n = members[0].n
+    sides = [_side_indices(f.factor_sequence()) for f in members]
+    cells = {tuple(demazure(ix, n) for ix in s.values()) for s in sides}
+    if len(cells) != 1:
         raise ClassMismatch("members do not share canonical supports on both sides")
-    r = _word_exponent(members[0].factor_sequence(), members[0].n)
+    r = _sides_exponent(sides[0], n)
     if r == float("inf"):
         raise NotOscillatory("input is not oscillatory")
     if k >= r:
@@ -806,11 +809,14 @@ def early_tp_product_scan(factorizations, k: int) -> tuple[tuple[int, ...], ...]
     """Ordered k-products that are already totally positive although every
     member involved has exponent above k.  An exploration tool.
 
-    A product is totally positive when every copy count of its word is
-    1.  Raises :class:`FeasibilityExceeded` when the m**k ordered
-    products of m members exceed :data:`PRODUCT_LIMIT`, and
-    :class:`NotOscillatory` for a member that misses a factor index on
-    some side.
+    A product is totally positive when both of its cells are the longest
+    permutation w0 = (n, ..., 1), that is, when every copy count of its
+    word is 1.  Each side folds the member cells in the order its word
+    reads them (:func:`seb.demazure` from the cell so far): the tuple's
+    order for the lower side, the reverse for the upper side.  Raises
+    :class:`FeasibilityExceeded` when the m**k ordered products of m
+    members exceed :data:`PRODUCT_LIMIT`, and :class:`NotOscillatory` for
+    a member that misses a factor index on some side.
     """
     members = _family_members(factorizations, k)
     m, n = len(members), members[0].n
@@ -818,15 +824,24 @@ def early_tp_product_scan(factorizations, k: int) -> tuple[tuple[int, ...], ...]
         raise FeasibilityExceeded(
             f"{m}**{k} ordered products exceed the limit {PRODUCT_LIMIT}"
         )
-    words = [f.factor_sequence() for f in members]
-    exponents = [_word_exponent(word, n) for word in words]
+    sides = [_side_indices(f.factor_sequence()) for f in members]
+    exponents = [_sides_exponent(s, n) for s in sides]
     if float("inf") in exponents:
         raise NotOscillatory("input is not oscillatory")
     eligible = [i for i, r in enumerate(exponents) if r > k]
     if not eligible:
         return ()
+    lower, upper = zip(*(s.values() for s in sides))
+    w0 = tuple(range(n, 0, -1))
+
+    def fold(indices, combo):
+        cell = None
+        for i in combo:
+            cell = demazure(indices[i], n, cell)
+        return cell
+
     return tuple(
         combo
         for combo in itertools.product(eligible, repeat=k)
-        if _word_exponent(sum((words[i] for i in combo), ()), n) == 1
+        if fold(lower, combo) == w0 == fold(upper, combo[::-1])
     )

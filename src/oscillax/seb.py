@@ -21,6 +21,14 @@ integer kernel: each column is Python ints over one positive
 denominator, reduced by one gcd per factor, and each entry becomes a
 ``Fraction`` once, at the end.
 
+Which factors of a word are positive is read through one permutation per
+side, the Demazure product of their indices (:func:`demazure`): the L
+indices of the word for the lower side, and the U indices of the
+reversed word, the L indices of the transpose, for the upper side.  The
+positive factors of a side lie in that Bruhat cell (Fomin & Zelevinsky,
+J. Amer. Math. Soc. 12, 1999), so the side's copy counts, the
+product-family gate and the TP test of a product depend only on it.
+
 Factorizations are produced by Neville elimination: columns left to
 right, within each column bottom-up, always pivoting on the row directly
 above.  The transposed pass yields the upper multipliers and diagonal.
@@ -566,6 +574,26 @@ def classify_factorization(f: SEBFactorization) -> FactorizationClass:
     if all(c == 1 for c in counts):
         return FactorizationClass.BASIC_OSCILLATORY
     return FactorizationClass.OSCILLATORY
+
+
+# -- Bruhat cells ----------------------------------------------------------------
+
+
+def demazure(indices, n: int, start=None) -> tuple[int, ...]:
+    """The Demazure (0-Hecke) product of a word of factor indices, in
+    one-line notation: the cell of every product of positive L factors
+    with these indices in this order.
+
+    Index j applies s_{j-1} to ``start`` (the identity when None): entries
+    j-1 and j swap when that makes the permutation longer, that is, when
+    entry j-1 is the smaller.  Words with one product act alike on every
+    start, so ``demazure(word of v, n, u)`` is the product u * v of cells.
+    """
+    w = list(range(1, n + 1) if start is None else start)
+    for j in indices:
+        if w[j - 2] < w[j - 1]:
+            w[j - 2], w[j - 1] = w[j - 1], w[j - 2]
+    return tuple(w)
 
 
 # -- commutation normalization -------------------------------------------------

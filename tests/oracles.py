@@ -361,6 +361,31 @@ def min_copies_restart(net, c):
     )
 
 
+def token_corner_copies(descents, n):
+    """Copy counts of the lower-left corners, sizes 1..n-1, by one token
+    simulation per corner: tokens start on tracks n-c+1..n, and at each
+    positive L_j, in product order, the token on track j moves to track
+    j-1 if that track is free; the count is the first copy that leaves
+    tracks 1..c full.  The reference for ``exponent._corner_copies``."""
+    if not set(range(2, n + 1)) <= set(descents):
+        return (float("inf"),) * (n - 1)
+    counts = []
+    for c in range(1, n):
+        occupied = [False] * (n - c + 1) + [True] * c  # tracks 1..n; 0 unused
+        copies = 0
+        while not all(occupied[1 : c + 1]):
+            if copies == n - 1:
+                raise InvariantViolation(
+                    f"no disjoint family for corner size {c} within {n - 1} copies"
+                )
+            copies += 1
+            for j in descents:
+                if occupied[j] and not occupied[j - 1]:
+                    occupied[j - 1], occupied[j] = True, False
+        counts.append(copies)
+    return tuple(counts)
+
+
 def classify_four_criteria(a, cap=None):
     """Classification by separate TN and TP scans, with the oscillatory
     verdict from all four criteria of ``is_oscillatory(a, "all")``."""

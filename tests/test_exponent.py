@@ -19,6 +19,7 @@ from oracles import (
     scan_early_tp_product_scan,
     scan_product_family_check,
     staircase_flat,
+    token_corner_copies,
 )
 from oscillax.errors import (
     ClassMismatch,
@@ -36,6 +37,7 @@ from oscillax.exponent import (
     ClassMatch,
     Prediction,
     _corner_copies,
+    _side_indices,
     early_tp_product_scan,
     enumerate_psi_patterns,
     exponent_bruteforce,
@@ -61,12 +63,19 @@ from oscillax.exponent import (
     with_transpose,
 )
 from oscillax.matrix import Matrix, mat_pow, minor
-from oscillax.planar import INFINITE_COPIES, build_network, min_copies_lower_corner
+from oscillax.planar import (
+    INFINITE_COPIES,
+    PlanarNetwork,
+    build_network,
+    min_copies_lower_corner,
+)
 from oscillax.seb import (
     EBFactor,
     SEBFactorization,
     chain_layout,
     compose,
+    demazure,
+    ebd,
     identity_factorization,
     multiplier_count,
     neville_factorize,
@@ -952,11 +961,42 @@ def test_product_family_of_one_member_reaches_its_exponent():
 def test_product_checks_reject_members_of_different_sizes(monkeypatch):
     module = sys.modules["oscillax.exponent"]
     members = [with_transpose(generate_z1(n, n, seed=n)) for n in (4, 5)]
-    monkeypatch.setattr(module, "_canonical_support", None)
-    monkeypatch.setattr(module, "_word_counts", None)
+    # the side reader and the cell reader fail if they run before the size
+    # check
+    monkeypatch.setattr(module, "demazure", None)
+    monkeypatch.setattr(module, "_side_indices", None)
     for check in (product_family_check, early_tp_product_scan):
         with pytest.raises(ShapeMismatch, match="different dimensions"):
             check(members, 1)
+
+
+def test_product_checks_refactorize_no_member(monkeypatch):
+    # members that are not canonical are read through their cells: neither
+    # check composes or refactorizes one
+    module = sys.modules["oscillax.exponent"]
+    cases = []
+    for n in range(6, 13):
+        f = random_oscillatory_factorization(n, random.Random(n), 0.1)
+        assert not _is_canonical(f)
+        other = random_oscillatory_factorization(n, random.Random(-n), 0.1)
+        members = [f, neville_factorize(compose(f)), other]
+        r = exponent_via_theorem(compose(f)).r
+        assert r >= 2
+        cases.append((members, r, early_tp_product_scan(members, r - 1)))
+
+    def refuse(*args):
+        raise AssertionError("a product check refactorized a member")
+
+    monkeypatch.setattr(module, "compose", refuse)
+    monkeypatch.setattr(module, "neville_factorize", refuse)
+    for members, r, early in cases:
+        for k in (r - 1, r):
+            got = product_family_check(members[:2], k)
+            assert (got.all_tp, got.counterexample) == (
+                (True, None) if k >= r else (False, (0,) * k)
+            )
+            assert early_tp_product_scan(members[:2], k) == ()
+        assert early_tp_product_scan(members, r - 1) == early
 
 
 def test_early_tp_product_scan_bounds_its_sweep(monkeypatch):
@@ -1003,6 +1043,24 @@ def _copy_count_flats(n, rng):
     return [tuple(Fraction(x) for x in flat) for flat in flats]
 
 
+def _interleaved_network(n, rng):
+    """A network of arbitrarily interleaved L, U and D layers, about a
+    third of the L and U layers with zero multipliers."""
+    layers = []
+    for _ in range(rng.randint(0, 3 * multiplier_count(n))):
+        kind = rng.choice("LLUD")
+        if kind == "D":
+            layers.append(ebd(rng.randint(1, 4) for _ in range(n)))
+        else:
+            q = 0 if rng.random() < 0.3 else rng.randint(1, 9)
+            layers.append(EBFactor(kind, rng.randint(2, n), q))
+    return PlanarNetwork(n, layers)
+
+
+def _positive_descents(net):
+    return [x.index for x in net.layers if x.kind == "L" and x.multiplier > 0]
+
+
 def test_corner_copies_match_network_copy_counts():
     rng = random.Random(157)
     seen = set()
@@ -1015,6 +1073,64 @@ def test_corner_copies_match_network_copy_counts():
                 assert counts[c - 1] == min_copies_restart(net, c)
             seen.update(counts)
     assert {1, 2, 3, INFINITE_COPIES} <= seen
+    # interleaved L/U/D networks with zero multipliers: the counts of the
+    # positive L indices alone.  The restart oracle counts a zero-weight L
+    # layer as a descent, so it is compared on finite counts only.
+    seen.clear()
+    for n in range(2, 8):
+        for _ in range(30):
+            net = _interleaved_network(n, rng)
+            counts = _corner_copies(_positive_descents(net), n)
+            for c in range(1, n):
+                assert counts[c - 1] == min_copies_lower_corner(net, c)
+                if counts[c - 1] != INFINITE_COPIES:
+                    assert counts[c - 1] == min_copies_restart(net, c)
+            seen.update(counts)
+    assert {1, 2, 3, INFINITE_COPIES} <= seen
+
+
+def _cells(f):
+    return tuple(
+        demazure(ix, f.n) for ix in _side_indices(f.factor_sequence()).values()
+    )
+
+
+def test_cell_copy_counts_match_token_oracle():
+    rng = random.Random(181)
+    words = 0
+    for n in range(2, 10):
+        for _ in range(240):
+            repeated = [rng.randint(2, n) for _ in range(rng.randint(0, n * n))]
+            missing = rng.randint(2, n)
+            short = [j for j in repeated if j != missing]
+            interleaved = _positive_descents(_interleaved_network(n, rng))
+            for word in (repeated, short, interleaved):
+                assert _corner_copies(word, n) == token_corner_copies(word, n)
+                words += 1
+            assert _corner_copies(short, n) == (INFINITE_COPIES,) * (n - 1)
+    assert words >= 5000
+    # a factorization and its Neville refactorization lie in the same cells
+    for n in range(2, 8):
+        for _ in range(80):
+            f = random_oscillatory_factorization(n, rng, rng.choice((0.1, 0.3, 0.6)))
+            flats = [
+                tuple(x if rng.random() < 0.7 else 0 for x in flat)
+                for flat in (f.l, f.u)
+            ]
+            f = SEBFactorization(n, flats[0], f.d, flats[1])
+            assert _cells(f) == _cells(neville_factorize(compose(f)))
+    # the n! canonical width tuples w_2 .. w_n give the n! permutations
+    for n in range(2, 8):
+        layout = chain_layout(n)
+        cells = set()
+        for widths in itertools.product(*(range(n - i + 2) for i in range(2, n + 1))):
+            positive = set()
+            for i, w in zip(range(2, n + 1), widths):
+                chain = layout.chain(i)
+                positive.update(range(chain.stop - w, chain.stop))
+            cells.add(demazure([j for p, j in layout.lower_order if p in positive], n))
+        assert len(cells) == math.factorial(n)
+        assert all(sorted(w) == list(range(1, n + 1)) for w in cells)
 
 
 def test_corner_copies_match_matrix_power_exponents():
