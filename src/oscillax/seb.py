@@ -636,9 +636,17 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
     commute when their indices differ; zero multipliers and identity
     diagonals vanish.  A nonidentity diagonal commutes with nothing, so
     it must already separate the lower factors from the upper ones.
-    Each side takes one linear pass.  Raises :class:`NotNormalizable`
-    when no such reordering exists, and :class:`FeasibilityExceeded`,
-    before any layout is built, past :data:`NORMALIZE_SLOT_LIMIT` slots.
+    Each side takes one linear pass of :func:`_assign_word_to_slots` over
+    the lower product order: the L word as it stands, and the U word
+    reversed, the L word of the transpose, which :meth:`ChainLayout.mirror`
+    maps back; so the transposed word normalizes to the transposed result.
+    A shuffle of a canonical word gets that factorization back; a side
+    that cannot reach canonical order, as in ``L3(1) L3(1)``, keeps its
+    latest-slot placement, a non-canonical factorization of the product.
+    Raises :class:`NotNormalizable` when the relations rule the word out,
+    :class:`InvariantViolation` when the placement changes the product,
+    and :class:`FeasibilityExceeded`, before any layout is built, past
+    :data:`NORMALIZE_SLOT_LIMIT` slots.
     """
     factors = list(factors)
     if n is None:
@@ -698,38 +706,22 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
                 f"L{fac.index} appears after U{fac.index}; they do not commute"
             )
 
-    lower_word = [(fac.index, fac.multiplier) for fac in seq if fac.kind == "L"]
-    upper_word = [(fac.index, fac.multiplier) for fac in seq if fac.kind == "U"]
-
     layout = chain_layout(n)
     flats = []
-    for word, slots, side in (
-        (lower_word, layout.lower_order, "lower"),
-        (upper_word, layout.upper_order, "upper"),
-    ):
-        assign = _assign_word_to_slots(tuple(word), slots)
+    for side, kind, facs in (("lower", "L", seq), ("upper", "U", seq[::-1])):
+        word = tuple((fac.index, fac.multiplier) for fac in facs if fac.kind == kind)
+        assign = _assign_word_to_slots(word, layout.lower_order)
         if assign is None:
             raise NotNormalizable(f"{side} factors cannot reach canonical order")
         flat = [_ZERO] * multiplier_count(n)
-        for si, wp in assign.items():
-            flat[slots[si][0]] = word[wp][1]
-        flats.append(tuple(flat))
+        for p, wp in assign.items():  # lower product order is flat order
+            flat[p] = word[wp][1]
+        flats.append(flat)
 
     d = diag if diag is not None else (_ONE,) * n
-    f = SEBFactorization(n, flats[0], tuple(d), flats[1])
-
-    product = _word_product(seq, n)
-    canonical = neville_factorize(product)
-    if f == canonical:
-        # neville_factorize has already checked its composition against product
-        return canonical
-    if compose(f) != product:
+    f = SEBFactorization(n, flats[0], d, layout.mirror(flats[1]))
+    if compose(f) != _word_product(seq, n):
         raise InvariantViolation("normalization changed the composed matrix")
-
-    # re-express in elimination-canonical coordinates when that keeps the
-    # same factors (it always should; the raw assignment is the fallback)
-    if sorted(canonical.factor_sequence()) == sorted(f.factor_sequence()):
-        return canonical
     return f
 
 

@@ -15,9 +15,11 @@ from oscillax.classify import (
 )
 from oscillax.errors import (
     ClassMismatch,
+    FeasibilityExceeded,
     IndexOutOfRange,
     InvariantViolation,
     NotITN,
+    NotNormalizable,
     NotOscillatory,
     ParamOutOfRange,
     ShapeMismatch,
@@ -47,8 +49,11 @@ from oscillax.planar import (
     minor_via_paths,
 )
 from oscillax.seb import (
+    NORMALIZE_SLOT_LIMIT,
     FactorizationClass,
     SEBFactorization,
+    _assign_word_to_slots,
+    _word_product,
     chain_layout,
     classify_factorization,
     compose,
@@ -344,13 +349,108 @@ def search_assign_word_to_slots(word, slots):
     return None if result is None else dict(result)
 
 
+def refactorizing_normalize_commutation(factors, n=None):
+    """The commutation normalizer with a placement rule per side: the U
+    word goes onto the upper product order as it stands, and the result
+    is refactorized by Neville elimination and replaced by that canonical
+    factorization whenever the two carry the same factors.  The reference
+    for ``seb.normalize_commutation``: equal refusals on every word, equal
+    results wherever this one's result is canonical on both sides, and
+    the same product everywhere else."""
+    factors = list(factors)
+    if n is None:
+        dims = [len(fac.diag) for fac in factors if fac.kind == "D"]
+        idxs = [fac.index for fac in factors if fac.kind != "D"]
+        if dims:
+            n = dims[0]
+        elif idxs:
+            n = max(idxs)
+        else:
+            raise NotNormalizable("cannot infer dimension from an empty product")
+    if multiplier_count(n) > NORMALIZE_SLOT_LIMIT:
+        raise FeasibilityExceeded(
+            f"{multiplier_count(n)} slots per side at n={n} exceed the limit"
+            f" of {NORMALIZE_SLOT_LIMIT} slots"
+        )
+
+    diag = None
+    seq = []
+    for fac in factors:
+        if fac.kind == "D":
+            if len(fac.diag) != n:
+                raise NotNormalizable("diagonal length does not match n")
+            if any(x <= 0 for x in fac.diag):
+                raise NotNormalizable("diagonal entries must be positive")
+            if all(x == 1 for x in fac.diag):
+                continue
+            if diag is not None:
+                raise NotNormalizable("more than one nonidentity diagonal factor")
+            diag = fac.diag
+            seq.append(fac)
+        else:
+            if not 2 <= fac.index <= n:
+                raise NotNormalizable(f"factor index {fac.index} outside [2, {n}]")
+            if fac.multiplier < 0:
+                raise NotNormalizable("multipliers must be nonnegative")
+            if fac.multiplier == 0:
+                continue
+            seq.append(fac)
+
+    if diag is not None:
+        d_pos = next(i for i, fac in enumerate(seq) if fac.kind == "D")
+        for i, fac in enumerate(seq):
+            if fac.kind == "L" and i > d_pos:
+                raise NotNormalizable("lower factor to the right of the diagonal")
+            if fac.kind == "U" and i < d_pos:
+                raise NotNormalizable("upper factor to the left of the diagonal")
+
+    seen_upper = set()
+    for fac in seq:
+        if fac.kind == "U":
+            seen_upper.add(fac.index)
+        elif fac.kind == "L" and fac.index in seen_upper:
+            raise NotNormalizable(
+                f"L{fac.index} appears after U{fac.index}; they do not commute"
+            )
+
+    lower_word = [(fac.index, fac.multiplier) for fac in seq if fac.kind == "L"]
+    upper_word = [(fac.index, fac.multiplier) for fac in seq if fac.kind == "U"]
+
+    layout = chain_layout(n)
+    flats = []
+    for word, slots, side in (
+        (lower_word, layout.lower_order, "lower"),
+        (upper_word, layout.upper_order, "upper"),
+    ):
+        assign = _assign_word_to_slots(tuple(word), slots)
+        if assign is None:
+            raise NotNormalizable(f"{side} factors cannot reach canonical order")
+        flat = [_ZERO] * multiplier_count(n)
+        for si, wp in assign.items():
+            flat[slots[si][0]] = word[wp][1]
+        flats.append(tuple(flat))
+
+    d = diag if diag is not None else (_ONE,) * n
+    f = SEBFactorization(n, flats[0], tuple(d), flats[1])
+
+    product = _word_product(seq, n)
+    canonical = neville_factorize(product)
+    if f == canonical:
+        return canonical
+    if compose(f) != product:
+        raise InvariantViolation("normalization changed the composed matrix")
+    if sorted(canonical.factor_sequence()) == sorted(f.factor_sequence()):
+        return canonical
+    return f
+
+
 def min_copies_restart(net, c):
     """Copy count of a lower-left corner by sweeping 1, 2, ..., n-1
-    concatenated copies, each from scratch; every diagonal counts as a
-    descent, whatever its weight."""
+    concatenated copies, each from scratch; a corner with some index j
+    that no positive-weight L_j layer descends is never reachable."""
     n = net.n
     sources, sinks = lower_corner_tracks(n, c)
-    down_levels = {l.index for l in net.layers if l.kind == "L"}
+    down_levels = {l.index for l in net.layers if l.kind == "L" and l.multiplier > 0}
     if not set(range(2, n + 1)) <= down_levels:
         return INFINITE_COPIES
     for copies in range(1, n):

@@ -332,6 +332,19 @@ def test_network_rejects_malformed_factor_text(tmp_path, capsys, text, error):
     assert "Traceback" not in err
 
 
+def test_network_rejects_a_one_by_one_diagonal(tmp_path, capsys):
+    path = tmp_path / "d.txt"
+    path.write_text("D(2)\n")
+    code, payload, err = run(capsys, ["network", "--input", str(path)])
+    assert code == 2
+    assert payload == {
+        "schema": "oscillax.error/1",
+        "status": "error",
+        "error": {"type": "ShapeMismatch", "message": "factorizations require n >= 2"},
+    }
+    assert err == "error: ShapeMismatch: factorizations require n >= 2\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "network"])
 @pytest.mark.parametrize(
     "body",

@@ -1074,8 +1074,7 @@ def test_corner_copies_match_network_copy_counts():
             seen.update(counts)
     assert {1, 2, 3, INFINITE_COPIES} <= seen
     # interleaved L/U/D networks with zero multipliers: the counts of the
-    # positive L indices alone.  The restart oracle counts a zero-weight L
-    # layer as a descent, so it is compared on finite counts only.
+    # positive L indices alone
     seen.clear()
     for n in range(2, 8):
         for _ in range(30):
@@ -1083,8 +1082,7 @@ def test_corner_copies_match_network_copy_counts():
             counts = _corner_copies(_positive_descents(net), n)
             for c in range(1, n):
                 assert counts[c - 1] == min_copies_lower_corner(net, c)
-                if counts[c - 1] != INFINITE_COPIES:
-                    assert counts[c - 1] == min_copies_restart(net, c)
+                assert counts[c - 1] == min_copies_restart(net, c)
             seen.update(counts)
     assert {1, 2, 3, INFINITE_COPIES} <= seen
 

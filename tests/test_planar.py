@@ -244,6 +244,12 @@ def test_min_copies_matches_restart_oracle():
     assert {1, 2, 3, INFINITE_COPIES} <= seen
 
 
+def test_zero_weight_descent_never_reaches_the_corner():
+    net = PlanarNetwork(3, [ebl(2, 0), ebl(3, 1)])
+    assert min_copies_lower_corner(net, 1) == INFINITE_COPIES
+    assert min_copies_restart(net, 1) == INFINITE_COPIES
+
+
 def test_min_copies_keeps_track_cap():
     net = build_network(SEBFactorization(9, (1,) * 36, (1,) * 9, (1,) * 36))
     message = "path sweep over 9 tracks exceeds cap 8"

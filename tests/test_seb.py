@@ -16,6 +16,7 @@ from oracles import (
     fraction_word_product,
     mirror_flat,
     random_canonical_factorization,
+    refactorizing_normalize_commutation,
     search_assign_word_to_slots,
     slot_chain_factor,
     staircase_flat,
@@ -494,9 +495,9 @@ def _normalization_cases():
     ]
 
 
-def _normalization_outcome(word, n):
+def _normalization_outcome(word, n, normalize=normalize_commutation):
     try:
-        return normalize_commutation(word, n=n)
+        return normalize(word, n=n)
     except (NotNormalizable, InvariantViolation) as exc:
         return type(exc).__name__, str(exc)
 
@@ -709,6 +710,88 @@ def test_normalize_matches_dense_rebuild(monkeypatch):
     # outcomes are factorizations (NamedTuples) or plain (name, message) tuples
     kinds = {o[0] if type(o) is tuple else "ok" for o in column_ops}
     assert kinds == {"ok", "NotNormalizable"}
+
+
+def _structured_word(n, rng):
+    """An L word, an optional diagonal and a U word, with repeated
+    letters and zero multipliers, shuffled by legal swaps and now and then
+    given one random factor anywhere."""
+    mults = (0, 1, 1, 2, Fraction(1, 2), 3)
+
+    def side(make):
+        length = rng.randint(0, n + 2)
+        return [make(rng.randint(2, n), rng.choice(mults)) for _ in range(length)]
+
+    word = side(ebl)
+    if rng.random() < 0.7:
+        word.append(ebd(rng.choice((1, 1, 2, Fraction(1, 3))) for _ in range(n)))
+    word += side(ebu)
+    for _ in range(2 * len(word) - 2):
+        i = rng.randrange(len(word) - 1)
+        if _legal_swap(word[i], word[i + 1]):
+            word[i], word[i + 1] = word[i + 1], word[i]
+    if rng.random() < 0.1:
+        word.insert(rng.randrange(len(word) + 1), _random_factor(n, rng))
+    return word
+
+
+def _differential_words():
+    rng = random.Random(2701)
+    for _ in range(4000):
+        n = rng.randint(2, 8)
+        yield n, _structured_word(n, rng)
+        yield n, _structured_word(n, rng)
+        for word in _normalization_words(n, rng):
+            yield n, word
+
+
+def test_normalize_matches_refactorizing_oracle():
+    words = accepted = noncanonical = 0
+    for n, word in _differential_words():
+        words += 1
+        want = _normalization_outcome(word, n, refactorizing_normalize_commutation)
+        got = _normalization_outcome(word, n)
+        if type(want) is tuple:  # a refusal: (name, message)
+            assert got == want, word
+            continue
+        accepted += 1
+        layout = chain_layout(n)
+        if layout.is_canonical(want.l) and layout.is_canonical(layout.mirror(want.u)):
+            assert got == want, word
+        else:
+            noncanonical += 1
+            assert compose(got) == compose(want), word
+    assert words >= 20_000 and accepted >= 10_000 and noncanonical >= 500
+
+
+def _transposed_word(word):
+    swap = {"L": ebu, "U": ebl}
+    return [
+        fac if fac.kind == "D" else swap[fac.kind](fac.index, fac.multiplier)
+        for fac in reversed(word)
+    ]
+
+
+def test_normalize_commutes_with_transposition():
+    f = factorization_from_text("L3(1) L3(1) U3(1)")
+    g = factorization_from_text("L3(1) U3(1) U3(1)")
+    assert (f.l, f.u) == ((1, 0, 1), (0, 0, 1))
+    assert g == (3, f.layout.mirror(f.u), f.d, f.layout.mirror(f.l))
+    accepted = 0
+    for n, word in itertools.islice(_differential_words(), 4000):
+        f = _normalization_outcome(word, n)
+        g = _normalization_outcome(_transposed_word(word), n)
+        if type(f) is tuple:
+            assert type(g) is tuple and g[0] == f[0], word
+            continue
+        accepted += 1
+        assert g == (n, f.layout.mirror(f.u), f.d, f.layout.mirror(f.l)), word
+    assert accepted >= 2000
+
+
+def test_one_by_one_diagonal_text_is_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match=r"factorizations require n >= 2"):
+        factorization_from_text("D(2)")
 
 
 def test_normalize_drops_identities():
