@@ -210,7 +210,11 @@ def run_digest(tmp_path, capsys, name, body, argv):
 
 
 # exit code, stdout and stderr of each run, recorded while network layers
-# were a record type of their own (down/up/scale) beside the factors
+# were a record type of their own (down/up/scale) beside the factors.
+# "seeded n=8" and "seeded n=9" (plain) and "seeded n=8" (copies 2) were
+# re-recorded when the normalizer began placing the U word through the
+# transpose: their factor texts cannot reach canonical order on the upper
+# side, so commuting upper layers now print in another order (same product)
 NETWORK_DIGESTS = {
     "plain": {
         "elim3": "d7741d2ba69eae86df522b36f1c22696994d7577742fff28003a35cbca6f6cff",
@@ -227,8 +231,8 @@ NETWORK_DIGESTS = {
         "seeded n=5": "a50c39aebfb3003d06d75fcd4396e8071cd082af7f3e4613658dbb4821877dfb",
         "seeded n=6": "6b6bea0dc663195377f53bc7590ea3839258e49d66c67d314e907e4fbcc3ef3d",
         "seeded n=7": "5f77714cef96ff5f7a164bd29e2282b45f44b2c97f14597c01af3654200decb7",
-        "seeded n=8": "7da2b830a4924e11ea3265bae8dc8b90af202f56f1826dfd4883e59952fd8e02",
-        "seeded n=9": "19858ac8a5a90157aad06733cb894e9dc99631dfeee0fe44324193f85ac59d17",
+        "seeded n=8": "8e6681f6daf7d8fcacbc580d9949722424dea2ed3a1e321e6326cfea492ca848",
+        "seeded n=9": "6c5cb4b5f35ca06427cdfeb60d5145e1dd89d2b543bccc6cc902846eef6b8e20",
     },
     "copies 2": {
         "elim3": "489a15c3ce2ea9a373ff3fb053e9e514f788f2e990f5ac79d003fd437c92e23a",
@@ -245,7 +249,7 @@ NETWORK_DIGESTS = {
         "seeded n=5": "796e3bc2ba48f9bc43797cc165cf809c5ba2b8a981afdcba576e666596e562e2",
         "seeded n=6": "ecd3cd0de09a88ca34610861c726d966b65a88bb4d38d7d0b7d4fced96edaf7d",
         "seeded n=7": "30598c9f08a727f827860ad368fbe78e30579c36b67ff57d79daa9a9c4b1ffa1",
-        "seeded n=8": "efd1f539ae74cb612cc6c8157e2c04ff0a9fc619952f0836777cd7af0589900b",
+        "seeded n=8": "76fe192b98842f8e632696d28338149175fbc9e726bb909a16d204941ac1497d",
         "seeded n=9": "7f68386c451fa8535922982723f4f75826bf82d95c3bb568ed7f776d3624548e",
     },
 }
