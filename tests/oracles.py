@@ -156,6 +156,32 @@ def random_canonical_factorization(n, rng):
     )
 
 
+def commutes(f1, f2):
+    """Adjacent factors that the normalizer's relations let trade places:
+    an identity factor with any factor, two L (or two U) factors whose
+    indices differ by more than one, and an L and a U factor of different
+    indices."""
+    if any(all(x == 1 for x in f.diag) if f.kind == "D" else f.multiplier == 0
+           for f in (f1, f2)):
+        return True
+    if f1.kind == "D" or f2.kind == "D":
+        return False
+    if f1.kind == f2.kind:
+        return abs(f1.index - f2.index) > 1
+    return f1.index != f2.index
+
+
+def commutation_shuffle(word, rng, swaps):
+    """A copy of ``word`` after ``swaps`` draws of an adjacent pair, each
+    pair swapped when :func:`commutes` lets it; so the same product."""
+    word = list(word)
+    for _ in range(swaps if len(word) > 1 else 0):
+        i = rng.randrange(len(word) - 1)
+        if commutes(word[i], word[i + 1]):
+            word[i], word[i + 1] = word[i + 1], word[i]
+    return word
+
+
 @lru_cache(maxsize=None)
 def enumerated_class_catalog(n):
     """Canonical-support table for every class shape at dimension n, one

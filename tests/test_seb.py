@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oscillax.seb as seb
 from oracles import (
+    commutation_shuffle,
     dense_word_product,
     flat_layout_classification,
     flat_slot,
@@ -418,42 +419,14 @@ def test_normalize_rejections():
 
 
 def test_normalize_recovers_canonical_after_commuting_shuffle():
-    def commutes(f1, f2):
-        if f1.kind == "D" or f2.kind == "D":
-            return False
-        if f1.kind == f2.kind:
-            return abs(f1.index - f2.index) > 1
-        return f1.index != f2.index
-
-    for trial in range(40):
+    for trial in range(41):
         rng = random.Random(trial)
-        n = rng.randint(2, 5)
+        n = rng.randint(2, 5) if trial < 40 else 30
         f = random_canonical_factorization(n, rng)
-        seq = list(f.factor_sequence())
-        for _ in range(30):
-            if len(seq) < 2:
-                break
-            i = rng.randrange(len(seq) - 1)
-            if commutes(seq[i], seq[i + 1]):
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-        assert normalize_commutation(seq, n=n) == f
-
-
-def _is_identity(fac):
-    if fac.kind == "D":
-        return all(x == 1 for x in fac.diag)
-    return fac.multiplier == 0
-
-
-def _legal_swap(f1, f2):
-    """Adjacent factors that the normalizer's relations let trade places."""
-    if _is_identity(f1) or _is_identity(f2):
-        return True
-    if f1.kind == "D" or f2.kind == "D":
-        return False
-    if f1.kind == f2.kind:
-        return abs(f1.index - f2.index) > 1
-    return f1.index != f2.index
+        word = f.factor_sequence()
+        shuffled = commutation_shuffle(word, rng, 20 * len(word))
+        assert n < 30 or shuffled != list(word)
+        assert normalize_commutation(shuffled, n=n) == f
 
 
 def _random_factor(n, rng):
@@ -477,10 +450,7 @@ def _normalization_words(n, rng):
         shuffled.insert(rng.randrange(len(shuffled) + 1), ebd((1,) * n))
         side = rng.choice((ebl, ebu))
         shuffled.insert(rng.randrange(len(shuffled) + 1), side(rng.randint(2, n), 0))
-    for _ in range(4 * len(shuffled)):
-        i = rng.randrange(len(shuffled) - 1)
-        if _legal_swap(shuffled[i], shuffled[i + 1]):
-            shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
+    shuffled = commutation_shuffle(shuffled, rng, 4 * len(shuffled))
     scrambled = [_random_factor(n, rng) for _ in range(rng.randint(1, 2 * n))]
     return [canonical, shuffled, scrambled]
 
@@ -726,10 +696,7 @@ def _structured_word(n, rng):
     if rng.random() < 0.7:
         word.append(ebd(rng.choice((1, 1, 2, Fraction(1, 3))) for _ in range(n)))
     word += side(ebu)
-    for _ in range(2 * len(word) - 2):
-        i = rng.randrange(len(word) - 1)
-        if _legal_swap(word[i], word[i + 1]):
-            word[i], word[i + 1] = word[i + 1], word[i]
+    word = commutation_shuffle(word, rng, 2 * len(word) - 2)
     if rng.random() < 0.1:
         word.insert(rng.randrange(len(word) + 1), _random_factor(n, rng))
     return word
