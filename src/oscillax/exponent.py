@@ -13,13 +13,14 @@ closed forms for the lower exponent:
 
 Recognition works on the positivity pattern of the canonical flat
 multipliers only; multiplier values never matter for these results.
-Each canonical chain support is a run, so the chain widths decide the
-class (:func:`recognize_class`): one :class:`ClassMatch` per class
-support, whose ``psi`` is the run its partial chain keeps, and whose
+Each class support is the set of canonical flat slots that the
+generators fill (:func:`z1_slots`, :func:`z2_slots`), with one
+:class:`ClassMatch`: ``psi`` is the run its partial chain keeps, and
 :meth:`~ClassMatch.patterns` counts the partial-chain patterns sharing
-that support.  The input is refactorized only when it is not canonical
-already; a Neville factorization is, so each exponent route factorizes
-its input once.
+that support.  :func:`recognize_class` compares these sets with the
+input's positive slots, refactorizing the input only when it is not
+canonical already (a Neville factorization is, so each exponent route
+factorizes its input once), and one rule frames every tag.
 
 Both exponent routes count, for each corner, the power at which its minor
 turns positive, and build their report from these counts in one place
@@ -46,9 +47,9 @@ permutation.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .classify import corner_index_sets, is_oscillatory, is_tp
@@ -207,26 +208,30 @@ def resolve_psi_choice(n: int, s: int, psi_choice, rng: random.Random):
 
     Accepts ``None`` (lone L_{s-1} for s >= 3, nothing for s = 2), the
     string ``"random"``, or an iterable of factor indices for the chosen
-    product, which must contain s-1.
+    product, which must contain s-1 (be empty for s = 2).  An index is an
+    ``int`` and not a ``bool``; anything else raises
+    :class:`InvalidPsiPattern`.
     """
-    if s == 2:
-        if psi_choice not in (None, "random") and set(psi_choice or ()) != set():
-            raise InvalidPsiPattern("s=2 admits no partial chain")
-        return None
-    optional = sorted(range(s, n + 1))
-    if psi_choice is None:
-        return frozenset()
-    if psi_choice == "random":
+    if psi_choice in (None, "random"):
+        if s == 2:
+            return None
+        if psi_choice is None:
+            return frozenset()
         # draws enumerate_psi_patterns(n, s)[i] without building the tuple
         _check_class_params(n, s)
+        optional = sorted(range(s, n + 1))
         return _psi_from_mask(optional, rng.randrange(2 ** len(optional) - 1))
     try:
-        members = {int(x) for x in psi_choice}
-    except (TypeError, ValueError) as exc:
+        members = tuple(psi_choice)
+    except TypeError as exc:
         raise InvalidPsiPattern(f"cannot read pattern {psi_choice!r}") from exc
-    if s - 1 not in members:
+    if any(type(x) is bool or not isinstance(x, int) for x in members):
+        raise InvalidPsiPattern(f"cannot read pattern {psi_choice!r}")
+    if s == 2 and members:
+        raise InvalidPsiPattern("s=2 admits no partial chain")
+    if s > 2 and s - 1 not in members:
         raise InvalidPsiPattern(f"partial chain must contain factor {s - 1}")
-    return frozenset(members - {s - 1})
+    return frozenset(members) - {s - 1} if s > 2 else None
 
 
 def generate_z2(n: int, s: int, psi_choice, seed: int) -> SEBFactorization:
@@ -290,19 +295,19 @@ class ClassMatch(NamedTuple):
         return 1
 
 
-def _class_supports(n: int):
-    """Every class support at dimension n as (widths w_2 .. w_n, family, s,
-    run), in :class:`ClassMatch` order.  Z1(s): chains 2..s full, the rest
-    empty.  Z2(s, t), s >= 3: chains 2..s-2 singletons, chain s-1 of width
-    1+t, chains s..n full.  Z2(2) shares the support of Z1(n)."""
-    full = tuple(range(n - 1, 0, -1))
-    for s in range(2, n + 1):
-        yield full[: s - 1] + (0,) * (n - s), "Z1", s, None
-    yield full, "Z2", 2, None
+@lru_cache(maxsize=None)
+def _class_supports(n: int) -> tuple[tuple[frozenset[int], ClassMatch], ...]:
+    """Every class support at dimension n as (canonical flat slots, match),
+    in :class:`ClassMatch` order, built once per n: Z1(2..n), Z2(2), which
+    shares the slots of Z1(n), then Z2(s), s >= 3, once per run
+    (s, ..., s+t-1) its partial chain keeps in canonical form."""
+    out = [(z1_slots(n, s), ClassMatch("Z1", s, None)) for s in range(2, n + 1)]
+    out.append((z2_slots(n, 2, None), ClassMatch("Z2", 2, None)))
     for s in range(3, n + 1):
         for t in range(n - s + 1):
-            widths = (1,) * (s - 3) + (1 + t,) + full[s - 2 :]
-            yield widths, "Z2", s, tuple(range(s, s + t))
+            run = tuple(range(s, s + t))
+            out.append((z2_slots(n, s, frozenset(run)), ClassMatch("Z2", s, run)))
+    return tuple(out)
 
 
 #: Most entries :meth:`ClassTag.to_json_dict` lists in ``exact`` or in
@@ -384,10 +389,11 @@ def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
 
     The vector is read in canonical form: as it stands when it already is
     (:meth:`ChainLayout.is_canonical`, as every Neville factorization
-    is), else refactorized first.  Its chain widths w_2 .. w_n equal to a
-    class's are an exact match; a class whose widths lie below them
-    componentwise yields a 'plus-extra' tag carrying the surplus
-    factors."""
+    is), else refactorized first.  A class whose slots
+    (:func:`_class_supports`) equal its positive slots is an exact match;
+    one whose slots are a proper subset of them is a with-extras base
+    carrying the positive factors outside it, in flat order.  The tag is
+    framed as :func:`_framed_tag` says."""
     flat = tuple(l_part_multipliers)
     if n is None:
         n = n_from_flat(flat)
@@ -396,51 +402,40 @@ def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
     if not layout.is_canonical(canon_l):
         part = SEBFactorization(n, canon_l, (_ONE,) * n, (_ZERO,) * len(canon_l))
         canon_l = neville_factorize(compose(part)).l
-    positive = tuple(x > 0 for x in canon_l)
-    chains = [layout.chain(i) for i in range(2, n + 1)]
-    widths = tuple(sum(positive[c]) for c in chains)
-    factors = [
-        ebl(j, x) if pos else None
-        for (_, j), x, pos in zip(layout.lower_cells, canon_l, positive)
-    ]
+    factors = {
+        p: ebl(j, x)
+        for p, ((_, j), x) in enumerate(zip(layout.lower_cells, canon_l))
+        if x > 0
+    }
+    positive = frozenset(factors)
 
-    exact: list[ClassMatch] = []
-    extra_matches: list[tuple[ClassMatch, tuple[EBFactor, ...]]] = []
-    for base, *match in _class_supports(n):
-        if base == widths:
-            exact.append(ClassMatch(*match))
-        elif all(map(operator.le, base, widths)):
-            extras = tuple(
-                factors[p]
-                for c, b, w in zip(chains, base, widths)
-                for p in range(c.stop - w, c.stop - b)
-            )
-            extra_matches.append((ClassMatch(*match), extras))
-    extra_matches.sort(key=lambda pair: (len(pair[1]), pair[0]))
-
-    if exact:
-        primary, family, extras = exact[0], exact[0].family, ()
-    elif extra_matches:
-        primary, extras = extra_matches[0]
-        family = f"{primary.family}-plus-extra"
-    else:
-        return ClassTag(n, "unrecognized", None, None, (), (), ())
-    return ClassTag(
-        n, family, primary.s, primary.psi, extras, tuple(exact), tuple(extra_matches)
-    )
+    exact, with_extras = [], []
+    for slots, match in _class_supports(n):
+        if slots == positive:
+            exact.append(match)
+        elif slots < positive:
+            extras = tuple(factors[p] for p in sorted(positive - slots))
+            with_extras.append((match, extras))
+    with_extras.sort(key=lambda pair: (len(pair[1]), pair[0]))
+    return _framed_tag(n, tuple(exact), tuple(with_extras))
 
 
 def plus_extra_tag(n: int, base: ClassMatch, extras: tuple[EBFactor, ...]) -> ClassTag:
     """Build a tag that commits to a specific class-plus-extras framing."""
-    return ClassTag(
-        n=n,
-        family=f"{base.family}-plus-extra",
-        s=base.s,
-        psi_pattern=base.psi,
-        extras=extras,
-        exact=(),
-        with_extras=((base, extras),),
-    )
+    return _framed_tag(n, (), ((base, extras),))
+
+
+def _framed_tag(n: int, exact, with_extras) -> ClassTag:
+    """The tag of these matches, framed by the first exact match, else by
+    the first with-extras base and its extras, else unrecognized."""
+    if exact:
+        primary, family, extras = exact[0], exact[0].family, ()
+    elif with_extras:
+        primary, extras = with_extras[0]
+        family = f"{primary.family}-plus-extra"
+    else:
+        return ClassTag(n, "unrecognized", None, None, (), (), ())
+    return ClassTag(n, family, primary.s, primary.psi, extras, exact, with_extras)
 
 
 class Prediction(NamedTuple):

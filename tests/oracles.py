@@ -650,6 +650,66 @@ def refactorizing_recognize_class(l_part_multipliers, n=None, refactorize=True):
     )
 
 
+def _width_class_supports(n):
+    """Every class support at dimension n as (widths w_2 .. w_n, family, s,
+    run), in ClassMatch order.  Z1(s): chains 2..s full, the rest empty.
+    Z2(s, t), s >= 3: chains 2..s-2 singletons, chain s-1 of width 1+t,
+    chains s..n full.  Z2(2) shares the support of Z1(n)."""
+    full = tuple(range(n - 1, 0, -1))
+    for s in range(2, n + 1):
+        yield full[: s - 1] + (0,) * (n - s), "Z1", s, None
+    yield full, "Z2", 2, None
+    for s in range(3, n + 1):
+        for t in range(n - s + 1):
+            widths = (1,) * (s - 3) + (1 + t,) + full[s - 2 :]
+            yield widths, "Z2", s, tuple(range(s, s + t))
+
+
+def width_recognize_class(l_part_multipliers, n=None):
+    """Class recognition by chain widths: each canonical chain support is
+    a run, so widths equal to a class's are an exact match, and a class
+    whose widths lie below them componentwise is a with-extras base whose
+    extras are each chain's surplus factors.  The reference for
+    ``exponent.recognize_class`` at any n, stated by width formulas
+    rather than by the slot sets of ``z1_slots``/``z2_slots``."""
+    flat = tuple(l_part_multipliers)
+    if n is None:
+        n = n_from_flat(flat)
+    layout = chain_layout(n)
+    if not layout.is_canonical(flat):
+        part = SEBFactorization(n, flat, (_ONE,) * n, (_ZERO,) * len(flat))
+        flat = neville_factorize(compose(part)).l
+    positive = tuple(x > 0 for x in flat)
+    chains = [layout.chain(i) for i in range(2, n + 1)]
+    widths = tuple(sum(positive[c]) for c in chains)
+    cells = layout.lower_cells
+
+    exact = []
+    extra_matches = []
+    for base, *match in _width_class_supports(n):
+        if base == widths:
+            exact.append(ClassMatch(*match))
+        elif all(b <= w for b, w in zip(base, widths)):
+            extras = tuple(
+                ebl(cells[p][1], flat[p])
+                for c, b, w in zip(chains, base, widths)
+                for p in range(c.stop - w, c.stop - b)
+            )
+            extra_matches.append((ClassMatch(*match), extras))
+    extra_matches.sort(key=lambda pair: (len(pair[1]), pair[0]))
+
+    if exact:
+        primary, family, extras = exact[0], exact[0].family, ()
+    elif extra_matches:
+        primary, extras = extra_matches[0]
+        family = f"{primary.family}-plus-extra"
+    else:
+        return ClassTag(n, "unrecognized", None, None, (), (), ())
+    return ClassTag(
+        n, family, primary.s, primary.psi, extras, tuple(exact), tuple(extra_matches)
+    )
+
+
 def per_psi_class_json(l_part_multipliers, n=None, refactorize=True):
     """The ``oscillax.exponent/1`` rendering of the class tag of
     :func:`refactorizing_recognize_class`, with one ``exact`` label and

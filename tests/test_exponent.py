@@ -20,6 +20,7 @@ from oracles import (
     scan_product_family_check,
     staircase_flat,
     token_corner_copies,
+    width_recognize_class,
 )
 from oscillax.errors import (
     ClassMismatch,
@@ -157,6 +158,14 @@ def test_generate_z2_pattern_validation():
         generate_z2(5, 4, {3, 4, 5}, seed=0)  # full optional set
     with pytest.raises(InvalidPsiPattern):
         generate_z2(5, 2, {2}, seed=0)
+    # an index is an int and not a bool, on either branch
+    for s, choice in (
+        (2, 5), (3, 5), (2, [2.5]), (3, [2.5]), (3, [2, 3.0]), (4, ["3"]), (3, [2, True])
+    ):
+        with pytest.raises(InvalidPsiPattern):
+            resolve_psi_choice(4, s, choice, random.Random(0))
+        with pytest.raises(InvalidPsiPattern):
+            generate_z2(4, s, choice, seed=0)
     f = generate_z2(5, 4, "random", seed=1)
     assert f == generate_z2(5, 4, "random", seed=1)
 
@@ -745,6 +754,75 @@ def test_recognize_class_matches_oracle_seeded():
             flats.append(layout.mirror(with_transpose(generate_z2(n, s, "random", seed=s)).u))
         seen |= _assert_recognition_matches_oracle(flats, n)
     assert seen == {True, False}
+
+
+def _class_shape_flats(n, rng):
+    """Seeded lower flats at dimension n: canonical staircases, Z1/Z2
+    shapes as generated, with one run extended (canonical, with extras)
+    and with one random slot set (mostly not canonical), random flats of
+    several densities, and zero-heavy flats that mostly match no class."""
+    layout = chain_layout(n)
+    k = multiplier_count(n)
+
+    def one():
+        return Fraction(rng.randint(1, 9))
+
+    def random_flat(density):
+        return tuple(one() if rng.random() < density else Fraction(0) for _ in range(k))
+
+    for _ in range(4):
+        yield staircase_flat(n, rng, "l")
+        yield layout.mirror(staircase_flat(n, rng, "u"))
+    for _ in range(6):
+        s = rng.randint(2, n)
+        for shape in (
+            generate_z1(n, s, seed=rng.randrange(10**6)).l,
+            generate_z2(n, s, "random", seed=rng.randrange(10**6)).l,
+        ):
+            yield shape
+            extended = list(shape)
+            i = rng.randint(2, n)
+            chain = layout.chain(i)
+            run = sum(x > 0 for x in shape[chain])
+            if run < chain.stop - chain.start:
+                extended[chain.stop - run - 1] = one()
+            yield tuple(extended)
+            scattered = list(shape)
+            scattered[rng.randrange(k)] = one()
+            yield tuple(scattered)
+    for density in (0.1, 0.3, 0.6, 0.9):
+        yield random_flat(density)
+        yield random_flat(density)
+    for _ in range(4):
+        flat = [Fraction(0)] * k
+        flat[rng.randrange(k)] = one()
+        yield tuple(flat)
+    f = random_oscillatory_factorization(n, rng, density=0.3)
+    yield f.l
+    yield layout.mirror(f.u)
+
+
+def test_recognize_class_matches_width_oracle():
+    # the width formulas state the class shapes independently of the slot
+    # sets recognition reads, so they reach the n = 10..12 that the
+    # enumerated catalog cannot
+    rng = random.Random(281)
+    seen = collections.Counter()
+    for n in range(2, 13):
+        layout = chain_layout(n)
+        for _ in range(5):
+            for flat in _class_shape_flats(n, rng):
+                tag = recognize_class(flat, n)
+                want = width_recognize_class(flat, n)
+                assert tag == want, (n, flat)
+                assert tag.to_json_dict() == want.to_json_dict(), (n, flat)
+                seen["flats"] += 1
+                seen["canonical" if layout.is_canonical(flat) else "refactorized"] += 1
+                seen["exact" if tag.exact else "no exact"] += 1
+                seen["with extras" if tag.with_extras else "no extras"] += 1
+                seen[tag.family] += 1
+    assert seen["flats"] >= 2000
+    assert min(seen.values()) >= 100, seen
 
 
 def test_class_tag_json_renders_each_distinct_factor_once(monkeypatch):
