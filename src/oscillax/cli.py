@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -240,9 +241,13 @@ def cmd_generate(args) -> int:
         if args.psi == "random":
             psi = "random"
         else:
+            # one L and decimal digits per token, as in the factor text
+            tokens = [re.fullmatch(r"\s*L(\d+)\s*", t) for t in args.psi.split(",")]
             try:
-                psi = {int(tok.strip().lstrip("Ll")) for tok in args.psi.split(",")}
-            except ValueError as exc:
+                if not all(tokens):
+                    raise ValueError("not an L<index> token")
+                psi = {int(m.group(1)) for m in tokens}
+            except ValueError as exc:  # also digits past int's conversion limit
                 raise InvalidPsiPattern(f"cannot parse pattern {args.psi!r}") from exc
     if args.cls == "z1":
         if psi is not None:
@@ -356,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", choices=("z1", "z2"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--psi", help="partial chain, e.g. 'L4' or 'L4,L5' or 'random'")
+    p.add_argument(
+        "--psi", help="partial chain as L<index> tokens, e.g. 'L4' or 'L4,L5', or 'random'"
+    )
     p.add_argument(
         "--full", action="store_true",
         help="pair with the transposed upper part and a diagonal",

@@ -1,17 +1,23 @@
 """Dense exact-rational matrices, index sets, minors, and compounds.
 
 Everything here is immutable and pure.  ``Fraction`` is the boundary
-type: entries, minors and results are ``Fraction``s.  Inside, ``mat_mul``
-and the Bareiss determinant behind ``det`` and ``minor`` scale their
-operands by the entries' least common denominator (``_scaled``) and run
-on Python ints, building one ``Fraction`` per result entry; the factor
-word product behind ``seb.compose`` is the same kind of integer kernel,
-one denominator per column.  Neville elimination (``seb.neville_factorize``)
-runs on ``_ScaledRows``: int rows with one positive denominator per row,
-reduced by one gcd per row operation.  Bulk minor
+type: entries, minors and results are ``Fraction``s.  Bulk minor
 scans use an order-by-order Laplace recurrence over lexicographically
 ordered index subsets, which is the documented external ordering for
 compound matrices.
+
+The arithmetic-heavy kernels run on Python ints instead.  :func:`_scaled`
+is the one place where ``Fraction``s become ints: the entries times
+their least common denominator d, and d.  ``mat_mul`` and the Bareiss
+determinant behind ``det`` and ``minor`` run on such a block and build
+one ``Fraction`` per result entry.  Neville elimination
+(``seb.neville_factorize``, on the rows of :class:`_ScaledRows`) and the
+factor word product (``seb._word_product``, on columns) start from one
+denominator and then keep one positive denominator per vector, so an
+operation rescales only the vector it changes.  Each such operation ends
+with :func:`_reduce`, one gcd reduction of the vector and its
+denominator rather than one per entry, and only the results become
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -190,13 +196,20 @@ def _scaled(rows) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
+def _reduce(vecs: list[list[int]], dens: list[int], i: int) -> None:
+    """Divide vector i of a scaled family and its denominator by their gcd."""
+    g = math.gcd(dens[i], *vecs[i])
+    if g != 1:
+        vecs[i] = [x // g for x in vecs[i]]
+        dens[i] //= g
+
+
 class _ScaledRows:
     """A matrix held as rows of Python ints, each over one positive
     denominator: entry (r, c) is ``ints[r][c] / dens[r]``.
 
-    Each row operation ends with one gcd reduction of the row and its
-    denominator, not one per entry.  Neville elimination in
-    :mod:`oscillax.seb` runs both of its passes on this kernel.
+    Neville elimination in :mod:`oscillax.seb` runs both of its passes on
+    this kernel.
     """
 
     __slots__ = ("ints", "dens")
@@ -205,33 +218,18 @@ class _ScaledRows:
         self.ints = ints
         self.dens = dens
 
-    @classmethod
-    def of(cls, rows) -> "_ScaledRows":
-        """``Fraction`` rows, each scaled by its least common denominator
-        (which leaves the row in lowest terms)."""
-        ints, dens = [], []
-        for row in rows:
-            (scaled,), d = _scaled((row,))
-            ints.append(scaled)
-            dens.append(d)
-        return cls(ints, dens)
-
     def transpose(self) -> "_ScaledRows":
         """The transpose: column c over the lcm of the denominators of its
-        nonzero entries, reduced by one gcd."""
+        nonzero entries, reduced."""
         ints, dens = [], []
         for col in zip(*self.ints):
             d = math.lcm(*(q for x, q in zip(col, self.dens) if x))
+            dens.append(d)
             if d == 1:
                 ints.append(list(col))
             else:
-                row = [x * (d // q) if x else 0 for x, q in zip(col, self.dens)]
-                g = math.gcd(d, *row)
-                if g != 1:
-                    row = [x // g for x in row]
-                    d //= g
-                ints.append(row)
-            dens.append(d)
+                ints.append([x * (d // q) if x else 0 for x, q in zip(col, self.dens)])
+                _reduce(ints, dens, len(ints) - 1)
         return _ScaledRows(ints, dens)
 
     def clear_below(self, r: int, c: int) -> None:
@@ -239,9 +237,10 @@ class _ScaledRows:
         val / piv of row r-1, where val and piv are the entries (r, c)
         and (r-1, c) and piv is nonzero:
 
-            row_r <- (piv row_r - val row_{r-1}) / (piv den_r).
+            row_r <- (piv row_r - val row_{r-1}) / (piv den_r),
 
-        Entries left of column c must be zero in both rows; they stay so.
+        reduced.  Entries left of column c must be zero in both rows; they
+        stay so.
         """
         row, above = self.ints[r], self.ints[r - 1]
         val, piv = row[c], above[c]
@@ -251,14 +250,10 @@ class _ScaledRows:
             new = [x - val * y for x, y in zip(row[c + 1 :], above[c + 1 :])]
         else:
             new = [piv * x - val * y for x, y in zip(row[c + 1 :], above[c + 1 :])]
-        den = piv * self.dens[r]
-        g = math.gcd(den, *new)
-        if g != 1:
-            new = [x // g for x in new]
-            den //= g
         row[c] = 0
         row[c + 1 :] = new
-        self.dens[r] = den
+        self.dens[r] *= piv
+        _reduce(self.ints, self.dens, r)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -3,13 +3,8 @@
 The scalar type throughout the library is :class:`fractions.Fraction`,
 which keeps values in canonical form (positive denominator, reduced).
 It is the boundary type: every value passed in or returned is a
-``Fraction``.  The hot kernels in :mod:`oscillax.matrix` (``mat_mul`` and
-the Bareiss determinant) scale their operands to Python ints by the
-least common denominator and convert back once per result entry, the
-factor word product in :mod:`oscillax.seb` keeps each column as ints
-over one denominator, and Neville elimination keeps each row as ints
-over one denominator (``matrix._ScaledRows``), building only its
-multipliers and diagonal as ``Fraction``s.
+``Fraction``; the integer kernels behind it are described in
+:mod:`oscillax.matrix`.
 This module owns the text grammar: integers, ``p/q`` fractions, and
 finite decimals.  Decimals are converted exactly, never through a
 binary float.  Floats themselves are rejected everywhere.

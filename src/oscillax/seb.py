@@ -16,10 +16,8 @@ A factorization is read in product order only through its factor word,
 :meth:`SEBFactorization.factor_sequence`, and every product is built by
 one column operation per factor in :func:`_word_product`: :func:`compose`
 multiplies the word, and the index counts behind
-:func:`classify_factorization` are taken over it.  The word product is an
-integer kernel: each column is Python ints over one positive
-denominator, reduced by one gcd per factor, and each entry becomes a
-``Fraction`` once, at the end.
+:func:`classify_factorization` are taken over it.  The word product is
+one of the integer kernels that :mod:`oscillax.matrix` describes.
 
 Which factors of a word are positive is read through one permutation per
 side, the Demazure product of their indices (:func:`demazure`): the L
@@ -32,10 +30,8 @@ product-family gate and the TP test of a product depend only on it.
 Factorizations are produced by Neville elimination: columns left to
 right, within each column bottom-up, always pivoting on the row directly
 above.  The transposed pass yields the upper multipliers and diagonal.
-Elimination is an integer kernel too (``matrix._ScaledRows``): each row
-is Python ints over one positive denominator, reduced by one gcd per row
-operation, and the transposed pass starts from the integer remainder;
-the multipliers and the diagonal are the only ``Fraction``s it builds.
+Elimination is an integer kernel too (see :mod:`oscillax.matrix`); the
+multipliers and the diagonal are the only ``Fraction``s it builds.
 In the produced form, each chain's positive slots are a contiguous run
 starting at the chain's own index; this is what makes the factorization
 unique, and round-tripping reproduces it exactly.
@@ -63,7 +59,7 @@ from .errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from .matrix import Matrix, _ScaledRows
+from .matrix import Matrix, _reduce, _scaled, _ScaledRows
 from .rational import coerce_rational, format_rational, parse_rational
 
 _ZERO = Fraction(0)
@@ -192,26 +188,23 @@ class ChainLayout:
         self.n = n
         self._chains: dict[int, slice] = {}
         lower: list[tuple[int, int]] = []
-        upper: list[tuple[int, int]] = []
         for i in range(2, n + 1):
             self._chains[i] = slice(len(lower), len(lower) + n - i + 1)
             lower.extend((i, j) for j in range(n, i - 1, -1))
-            upper.extend((i, j) for j in range(i, n + 1))
+        # the same cell in the other side's layout: each chain slice reversed
+        self._mirror = tuple(
+            p for c in self._chains.values() for p in reversed(range(c.start, c.stop))
+        )
         # flat position -> (chain i, factor index j)
         self.lower_cells = tuple(lower)
-        self.upper_cells = tuple(upper)
+        self.upper_cells = self.mirror(lower)
         self._lower_slot = {cell: p for p, cell in enumerate(lower)}
-        self._upper_slot = {cell: p for p, cell in enumerate(upper)}
         # (flat position, factor index) in product order: W_2 .. W_n is
-        # flat order, Q_n .. Q_2 walks the chains backwards
+        # flat order, and Q_n .. Q_2 is that order reversed, each slot mirrored
         self.lower_order = tuple((p, j) for p, (_, j) in enumerate(lower))
         self.upper_order = tuple(
-            (p, upper[p][1])
-            for i in range(n, 1, -1)
-            for p in range(self._chains[i].start, self._chains[i].stop)
+            (self._mirror[p], j) for p, j in reversed(self.lower_order)
         )
-        # the same cell in the other side's layout: each chain slice reversed
-        self._mirror = tuple(self._upper_slot[cell] for cell in lower)
 
     def chain(self, i: int) -> slice:
         """Slice of chain i within a flat vector."""
@@ -221,18 +214,15 @@ class ChainLayout:
 
     def lower_slot(self, i: int, j: int) -> int:
         """Flat position of factor L_j in lower chain i."""
-        return self._slot(self._lower_slot, i, j)
-
-    def upper_slot(self, i: int, j: int) -> int:
-        """Flat position of factor U_j in upper chain i."""
-        return self._slot(self._upper_slot, i, j)
-
-    def _slot(self, slots: dict[tuple[int, int], int], i: int, j: int) -> int:
         try:
-            return slots[i, j]
+            return self._lower_slot[i, j]
         except KeyError:
             self.chain(i)  # reports a chain outside [2, n] as such
             raise IndexOutOfRange(f"factor {j} not in chain {i}") from None
+
+    def upper_slot(self, i: int, j: int) -> int:
+        """Flat position of factor U_j in upper chain i."""
+        return self._mirror[self.lower_slot(i, j)]
 
     def is_canonical(self, flat) -> bool:
         """Whether the positive entries of every chain slice of a lower
@@ -390,14 +380,6 @@ def _word_product(factors, n: int) -> Matrix:
     return Matrix(zip(*out))
 
 
-def _reduce(cols: list[list[int]], den: list[int], c: int) -> None:
-    """Divide column c and its denominator by their gcd."""
-    g = math.gcd(den[c], *cols[c])
-    if g != 1:
-        cols[c] = [x // g for x in cols[c]]
-        den[c] //= g
-
-
 def compose(f: SEBFactorization) -> Matrix:
     """Exact product of all factors in canonical order: the product of
     the factor word, O(k n) integer operations."""
@@ -454,7 +436,8 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
     n = a.rows
     if n < 2:
         raise ShapeMismatch("factorization requires n >= 2")
-    work = _ScaledRows.of(a.entries)
+    ints, d = _scaled(a.entries)
+    work = _ScaledRows(ints, [d] * n)
     l_flat = _lower_elimination(work, n)
 
     # transpose the upper-triangular remainder and repeat

@@ -543,9 +543,7 @@ def suite_products(nmax: int = 5, cases: int = 20, seed: int = 0) -> SuiteResult
                 )
                 d = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
                 members.append(SEBFactorization(n, lflat, d, uflat))
-            mu_l = mu1(n, ls) if lf == "Z1" else mu2(n, ls)
-            mu_u = mu1(n, us) if uf == "Z1" else mu2(n, us)
-            kstar = max(mu_l, mu_u)
+            kstar = max(ClassMatch(lf, ls, None).mu(n), ClassMatch(uf, us, None).mu(n))
             at = product_family_check(members, kstar)
             assert at.all_tp, f"threshold k={kstar} failed: {at.counterexample}"
             if kstar > 1:

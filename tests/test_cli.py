@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -454,6 +455,32 @@ def test_generate_bad_params_exit(capsys):
         ["generate", "--class", "z2", "--n", "5", "--s", "4", "--psi", "L4,L5", "--seed", "0"],
     )
     assert code == 6
+
+
+PSI_ARGV = ["generate", "--class", "z2", "--n", "5", "--s", "4", "--seed", "1", "--psi"]
+
+
+@pytest.mark.parametrize("psi", ["LlL3, L5", "l3", "L1_1", "L3.0", "3", "L"])
+def test_generate_psi_rejects_all_but_l_index_tokens(capsys, psi):
+    code, payload, err = run(capsys, PSI_ARGV + [psi])
+    assert code == 6
+    message = f"cannot parse pattern {psi!r}"
+    assert payload["error"] == {"type": "InvalidPsiPattern", "message": message}
+    assert err == f"error: InvalidPsiPattern: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "psi, digest",
+    [
+        ("L3,L5", "ebfe41a7261067a8116ff12988c24143bdd36d875537c9dcf241329381fc856e"),
+        (" L3 ,L05", "f41944394a71a502556f9ad0c8a415105c57f593d936e5914d196235f815574b"),
+        ("random", "2019ed24ad73da4d35c28c3a3705fc9b0b7473900d31b5b6e71be4aa369c4006"),
+    ],
+)
+def test_generate_psi_accepts_l_index_tokens(capsys, psi, digest):
+    assert main(PSI_ARGV + [psi]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_seed_env_and_flag_precedence(capsys, monkeypatch):
