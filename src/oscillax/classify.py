@@ -8,18 +8,23 @@ so their equivalence with the baseline is testable rather than assumed.
 :func:`classify` starts from one Neville elimination.  An invertible
 matrix is TN iff the elimination runs with nonnegative multipliers and a
 positive diagonal, and TP iff every multiplier is positive (Gasca & Peña,
-LAA 165, 1992), so an invertible TN input is decided in O(n^3) and the
-minor table is scanned only up to the TP witness of a non-TP one.  Inputs
-the elimination refuses keep the one scan that stops at the first
-negative minor.  Oscillation is the Gantmacher–Krein test (nonsingular
-TN, positive sub- and superdiagonal); the four criteria of
-:func:`is_oscillatory` remain available and are cross-checked by the
-tests and by ``verify``.
+LAA 165, 1992), so an invertible TN input is decided in O(n^3) and builds
+no minor table.  The TP witness of a non-TP one, its first zero minor,
+is read off the factor word: the sign of every minor follows from two
+token sets, one per side (:func:`_zero_minors_by_tokens`; the minor
+pattern of a double Bruhat cell, Fomin & Zelevinsky, JAMS 12, 1999), and
+one Bareiss minor confirms the witness.  Inputs the elimination refuses
+keep the one scan that stops at the first negative minor.  Oscillation
+is the Gantmacher–Krein test (nonsingular TN, positive sub- and
+superdiagonal); the four criteria of :func:`is_oscillatory` remain
+available and are cross-checked by the tests and by ``verify``.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from operator import le
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
@@ -271,10 +276,12 @@ class ClassificationReport(NamedTuple):
 def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
     """Produce the full classification report for a square matrix.
 
-    Invertible TN inputs are decided by their Neville factorization; only
-    a non-TP one scans the minor table, up to its first zero minor.  The
-    other inputs take one scan, which stops at the first negative minor,
-    by which point the first nonpositive one has been seen.
+    Invertible TN inputs are decided by their Neville factorization, and
+    a non-TP one takes its first zero minor from the token sets of its
+    factor word (:func:`_first_zero_minor`), under the same scan cap as
+    the minor scan.  The other inputs take one scan, which stops at the
+    first negative minor, by which point the first nonpositive one has
+    been seen.
     """
     from .seb import is_basic_factorization, neville_factorize
 
@@ -287,11 +294,8 @@ def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
         return _classify_not_itn(a, cap)
     tp_witness = None
     if not all(x > 0 for x in f.l + f.u):
-        tp_witness = _first_minor(a, cap, lambda value: value <= 0).witness
-        if tp_witness is None or tp_witness.value < 0:
-            raise InvariantViolation(
-                f"Neville elimination succeeded but the TP scan found {tp_witness}"
-            )
+        check_scan_cap(a, cap)
+        tp_witness = _first_zero_minor(a, f)
     return ClassificationReport(
         n=a.rows,
         is_tn=True,
@@ -302,6 +306,65 @@ def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
         tn_witness=None,
         tp_witness=tp_witness,
     )
+
+
+def _zero_minors_by_tokens(word, n: int, orders) -> Iterator[tuple[tuple, tuple]]:
+    """``(rows, cols)`` of every zero minor of the given orders of the
+    product of a factor word with nonnegative multipliers, in scan order,
+    read off the word alone.
+
+    The signs come from token sets (:func:`seb.demazure` on a 0/1 start):
+    G_L(I) moves the tokens of the rows I by the word's positive L indices,
+    and G_U(J) those of the columns J by the reversed word's positive U
+    indices (:func:`seb._side_indices`).  By Cauchy–Binet and
+    Lindström–Gessel–Viennot, minor (I, J) is positive exactly when some
+    sink set K is reached by vertex-disjoint paths both from I in the
+    lower network and from J in the upper one.  The sets reached from I
+    are the K with G_L(I) <= K <= I entrywise, and likewise for J, so
+    the minor is positive exactly when max(G_L(I)_p, G_U(J)_p) <=
+    min(I_p, J_p) for every p; tokens only move up, so that is
+    G_L(I) <= J and G_U(J) <= I.  G_U is taken once per column subset and
+    G_L once per row subset.
+    """
+    from .seb import _side_indices, demazure
+
+    lower, upper = _side_indices(word).values()
+
+    def tokens(indices, subset):
+        start = [0] * n
+        for i in subset:
+            start[i - 1] = 1
+        return tuple(i for i, x in enumerate(demazure(indices, n, start), 1) if x)
+
+    for p in orders:
+        subsets = list(itertools.combinations(range(1, n + 1), p))
+        col_tokens = [tokens(upper, cset) for cset in subsets]
+        for rset in subsets:
+            row_tokens = tokens(lower, rset)
+            for cset, gu in zip(subsets, col_tokens):
+                if not (all(map(le, row_tokens, cset)) and all(map(le, gu, rset))):
+                    yield rset, cset
+
+
+def _first_zero_minor(a: Matrix, f) -> MinorWitness:
+    """The first zero minor in scan order of an invertible TN matrix ``a``
+    that is not TP, given its factorization ``f``: a zero entry, else the
+    first zero minor of order 2..n-1 by :func:`_zero_minors_by_tokens`,
+    confirmed by one Bareiss :func:`minor`."""
+    for i, row in enumerate(a.entries, 1):
+        for j, x in enumerate(row, 1):
+            if not x:
+                return MinorWitness((i,), (j,), x)
+    n = a.rows
+    found = next(_zero_minors_by_tokens(f.factor_sequence(), n, range(2, n)), None)
+    if found is None:
+        raise InvariantViolation("a zero multiplier but no zero minor below order n")
+    value = minor(a, *found)
+    if value:
+        raise InvariantViolation(
+            f"token sets read minor {found[0]} x {found[1]} as zero, not {value}"
+        )
+    return MinorWitness(*found, value)
 
 
 def _classify_not_itn(a: Matrix, cap: int | None) -> ClassificationReport:

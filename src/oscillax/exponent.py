@@ -66,9 +66,11 @@ from .errors import (
 )
 from .matrix import Matrix, mat_mul, mat_pow, minor
 from .seb import (
+    _SIDES,
     EBFactor,
     FactorizationClass,
     SEBFactorization,
+    _side_indices,
     chain_layout,
     checked_vectors,
     classify_factorization,
@@ -479,9 +481,6 @@ def predict_exponent(l_tag: ClassTag, u_tag: ClassTag) -> Prediction:
 # -- exponent computation ---------------------------------------------------------
 
 
-_SIDES = ("lower-left", "upper-right")
-
-
 def _corner_powers(a: Matrix, sides, limit: int):
     """Per side, the least k <= limit at which each corner minor of A^k,
     sizes 1..n-1, is positive (infinite if none is), and the last power.
@@ -563,16 +562,6 @@ def _corner_copies(descents, n: int) -> tuple[int | float, ...]:
         f"no disjoint family for corner size {counts.index(0) + 1}"
         f" within {n - 1} copies"
     )
-
-
-def _side_indices(word) -> dict:
-    """Per side, the indices that carry its corners: the L indices of a
-    factor word for the lower-left ones, and the U indices of the
-    reversed word for the upper-right ones."""
-    return {
-        side: [x.index for x in w if x.kind == kind]
-        for side, kind, w in zip(_SIDES, "LU", (word, word[::-1]))
-    }
 
 
 def _word_counts(word, n: int) -> dict:

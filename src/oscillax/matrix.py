@@ -12,7 +12,7 @@ their least common denominator d, and d.  ``mat_mul`` and the Bareiss
 determinant behind ``det`` and ``minor`` run on such a block and build
 one ``Fraction`` per result entry.  Neville elimination
 (``seb.neville_factorize``, on the rows of :class:`_ScaledRows`) and the
-factor word product (``seb._word_product``, on columns) start from one
+factor word product (``seb._word_columns``, on columns) start from one
 denominator and then keep one positive denominator per vector, so an
 operation rescales only the vector it changes.  Each such operation ends
 with :func:`_reduce`, one gcd reduction of the vector and its
@@ -196,11 +196,14 @@ def _scaled(rows) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-def _reduce(vecs: list[list[int]], dens: list[int], i: int) -> None:
-    """Divide vector i of a scaled family and its denominator by their gcd."""
-    g = math.gcd(dens[i], *vecs[i])
+def _reduce(vecs: list[list[int]], dens: list[int], i: int, start: int = 0) -> None:
+    """Divide vector i of a scaled family and its denominator by their gcd.
+    Entries before ``start`` are zero, so only the rest is read and divided."""
+    vec = vecs[i]
+    tail = vec[start:] if start else vec
+    g = math.gcd(dens[i], *tail)
     if g != 1:
-        vecs[i] = [x // g for x in vecs[i]]
+        vec[start:] = [x // g for x in tail]
         dens[i] //= g
 
 
@@ -253,7 +256,7 @@ class _ScaledRows:
         row[c] = 0
         row[c + 1 :] = new
         self.dens[r] *= piv
-        _reduce(self.ints, self.dens, r)
+        _reduce(self.ints, self.dens, r, c + 1)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

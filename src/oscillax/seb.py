@@ -14,10 +14,15 @@ index to a flat position and back; every other function goes through it.
 
 A factorization is read in product order only through its factor word,
 :meth:`SEBFactorization.factor_sequence`, and every product is built by
-one column operation per factor in :func:`_word_product`: :func:`compose`
-multiplies the word, and the index counts behind
-:func:`classify_factorization` are taken over it.  The word product is
-one of the integer kernels that :mod:`oscillax.matrix` describes.
+one column operation per factor in :func:`_word_columns`, the word
+product kernel: columns of Python ints, each over one denominator, one
+of the integer kernels that :mod:`oscillax.matrix` describes.
+:func:`compose` turns that product into a ``Fraction`` :class:`Matrix`
+(:func:`_word_product`); the round-trip checks of
+:func:`neville_factorize` and :func:`normalize_commutation` compare int
+columns (:func:`_same_columns`) and build no ``Fraction`` matrix.  The
+index counts behind :func:`classify_factorization` are taken over the
+word too.
 
 Which factors of a word are positive is read through one permutation per
 side, the Demazure product of their indices (:func:`demazure`): the L
@@ -332,17 +337,18 @@ def identity_factorization(n: int) -> SEBFactorization:
     return SEBFactorization(n, (_ZERO,) * k, (_ONE,) * n, (_ZERO,) * k)
 
 
-def _word_product(factors, n: int) -> Matrix:
+def _word_columns(factors, n: int) -> tuple[list[list[int]], list[int]]:
     """Exact product of elementary factors in the given order, one column
     operation per factor (O(n) each): as a right factor, D scales the
     columns and an L/U factor adds its multiplier times column source to
     column destination (:attr:`EBFactor.tracks`).
 
-    Column c is held as Python ints over one positive denominator
-    ``den[c]``.  D multiplies column c's ints by p_c and its denominator
-    by q_c.  A multiplier a/b brings both columns to E = lcm(den[dst],
-    b den[src]), adds, and divides the new column and E by their gcd.
-    Each entry becomes a ``Fraction`` once, at the end.
+    Returns ``(cols, den)``: entry (r, c) of the product is
+    ``cols[c][r] / den[c]``, with ``den[c]`` positive.  D multiplies column
+    c's ints by p_c and its denominator by q_c.  A multiplier a/b brings
+    both columns to E = lcm(den[dst], b den[src]), adds, and divides the
+    new column and E by their gcd.  A column need not be in lowest terms,
+    so two products are compared by :func:`_same_columns`.
     """
     cols = [[0] * n for _ in range(n)]
     for c in range(n):
@@ -373,6 +379,23 @@ def _word_product(factors, n: int) -> Matrix:
         cols[d] = [fd * x + fs * y for x, y in zip(cols[d], cols[s])]
         den[d] = e
         _reduce(cols, den, d)
+    return cols, den
+
+
+def _same_columns(x, y) -> bool:
+    """Whether two ``(cols, den)`` families hold the same matrix: equal
+    ints where the denominators agree, equal cross products elsewhere."""
+    (x_cols, x_den), (y_cols, y_den) = x, y
+    return all(
+        cx == cy if dx == dy else all(p * dy == q * dx for p, q in zip(cx, cy))
+        for cx, cy, dx, dy in zip(x_cols, y_cols, x_den, y_den)
+    )
+
+
+def _word_product(factors, n: int) -> Matrix:
+    """The product of :func:`_word_columns` as a :class:`Matrix`: each
+    entry becomes a ``Fraction`` once."""
+    cols, den = _word_columns(factors, n)
     out = [
         [Fraction(x) for x in col] if q == 1 else [Fraction(x, q) for x in col]
         for col, q in zip(cols, den)
@@ -437,6 +460,7 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
     if n < 2:
         raise ShapeMismatch("factorization requires n >= 2")
     ints, d = _scaled(a.entries)
+    a_cols = (list(map(list, zip(*ints))), [d] * n)  # before elimination
     work = _ScaledRows(ints, [d] * n)
     l_flat = _lower_elimination(work, n)
 
@@ -453,7 +477,7 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
     # transposing a descending lower chain yields the ascending upper chain
     u_flat = chain_layout(n).mirror(v_flat)
     f = _trusted_factorization((n, tuple(l_flat), diag, u_flat))
-    if compose(f) != a:
+    if not _same_columns(_word_columns(f.factor_sequence(), n), a_cols):
         raise InvariantViolation("factorization does not reproduce the input")
     return f
 
@@ -571,12 +595,33 @@ def demazure(indices, n: int, start=None) -> tuple[int, ...]:
     j-1 and j swap when that makes the permutation longer, that is, when
     entry j-1 is the smaller.  Words with one product act alike on every
     start, so ``demazure(word of v, n, u)`` is the product u * v of cells.
+
+    A 0/1 ``start``, the indicator of a subset, gives the token action on
+    subsets: index j moves a token from j to an empty j-1.  The support of
+    the result is the entrywise least set of sinks that vertex-disjoint
+    paths from the subset reach in the planar network of the word, which
+    is how ``classify._zero_minors_by_tokens`` reads minor signs.
     """
     w = list(range(1, n + 1) if start is None else start)
     for j in indices:
         if w[j - 2] < w[j - 1]:
             w[j - 2], w[j - 1] = w[j - 1], w[j - 2]
     return tuple(w)
+
+
+#: The two sides of a factor word, named by the corners they carry.
+_SIDES = ("lower-left", "upper-right")
+
+
+def _side_indices(word) -> dict:
+    """Per side, the indices of the positive factors that carry its
+    corners: the L indices of a factor word for the lower-left ones, and
+    the U indices of the reversed word, the L indices of the transpose,
+    for the upper-right ones."""
+    return {
+        side: [x.index for x in w if x.kind == kind and x.multiplier]
+        for side, kind, w in zip(_SIDES, "LU", (word, word[::-1]))
+    }
 
 
 # -- commutation normalization -------------------------------------------------
@@ -703,7 +748,8 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
 
     d = diag if diag is not None else (_ONE,) * n
     f = SEBFactorization(n, flats[0], d, layout.mirror(flats[1]))
-    if compose(f) != _word_product(seq, n):
+    product = _word_columns(seq, n)
+    if not _same_columns(_word_columns(f.factor_sequence(), n), product):
         raise InvariantViolation("normalization changed the composed matrix")
     return f
 

@@ -38,7 +38,7 @@ from oscillax.exponent import (
     z1_slots,
     z2_slots,
 )
-from oscillax.matrix import Matrix, det, mat_mul, mat_pow, minor
+from oscillax.matrix import Matrix, _scaled, det, mat_mul, mat_pow, minor
 from oscillax.planar import (
     INFINITE_COPIES,
     PlanarNetwork,
@@ -299,6 +299,13 @@ def dense_word_product(factors, n):
     for fac in factors:
         product = mat_mul(product, fac.matrix(n))
     return product
+
+
+def dense_word_columns(factors, n):
+    """:func:`dense_word_product` in the ``(cols, den)`` form of
+    ``seb._word_columns``."""
+    cols, d = _scaled(list(zip(*dense_word_product(factors, n).entries)))
+    return cols, [d] * n
 
 
 def _side(f, side):

@@ -1,12 +1,16 @@
+import itertools
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from oracles import classify_four_criteria, random_canonical_factorization
 from oscillax.classify import (
+    _first_minor,
+    _zero_minors_by_tokens,
     classify,
     corner_minors,
     is_irreducible,
@@ -15,10 +19,19 @@ from oscillax.classify import (
     is_tp,
     is_tp_given_tn,
 )
-from oscillax.errors import FeasibilityExceeded, NotTN
+from oscillax.errors import FeasibilityExceeded, InvariantViolation, NotTN
 from oscillax.matrix import Matrix, mat_mul, mat_pow, minor, minor_levels
 from oscillax.exponent import random_oscillatory_factorization
-from oscillax.seb import SEBFactorization, chain_layout, compose, multiplier_count
+from oscillax.seb import (
+    SEBFactorization,
+    _word_product,
+    chain_layout,
+    compose,
+    ebd,
+    ebl,
+    ebu,
+    multiplier_count,
+)
 from oscillax.verify import corpus_matrices
 
 M = corpus_matrices()
@@ -436,3 +449,87 @@ def test_classify_keeps_feasibility_cap():
         classify(Matrix.identity(9))
     with pytest.raises(FeasibilityExceeded):
         classify(Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), cap=2)
+
+
+def _interleaved_word(n, rng):
+    """A zero-heavy word of L, U and D factors in any order, with repeated
+    indices; hardly ever canonical."""
+    mults = (0, 0, 1, 2, Fraction(1, 2), 3)
+    word = []
+    for _ in range(rng.randint(0, 4 * n)):
+        roll = rng.random()
+        if roll < 0.1:
+            word.append(ebd(rng.choice((1, 2, Fraction(1, 3))) for _ in range(n)))
+        else:
+            make = ebl if roll < 0.55 else ebu
+            word.append(make(rng.randint(2, n), rng.choice(mults)))
+    return word
+
+
+def test_token_sets_read_every_minor_sign_of_a_word_product():
+    rng = random.Random(3001)
+    interleaved = zeros = positives = 0
+    for t in range(540):
+        n = 2 + t % 5
+        word = _interleaved_word(n, rng)
+        a = _word_product(word, n)
+        want = []
+        for p in range(1, n + 1):
+            subsets = list(itertools.combinations(range(1, n + 1), p))
+            for rset in subsets:
+                for cset in subsets:
+                    value = minor(a, rset, cset)
+                    assert value >= 0
+                    if value:
+                        positives += 1
+                    else:
+                        want.append((rset, cset))
+        # the zero minors, in scan order: orders, then rows, then columns
+        assert list(_zero_minors_by_tokens(word, n, range(1, n + 1))) == want
+        zeros += len(want)
+        kinds = "".join(fac.kind for fac in word if fac.kind == "D" or fac.multiplier)
+        interleaved += "UL" in kinds or "DL" in kinds or "UD" in kinds
+    assert interleaved >= 350 and zeros >= 50_000 and positives >= 20_000
+
+
+def _itn_not_tp(n, rng):
+    """An invertible TN matrix that is not TP: positive multipliers with one
+    to three of them, on either side, set to zero."""
+    k = multiplier_count(n)
+    l = [Fraction(rng.randint(1, 9)) for _ in range(k)]
+    u = [Fraction(rng.randint(1, 9)) for _ in range(k)]
+    for _ in range(rng.randint(1, 3)):
+        rng.choice((l, u))[rng.randrange(k)] = Fraction(0)
+    d = [Fraction(rng.randint(1, 4)) for _ in range(n)]
+    return compose(SEBFactorization(n, l, d, u))
+
+
+def test_token_witness_matches_the_laplace_scan(monkeypatch):
+    passes = _count_minor_passes(monkeypatch)
+    rng = random.Random(3002)
+    orders = Counter()
+    for t in range(330):
+        n = 2 + t % 7
+        a = _itn_not_tp(n, rng)
+        passes.clear()
+        got = classify(a).tp_witness
+        assert passes == []
+        assert got == _first_minor(a, None, lambda value: value <= 0).witness
+        orders[len(got.rows)] += 1
+    assert orders[1] and sum(orders.values()) - orders[1] >= 60 and max(orders) >= 5
+
+
+def test_token_witness_is_confirmed_by_a_minor(monkeypatch):
+    module = sys.modules["oscillax.classify"]
+    a = M["exp4"]  # no zero entry; first zero minor (2, 3) x (1, 2)
+    assert classify(a).tp_witness == ((2, 3), (1, 2), 0)
+
+    def positive_minor(word, n, orders):
+        yield (1, 2), (1, 2)
+
+    monkeypatch.setattr(module, "_zero_minors_by_tokens", positive_minor)
+    with pytest.raises(InvariantViolation, match="read minor"):
+        classify(a)
+    monkeypatch.setattr(module, "_zero_minors_by_tokens", lambda *args: iter(()))
+    with pytest.raises(InvariantViolation, match="no zero minor"):
+        classify(a)

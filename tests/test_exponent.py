@@ -1269,7 +1269,7 @@ def test_theorem_route_equals_prediction_on_large_class_inputs():
             )
 
 
-def test_theorem_route_composes_once_and_scans_no_corners(monkeypatch):
+def test_theorem_route_never_composes_and_scans_no_corners(monkeypatch):
     from oscillax import matrix, seb
 
     calls = {"compose": 0, "minor": 0, "r_lower": 0}
@@ -1298,7 +1298,8 @@ def test_theorem_route_composes_once_and_scans_no_corners(monkeypatch):
     for a in inputs:
         calls.update(dict.fromkeys(calls, 0))
         rs.add(exponent_via_theorem(a).r)
-        assert calls["compose"] == 1  # the round-trip check of neville_factorize
+        # neville_factorize checks its round trip on int columns, not compose
+        assert calls["compose"] == 0
         assert calls["r_lower"] == 0
         assert calls["minor"] <= 1
     assert len(rs) > 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oscillax.seb as seb
 from oracles import (
     commutation_shuffle,
+    dense_word_columns,
     dense_word_product,
     flat_layout_classification,
     flat_slot,
@@ -363,18 +364,23 @@ def test_normalize_canonical_input_unchanged():
     assert normalize_commutation(f.factor_sequence()) == f
 
 
-def test_normalize_canonical_word_composes_once(monkeypatch):
+def test_normalize_canonical_word_takes_two_word_products(monkeypatch):
+    # the one check: the int-column products of the input word and of the
+    # placed factorization; nothing is composed into a Matrix or refactorized
     f = neville_factorize(M["elim3"])
-    calls = []
-    compose_once = seb.compose
+    calls = {"_word_columns": 0, "compose": 0, "neville_factorize": 0}
 
-    def counting_compose(g):
-        calls.append(g)
-        return compose_once(g)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(seb, "compose", counting_compose)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(seb, name, counting(name, getattr(seb, name)))
     assert factorization_from_text(factorization_to_text(f)) == f
-    assert len(calls) == 1
+    assert calls == {"_word_columns": 2, "compose": 0, "neville_factorize": 0}
 
 
 def test_normalize_rejects_assignment_that_changes_the_product(monkeypatch):
@@ -548,24 +554,27 @@ def test_factor_sequence_equals_checked_word():
 
 
 def test_neville_rejects_a_composition_off_by_one_over_p(monkeypatch):
-    compose_once = seb.compose
+    columns_once = seb._word_columns
     rng = random.Random(2124)
     for a in (M["elim3"], M["exp4"], M["exp5"], M["net4"]):
         n = a.rows
         for p in (1, 2, 7, 97):
             r, c = rng.randrange(n), rng.randrange(n)
 
-            def perturbed(f, r=r, c=c, p=p):
-                rows = [list(row) for row in compose_once(f).entries]
-                rows[r][c] += Fraction(1, p)
-                return Matrix(rows)
+            def perturbed(factors, n, r=r, c=c, p=p):
+                # entry (r, c) is cols[c][r] / den[c]; add 1/p to it
+                cols, den = columns_once(factors, n)
+                cols[c] = [x * p for x in cols[c]]
+                cols[c][r] += den[c]
+                den[c] *= p
+                return cols, den
 
-            monkeypatch.setattr(seb, "compose", perturbed)
+            monkeypatch.setattr(seb, "_word_columns", perturbed)
             with pytest.raises(
                 InvariantViolation, match="factorization does not reproduce the input"
             ):
                 neville_factorize(a)
-            monkeypatch.setattr(seb, "compose", compose_once)
+            monkeypatch.setattr(seb, "_word_columns", columns_once)
             assert compose(neville_factorize(a)) == a
 
 
@@ -674,7 +683,7 @@ def test_all_ones_text_round_trips_at_n40():
 def test_normalize_matches_dense_rebuild(monkeypatch):
     cases = _normalization_cases()
     column_ops = [_normalization_outcome(word, n) for n, word in cases]
-    monkeypatch.setattr(seb, "_word_product", dense_word_product)
+    monkeypatch.setattr(seb, "_word_columns", dense_word_columns)
     dense = [_normalization_outcome(word, n) for n, word in cases]
     assert column_ops == dense
     # outcomes are factorizations (NamedTuples) or plain (name, message) tuples
