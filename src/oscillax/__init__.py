@@ -43,16 +43,13 @@ from .errors import (
 )
 from .rational import coerce_rational, format_rational, parse_rational
 from .matrix import (
-    CompoundMatrix,
     IndexSet,
     Matrix,
     cauchy_binet_check,
     det,
-    lex_subsets,
     mat_mul,
     mat_pow,
     minor,
-    multiplicative_compound,
 )
 from .classify import (
     ClassificationReport,
@@ -90,12 +87,10 @@ _LAZY_EXPORTS = {
         "PathFamily",
         "PlanarNetwork",
         "build_network",
-        "concat",
         "enumerate_path_families",
         "export_dot",
         "min_copies_lower_corner",
         "minor_via_paths",
-        "strip_u_diagonals",
     ),
     "exponent": (
         "ClassTag",

@@ -19,8 +19,11 @@ generators fill (:func:`z1_slots`, :func:`z2_slots`), with one
 :meth:`~ClassMatch.patterns` counts the partial-chain patterns sharing
 that support.  :func:`recognize_class` compares these sets with the
 input's positive slots, refactorizing the input only when it is not
-canonical already (a Neville factorization is, so each exponent route
-factorizes its input once), and one rule frames every tag.
+canonical already, and one rule frames every tag.
+:func:`recognize_sides` hands each side of a factorization, checked when
+it was built, straight to the same core (:func:`_canonical_tag`); a
+Neville factorization is canonical, so each exponent route factorizes
+its input once and checks no multiplier again.
 
 Both exponent routes count, for each corner, the power at which its minor
 turns positive, and build their report from these counts in one place
@@ -33,7 +36,11 @@ route reads the counts off the cells of the canonical factor word
 indices reversed, the L indices of the transpose, for the upper side.
 The count of the size-c corner is the least k at which the first c
 entries of the k-th Demazure power of the cell all exceed n-c, so no
-power of a triangular part is formed.
+power of a triangular part is formed.  Powers of A come from one scaled
+integer chain (:func:`matrix._powers`): the brute-force route reads each
+corner's sign off the chain's int blocks, and the theorem route walks it
+to A^(r-1) to confirm its zero witness and one step further to A^r.  Each
+route builds one ``Fraction`` matrix, the A^r it reports.
 
 The product checks read the same two cells (:func:`seb.demazure`).
 Whether a minor of a product of networks is positive depends only on
@@ -64,19 +71,19 @@ from .errors import (
     ShapeMismatch,
     Unpredictable,
 )
-from .matrix import Matrix, mat_mul, mat_pow, minor
+from .matrix import Matrix, _minor_int, _powers, _unscaled
 from .seb import (
     _SIDES,
     EBFactor,
     FactorizationClass,
     SEBFactorization,
     _side_indices,
+    _trusted_factor,
     chain_layout,
     checked_vectors,
     classify_factorization,
     compose,
     demazure,
-    ebl,
     multiplier_count,
     n_from_flat,
     neville_factorize,
@@ -389,25 +396,33 @@ class ClassTag(NamedTuple):
 def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
     """Tag a flat lower multiplier vector with its class memberships.
 
-    The vector is read in canonical form: as it stands when it already is
-    (:meth:`ChainLayout.is_canonical`, as every Neville factorization
-    is), else refactorized first.  A class whose slots
-    (:func:`_class_supports`) equal its positive slots is an exact match;
-    one whose slots are a proper subset of them is a with-extras base
-    carrying the positive factors outside it, in flat order.  The tag is
-    framed as :func:`_framed_tag` says."""
+    The vector is coerced and checked, then read in canonical form: as it
+    stands when it already is (:meth:`ChainLayout.is_canonical`, as every
+    Neville factorization is), else refactorized first.  A class whose
+    slots (:func:`_class_supports`) equal its positive slots is an exact
+    match; one whose slots are a proper subset of them is a with-extras
+    base carrying the positive factors outside it, in flat order.  The tag
+    is framed as :func:`_framed_tag` says."""
     flat = tuple(l_part_multipliers)
     if n is None:
         n = n_from_flat(flat)
-    (canon_l,), _ = checked_vectors(n, (flat,))
+    (checked,), _ = checked_vectors(n, (flat,))
+    return _canonical_tag(n, checked)
+
+
+def _canonical_tag(n: int, flat) -> ClassTag:
+    """The tag of a checked lower flat vector: the core of
+    :func:`recognize_class` and :func:`recognize_sides`.  The vector is
+    refactorized only when it is not canonical; no multiplier is checked
+    again, and each factor is built as it stands."""
     layout = chain_layout(n)
-    if not layout.is_canonical(canon_l):
-        part = SEBFactorization(n, canon_l, (_ONE,) * n, (_ZERO,) * len(canon_l))
-        canon_l = neville_factorize(compose(part)).l
+    if not layout.is_canonical(flat):
+        part = SEBFactorization(n, flat, (_ONE,) * n, (_ZERO,) * len(flat))
+        flat = neville_factorize(compose(part)).l
     factors = {
-        p: ebl(j, x)
-        for p, ((_, j), x) in enumerate(zip(layout.lower_cells, canon_l))
-        if x > 0
+        p: _trusted_factor(("L", j, x, None))
+        for p, ((_, j), x) in enumerate(zip(layout.lower_cells, flat))
+        if x
     }
     positive = frozenset(factors)
 
@@ -483,30 +498,39 @@ def predict_exponent(l_tag: ClassTag, u_tag: ClassTag) -> Prediction:
 
 def _corner_powers(a: Matrix, sides, limit: int):
     """Per side, the least k <= limit at which each corner minor of A^k,
-    sizes 1..n-1, is positive (infinite if none is), and the last power.
+    sizes 1..n-1, is positive (infinite if none is), and the last power
+    formed, as the (int block, denominator) pair of the power chain
+    (:func:`matrix._powers`).  Needs limit >= 1 for n >= 2.
 
     On invertible TN inputs, bare triangular parts included, a positive
     corner minor stays positive in every higher power (Cauchy-Binet), so
-    each corner is tested only until it turns positive.
+    each corner is tested only until it turns positive.  The chain's
+    denominators are positive, so each sign is read off the int block.
     """
     n = a.rows
     counts = {side: [float("inf")] * (n - 1) for side in sides}
-    power = a
-    for k in range(1, limit + 1):
-        for side, size in itertools.product(sides, range(1, n)):
-            rows, cols = corner_index_sets(n, side, size)
-            if counts[side][size - 1] > k and minor(power, rows, cols) > 0:
-                counts[side][size - 1] = k
+    corners = [
+        (counts[side], size - 1, *corner_index_sets(n, side, size))
+        for side, size in itertools.product(sides, range(1, n))
+    ]
+    for k, power in enumerate(_powers(a), 1):
+        block = power[0]
+        for side_counts, at, rows, cols in corners:
+            if side_counts[at] > k and _minor_int(block, rows, cols) > 0:
+                side_counts[at] = k
         if k == limit or all(c <= k for cs in counts.values() for c in cs):
-            break
-        power = mat_mul(power, a)
-    return counts, power
+            return counts, power
 
 
 def _side_exponent(a: Matrix, side: str, max_power: int | None) -> int:
     if not a.is_square():
         raise ParamOutOfRange("square matrix required")
-    limit = a.rows - 1 if max_power is None else max_power
+    if max_power is None:
+        limit = a.rows - 1
+    elif type(max_power) is bool or not isinstance(max_power, int) or max_power < 1:
+        raise ParamOutOfRange(f"max_power must be an int >= 1, got {max_power!r}")
+    else:
+        limit = max_power
     r = max(_corner_powers(a, (side,), limit)[0][side], default=1)
     if r > limit:
         raise NotOscillatory(f"{side} corner minors not all positive within {limit} powers")
@@ -516,7 +540,9 @@ def _side_exponent(a: Matrix, side: str, max_power: int | None) -> int:
 def r_lower(a: Matrix, max_power: int | None = None) -> int:
     """Least power making every lower-left corner minor (sizes 1..n-1)
     positive.  Defined for invertible TN inputs, including bare
-    triangular parts; bounded by n-1 for anything oscillatory-shaped."""
+    triangular parts; bounded by n-1 for anything oscillatory-shaped.
+    ``max_power`` (default n-1) must be an ``int`` >= 1, not a ``bool``:
+    :class:`ParamOutOfRange` otherwise."""
     return _side_exponent(a, "lower-left", max_power)
 
 
@@ -612,11 +638,10 @@ class ExponentReport(NamedTuple):
 
 
 def recognize_sides(f: SEBFactorization) -> tuple[ClassTag, ClassTag]:
-    """Class tags of the lower part and of the transposed upper part."""
-    return (
-        recognize_class(f.l, f.n),
-        recognize_class(f.layout.mirror(f.u), f.n),
-    )
+    """Class tags of the lower part and of the transposed upper part, as
+    :func:`recognize_class` gives them.  The vectors of a factorization
+    are checked already, and mirroring keeps them so."""
+    return _canonical_tag(f.n, f.l), _canonical_tag(f.n, f.layout.mirror(f.u))
 
 
 def _vanishing_corner(counts, r: int) -> CornerZeroWitness | None:
@@ -659,7 +684,8 @@ def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
     if not is_oscillatory(a, "gk", cap):
         raise NotOscillatory("input is not oscillatory")
     n = a.rows
-    counts, power = _corner_powers(a, _SIDES, n - 1)
+    counts, last = _corner_powers(a, _SIDES, n - 1)
+    power = _unscaled(*last)
     r = max(map(max, counts.values()))
     if r > n - 1 or not is_tp(power, cap).ok:
         raise InvariantViolation(f"corner minors give r={r} but A^r is not TP")
@@ -675,7 +701,8 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
     order, so no power of a triangular part is formed; they are infinite
     when a side misses a factor index.  The zero witness follows the
     brute-force route's rule (:func:`_vanishing_corner`); one minor of
-    A^(r-1) confirms that it vanishes.
+    A^(r-1), on the int block of the power chain, confirms that it
+    vanishes, and A^r is the chain's next power.
     """
     try:
         f = neville_factorize(a)
@@ -687,16 +714,17 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
     if r == float("inf"):
         raise NotOscillatory("factorization misses a factor index on some side")
     witness = _vanishing_corner(counts, r)
-    below = None
-    if witness is not None:
-        below = mat_pow(a, r - 1)
-        rows, cols = corner_index_sets(n, witness.side, witness.size)
-        if minor(below, rows, cols) != 0:
-            raise InvariantViolation(
-                f"{witness.side} corner of size {witness.size} counted as zero"
-                f" at power {r - 1} but its minor is not"
-            )
-    return _report(f, "theorem", counts, a if below is None else mat_mul(below, a))
+    if witness is None:
+        return _report(f, "theorem", counts, a)
+    chain = _powers(a)
+    below, _ = next(itertools.islice(chain, r - 2, None))
+    rows, cols = corner_index_sets(n, witness.side, witness.size)
+    if _minor_int(below, rows, cols) != 0:
+        raise InvariantViolation(
+            f"{witness.side} corner of size {witness.size} counted as zero"
+            f" at power {r - 1} but its minor is not"
+        )
+    return _report(f, "theorem", counts, _unscaled(*next(chain)))
 
 
 def exponent_via_prediction(a: Matrix) -> tuple[Prediction, ClassTag, ClassTag]:

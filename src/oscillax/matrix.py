@@ -1,16 +1,24 @@
-"""Dense exact-rational matrices, index sets, minors, and compounds.
+"""Dense exact-rational matrices, index sets and minors.
 
 Everything here is immutable and pure.  ``Fraction`` is the boundary
 type: entries, minors and results are ``Fraction``s.  Bulk minor
 scans use an order-by-order Laplace recurrence over lexicographically
-ordered index subsets, which is the documented external ordering for
-compound matrices.
+ordered index subsets.
 
 The arithmetic-heavy kernels run on Python ints instead.  :func:`_scaled`
 is the one place where ``Fraction``s become ints: the entries times
-their least common denominator d, and d.  ``mat_mul`` and the Bareiss
-determinant behind ``det`` and ``minor`` run on such a block and build
-one ``Fraction`` per result entry.  Neville elimination
+their least common denominator d, and d.  One product kernel,
+:func:`_int_mul`, multiplies such blocks by summing products only, and
+the Bareiss determinant :func:`_det_int` runs on one; ``mat_mul``,
+``det`` and ``minor`` wrap them and build one ``Fraction`` per result
+entry.  Powers form one chain (:func:`_powers`): with (M, d) the scaled
+block of A, A^k is M_k / d_k with M_k = M_(k-1) M and d_k = d_(k-1) d,
+so each power costs one integer product, and one gcd over the block
+(to the least common denominator of A^k) only when d > 1; since d_k > 0
+a minor of A^k has the sign, and the zero test, of the same minor of
+M_k.  ``mat_pow`` and the exponent routes
+walk this chain and build a ``Fraction`` matrix only of a power they
+return (:func:`_unscaled`).  Neville elimination
 (``seb.neville_factorize``, on the rows of :class:`_ScaledRows`) and the
 factor word product (``seb._word_columns``, on columns) start from one
 denominator and then keep one positive denominator per vector, so an
@@ -32,7 +40,6 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import (
     FeasibilityExceeded,
     IndexOutOfRange,
-    OrderOutOfRange,
     ParamOutOfRange,
     ShapeMismatch,
 )
@@ -259,42 +266,64 @@ class _ScaledRows:
         _reduce(self.ints, self.dens, r, c + 1)
 
 
+def _int_mul(x: list[list[int]], y) -> list[list[int]]:
+    """The product of two int blocks: only products are summed, with no
+    gcd and no ``Fraction``.  The one product kernel."""
+    yt = tuple(zip(*y))
+    return [[sum(map(mul, row, col)) for col in yt] for row in x]
+
+
+def _unscaled(m: list[list[int]], d: int) -> Matrix:
+    """The matrix of the int block m over the positive denominator d."""
+    if d == 1:  # integer entries: no gcd per entry
+        return Matrix([[Fraction(x) for x in row] for row in m])
+    return Matrix([[Fraction(x, d) for x in row] for row in m])
+
+
+def _powers(a: Matrix) -> Iterator[tuple[list[list[int]], int]]:
+    """A, A^2, A^3, ... of a square matrix as scaled int blocks: with
+    (M, d) = ``_scaled(A)``, the k-th item is (M_k, d_k) with A^k =
+    M_k / d_k and d_k the least common denominator of A^k, one
+    :func:`_int_mul` after the one before.  When d > 1 each product is
+    divided by the gcd of d_k and its entries, one gcd over the block,
+    so d_k does not grow as d^k where A^k's entries stay small.  The
+    blocks are shared with the chain, so a caller must not change them."""
+    m, d = _scaled(a.entries)
+    power, den = m, d
+    while True:
+        yield power, den
+        power, den = _int_mul(power, m), den * d
+        if d != 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(power))
+            if g != 1:
+                power, den = [[x // g for x in row] for row in power], den // g
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product, summed on integers and divided once per entry."""
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     a_int, d_a = _scaled(a.entries)
     b_int, d_b = _scaled(b.entries)
-    d = d_a * d_b
-    bt = tuple(zip(*b_int))
-    if d == 1:  # integer operands: no gcd per entry
-        return Matrix(
-            [[Fraction(sum(map(mul, row, col))) for col in bt] for row in a_int]
-        )
-    return Matrix(
-        [[Fraction(sum(map(mul, row, col)), d) for col in bt] for row in a_int]
-    )
+    return _unscaled(_int_mul(a_int, b_int), d_a * d_b)
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
-    """Exact k-th power, k >= 1."""
+    """Exact k-th power, k >= 1, from the power chain."""
     if not a.is_square():
         raise ShapeMismatch("powers require a square matrix")
     if k < 1:
         raise ParamOutOfRange(f"power must be >= 1, got {k}")
-    result = a
-    for _ in range(k - 1):
-        result = mat_mul(result, a)
-    return result
+    return _unscaled(*next(itertools.islice(_powers(a), k - 1, None)))
 
 
 # -- determinants and minors ----------------------------------------------
 
 
-def _det_bareiss(rows) -> Fraction:
-    """Fraction-free Bareiss elimination on the LCD-scaled integer rows;
-    every division is exact, so ``//`` keeps it in ``int``."""
-    m, d = _scaled(rows)
+def _det_int(m: list[list[int]]) -> int:
+    """Determinant of a square int block by fraction-free Bareiss
+    elimination; every division is exact, so ``//`` keeps it in ``int``.
+    Eliminates in place: the rows must be fresh lists."""
     n = len(m)
     sign = 1
     prev = 1
@@ -306,7 +335,7 @@ def _det_bareiss(rows) -> Fraction:
                     sign = -sign
                     break
             else:
-                return _ZERO
+                return 0
         row_i = m[i]
         piv = row_i[i]
         for r in range(i + 1, n):
@@ -315,7 +344,19 @@ def _det_bareiss(rows) -> Fraction:
             for c in range(i + 1, n):
                 row_r[c] = (row_r[c] * piv - mri * row_i[c]) // prev
         prev = piv
-    return Fraction(sign * m[n - 1][n - 1], d**n)
+    return sign * m[n - 1][n - 1]
+
+
+def _minor_int(m: list[list[int]], rows, cols) -> int:
+    """The minor of an int block at 1-based row and column sets."""
+    return _det_int([[m[i - 1][j - 1] for j in cols] for i in rows])
+
+
+def _det_bareiss(rows) -> Fraction:
+    """The determinant of ``Fraction`` rows: :func:`_det_int` of their
+    LCD-scaled block, over d^n."""
+    m, d = _scaled(rows)
+    return Fraction(_det_int(m), d ** len(m))
 
 
 def det(a: Matrix) -> Fraction:
@@ -337,11 +378,6 @@ def minor(a: Matrix, rows, cols) -> Fraction:
     cset.check_range(a.cols, "column")
     ent = a.entries
     return _det_bareiss([[ent[i - 1][j - 1] for j in cset] for i in rset])
-
-
-def lex_subsets(n: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """All p-subsets of {1..n} in lexicographic order (the compound order)."""
-    return tuple(itertools.combinations(range(1, n + 1), p))
 
 
 def minor_levels(
@@ -387,34 +423,6 @@ def minor_levels(
                     table[(rset, cset)] = acc
         yield p, table
         prev = table
-
-
-class CompoundMatrix(NamedTuple):
-    """All p x p minors of an n x n matrix in lexicographic order."""
-
-    p: int
-    base_n: int
-    data: Matrix
-
-    @property
-    def subsets(self) -> tuple[tuple[int, ...], ...]:
-        return lex_subsets(self.base_n, self.p)
-
-
-def multiplicative_compound(a: Matrix, p: int) -> CompoundMatrix:
-    """The p-th multiplicative compound of a square matrix."""
-    if not a.is_square():
-        raise ShapeMismatch("compound requires a square matrix")
-    n = a.rows
-    if not 1 <= p <= n:
-        raise OrderOutOfRange(f"compound order {p} outside [1, {n}]")
-    table = None
-    for order, tab in minor_levels(a, p):
-        if order == p:
-            table = tab
-    subs = lex_subsets(n, p)
-    data = Matrix([[table[(r, c)] for c in subs] for r in subs])
-    return CompoundMatrix(p=p, base_n=n, data=data)
 
 
 def cauchy_binet_check(a: Matrix, b: Matrix, alpha, beta) -> bool:

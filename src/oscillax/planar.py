@@ -36,7 +36,6 @@ from .errors import (
     InvariantViolation,
     ParamOutOfRange,
     ShapeMismatch,
-    TrackMismatch,
 )
 from .matrix import IndexSet, SCAN_CAP_DEFAULT
 from .rational import format_rational
@@ -101,12 +100,6 @@ def build_network(f: SEBFactorization) -> PlanarNetwork:
     return PlanarNetwork(f.n, f.factor_sequence())
 
 
-def concat(net1: PlanarNetwork, net2: PlanarNetwork) -> PlanarNetwork:
-    if net1.n != net2.n:
-        raise TrackMismatch(f"track counts differ: {net1.n} vs {net2.n}")
-    return PlanarNetwork(n=net1.n, layers=net1.layers + net2.layers)
-
-
 def concat_copies(net: PlanarNetwork, copies: int) -> PlanarNetwork:
     """``copies`` copies of the network in a row; more than
     :data:`COPIES_LAYER_LIMIT` layers raise :class:`FeasibilityExceeded`
@@ -119,13 +112,6 @@ def concat_copies(net: PlanarNetwork, copies: int) -> PlanarNetwork:
             f" of {COPIES_LAYER_LIMIT} layers"
         )
     return PlanarNetwork(n=net.n, layers=net.layers * copies)
-
-
-def strip_u_diagonals(net: PlanarNetwork) -> PlanarNetwork:
-    """Drop every upward diagonal; U layers become identities and vanish."""
-    return PlanarNetwork(
-        n=net.n, layers=tuple(l for l in net.layers if l.kind != "U")
-    )
 
 
 def _check_tracks(net: PlanarNetwork, sources: IndexSet, sinks: IndexSet) -> None:

@@ -49,7 +49,6 @@ import json
 import math
 import re
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -555,9 +554,16 @@ class FactorizationClass(enum.Enum):
 
 def _index_counts(f: SEBFactorization) -> list[int]:
     """Positive multipliers per factor index, L_2 .. L_n then U_2 .. U_n,
-    counted over the factor word."""
-    counts = Counter((fac.kind, fac.index) for fac in f.factor_sequence())
-    return [counts[kind, j] for kind in "LU" for j in range(2, f.n + 1)]
+    counted off the flat vectors through the layout's cells, so no factor
+    word is built."""
+    n, layout = f.n, f.layout
+    counts = [0] * (2 * n - 2)
+    sides = ((0, layout.lower_cells, f.l), (n - 1, layout.upper_cells, f.u))
+    for offset, cells, flat in sides:
+        for (_, j), x in zip(cells, flat):
+            if x:
+                counts[offset + j - 2] += 1
+    return counts
 
 
 def is_basic_factorization(f: SEBFactorization) -> bool:

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from oscillax.classify import (
     ClassificationReport,
@@ -21,8 +22,10 @@ from oscillax.errors import (
     NotITN,
     NotNormalizable,
     NotOscillatory,
+    OrderOutOfRange,
     ParamOutOfRange,
     ShapeMismatch,
+    TrackMismatch,
 )
 from oscillax.exponent import (
     ClassMatch,
@@ -38,7 +41,7 @@ from oscillax.exponent import (
     z1_slots,
     z2_slots,
 )
-from oscillax.matrix import Matrix, _scaled, det, mat_mul, mat_pow, minor
+from oscillax.matrix import Matrix, _scaled, det, mat_mul, mat_pow, minor, minor_levels
 from oscillax.planar import (
     INFINITE_COPIES,
     PlanarNetwork,
@@ -919,3 +922,53 @@ def r_lower_via_network(source):
             raise NotOscillatory(f"corner size {c} is never reachable")
         worst = max(worst, copies)
     return worst
+
+
+# Compounds and network helpers that no library code calls; the tests of
+# the Laplace scan and of path families use them.
+
+
+def lex_subsets(n: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """All p-subsets of {1..n} in lexicographic order (the compound order)."""
+    return tuple(itertools.combinations(range(1, n + 1), p))
+
+
+class CompoundMatrix(NamedTuple):
+    """All p x p minors of an n x n matrix in lexicographic order."""
+
+    p: int
+    base_n: int
+    data: Matrix
+
+    @property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        return lex_subsets(self.base_n, self.p)
+
+
+def multiplicative_compound(a: Matrix, p: int) -> CompoundMatrix:
+    """The p-th multiplicative compound of a square matrix."""
+    if not a.is_square():
+        raise ShapeMismatch("compound requires a square matrix")
+    n = a.rows
+    if not 1 <= p <= n:
+        raise OrderOutOfRange(f"compound order {p} outside [1, {n}]")
+    table = None
+    for order, tab in minor_levels(a, p):
+        if order == p:
+            table = tab
+    subs = lex_subsets(n, p)
+    data = Matrix([[table[(r, c)] for c in subs] for r in subs])
+    return CompoundMatrix(p=p, base_n=n, data=data)
+
+
+def concat(net1: PlanarNetwork, net2: PlanarNetwork) -> PlanarNetwork:
+    if net1.n != net2.n:
+        raise TrackMismatch(f"track counts differ: {net1.n} vs {net2.n}")
+    return PlanarNetwork(n=net1.n, layers=net1.layers + net2.layers)
+
+
+def strip_u_diagonals(net: PlanarNetwork) -> PlanarNetwork:
+    """Drop every upward diagonal; U layers become identities and vanish."""
+    return PlanarNetwork(
+        n=net.n, layers=tuple(l for l in net.layers if l.kind != "U")
+    )

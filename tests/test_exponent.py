@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    fraction_mat_mul,
     min_copies_restart,
     per_psi_class_json,
     power_loop_exponent_via_theorem,
@@ -34,10 +35,12 @@ from oscillax.errors import (
 )
 from oscillax.classify import corner_index_sets, is_oscillatory, is_tp
 from oscillax.exponent import (
+    _SIDES,
     TAG_ENTRY_LIMIT,
     ClassMatch,
     Prediction,
     _corner_copies,
+    _corner_powers,
     _side_indices,
     early_tp_product_scan,
     enumerate_psi_patterns,
@@ -63,7 +66,7 @@ from oscillax.exponent import (
     upper_part,
     with_transpose,
 )
-from oscillax.matrix import Matrix, mat_pow, minor
+from oscillax.matrix import Matrix, _scaled, _unscaled, mat_pow, minor
 from oscillax.planar import (
     INFINITE_COPIES,
     PlanarNetwork,
@@ -524,7 +527,10 @@ def test_product_family_check_forms_no_product(monkeypatch):
     fb = neville_factorize(M["pair_b"])
     module = sys.modules["oscillax.exponent"]
     formed = []
-    monkeypatch.setattr(module, "mat_mul", lambda *args: formed.append(args))
+    # every matrix product, the power chain's included, runs on _int_mul
+    monkeypatch.setattr(
+        sys.modules["oscillax.matrix"], "_int_mul", lambda *args: formed.append(args)
+    )
     monkeypatch.setattr(module, "compose", lambda *args: formed.append(args))
     # the verdict comes from the copy counts alone, however many ordered
     # tuples there are
@@ -1272,7 +1278,7 @@ def test_theorem_route_equals_prediction_on_large_class_inputs():
 def test_theorem_route_never_composes_and_scans_no_corners(monkeypatch):
     from oscillax import matrix, seb
 
-    calls = {"compose": 0, "minor": 0, "r_lower": 0}
+    calls = {"compose": 0, "minor": 0, "_minor_int": 0, "_int_mul": 0, "r_lower": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -1281,7 +1287,12 @@ def test_theorem_route_never_composes_and_scans_no_corners(monkeypatch):
 
         return wrapper
 
-    originals = {"compose": seb.compose, "minor": matrix.minor}
+    originals = {
+        "compose": seb.compose,
+        "minor": matrix.minor,
+        "_minor_int": matrix._minor_int,
+        "_int_mul": matrix._int_mul,
+    }
     for module in [m for k, m in sys.modules.items() if k.startswith("oscillax.")]:
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:
@@ -1297,11 +1308,14 @@ def test_theorem_route_never_composes_and_scans_no_corners(monkeypatch):
     rs = set()
     for a in inputs:
         calls.update(dict.fromkeys(calls, 0))
-        rs.add(exponent_via_theorem(a).r)
+        r = exponent_via_theorem(a).r
+        rs.add(r)
         # neville_factorize checks its round trip on int columns, not compose
         assert calls["compose"] == 0
         assert calls["r_lower"] == 0
-        assert calls["minor"] <= 1
+        # one corner of A^(r-1) on the power chain, which stops at A^r
+        assert calls["minor"] + calls["_minor_int"] <= 1
+        assert calls["_int_mul"] <= r - 1
     assert len(rs) > 1
 
 
@@ -1357,7 +1371,10 @@ def test_r_lower_and_r_upper_match_power_loop():
                     (r_upper, power_loop_r_upper, "upper-right"),
                 ):
                     r = _side_exponent_or_error(oracle, a, None)
-                    limits = [None, 0] if isinstance(r, tuple) else [None, r - 1, r]
+                    # a limit below 1 raises ParamOutOfRange before any power
+                    # (test_side_exponents_refuse_a_limit_below_one)
+                    limits = [None] if isinstance(r, tuple) else [None, r - 1, r]
+                    limits = [x for x in limits if x != 0]
                     for max_power in limits:
                         expected = _side_exponent_or_error(oracle, a, max_power)
                         if isinstance(expected, tuple):
@@ -1373,7 +1390,7 @@ def test_r_lower_and_r_upper_match_power_loop():
 def test_bruteforce_runs_two_scans_and_no_side_loops(monkeypatch):
     from oscillax import matrix
 
-    calls = {"minor_levels": 0, "mat_mul": 0, "r_lower": 0}
+    calls = {"minor_levels": 0, "mat_mul": 0, "_int_mul": 0, "r_lower": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -1382,7 +1399,11 @@ def test_bruteforce_runs_two_scans_and_no_side_loops(monkeypatch):
 
         return wrapper
 
-    originals = {"minor_levels": matrix.minor_levels, "mat_mul": matrix.mat_mul}
+    originals = {
+        "minor_levels": matrix.minor_levels,
+        "mat_mul": matrix.mat_mul,
+        "_int_mul": matrix._int_mul,  # every product, the power chain's included
+    }
     for module in [m for k, m in sys.modules.items() if k.startswith("oscillax.")]:
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:
@@ -1401,5 +1422,148 @@ def test_bruteforce_runs_two_scans_and_no_side_loops(monkeypatch):
         rs.add(exponent_bruteforce(a).r)
         assert calls["minor_levels"] <= 2  # the TN scan of A, the TP scan of A^r
         assert calls["mat_mul"] <= a.rows - 1
+        assert calls["_int_mul"] <= a.rows - 2  # A^2 .. A^(n-1), one product each
         assert calls["r_lower"] == 0
     assert len(rs) > 1
+
+
+def test_side_exponents_refuse_a_limit_below_one(monkeypatch):
+    exponent = sys.modules["oscillax.exponent"]
+    a = M["exp4"]
+    started = []
+
+    def powers(*args):
+        started.append(args)
+        raise AssertionError("the power chain started")
+
+    monkeypatch.setattr(exponent, "_powers", powers)
+    for fn in (r_lower, r_upper):
+        for bad in (0, -1, True, False, 2.0, "2"):
+            with pytest.raises(ParamOutOfRange, match="^max_power must be an int >= 1"):
+                fn(a, bad)
+    assert started == []
+    monkeypatch.undo()
+    assert (r_lower(a, 3), r_upper(a, 2)) == (3, 2)
+    with pytest.raises(NotOscillatory, match="within 1 powers$"):
+        r_lower(a, 1)
+    # a 1x1 input has no corner to test within its default n - 1 = 0 powers
+    with pytest.raises(NotOscillatory, match="^lower-left .* within 0 powers$"):
+        r_lower(Matrix([[2]]))
+
+
+def _chain_inputs(rng):
+    """Seeded ITN inputs at n = 2..10: oscillatory, ITN-only (one factor
+    index missing on the lower side) and bare triangular parts, with
+    integer multipliers, rational multipliers, or integer ones scaled by
+    a rational, so that most scaled blocks have a denominator above 1."""
+    out = []
+    for n in range(2, 11):
+        lower_slots = chain_layout(n).lower_cells
+        for density in (0.1, 0.3, 0.6):
+            for flavour in ("int", "rational", "scaled"):
+                f = random_oscillatory_factorization(n, rng, density)
+                if flavour == "rational":
+                    f = SEBFactorization(
+                        n,
+                        *(tuple(x / rng.randint(1, 5) for x in v) for v in (f.l, f.d, f.u)),
+                    )
+                missing = rng.randint(2, n)
+                itn_only = f._replace(
+                    l=tuple(0 if j == missing else x for (_, j), x in zip(lower_slots, f.l))
+                )
+                for part in (f, lower_part(f), upper_part(f), itn_only):
+                    a = compose(part)
+                    if flavour == "scaled":
+                        c = Fraction(rng.randint(1, 7), rng.randint(2, 7))
+                        a = Matrix([[x * c for x in row] for row in a.entries])
+                    out.append((a, part is f))
+    return out
+
+
+def _least_positive_powers(powers, limit):
+    """Per side, the least k <= limit whose corner minor of the oracle
+    power A^k is positive (infinite if none is), every power tested."""
+    n = powers[0].rows
+    return {
+        side: [
+            min(
+                (
+                    k
+                    for k in range(1, limit + 1)
+                    if minor(powers[k - 1], *corner_index_sets(n, side, size)) > 0
+                ),
+                default=float("inf"),
+            )
+            for size in range(1, n)
+        ]
+        for side in _SIDES
+    }
+
+
+def test_power_chain_matches_fraction_powers():
+    rng = random.Random(331)
+    inputs = _chain_inputs(rng)
+    assert len(inputs) >= 300
+    scaled = witnesses = 0
+    for a, oscillatory in inputs:
+        n = a.rows
+        powers = [a]
+        for _ in range(n - 2):
+            powers.append(fraction_mat_mul(powers[-1], a))
+        scaled += _scaled(a.entries)[1] != 1
+        for k in range(1, min(n, 3) + 1):
+            if k > len(powers):
+                powers.append(fraction_mat_mul(powers[-1], a))
+            assert mat_pow(a, k) == powers[k - 1]
+        for limit in sorted({n - 1, rng.randint(1, n - 1)}):
+            counts, last = _corner_powers(a, _SIDES, limit)
+            expected = _least_positive_powers(powers, limit)
+            assert counts == expected
+            stop = min(limit, max(max(c) for c in expected.values()))
+            assert _unscaled(*last) == powers[stop - 1]
+            assert last[1] == _scaled(powers[stop - 1].entries)[1]
+            for fn, side in ((r_lower, "lower-left"), (r_upper, "upper-right")):
+                r = max(expected[side])
+                if r <= limit:
+                    assert fn(a, limit) == r
+                else:
+                    message = f"^{side} corner minors not all positive within {limit} powers$"
+                    with pytest.raises(NotOscillatory, match=message):
+                        fn(a, limit)
+        if not oscillatory:
+            continue
+        rep = exponent_via_theorem(a)
+        r = rep.r
+        assert r == max(max(c) for c in _least_positive_powers(powers, n - 1).values())
+        assert rep.witness_power == powers[r - 1]
+        if r == 1:
+            assert rep.zero_witness is None
+            continue
+        below = powers[r - 2]
+        first_zero = next(
+            (side, size)
+            for size in range(1, n)
+            for side in _SIDES
+            if minor(below, *corner_index_sets(n, side, size)) == 0
+        )
+        assert (rep.zero_witness.side, rep.zero_witness.size) == first_zero
+        assert rep.zero_witness.power == r - 1
+        witnesses += 1
+        if n <= 5:
+            assert exponent_bruteforce(a) == rep._replace(method="bruteforce")
+    assert scaled >= 150 and witnesses >= 50
+
+
+def test_routes_tag_without_the_public_path(monkeypatch):
+    # the routes tag their own factorization without recognize_class
+    exponent = sys.modules["oscillax.exponent"]
+
+    def refuse(*args):
+        raise AssertionError("recognize_class called")
+
+    monkeypatch.setattr(exponent, "recognize_class", refuse)
+    for a in (M["exp4"], M["exp5"]):
+        exponent_via_theorem(a)
+        exponent_bruteforce(a)
+        exponent_via_prediction(a)
+

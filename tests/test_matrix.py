@@ -11,6 +11,8 @@ from oracles import (
     fraction_mat_mul,
     laplace_det,
     laplace_minor,
+    lex_subsets,
+    multiplicative_compound,
 )
 from oscillax.errors import (
     MalformedNumber,
@@ -25,14 +27,12 @@ from oscillax.matrix import (
     cauchy_binet_check,
     det,
     dumps_matrix,
-    lex_subsets,
     loads_matrix,
     mat_mul,
     mat_pow,
     matrix_from_csv,
     matrix_to_csv,
     minor,
-    multiplicative_compound,
 )
 from oscillax.verify import corpus_matrices
 

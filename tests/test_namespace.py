@@ -48,16 +48,13 @@ REEXPORTS = {
     ),
     "rational": ("coerce_rational", "format_rational", "parse_rational"),
     "matrix": (
-        "CompoundMatrix",
         "IndexSet",
         "Matrix",
         "cauchy_binet_check",
         "det",
-        "lex_subsets",
         "mat_mul",
         "mat_pow",
         "minor",
-        "multiplicative_compound",
     ),
     "classify": (
         "ClassificationReport",
@@ -90,12 +87,10 @@ REEXPORTS = {
         "PathFamily",
         "PlanarNetwork",
         "build_network",
-        "concat",
         "enumerate_path_families",
         "export_dot",
         "min_copies_lower_corner",
         "minor_via_paths",
-        "strip_u_diagonals",
     ),
     "exponent": (
         "ClassTag",
@@ -136,7 +131,7 @@ def run_fresh(code: str) -> str:
 
 
 def test_public_names_resolve_to_their_defining_objects():
-    assert len(SUBMODULES) + sum(map(len, REEXPORTS.values())) == 85
+    assert len(SUBMODULES) + sum(map(len, REEXPORTS.values())) == 80
     run_fresh(
         f"""
         import importlib

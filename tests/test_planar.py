@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    concat,
     min_copies_restart,
     r_lower_via_network,
     random_canonical_factorization,
+    strip_u_diagonals,
 )
 from oscillax import planar
 from oscillax.errors import (
@@ -30,14 +32,12 @@ from oscillax.planar import (
     INFINITE_COPIES,
     PlanarNetwork,
     build_network,
-    concat,
     concat_copies,
     enumerate_path_families,
     export_dot,
     min_copies_lower_corner,
     minor_via_paths,
     network_to_json_dict,
-    strip_u_diagonals,
 )
 from oscillax.seb import (
     SEBFactorization,

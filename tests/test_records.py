@@ -29,7 +29,7 @@ from oscillax.exponent import (
     predict_exponent,
     recognize_class,
 )
-from oscillax.matrix import IndexSet, Matrix, multiplicative_compound
+from oscillax.matrix import IndexSet, Matrix
 from oscillax.planar import (
     PlanarNetwork,
     build_network,
@@ -64,7 +64,6 @@ def _records() -> dict:
     suite.add("fails", fails)
     return {
         "IndexSet": IndexSet((1, 3)),
-        "CompoundMatrix": multiplicative_compound(a, 2),
         "ClassificationReport": classify(Matrix([[1, 2], [3, 1]])),
         "EBFactor-L": ebl(2, Fraction(1, 2)),
         "EBFactor-D": ebd((1, 2)),
@@ -96,7 +95,6 @@ RECORDS = _records()
 # dataclass hid its three dict fields from the repr.
 REPRS = {
     "IndexSet": "IndexSet(indices=(1, 3))",
-    "CompoundMatrix": "CompoundMatrix(p=2, base_n=2, data=Matrix(1x1: 1))",
     "ClassificationReport": (
         "ClassificationReport(n=2, is_tn=False, is_invertible=True, is_tp=False, "
         "is_oscillatory=False, is_basic_oscillatory=None, "

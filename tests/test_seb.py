@@ -315,6 +315,32 @@ def _canonical_flats(n, side, rng):
         yield tuple(flat)
 
 
+def test_index_counts_match_the_factor_word():
+    """The flat-vector count of seb._index_counts against a count over the
+    factor word, on canonical and non-canonical, sparse and dense inputs."""
+    rng = random.Random(571)
+    cases = []
+    for n in range(2, 11):
+        k = multiplier_count(n)
+        for density in (0.0, 0.1, 0.3, 0.6, 1.0):
+            for _ in range(4):
+                lower, upper = (
+                    tuple(rng.randint(1, 9) if rng.random() < density else 0 for _ in range(k))
+                    for _ in "lu"
+                )
+                d = tuple(rng.randint(1, 4) for _ in range(n))
+                cases.append(SEBFactorization(n, lower, d, upper))
+            f = random_oscillatory_factorization(n, rng, density)
+            cases += [f, neville_factorize(compose(f))]
+    counts = set()
+    for f in cases:
+        word = Counter((x.kind, x.index) for x in f.factor_sequence())
+        expected = [word[kind, j] for kind in "LU" for j in range(2, f.n + 1)]
+        assert seb._index_counts(f) == expected, f
+        counts.update(expected)
+    assert {0, 1, 2} <= counts
+
+
 def test_index_counts_match_flat_layout_counts():
     rng = random.Random(577)
     cases = []
