@@ -10,11 +10,11 @@ matrix is TN iff the elimination runs with nonnegative multipliers and a
 positive diagonal, and TP iff every multiplier is positive (Gasca & Peña,
 LAA 165, 1992), so an invertible TN input is decided in O(n^3) and builds
 no minor table.  The TP witness of a non-TP one, its first zero minor,
-is read off the factor word: the sign of every minor follows from two
-token sets, one per side (:func:`_zero_minors_by_tokens`; the minor
-pattern of a double Bruhat cell, Fomin & Zelevinsky, JAMS 12, 1999), and
-one Bareiss minor confirms the witness.  Inputs the elimination refuses
-keep the one scan that stops at the first negative minor.  Oscillation
+comes from two token sets per minor (the minor pattern of a double Bruhat
+cell, Fomin & Zelevinsky, JAMS 12, 1999) by a polynomial greedy
+(:func:`_first_zero_by_tokens`) and one confirming Bareiss minor, at any
+n.  The cap guards the scans only: inputs the elimination refuses keep
+the one scan that stops at the first negative minor.  Oscillation
 is the Gantmacher–Krein test (nonsingular TN, positive sub- and
 superdiagonal); the four criteria of :func:`is_oscillatory` remain
 available and are cross-checked by the tests and by ``verify``.
@@ -22,9 +22,7 @@ available and are cross-checked by the tests and by ``verify``.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from operator import le
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
@@ -278,12 +276,11 @@ def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
 
     Invertible TN inputs are decided by their Neville factorization, and
     a non-TP one takes its first zero minor from the token sets of its
-    factor word (:func:`_first_zero_minor`), under the same scan cap as
-    the minor scan.  The other inputs take one scan, which stops at the
-    first negative minor, by which point the first nonpositive one has
-    been seen.
+    factorization (:func:`_first_zero_minor`), at any n.  The other
+    inputs take one scan under ``cap``, which stops at the first negative
+    minor, by which point the first nonpositive one has been seen.
     """
-    from .seb import is_basic_factorization, neville_factorize
+    from .seb import _side_indices, is_basic_factorization, neville_factorize
 
     if not a.is_square():
         raise ShapeMismatch("classification requires a square matrix")
@@ -294,8 +291,7 @@ def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
         return _classify_not_itn(a, cap)
     tp_witness = None
     if not all(x > 0 for x in f.l + f.u):
-        check_scan_cap(a, cap)
-        tp_witness = _first_zero_minor(a, f)
+        tp_witness = _first_zero_minor(a, _side_indices(f))
     return ClassificationReport(
         n=a.rows,
         is_tn=True,
@@ -308,55 +304,58 @@ def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
     )
 
 
-def _zero_minors_by_tokens(word, n: int, orders) -> Iterator[tuple[tuple, tuple]]:
-    """``(rows, cols)`` of every zero minor of the given orders of the
-    product of a factor word with nonnegative multipliers, in scan order,
-    read off the word alone.
+def _first_zero_by_tokens(lower, upper, n: int) -> tuple[tuple, tuple] | None:
+    """``(rows, cols)`` of the first zero minor of order 2..n-1, in scan
+    order, of a word with nonnegative multipliers whose positive factors
+    carry the side indices ``lower`` and ``upper`` (:func:`seb._side_indices`);
+    None if there is none.
 
-    The signs come from token sets (:func:`seb.demazure` on a 0/1 start):
-    G_L(I) moves the tokens of the rows I by the word's positive L indices,
-    and G_U(J) those of the columns J by the reversed word's positive U
-    indices (:func:`seb._side_indices`).  By Cauchy–Binet and
-    Lindström–Gessel–Viennot, minor (I, J) is positive exactly when some
-    sink set K is reached by vertex-disjoint paths both from I in the
-    lower network and from J in the upper one.  The sets reached from I
-    are the K with G_L(I) <= K <= I entrywise, and likewise for J, so
-    the minor is positive exactly when max(G_L(I)_p, G_U(J)_p) <=
-    min(I_p, J_p) for every p; tokens only move up, so that is
-    G_L(I) <= J and G_U(J) <= I.  G_U is taken once per column subset and
-    G_L once per row subset.
+    By Cauchy–Binet and Lindström–Gessel–Viennot, minor (I, J) is zero
+    exactly when G_L(I) </= J or G_U(J) </= I entrywise (the Gale order),
+    where G moves the tokens of a subset by one side's indices
+    (:func:`seb.demazure` on a 0/1 start).  G is Gale-monotone and fixes
+    the least k-set [k], so with T = {n-k+1..n}: if G_U(T) != [k], the
+    first zero minor of order k has rows [k] and columns the lex-first J
+    with G_U(J) != [k]; else, if G_L(T) != [k], rows the lex-first I with
+    G_L(I) != [k] and columns [k]; else order k has none.  The k-sets S
+    with G(S) != [k] form a Gale up-set holding T, so its lex-first member
+    is fixed entry by entry in O(n) token runs.
     """
-    from .seb import _side_indices, demazure
+    from .seb import demazure
 
-    lower, upper = _side_indices(word).values()
+    def stuck(indices, subset):  # G(subset) != [k]: a token stops above k
+        start = [int(i in subset) for i in range(1, n + 1)]
+        return demazure(indices, n, start) != tuple(sorted(start, reverse=True))
 
-    def tokens(indices, subset):
-        start = [0] * n
-        for i in subset:
-            start[i - 1] = 1
-        return tuple(i for i, x in enumerate(demazure(indices, n, start), 1) if x)
+    def lex_first(k, indices):
+        # each entry is the least whose top completion is still stuck; the
+        # largest completes to the previous top set, which is
+        chosen: tuple[int, ...] = ()
+        for last in range(n - k + 1, n + 1):
+            tail, low = range(last + 1, n + 1), chosen[-1] + 1 if chosen else 1
+            fits = (v for v in range(low, last) if stuck(indices, (*chosen, v, *tail)))
+            chosen += (next(fits, last),)
+        return chosen
 
-    for p in orders:
-        subsets = list(itertools.combinations(range(1, n + 1), p))
-        col_tokens = [tokens(upper, cset) for cset in subsets]
-        for rset in subsets:
-            row_tokens = tokens(lower, rset)
-            for cset, gu in zip(subsets, col_tokens):
-                if not (all(map(le, row_tokens, cset)) and all(map(le, gu, rset))):
-                    yield rset, cset
+    for k in range(2, n):
+        first, top = tuple(range(1, k + 1)), tuple(range(n - k + 1, n + 1))
+        if stuck(upper, top):
+            return first, lex_first(k, upper)
+        if stuck(lower, top):
+            return lex_first(k, lower), first
+    return None
 
 
-def _first_zero_minor(a: Matrix, f) -> MinorWitness:
+def _first_zero_minor(a: Matrix, sides: dict) -> MinorWitness:
     """The first zero minor in scan order of an invertible TN matrix ``a``
-    that is not TP, given its factorization ``f``: a zero entry, else the
-    first zero minor of order 2..n-1 by :func:`_zero_minors_by_tokens`,
-    confirmed by one Bareiss :func:`minor`."""
+    that is not TP, given the side indices of its factorization: a zero
+    entry, else :func:`_first_zero_by_tokens`, confirmed by one Bareiss
+    :func:`minor`."""
     for i, row in enumerate(a.entries, 1):
         for j, x in enumerate(row, 1):
             if not x:
                 return MinorWitness((i,), (j,), x)
-    n = a.rows
-    found = next(_zero_minors_by_tokens(f.factor_sequence(), n, range(2, n)), None)
+    found = _first_zero_by_tokens(*sides.values(), a.rows)
     if found is None:
         raise InvariantViolation("a zero multiplier but no zero minor below order n")
     value = minor(a, *found)

@@ -330,7 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("definition", "gk", "irreducible", "seb", "all"),
         default="all",
     )
-    p.add_argument("--cap", type=int, default=SCAN_CAP_DEFAULT, help="minor-scan dimension cap")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=SCAN_CAP_DEFAULT,
+        help="dimension cap of the minor scans (singular or non-TN inputs,"
+        " --method definition|gk|irreducible); invertible TN inputs need none",
+    )
     common(p)
     p.set_defaults(fn=cmd_classify)
 

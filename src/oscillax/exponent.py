@@ -71,7 +71,7 @@ from .errors import (
     ShapeMismatch,
     Unpredictable,
 )
-from .matrix import Matrix, _minor_int, _powers, _unscaled
+from .matrix import Matrix, _check_count, _minor_int, _powers, _unscaled
 from .seb import (
     _SIDES,
     EBFactor,
@@ -527,9 +527,8 @@ def _side_exponent(a: Matrix, side: str, max_power: int | None) -> int:
         raise ParamOutOfRange("square matrix required")
     if max_power is None:
         limit = a.rows - 1
-    elif type(max_power) is bool or not isinstance(max_power, int) or max_power < 1:
-        raise ParamOutOfRange(f"max_power must be an int >= 1, got {max_power!r}")
     else:
+        _check_count(max_power, "max_power")
         limit = max_power
     r = max(_corner_powers(a, (side,), limit)[0][side], default=1)
     if r > limit:
@@ -590,10 +589,10 @@ def _corner_copies(descents, n: int) -> tuple[int | float, ...]:
     )
 
 
-def _word_counts(word, n: int) -> dict:
+def _side_copies(f: SEBFactorization) -> dict:
     """Per side, the copy counts (:func:`_corner_copies`) of the network
-    of a factor word."""
-    return {side: _corner_copies(ix, n) for side, ix in _side_indices(word).items()}
+    of a factorization."""
+    return {side: _corner_copies(ix, f.n) for side, ix in _side_indices(f).items()}
 
 
 class CornerZeroWitness(NamedTuple):
@@ -696,9 +695,10 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
     """Factor the input, then take the max of the lower part's lower
     exponent and the upper part's upper exponent.
 
-    Both come from copy counts on the canonical factor word
-    (:func:`_corner_copies`): its L factors, and its U factors in reverse
-    order, so no power of a triangular part is formed; they are infinite
+    Both come from copy counts on the canonical factorization
+    (:func:`_side_copies`): its L factors, and its U factors in reverse
+    order, read off the flat vectors, so neither a factor word nor a power
+    of a triangular part is formed; they are infinite
     when a side misses a factor index.  The zero witness follows the
     brute-force route's rule (:func:`_vanishing_corner`); one minor of
     A^(r-1), on the int block of the power chain, confirms that it
@@ -709,7 +709,7 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
     except NotITN as exc:
         raise NotOscillatory(f"not invertible TN: {exc}") from exc
     n = f.n
-    counts = _word_counts(f.factor_sequence(), n)
+    counts = _side_copies(f)
     r = max(map(max, counts.values()))
     if r == float("inf"):
         raise NotOscillatory("factorization misses a factor index on some side")
@@ -805,7 +805,7 @@ def product_family_check(factorizations, k: int) -> ProductFamilyResult:
     """
     members = _family_members(factorizations, k)
     n = members[0].n
-    sides = [_side_indices(f.factor_sequence()) for f in members]
+    sides = [_side_indices(f) for f in members]
     cells = {tuple(demazure(ix, n) for ix in s.values()) for s in sides}
     if len(cells) != 1:
         raise ClassMismatch("members do not share canonical supports on both sides")
@@ -836,7 +836,7 @@ def early_tp_product_scan(factorizations, k: int) -> tuple[tuple[int, ...], ...]
         raise FeasibilityExceeded(
             f"{m}**{k} ordered products exceed the limit {PRODUCT_LIMIT}"
         )
-    sides = [_side_indices(f.factor_sequence()) for f in members]
+    sides = [_side_indices(f) for f in members]
     exponents = [_sides_exponent(s, n) for s in sides]
     if float("inf") in exponents:
         raise NotOscillatory("input is not oscillatory")

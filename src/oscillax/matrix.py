@@ -52,6 +52,16 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _check_count(k, what: str, most: int | None = None) -> None:
+    """The one rule for counts (powers, copies, corner sizes): an ``int``
+    that is not a ``bool``, at least 1 and at most ``most`` when given;
+    :class:`ParamOutOfRange` otherwise."""
+    top = k if most is None else most
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= top:
+        bound = ">= 1" if most is None else f"in [1, {most}]"
+        raise ParamOutOfRange(f"{what} must be an int {bound}, got {k!r}")
+
+
 class _IndexSetFields(NamedTuple):
     indices: tuple[int, ...]
 
@@ -93,11 +103,18 @@ class IndexSet(_IndexSetFields):
 
     @classmethod
     def coerce(cls, value) -> "IndexSet":
+        """An index set from an IndexSet, one index or an iterable of
+        indices; every index an ``int`` that is not a ``bool``
+        (:class:`ShapeMismatch` otherwise)."""
         if isinstance(value, IndexSet):
             return value
-        if isinstance(value, int):
-            return cls((value,))
-        return cls(tuple(int(i) for i in value))
+        try:
+            indices = tuple(value)
+        except TypeError:
+            indices = (value,)
+        if any(isinstance(i, bool) or not isinstance(i, int) for i in indices):
+            raise ShapeMismatch(f"indices must be ints, got {value!r}")
+        return cls(indices)
 
     def check_range(self, limit: int, what: str = "index") -> None:
         if self.indices[-1] > limit:
@@ -309,11 +326,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
-    """Exact k-th power, k >= 1, from the power chain."""
+    """Exact k-th power, k an int >= 1, from the power chain."""
     if not a.is_square():
         raise ShapeMismatch("powers require a square matrix")
-    if k < 1:
-        raise ParamOutOfRange(f"power must be >= 1, got {k}")
+    _check_count(k, "power")
     return _unscaled(*next(itertools.islice(_powers(a), k - 1, None)))
 
 

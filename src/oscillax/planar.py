@@ -37,7 +37,7 @@ from .errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from .matrix import IndexSet, SCAN_CAP_DEFAULT
+from .matrix import IndexSet, SCAN_CAP_DEFAULT, _check_count
 from .rational import format_rational
 from .seb import EBFactor, SEBFactorization
 
@@ -104,8 +104,7 @@ def concat_copies(net: PlanarNetwork, copies: int) -> PlanarNetwork:
     """``copies`` copies of the network in a row; more than
     :data:`COPIES_LAYER_LIMIT` layers raise :class:`FeasibilityExceeded`
     before anything is built."""
-    if copies < 1:
-        raise ParamOutOfRange("copies must be >= 1")
+    _check_count(copies, "copies")
     if copies * len(net.layers) > COPIES_LAYER_LIMIT:
         raise FeasibilityExceeded(
             f"{copies} copies of {len(net.layers)} layers exceed the limit"
@@ -220,8 +219,7 @@ def enumerate_path_families(
 
 def lower_corner_tracks(n: int, c: int) -> tuple[IndexSet, IndexSet]:
     """Sources {n-c+1..n} and sinks {1..c} of the size-c lower-left corner."""
-    if not 1 <= c <= n - 1:
-        raise ParamOutOfRange(f"corner size {c} outside [1, {n - 1}]")
+    _check_count(c, "corner size", n - 1)
     return corner_index_sets(n, "lower-left", c)
 
 

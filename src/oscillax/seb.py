@@ -606,7 +606,7 @@ def demazure(indices, n: int, start=None) -> tuple[int, ...]:
     subsets: index j moves a token from j to an empty j-1.  The support of
     the result is the entrywise least set of sinks that vertex-disjoint
     paths from the subset reach in the planar network of the word, which
-    is how ``classify._zero_minors_by_tokens`` reads minor signs.
+    is how ``classify._first_zero_by_tokens`` reads minor signs.
     """
     w = list(range(1, n + 1) if start is None else start)
     for j in indices:
@@ -619,14 +619,18 @@ def demazure(indices, n: int, start=None) -> tuple[int, ...]:
 _SIDES = ("lower-left", "upper-right")
 
 
-def _side_indices(word) -> dict:
+def _side_indices(f: SEBFactorization) -> dict:
     """Per side, the indices of the positive factors that carry its
-    corners: the L indices of a factor word for the lower-left ones, and
-    the U indices of the reversed word, the L indices of the transpose,
-    for the upper-right ones."""
+    corners, in the order the factor word reads them: the L indices for
+    the lower-left ones, and the U indices of the reversed word, the L
+    indices of the transpose, for the upper-right ones.  Both are read off
+    a lower flat vector in product order, ``f.l`` and the mirrored ``f.u``
+    (as :func:`exponent.recognize_sides` reads them), so no factor word
+    is built."""
+    layout = f.layout
     return {
-        side: [x.index for x in w if x.kind == kind and x.multiplier]
-        for side, kind, w in zip(_SIDES, "LU", (word, word[::-1]))
+        side: [j for p, j in layout.lower_order if flat[p]]
+        for side, flat in zip(_SIDES, (f.l, layout.mirror(f.u)))
     }
 
 

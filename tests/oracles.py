@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import le
 from typing import NamedTuple
 
 from oscillax.classify import (
@@ -52,6 +53,7 @@ from oscillax.planar import (
     minor_via_paths,
 )
 from oscillax.seb import (
+    _SIDES,
     NORMALIZE_SLOT_LIMIT,
     FactorizationClass,
     SEBFactorization,
@@ -60,6 +62,7 @@ from oscillax.seb import (
     chain_layout,
     classify_factorization,
     compose,
+    demazure,
     ebl,
     multiplier_count,
     n_from_flat,
@@ -521,6 +524,56 @@ def token_corner_copies(descents, n):
         counts.append(copies)
     return tuple(counts)
 
+
+
+def word_side_indices(word) -> dict:
+    """Per side, the indices of a factor word's positive factors that
+    carry its corners: the L indices of the word for the lower-left ones,
+    and the U indices of the reversed word, the L indices of the
+    transpose, for the upper-right ones.  The reference for
+    ``seb._side_indices``, which reads them off the flat vectors, and the
+    reader of words that are no factorization."""
+    return {
+        side: [x.index for x in w if x.kind == kind and x.multiplier]
+        for side, kind, w in zip(_SIDES, "LU", (word, word[::-1]))
+    }
+
+
+def zero_minors_by_tokens(word, n: int, orders):
+    """``(rows, cols)`` of every zero minor of the given orders of the
+    product of a factor word with nonnegative multipliers, in scan order,
+    read off the word alone by walking every pair of row and column
+    subsets.  The reference for ``classify._first_zero_by_tokens``.
+
+    The signs come from token sets (``seb.demazure`` on a 0/1 start):
+    G_L(I) moves the tokens of the rows I by the word's positive L indices,
+    and G_U(J) those of the columns J by the reversed word's positive U
+    indices (:func:`word_side_indices`).  By Cauchy–Binet and
+    Lindström–Gessel–Viennot, minor (I, J) is positive exactly when some
+    sink set K is reached by vertex-disjoint paths both from I in the
+    lower network and from J in the upper one.  The sets reached from I
+    are the K with G_L(I) <= K <= I entrywise, and likewise for J, so
+    the minor is positive exactly when max(G_L(I)_p, G_U(J)_p) <=
+    min(I_p, J_p) for every p; tokens only move up, so that is
+    G_L(I) <= J and G_U(J) <= I.  G_U is taken once per column subset and
+    G_L once per row subset.
+    """
+    lower, upper = word_side_indices(word).values()
+
+    def tokens(indices, subset):
+        start = [0] * n
+        for i in subset:
+            start[i - 1] = 1
+        return tuple(i for i, x in enumerate(demazure(indices, n, start), 1) if x)
+
+    for p in orders:
+        subsets = list(itertools.combinations(range(1, n + 1), p))
+        col_tokens = [tokens(upper, cset) for cset in subsets]
+        for rset in subsets:
+            row_tokens = tokens(lower, rset)
+            for cset, gu in zip(subsets, col_tokens):
+                if not (all(map(le, row_tokens, cset)) and all(map(le, gu, rset))):
+                    yield rset, cset
 
 def classify_four_criteria(a, cap=None):
     """Classification by separate TN and TP scans, with the oscillatory

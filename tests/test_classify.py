@@ -7,10 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import classify_four_criteria, random_canonical_factorization
+from oracles import (
+    classify_four_criteria,
+    random_canonical_factorization,
+    word_side_indices,
+    zero_minors_by_tokens,
+)
 from oscillax.classify import (
     _first_minor,
-    _zero_minors_by_tokens,
+    _first_zero_by_tokens,
     classify,
     corner_minors,
     is_irreducible,
@@ -444,11 +449,41 @@ def test_classify_decides_tp_past_the_cap(monkeypatch):
 
 
 def test_classify_keeps_feasibility_cap():
-    # identity(9) is invertible TN but not TP: its witness needs the scan
+    # the cap guards the scan of inputs Neville elimination refuses:
+    # singular TN and non-TN ones
+    singular = Matrix([[int(i == j > 0) for j in range(9)] for i in range(9)])
     with pytest.raises(FeasibilityExceeded):
-        classify(Matrix.identity(9))
-    with pytest.raises(FeasibilityExceeded):
-        classify(Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), cap=2)
+        classify(singular)
+    assert not classify(singular, cap=9).is_invertible
+    for a in ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 2, 0], [3, 1, 1], [0, 1, 2]]):
+        with pytest.raises(FeasibilityExceeded):
+            classify(Matrix(a), cap=2)
+
+
+def _one_zero_multiplier(n, i, j):
+    """All-ones factorization with lower factor L_j of chain i set to zero."""
+    layout, k = chain_layout(n), multiplier_count(n)
+    l = [Fraction(1)] * k
+    l[layout.lower_slot(i, j)] = Fraction(0)
+    return compose(SEBFactorization(n, l, (1,) * n, (1,) * k))
+
+
+def test_classify_reads_invertible_tn_witnesses_past_the_cap(monkeypatch):
+    # ITN inputs past the scan cap: the witness comes from the entries or
+    # from the token greedy, never from a minor scan, and is a zero minor
+    passes = _count_minor_passes(monkeypatch)
+    cases = [
+        (Matrix.identity(9), 1),
+        (Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), 1),
+        (_one_zero_multiplier(100, 50, 50), 49),
+    ]
+    for a, order in cases:
+        rep = classify(a, cap=2)
+        w = rep.tp_witness
+        assert rep.is_tn and rep.is_invertible and not rep.is_tp
+        assert len(w.rows) == order and w.value == 0 == minor(a, w.rows, w.cols)
+    assert classify(Matrix.identity(9)).tp_witness == ((1,), (2,), 0)
+    assert passes == []
 
 
 def _interleaved_word(n, rng):
@@ -485,23 +520,52 @@ def test_token_sets_read_every_minor_sign_of_a_word_product():
                     else:
                         want.append((rset, cset))
         # the zero minors, in scan order: orders, then rows, then columns
-        assert list(_zero_minors_by_tokens(word, n, range(1, n + 1))) == want
+        assert list(zero_minors_by_tokens(word, n, range(1, n + 1))) == want
         zeros += len(want)
         kinds = "".join(fac.kind for fac in word if fac.kind == "D" or fac.multiplier)
         interleaved += "UL" in kinds or "DL" in kinds or "UD" in kinds
     assert interleaved >= 350 and zeros >= 50_000 and positives >= 20_000
 
 
-def _itn_not_tp(n, rng):
-    """An invertible TN matrix that is not TP: positive multipliers with one
-    to three of them, on either side, set to zero."""
+def _zero_multipliers(n, rng):
+    """Positive multipliers with one to three of them, on either side, set
+    to zero."""
     k = multiplier_count(n)
     l = [Fraction(rng.randint(1, 9)) for _ in range(k)]
     u = [Fraction(rng.randint(1, 9)) for _ in range(k)]
     for _ in range(rng.randint(1, 3)):
         rng.choice((l, u))[rng.randrange(k)] = Fraction(0)
     d = [Fraction(rng.randint(1, 4)) for _ in range(n)]
-    return compose(SEBFactorization(n, l, d, u))
+    return SEBFactorization(n, l, d, u)
+
+
+def _itn_not_tp(n, rng):
+    """An invertible TN matrix that is not TP."""
+    return compose(_zero_multipliers(n, rng))
+
+
+def test_gale_greedy_finds_the_first_zero_minor_of_the_all_pairs_search():
+    rng = random.Random(3003)
+    orders = Counter()
+    for t in range(2250):
+        n = 2 + t % 9
+        kind = t // 9 % 3
+        if kind == 0:  # interleaved L, D and U factors
+            canonical = _zero_multipliers(n, rng).factor_sequence()
+            count = sum(x.kind == "L" for x in canonical)
+            slots = set(rng.sample(range(len(canonical)), count))
+            lower, rest = iter(canonical[:count]), iter(canonical[count:])
+            word = [next(lower if i in slots else rest) for i in range(len(canonical))]
+        elif kind == 1:  # zero-heavy
+            word = _interleaved_word(n, rng)
+        else:  # canonical with 1-3 zero multipliers
+            word = _zero_multipliers(n, rng).factor_sequence()
+        got = _first_zero_by_tokens(*word_side_indices(word).values(), n)
+        assert got == next(zero_minors_by_tokens(word, n, range(2, n)), None)
+        orders[kind, got and len(got[0])] += 1
+    # every kind has words with no zero minor; the witnesses take orders 2..9
+    assert all(orders[kind, None] for kind in range(3))
+    assert {p for _, p in orders} == {None, *range(2, 10)}
 
 
 def test_token_witness_matches_the_laplace_scan(monkeypatch):
@@ -523,13 +587,9 @@ def test_token_witness_is_confirmed_by_a_minor(monkeypatch):
     module = sys.modules["oscillax.classify"]
     a = M["exp4"]  # no zero entry; first zero minor (2, 3) x (1, 2)
     assert classify(a).tp_witness == ((2, 3), (1, 2), 0)
-
-    def positive_minor(word, n, orders):
-        yield (1, 2), (1, 2)
-
-    monkeypatch.setattr(module, "_zero_minors_by_tokens", positive_minor)
+    monkeypatch.setattr(module, "_first_zero_by_tokens", lambda *args: ((1, 2), (1, 2)))
     with pytest.raises(InvariantViolation, match="read minor"):
         classify(a)
-    monkeypatch.setattr(module, "_zero_minors_by_tokens", lambda *args: iter(()))
+    monkeypatch.setattr(module, "_first_zero_by_tokens", lambda *args: None)
     with pytest.raises(InvariantViolation, match="no zero minor"):
         classify(a)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from oscillax.cli import main
-from oscillax.matrix import dumps_matrix
+from oscillax.matrix import Matrix, dumps_matrix
 from oscillax.seb import dumps_factorization, neville_factorize
 from oscillax.verify import corpus_matrices
 
@@ -62,9 +62,15 @@ def test_classify_parse_error(tmp_path, capsys):
 
 
 def test_classify_feasibility_exit(tmp_path, capsys):
-    path = write_matrix(tmp_path, "net4.json", M["net4"])
-    code, payload, _ = run(capsys, ["classify", "--input", path, "--cap", "2"])
-    assert code == 3
+    # the cap guards the scan of singular and non-TN inputs; net4 is
+    # invertible TN and not TP, and is classified past it
+    singular = Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    not_tn = Matrix([[1, 2, 0], [3, 1, 1], [0, 1, 2]])
+    for name, a in (("singular", singular), ("not_tn", not_tn), ("net4", M["net4"])):
+        path = write_matrix(tmp_path, f"{name}.json", a)
+        code, payload, _ = run(capsys, ["classify", "--input", path, "--cap", "2"])
+        assert code == (0 if name == "net4" else 3)
+    assert payload["is_tn"] and not payload["is_tp"]
 
 
 def test_classify_missing_file(capsys):

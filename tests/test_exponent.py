@@ -1172,9 +1172,7 @@ def test_corner_copies_match_network_copy_counts():
 
 
 def _cells(f):
-    return tuple(
-        demazure(ix, f.n) for ix in _side_indices(f.factor_sequence()).values()
-    )
+    return tuple(demazure(ix, f.n) for ix in _side_indices(f).values())
 
 
 def test_cell_copy_counts_match_token_oracle():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,14 @@ from oscillax.matrix import (
     matrix_to_csv,
     minor,
 )
+from oscillax.exponent import r_lower
+from oscillax.planar import (
+    build_network,
+    concat_copies,
+    min_copies_lower_corner,
+    minor_via_paths,
+)
+from oscillax.seb import neville_factorize
 from oscillax.verify import corpus_matrices
 
 M = corpus_matrices()
@@ -116,10 +125,43 @@ def test_mat_pow():
 
 
 def test_mat_pow_zero_raises_param_out_of_range():
-    with pytest.raises(ParamOutOfRange, match="power must be >= 1, got 0"):
+    with pytest.raises(ParamOutOfRange, match="power must be an int >= 1, got 0"):
         mat_pow(M["exp4"], 0)
     with pytest.raises(ParamOutOfRange):
         mat_pow(M["exp4"], -2)
+
+
+#: Every count (a power, a number of copies, a corner size, a power limit)
+#: follows one rule: an int that is not a bool, at least 1.
+COUNT_TAKERS = {
+    "mat_pow": lambda k: mat_pow(M["exp4"], k),
+    "Matrix.__pow__": lambda k: M["exp4"] ** k,
+    "concat_copies": lambda k: concat_copies(_net4(), k),
+    "min_copies_lower_corner": lambda k: min_copies_lower_corner(_net4(), k),
+    "r_lower": lambda k: r_lower(M["exp4"], k),
+}
+
+
+def _net4():
+    return build_network(neville_factorize(M["net4"]))
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "2", Fraction(2), 0, -1])
+@pytest.mark.parametrize("taker", sorted(COUNT_TAKERS))
+def test_counts_take_an_int_that_is_not_a_bool(taker, bad):
+    take = COUNT_TAKERS[taker]
+    assert take(3) is not None
+    with pytest.raises(ParamOutOfRange, match=f"must be an int .*, got {re.escape(repr(bad))}$"):
+        take(bad)
+
+
+@pytest.mark.parametrize("rows, cols", [("12", "12"), ((1.5,), (1,)), (True, 1)])
+def test_index_sets_take_ints_that_are_not_bools(rows, cols):
+    net = _net4()
+    assert minor(M["net4"], 1, 1) == minor_via_paths(net, (1,), [1]) == M["net4"][0, 0]
+    for read in (minor, minor_via_paths):
+        with pytest.raises(ShapeMismatch, match="indices must be ints"):
+            read(M["net4"] if read is minor else net, rows, cols)
 
 
 # -- integer kernels against their Fraction oracles -------------------------

@@ -23,6 +23,7 @@ from oracles import (
     slot_chain_factor,
     staircase_flat,
     upper_flat_slot,
+    word_side_indices,
     x_offset,
 )
 from oscillax.errors import (
@@ -39,6 +40,7 @@ from oscillax.seb import (
     EBFactor,
     FactorizationClass,
     SEBFactorization,
+    _side_indices,
     chain_layout,
     classify_factorization,
     compose,
@@ -577,6 +579,27 @@ def test_factor_sequence_equals_checked_word():
         word = f.factor_sequence()
         assert word == tuple(checked)
         assert list(map(_field_types, word)) == list(map(_field_types, checked))
+
+
+def test_side_indices_off_the_flat_vectors_match_the_word_reader():
+    rng = random.Random(2125)
+    canonical = 0
+    for t in range(600):
+        n = 2 + t % 9
+        if t % 3 == 0:
+            f = random_canonical_factorization(n, rng)
+        else:  # staircase sides, then positive multipliers zeroed at random
+            f = random_oscillatory_factorization(n, rng, rng.choice((0.1, 0.3, 0.6)))
+            l, u = (
+                tuple(x if rng.random() < 0.7 else 0 for x in flat)
+                for flat in (f.l, f.u)
+            )
+            f = SEBFactorization(n, l, f.d, u)
+        canonical += f.layout.is_canonical(f.l) and f.layout.is_canonical(
+            f.layout.mirror(f.u)
+        )
+        assert _side_indices(f) == word_side_indices(f.factor_sequence())
+    assert 200 <= canonical <= 500
 
 
 def test_neville_rejects_a_composition_off_by_one_over_p(monkeypatch):
