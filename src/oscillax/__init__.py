@@ -32,18 +32,14 @@ from .errors import (
     NotITN,
     NotNormalizable,
     NotOscillatory,
-    NotTN,
-    OrderOutOfRange,
     OscillaxError,
     ParamOutOfRange,
     ShapeMismatch,
-    TrackMismatch,
     Unpredictable,
     ZeroDenominator,
 )
 from .rational import coerce_rational, format_rational, parse_rational
 from .matrix import (
-    IndexSet,
     Matrix,
     cauchy_binet_check,
     det,

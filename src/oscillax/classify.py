@@ -29,11 +29,9 @@ from .errors import (
     InvariantViolation,
     MethodDisagreement,
     NotITN,
-    NotTN,
     ShapeMismatch,
 )
 from .matrix import (
-    IndexSet,
     Matrix,
     check_scan_cap,
     det,
@@ -105,14 +103,16 @@ def is_tp(a: Matrix, cap: int | None = None) -> ScanVerdict:
     return _first_minor(a, cap, lambda value: value <= 0)
 
 
-def corner_index_sets(n: int, side: str, size: int) -> tuple[IndexSet, IndexSet]:
+def corner_index_sets(
+    n: int, side: str, size: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Row and column sets of the corner minor of the given side and size."""
     rows_ll = tuple(range(n - size + 1, n + 1))
     cols_ll = tuple(range(1, size + 1))
     if side == "lower-left":
-        return IndexSet(rows_ll), IndexSet(cols_ll)
+        return rows_ll, cols_ll
     if side == "upper-right":
-        return IndexSet(cols_ll), IndexSet(rows_ll)
+        return cols_ll, rows_ll
     raise ValueError(f"unknown corner side {side!r}")
 
 
@@ -136,16 +136,9 @@ def corner_minors(a: Matrix) -> tuple[tuple[CornerSpec, Fraction], ...]:
     return tuple(out)
 
 
-def is_tp_given_tn(a: Matrix, verify: bool = False, cap: int | None = None) -> bool:
-    """Corner-minor shortcut for total positivity, valid on TN inputs.
-
-    With ``verify=True`` the TN precondition is checked and a failure
-    raises :class:`NotTN`.
-    """
-    if verify:
-        verdict = is_tn(a, cap)
-        if not verdict.ok:
-            raise NotTN(f"negative minor {verdict.witness}")
+def is_tp_given_tn(a: Matrix) -> bool:
+    """Corner-minor shortcut for total positivity, valid on TN inputs;
+    the caller checks the TN precondition."""
     return all(value > 0 for _, value in corner_minors(a))
 
 

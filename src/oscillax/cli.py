@@ -31,7 +31,6 @@ from .errors import (
     NotITN,
     NotNormalizable,
     NotOscillatory,
-    OrderOutOfRange,
     OscillaxError,
     ParamOutOfRange,
     ShapeMismatch,
@@ -406,7 +405,6 @@ _ERROR_EXIT = (
             Unpredictable,
             ClassMismatch,
             IndexOutOfRange,
-            OrderOutOfRange,
         ),
         EXIT_BAD_PARAMS,
     ),

@@ -21,16 +21,8 @@ class IndexOutOfRange(OscillaxError, IndexError):
     """A 1-based row, column, or factor index falls outside its range."""
 
 
-class OrderOutOfRange(OscillaxError, ValueError):
-    """Compound order p outside [1, n]."""
-
-
 class FeasibilityExceeded(OscillaxError):
     """An exhaustive scan was requested above the configured dimension cap."""
-
-
-class NotTN(OscillaxError):
-    """Input fails the totally-nonnegative precondition."""
 
 
 class NotITN(OscillaxError):
@@ -69,7 +61,3 @@ class ClassMismatch(OscillaxError, ValueError):
 
 class Unpredictable(OscillaxError):
     """No closed-form exponent statement applies to the given class tags."""
-
-
-class TrackMismatch(OscillaxError, ValueError):
-    """Planar networks with different track counts cannot be concatenated."""

@@ -3,7 +3,10 @@
 Everything here is immutable and pure.  ``Fraction`` is the boundary
 type: entries, minors and results are ``Fraction``s.  Bulk minor
 scans use an order-by-order Laplace recurrence over lexicographically
-ordered index subsets.
+ordered index subsets.  An index set is a plain tuple of 1-based
+``int``s; one rule (:func:`_index_sets`) checks the row and column sets
+of ``minor`` and ``cauchy_binet_check`` and the source and sink sets of
+``planar.minor_via_paths`` and ``planar.enumerate_path_families``.
 
 The arithmetic-heavy kernels run on Python ints instead.  :func:`_scaled`
 is the one place where ``Fraction``s become ints: the entries times
@@ -35,7 +38,7 @@ import json
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import (
     FeasibilityExceeded,
@@ -62,69 +65,33 @@ def _check_count(k, what: str, most: int | None = None) -> None:
         raise ParamOutOfRange(f"{what} must be an int {bound}, got {k!r}")
 
 
-class _IndexSetFields(NamedTuple):
-    indices: tuple[int, ...]
-
-
-class IndexSet(_IndexSetFields):
-    """A strictly increasing tuple of 1-based indices.
-
-    Iteration and ``len`` run over the indices, not over the one-field
-    record, so the record helpers that would rebuild an instance from
-    ``tuple(self)`` are written out over ``indices``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, indices: tuple[int, ...]):
-        if not indices:
-            raise ShapeMismatch("index set must be nonempty")
-        for a, b in zip(indices, indices[1:]):
-            if b <= a:
-                raise ShapeMismatch(f"indices must be strictly increasing: {indices}")
-        if indices[0] < 1:
-            raise IndexOutOfRange(f"indices are 1-based: {indices}")
-        return tuple.__new__(cls, (indices,))
-
-    @classmethod
-    def _make(cls, iterable) -> "IndexSet":
-        return cls(*iterable)
-
-    def _replace(self, **changes) -> "IndexSet":
-        return type(self)(**{"indices": self.indices, **changes})
-
-    __replace__ = _replace
-
-    def _asdict(self) -> dict:
-        return {"indices": self.indices}
-
-    def __reduce__(self):
-        return type(self), (self.indices,)
-
-    @classmethod
-    def coerce(cls, value) -> "IndexSet":
-        """An index set from an IndexSet, one index or an iterable of
-        indices; every index an ``int`` that is not a ``bool``
-        (:class:`ShapeMismatch` otherwise)."""
-        if isinstance(value, IndexSet):
-            return value
+def _index_sets(rows, cols, limits, names=("row", "column")):
+    """The one index rule, for minors and for path families: each set is
+    one index or an iterable of them, ``int``s that are not ``bool``s,
+    nonempty and strictly increasing (:class:`ShapeMismatch` otherwise),
+    within ``[1, limit]`` (:class:`IndexOutOfRange`), and both sets have
+    the same size (:class:`ShapeMismatch`).  Returns two ``int`` tuples."""
+    sets = []
+    for value, limit, name in zip((rows, cols), limits, names):
         try:
             indices = tuple(value)
         except TypeError:
             indices = (value,)
-        if any(isinstance(i, bool) or not isinstance(i, int) for i in indices):
-            raise ShapeMismatch(f"indices must be ints, got {value!r}")
-        return cls(indices)
-
-    def check_range(self, limit: int, what: str = "index") -> None:
-        if self.indices[-1] > limit:
-            raise IndexOutOfRange(f"{what} {self.indices[-1]} exceeds {limit}")
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
+        ints = all(isinstance(i, int) and not isinstance(i, bool) for i in indices)
+        if not (indices and ints):
+            raise ShapeMismatch(f"{name} indices must be nonempty ints, got {value!r}")
+        if any(b <= a for a, b in zip(indices, indices[1:])):
+            raise ShapeMismatch(f"{name} indices must increase strictly: {indices}")
+        if indices[0] < 1 or indices[-1] > limit:
+            raise IndexOutOfRange(f"{name} indices {indices} outside [1, {limit}]")
+        sets.append(indices)
+    first, second = sets
+    if len(first) != len(second):
+        raise ShapeMismatch(
+            f"{names[0]} and {names[1]} sets differ in size:"
+            f" {len(first)} and {len(second)}"
+        )
+    return first, second
 
 
 class Matrix:
@@ -384,14 +351,7 @@ def det(a: Matrix) -> Fraction:
 
 def minor(a: Matrix, rows, cols) -> Fraction:
     """Exact minor: determinant of the submatrix A[rows | cols] (1-based)."""
-    rset = IndexSet.coerce(rows)
-    cset = IndexSet.coerce(cols)
-    if len(rset) != len(cset):
-        raise ShapeMismatch(
-            f"minor needs equally many rows and columns, got {len(rset)} and {len(cset)}"
-        )
-    rset.check_range(a.rows, "row")
-    cset.check_range(a.cols, "column")
+    rset, cset = _index_sets(rows, cols, (a.rows, a.cols))
     ent = a.entries
     return _det_bareiss([[ent[i - 1][j - 1] for j in cset] for i in rset])
 
@@ -449,15 +409,10 @@ def cauchy_binet_check(a: Matrix, b: Matrix, alpha, beta) -> bool:
     """
     if a.cols != b.rows:
         raise ShapeMismatch("shapes do not compose")
-    aset = IndexSet.coerce(alpha)
-    bset = IndexSet.coerce(beta)
+    aset, bset = _index_sets(alpha, beta, (a.rows, b.cols))
     k = len(aset)
-    if k != len(bset):
-        raise ShapeMismatch("alpha and beta must have equal cardinality")
-    if k > min(a.rows, a.cols, b.cols):
-        raise ShapeMismatch(f"cardinality {k} exceeds min dimension")
-    aset.check_range(a.rows, "row")
-    bset.check_range(b.cols, "column")
+    if k > a.cols:
+        raise ShapeMismatch(f"cardinality {k} exceeds inner dimension {a.cols}")
     lhs = minor(mat_mul(a, b), aset, bset)
     rhs = _ZERO
     for gamma in itertools.combinations(range(1, a.cols + 1), k):

@@ -37,7 +37,7 @@ from .errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from .matrix import IndexSet, SCAN_CAP_DEFAULT, _check_count
+from .matrix import SCAN_CAP_DEFAULT, _check_count, _index_sets
 from .rational import format_rational
 from .seb import EBFactor, SEBFactorization
 
@@ -113,13 +113,6 @@ def concat_copies(net: PlanarNetwork, copies: int) -> PlanarNetwork:
     return PlanarNetwork(n=net.n, layers=net.layers * copies)
 
 
-def _check_tracks(net: PlanarNetwork, sources: IndexSet, sinks: IndexSet) -> None:
-    if len(sources) != len(sinks):
-        raise ShapeMismatch("sources and sinks must have equal cardinality")
-    sources.check_range(net.n, "source")
-    sinks.check_range(net.n, "sink")
-
-
 def minor_via_paths(
     net: PlanarNetwork, sources, sinks, cap: int | None = None
 ) -> Fraction:
@@ -127,15 +120,13 @@ def minor_via_paths(
 
     Equals the minor of the composed matrix on the same index sets.
     """
-    src = IndexSet.coerce(sources)
-    snk = IndexSet.coerce(sinks)
-    _check_tracks(net, src, snk)
+    src, snk = _index_sets(sources, sinks, (net.n, net.n), ("source", "sink"))
     limit = SCAN_CAP_DEFAULT if cap is None else cap
     if net.n > limit:
         raise FeasibilityExceeded(f"path sweep over {net.n} tracks exceeds cap {limit}")
 
-    dp = _sweep(net.layers, {src.indices: _ONE})
-    return dp.get(snk.indices, _ZERO)
+    dp = _sweep(net.layers, {src: _ONE})
+    return dp.get(snk, _ZERO)
 
 
 def _sweep(
@@ -177,19 +168,17 @@ def enumerate_path_families(
     Disjoint paths in these layered diagrams never cross, so each family
     is recorded with paths sorted by source track.
     """
-    src = IndexSet.coerce(sources)
-    snk = IndexSet.coerce(sinks)
-    _check_tracks(net, src, snk)
+    src, snk = _index_sets(sources, sinks, (net.n, net.n), ("source", "sink"))
     if net.n > cap:
         raise FeasibilityExceeded(f"enumeration over {net.n} tracks exceeds cap {cap}")
 
     families: list[PathFamily] = []
     k = len(src)
-    trajectory = [list(src.indices)]
+    trajectory = [list(src)]
 
     def advance(depth: int, positions: tuple[int, ...], weight: Fraction):
         if depth == len(net.layers):
-            if positions == snk.indices:
+            if positions == snk:
                 paths = tuple(
                     tuple(step[t] for step in trajectory) for t in range(k)
                 )
@@ -213,11 +202,11 @@ def enumerate_path_families(
             advance(depth + 1, nxt, weight * factor)
             trajectory.pop()
 
-    advance(0, src.indices, _ONE)
+    advance(0, src, _ONE)
     return tuple(families)
 
 
-def lower_corner_tracks(n: int, c: int) -> tuple[IndexSet, IndexSet]:
+def lower_corner_tracks(n: int, c: int):
     """Sources {n-c+1..n} and sinks {1..c} of the size-c lower-left corner."""
     _check_count(c, "corner size", n - 1)
     return corner_index_sets(n, "lower-left", c)
@@ -256,10 +245,10 @@ def min_copies_lower_corner(net: PlanarNetwork, c: int):
         raise FeasibilityExceeded(
             f"path sweep over {n} tracks exceeds cap {SCAN_CAP_DEFAULT}"
         )
-    dp = {sources.indices: _ONE}
+    dp = {sources: _ONE}
     for copies in range(1, n):
         dp = _sweep(net.layers, dp)
-        if dp.get(sinks.indices, _ZERO) > 0:
+        if dp.get(sinks, _ZERO) > 0:
             return copies
     raise InvariantViolation(
         f"no disjoint family for corner size {c} within {n - 1} copies"

@@ -23,10 +23,8 @@ from oscillax.errors import (
     NotITN,
     NotNormalizable,
     NotOscillatory,
-    OrderOutOfRange,
     ParamOutOfRange,
     ShapeMismatch,
-    TrackMismatch,
 )
 from oscillax.exponent import (
     ClassMatch,
@@ -1004,7 +1002,7 @@ def multiplicative_compound(a: Matrix, p: int) -> CompoundMatrix:
         raise ShapeMismatch("compound requires a square matrix")
     n = a.rows
     if not 1 <= p <= n:
-        raise OrderOutOfRange(f"compound order {p} outside [1, {n}]")
+        raise ParamOutOfRange(f"compound order {p} outside [1, {n}]")
     table = None
     for order, tab in minor_levels(a, p):
         if order == p:
@@ -1016,7 +1014,7 @@ def multiplicative_compound(a: Matrix, p: int) -> CompoundMatrix:
 
 def concat(net1: PlanarNetwork, net2: PlanarNetwork) -> PlanarNetwork:
     if net1.n != net2.n:
-        raise TrackMismatch(f"track counts differ: {net1.n} vs {net2.n}")
+        raise ShapeMismatch(f"track counts differ: {net1.n} vs {net2.n}")
     return PlanarNetwork(n=net1.n, layers=net1.layers + net2.layers)
 
 

@@ -24,7 +24,7 @@ from oscillax.classify import (
     is_tp,
     is_tp_given_tn,
 )
-from oscillax.errors import FeasibilityExceeded, InvariantViolation, NotTN
+from oscillax.errors import FeasibilityExceeded, InvariantViolation
 from oscillax.matrix import Matrix, mat_mul, mat_pow, minor, minor_levels
 from oscillax.exponent import random_oscillatory_factorization
 from oscillax.seb import (
@@ -99,11 +99,6 @@ def test_corner_shortcut_matches_full_scan():
         n = rng.randint(2, 5)
         a = compose(random_canonical_factorization(n, rng))
         assert is_tp_given_tn(a) == is_tp(a).ok
-
-
-def test_is_tp_given_tn_verify_raises():
-    with pytest.raises(NotTN):
-        is_tp_given_tn(Matrix([[1, 2], [3, 1]]), verify=True)
 
 
 def test_random_tp_matrix_has_positive_corners():

@@ -16,13 +16,13 @@ from oracles import (
     multiplicative_compound,
 )
 from oscillax.errors import (
+    IndexOutOfRange,
     MalformedNumber,
-    OrderOutOfRange,
+    OscillaxError,
     ParamOutOfRange,
     ShapeMismatch,
 )
 from oscillax.matrix import (
-    IndexSet,
     Matrix,
     _det_bareiss,
     cauchy_binet_check,
@@ -39,6 +39,7 @@ from oscillax.exponent import r_lower
 from oscillax.planar import (
     build_network,
     concat_copies,
+    enumerate_path_families,
     min_copies_lower_corner,
     minor_via_paths,
 )
@@ -59,14 +60,6 @@ def test_constructor_rejects():
         Matrix([[0.5]])
     with pytest.raises(ShapeMismatch):
         Matrix([])
-
-
-def test_index_set_validation():
-    with pytest.raises(ShapeMismatch):
-        IndexSet((2, 2))
-    with pytest.raises(ShapeMismatch):
-        IndexSet((3, 1))
-    assert list(IndexSet.coerce([1, 4])) == [1, 4]
 
 
 def test_minor_corpus_value():
@@ -155,13 +148,48 @@ def test_counts_take_an_int_that_is_not_a_bool(taker, bad):
         take(bad)
 
 
-@pytest.mark.parametrize("rows, cols", [("12", "12"), ((1.5,), (1,)), (True, 1)])
-def test_index_sets_take_ints_that_are_not_bools(rows, cols):
+#: The four readers of index sets (minors and path families of net4, n = 4);
+#: each takes one index or an iterable of them.
+INDEX_READERS = {
+    "minor": lambda rows, cols: minor(M["net4"], rows, cols),
+    "cauchy_binet_check": lambda rows, cols: cauchy_binet_check(
+        M["net4"], M["net4"], rows, cols
+    ),
+    "minor_via_paths": lambda rows, cols: minor_via_paths(_net4(), rows, cols),
+    "enumerate_path_families": lambda rows, cols: enumerate_path_families(
+        _net4(), rows, cols
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "rows, cols, fault",
+    [
+        ("12", "12", ShapeMismatch),
+        ((1.5,), (1,), ShapeMismatch),
+        (True, 1, ShapeMismatch),
+        ((True, 1.5), (1, 2), ShapeMismatch),
+        ((), (), ShapeMismatch),
+        ((2, 2), (1, 2), ShapeMismatch),
+        ((3, 1), (1, 2), ShapeMismatch),
+        ((1, 2), (1,), ShapeMismatch),
+        ((0,), (1,), IndexOutOfRange),
+        ((0, 1), (1, 2), IndexOutOfRange),
+        ((5,), (1,), IndexOutOfRange),
+        ((1, 2), (2, 5), IndexOutOfRange),
+    ],
+)
+def test_index_sets_take_ints_that_are_not_bools(rows, cols, fault):
+    """One index rule: nonempty, strictly increasing ints that are not
+    bools, within [1, n], both sets the same size."""
     net = _net4()
     assert minor(M["net4"], 1, 1) == minor_via_paths(net, (1,), [1]) == M["net4"][0, 0]
-    for read in (minor, minor_via_paths):
-        with pytest.raises(ShapeMismatch, match="indices must be ints"):
-            read(M["net4"] if read is minor else net, rows, cols)
+    assert minor(M["net4"], [1, 4], iter((2, 3))) == minor_via_paths(net, [1, 4], (2, 3))
+    for name, read in INDEX_READERS.items():
+        assert read([1, 4], (2, 3)) is not None
+        with pytest.raises(OscillaxError) as info:  # never a bare TypeError
+            read(rows, cols)
+        assert type(info.value) is fault, name
 
 
 # -- integer kernels against their Fraction oracles -------------------------
@@ -265,7 +293,7 @@ def test_compound_order_one_and_n():
     assert c1.data == a
     cn = multiplicative_compound(a, 4)
     assert cn.data == Matrix([[det(a)]])
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(ParamOutOfRange):
         multiplicative_compound(a, 5)
 
 

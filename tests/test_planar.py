@@ -18,7 +18,6 @@ from oscillax.errors import (
     NotOscillatory,
     ParamOutOfRange,
     ShapeMismatch,
-    TrackMismatch,
 )
 from oscillax.exponent import (
     generate_z1,
@@ -157,7 +156,7 @@ def test_concat_identity_and_mismatch():
     net = build_network(neville_factorize(M["elim3"]))
     empty = PlanarNetwork(n=3, layers=())
     assert concat(net, empty) == net
-    with pytest.raises(TrackMismatch):
+    with pytest.raises(ShapeMismatch):
         concat(net, PlanarNetwork(n=4, layers=()))
 
 

@@ -29,7 +29,7 @@ from oscillax.exponent import (
     predict_exponent,
     recognize_class,
 )
-from oscillax.matrix import IndexSet, Matrix
+from oscillax.matrix import Matrix
 from oscillax.planar import (
     PlanarNetwork,
     build_network,
@@ -63,7 +63,6 @@ def _records() -> dict:
 
     suite.add("fails", fails)
     return {
-        "IndexSet": IndexSet((1, 3)),
         "ClassificationReport": classify(Matrix([[1, 2], [3, 1]])),
         "EBFactor-L": ebl(2, Fraction(1, 2)),
         "EBFactor-D": ebd((1, 2)),
@@ -94,7 +93,6 @@ RECORDS = _records()
 # Recorded from the dataclass records.  PackedParams is the one change: the
 # dataclass hid its three dict fields from the repr.
 REPRS = {
-    "IndexSet": "IndexSet(indices=(1, 3))",
     "ClassificationReport": (
         "ClassificationReport(n=2, is_tn=False, is_invertible=True, is_tp=False, "
         "is_oscillatory=False, is_basic_oscillatory=None, "
@@ -242,19 +240,6 @@ def test_pickle_and_copy_round_trip(name):
         assert repr(clone) == repr(record)
 
 
-def test_index_set_keeps_its_sequence_view():
-    s = IndexSet((2, 4, 5))
-    assert list(s) == [2, 4, 5] and len(s) == 3
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(s, protocol)) == s
-    assert s._asdict() == {"indices": (2, 4, 5)}
-    assert s._replace() == s
-    assert s._replace(indices=(1,)) == IndexSet((1,))
-    assert IndexSet._make([(3,)]) == IndexSet((3,))
-    with pytest.raises(ShapeMismatch):
-        s._replace(indices=(2, 1))
-
-
 def test_replace_runs_the_validating_constructors():
     assert ebl(2, 1)._replace(multiplier="1/2").multiplier == Fraction(1, 2)
     f = RECORDS["SEBFactorization"]
@@ -275,9 +260,6 @@ def test_suite_results_do_not_share_their_case_lists():
 
 
 VALIDATION = [
-    (lambda: IndexSet(()), ShapeMismatch, "index set must be nonempty"),
-    (lambda: IndexSet((2, 2)), ShapeMismatch, "indices must be strictly increasing: (2, 2)"),
-    (lambda: IndexSet((0, 1)), IndexOutOfRange, "indices are 1-based: (0, 1)"),
     (lambda: EBFactor("L", 2), ValueError, "L/U factors need an index and a multiplier"),
     (lambda: EBFactor("U", multiplier=1), ValueError, "L/U factors need an index and a multiplier"),
     (lambda: EBFactor("D"), ValueError, "D factor needs diagonal entries"),
