@@ -25,6 +25,7 @@ from oscillax.errors import (
 from oscillax.matrix import (
     Matrix,
     _det_bareiss,
+    _index_sets,
     cauchy_binet_check,
     det,
     dumps_matrix,
@@ -60,6 +61,17 @@ def test_constructor_rejects():
         Matrix([[0.5]])
     with pytest.raises(ShapeMismatch):
         Matrix([])
+
+
+def test_index_set_validation():
+    with pytest.raises(ShapeMismatch):
+        _index_sets((2, 2), (1, 2), (4, 4))
+    with pytest.raises(ShapeMismatch):
+        _index_sets((1, 2), (3, 1), (4, 4))
+    with pytest.raises(IndexOutOfRange):
+        _index_sets((1, 4), (1, 2), (3, 4))
+    assert _index_sets([1, 4], iter([2, 3]), (4, 4)) == ((1, 4), (2, 3))
+    assert _index_sets(2, 3, (4, 4)) == ((2,), (3,))
 
 
 def test_minor_corpus_value():
@@ -177,6 +189,20 @@ INDEX_READERS = {
         ((0, 1), (1, 2), IndexOutOfRange),
         ((5,), (1,), IndexOutOfRange),
         ((1, 2), (2, 5), IndexOutOfRange),
+    ],
+    ids=[
+        "12-12",
+        "rows1-cols1",
+        "True-1",
+        "bool-and-float",
+        "empty",
+        "repeated",
+        "decreasing",
+        "sizes-differ",
+        "zero",
+        "zero-first",
+        "past-n",
+        "column-past-n",
     ],
 )
 def test_index_sets_take_ints_that_are_not_bools(rows, cols, fault):
