@@ -13,17 +13,20 @@ closed forms for the lower exponent:
 
 Recognition works on the positivity pattern of the canonical flat
 multipliers only; multiplier values never matter for these results.
-Each class support is the set of canonical flat slots that the
-generators fill (:func:`z1_slots`, :func:`z2_slots`), with one
-:class:`ClassMatch`: ``psi`` is the run its partial chain keeps, and
-:meth:`~ClassMatch.patterns` counts the partial-chain patterns sharing
-that support.  :func:`recognize_class` compares these sets with the
-input's positive slots, refactorizing the input only when it is not
-canonical already, and one rule frames every tag.
-:func:`recognize_sides` hands each side of a factorization, checked when
-it was built, straight to the same core (:func:`_canonical_tag`); a
-Neville factorization is canonical, so each exponent route factorizes
-its input once and checks no multiplier again.
+In canonical form the positives of each chain are a suffix of its
+slice, its positive run, and each class support (the slots that the
+generators fill, :func:`z1_slots`, :func:`z2_slots`) is a condition on
+these run lengths, with one :class:`ClassMatch`: ``psi`` is the run its
+partial chain keeps, and :meth:`~ClassMatch.patterns` counts the
+partial-chain patterns sharing that support.  :func:`recognize_class`
+measures the runs in one pass, refactorizing the input only when that
+pass finds it is not canonical, reads every exact and with-extras match
+off them (:func:`_canonical_tag`), and one rule frames every tag; a tag
+costs that pass plus what it lists, and no per-dimension table is built
+or kept.  :func:`recognize_sides` hands each side of a factorization,
+checked when it was built, straight to the same core; a Neville
+factorization is canonical, so each exponent route factorizes its input
+once and checks no multiplier again.
 
 Both exponent routes count, for each corner, the power at which its minor
 turns positive, and build their report from these counts in one place
@@ -56,7 +59,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .classify import corner_index_sets, is_oscillatory, is_tp
@@ -66,12 +68,14 @@ from .errors import (
     InvalidPsiPattern,
     InvariantViolation,
     NotITN,
+    NotNormalizable,
     NotOscillatory,
     ParamOutOfRange,
     ShapeMismatch,
     Unpredictable,
 )
 from .matrix import Matrix, _check_count, _minor_int, _powers, _unscaled
+from .rational import coerce_rational
 from .seb import (
     _SIDES,
     EBFactor,
@@ -119,13 +123,17 @@ def psi_membership(pattern, i: int) -> bool:
     """Partial-chain test for a chain-i multiplier vector.
 
     True when the chain's own factor (last slot) is positive and at
-    least one higher slot is zero.
+    least one higher slot is zero.  Entries are read as
+    :func:`recognize_class` reads them: :class:`MalformedNumber` for one
+    that is not a rational, :class:`NotNormalizable` for a negative one.
     """
-    vec = tuple(pattern)
+    vec = tuple(coerce_rational(x) for x in pattern)
     if len(vec) < 1:
         raise ParamOutOfRange("empty chain vector")
     if i < 2:
         raise ParamOutOfRange(f"chain index {i} must be at least 2")
+    if any(x < 0 for x in vec):
+        raise NotNormalizable("multipliers must be nonnegative")
     return vec[-1] > 0 and any(x == 0 for x in vec[:-1])
 
 
@@ -304,21 +312,6 @@ class ClassMatch(NamedTuple):
         return 1
 
 
-@lru_cache(maxsize=None)
-def _class_supports(n: int) -> tuple[tuple[frozenset[int], ClassMatch], ...]:
-    """Every class support at dimension n as (canonical flat slots, match),
-    in :class:`ClassMatch` order, built once per n: Z1(2..n), Z2(2), which
-    shares the slots of Z1(n), then Z2(s), s >= 3, once per run
-    (s, ..., s+t-1) its partial chain keeps in canonical form."""
-    out = [(z1_slots(n, s), ClassMatch("Z1", s, None)) for s in range(2, n + 1)]
-    out.append((z2_slots(n, 2, None), ClassMatch("Z2", 2, None)))
-    for s in range(3, n + 1):
-        for t in range(n - s + 1):
-            run = tuple(range(s, s + t))
-            out.append((z2_slots(n, s, frozenset(run)), ClassMatch("Z2", s, run)))
-    return tuple(out)
-
-
 #: Most entries :meth:`ClassTag.to_json_dict` lists in ``exact`` or in
 #: ``with_extras``.  Each list repeats a support once per partial-chain
 #: pattern, 2^(n-1)-2 ``with_extras`` entries on a TP input, whose printed
@@ -342,8 +335,9 @@ class ClassTag(NamedTuple):
     support, at most n(n-1)/2 + 1 in all; the ``oscillax.exponent/1`` JSON
     lists every partial-chain pattern, so :meth:`to_json_dict` repeats each
     entry :meth:`ClassMatch.patterns` times.  It builds each support's
-    label and entry once, and renders each distinct factor once, so only
-    the list of references grows with the pattern count."""
+    label and entry once, and renders each distinct factor object once,
+    looked up by identity, so only the list of references grows with the
+    pattern count."""
 
     n: int
     family: str
@@ -372,22 +366,22 @@ class ClassTag(NamedTuple):
                     f"class tag at n={n} lists {sum(per_support)} {key} entries,"
                     f" past the limit of {TAG_ENTRY_LIMIT}"
                 )
-        text = {
-            x: str(x)
-            for x in dict.fromkeys(
-                itertools.chain(self.extras, *(e for _, e in self.with_extras))
-            )
+        # keyed by identity: no factor (hence no Fraction) is hashed
+        distinct = {
+            id(x): x
+            for x in itertools.chain(self.extras, *(e for _, e in self.with_extras))
         }
+        text = {key: str(x) for key, x in distinct.items()}
         return {
             "family": self.family,
             "s": self.s,
             "psi": list(self.psi_pattern) if self.psi_pattern is not None else None,
-            "extras": [text[x] for x in self.extras],
+            "extras": [text[id(x)] for x in self.extras],
             "exact": _repeated(
                 (m.label(), k) for m, k in zip(self.exact, counts["exact"])
             ),
             "with_extras": _repeated(
-                ({"base": m.label(), "extras": [text[x] for x in extras]}, k)
+                ({"base": m.label(), "extras": [text[id(x)] for x in extras]}, k)
                 for (m, extras), k in zip(self.with_extras, counts["with_extras"])
             ),
         }
@@ -397,12 +391,12 @@ def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
     """Tag a flat lower multiplier vector with its class memberships.
 
     The vector is coerced and checked, then read in canonical form: as it
-    stands when it already is (:meth:`ChainLayout.is_canonical`, as every
-    Neville factorization is), else refactorized first.  A class whose
-    slots (:func:`_class_supports`) equal its positive slots is an exact
-    match; one whose slots are a proper subset of them is a with-extras
-    base carrying the positive factors outside it, in flat order.  The tag
-    is framed as :func:`_framed_tag` says."""
+    stands when it already is (as every Neville factorization is), else
+    refactorized first.  Membership is read off each chain's positive run
+    (:func:`_canonical_tag`): a class whose support equals the positive
+    slots is an exact match, one whose support lies strictly inside them
+    is a with-extras base carrying the positive factors outside it, in
+    flat order.  The tag is framed as :func:`_framed_tag` says."""
     flat = tuple(l_part_multipliers)
     if n is None:
         n = n_from_flat(flat)
@@ -412,29 +406,66 @@ def recognize_class(l_part_multipliers, n: int | None = None) -> ClassTag:
 
 def _canonical_tag(n: int, flat) -> ClassTag:
     """The tag of a checked lower flat vector: the core of
-    :func:`recognize_class` and :func:`recognize_sides`.  The vector is
-    refactorized only when it is not canonical; no multiplier is checked
-    again, and each factor is built as it stands."""
+    :func:`recognize_class` and :func:`recognize_sides`.
+
+    One pass (:meth:`ChainLayout.runs`) measures the positive run r_i of
+    each chain i, the suffix of its slice that canonical form keeps, and
+    so also tells whether the vector is canonical: only a vector that is
+    not is refactorized.  No multiplier is checked again, and each
+    positive factor is built once, as it stands.  With w_i = n-i+1 the
+    width of chain i, every class support is a condition on the runs:
+
+    * Z1(s) lies inside the positive slots iff r_i = w_i for 2 <= i <= s,
+      and equals them iff also r_i = 0 for i > s;
+    * Z2(2), the support of Z1(n), iff every chain is full;
+    * Z2(s) whose partial chain keeps the run (s, ..., s+t-1), s >= 3,
+      iff chains s..n are full, r_i >= 1 for 2 <= i <= s-2 and
+      r_{s-1} >= t+1, and equals them iff these are equalities.
+
+    The extras of a base are, chain by chain, the positive factors ahead
+    of its own run.  So a tag costs one pass over the vector plus what it
+    lists: exact matches in :class:`ClassMatch` order (Z1(2..n), Z2(2),
+    then Z2(s) by s and run), with-extras bases by extras count, then
+    match."""
     layout = chain_layout(n)
-    if not layout.is_canonical(flat):
+    runs = layout.runs(flat)
+    if runs is None:
         part = SEBFactorization(n, flat, (_ONE,) * n, (_ZERO,) * len(flat))
         flat = neville_factorize(compose(part)).l
-    factors = {
-        p: _trusted_factor(("L", j, x, None))
-        for p, ((_, j), x) in enumerate(zip(layout.lower_cells, flat))
-        if x
-    }
-    positive = frozenset(factors)
+        runs = layout.runs(flat)
+    # per chain i = 2..n, its positive factors in flat order, L_i last
+    positives = []
+    for i, run in enumerate(runs, 2):
+        stop = layout.chain(i).stop
+        cells = zip(range(i + run - 1, i - 1, -1), flat[stop - run : stop])
+        positives.append(tuple(_trusted_factor(("L", j, x, None)) for j, x in cells))
 
-    exact, with_extras = [], []
-    for slots, match in _class_supports(n):
-        if slots == positive:
-            exact.append(match)
-        elif slots < positive:
-            extras = tuple(factors[p] for p in sorted(positive - slots))
-            with_extras.append((match, extras))
-    with_extras.sort(key=lambda pair: (len(pair[1]), pair[0]))
-    return _framed_tag(n, tuple(exact), tuple(with_extras))
+    matches = []  # (match, extras) in ClassMatch order
+    # Z1(s): chains 2..s full
+    s = 2
+    while s <= n and runs[s - 2] == n - s + 1:
+        extras = tuple(itertools.chain.from_iterable(positives[s - 1 :]))
+        matches.append((ClassMatch("Z1", s, None), extras))
+        s += 1
+    if s > n:
+        matches.append((ClassMatch("Z2", 2, None), ()))
+    # Z2(s), s >= 3: chains s..n full, chains 2..s-1 not empty
+    low = n + 1
+    while low > 3 and runs[low - 3] == n - low + 2:
+        low -= 1
+    for s in range(low, n + 1):
+        if 0 in runs[: s - 2]:
+            break
+        head = tuple(itertools.chain.from_iterable(p[:-1] for p in positives[: s - 3]))
+        below = positives[s - 3]  # chain s-1
+        for t in range(min(len(below), n - s + 1)):
+            extras = head + below[: len(below) - t - 1]
+            matches.append((ClassMatch("Z2", s, tuple(range(s, s + t))), extras))
+    exact = tuple(m for m, extras in matches if not extras)
+    with_extras = sorted(
+        (pair for pair in matches if pair[1]), key=lambda pair: (len(pair[1]), pair[0])
+    )
+    return _framed_tag(n, exact, tuple(with_extras))
 
 
 def plus_extra_tag(n: int, base: ClassMatch, extras: tuple[EBFactor, ...]) -> ClassTag:

@@ -45,8 +45,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical text for a rational: ``p`` when integral, else ``p/q``."""
-    value = Fraction(value)
+    """Canonical text for a rational: ``p`` when integral, else ``p/q``.
+
+    A ``Fraction`` is formatted as it stands; anything else is read by
+    :func:`coerce_rational` first, so floats, booleans and malformed text
+    raise :class:`MalformedNumber`."""
+    if not isinstance(value, Fraction):
+        value = coerce_rational(value)
     if value.denominator == 1:
         return _int_text(value.numerator)
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"

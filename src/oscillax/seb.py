@@ -183,9 +183,10 @@ class ChainLayout:
     for factor j, at dimension n.
 
     Lower chain W_i lists L_n .. L_i and upper chain Q_i lists U_i .. U_n,
-    both in the slice of chain i.  :meth:`is_canonical` tells whether a
-    lower flat vector already is the Neville factorization of its
-    product.  Use :func:`chain_layout`, which builds the tables once per n.
+    both in the slice of chain i.  :meth:`runs` measures each chain's
+    positive run, and :meth:`is_canonical` tells from it whether a lower
+    flat vector already is the Neville factorization of its product.
+    Use :func:`chain_layout`, which builds the tables once per n.
     """
 
     def __init__(self, n: int):
@@ -228,23 +229,30 @@ class ChainLayout:
         """Flat position of factor U_j in upper chain i."""
         return self._mirror[self.lower_slot(i, j)]
 
-    def is_canonical(self, flat) -> bool:
-        """Whether the positive entries of every chain slice of a lower
-        flat vector form a suffix: the run of factors i, i+1, ... that
-        starts at chain i's own factor, as Neville elimination leaves them.
-
-        A nonnegative vector of that shape is the unique canonical
-        factorization of its product, so refactorizing it returns it
-        unchanged (Gasca & Peña, LAA 165, 1992).
-        """
+    def runs(self, flat) -> tuple[int, ...] | None:
+        """Per chain 2..n, the length of the positive suffix of its slice
+        in a nonnegative lower flat vector: the run of factors i, i+1, ...
+        that starts at chain i's own factor, as Neville elimination leaves
+        them.  None when some chain's positive entries are not such a
+        suffix, that is, when the vector is not canonical."""
+        positive = list(map(bool, flat))
+        out = []
         for chain in self._chains.values():
-            run = False
-            for x in flat[chain]:
-                if x > 0:
-                    run = True
-                elif run:
-                    return False
-        return True
+            run = sum(positive[chain])
+            if not all(positive[chain.stop - run : chain.stop]):
+                return None
+            out.append(run)
+        return tuple(out)
+
+    def is_canonical(self, flat) -> bool:
+        """Whether every chain's positive entries in a nonnegative lower
+        flat vector form the suffix that :meth:`runs` measures.
+
+        A vector of that shape is the unique canonical factorization of
+        its product, so refactorizing it returns it unchanged (Gasca &
+        Peña, LAA 165, 1992).
+        """
+        return self.runs(flat) is not None
 
     def mirror(self, flat) -> tuple[Fraction, ...]:
         """Reverse every chain slice; converts between the lower flat layout

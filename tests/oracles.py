@@ -672,17 +672,7 @@ def _per_psi_recognize_class(flat, n, refactorize):
             for m in matches:
                 extra_matches.append((m, extras))
     extra_matches.sort(key=lambda pair: (len(pair[1]), pair[0]))
-
-    if exact:
-        primary, family, extras = exact[0], exact[0].family, ()
-    elif extra_matches:
-        primary, extras = extra_matches[0]
-        family = f"{primary.family}-plus-extra"
-    else:
-        return ClassTag(n, "unrecognized", None, None, (), (), ())
-    return ClassTag(
-        n, family, primary.s, primary.psi, extras, exact, tuple(extra_matches)
-    )
+    return _oracle_framed_tag(n, exact, extra_matches)
 
 
 def _run_form(match):
@@ -758,17 +748,7 @@ def width_recognize_class(l_part_multipliers, n=None):
             )
             extra_matches.append((ClassMatch(*match), extras))
     extra_matches.sort(key=lambda pair: (len(pair[1]), pair[0]))
-
-    if exact:
-        primary, family, extras = exact[0], exact[0].family, ()
-    elif extra_matches:
-        primary, extras = extra_matches[0]
-        family = f"{primary.family}-plus-extra"
-    else:
-        return ClassTag(n, "unrecognized", None, None, (), (), ())
-    return ClassTag(
-        n, family, primary.s, primary.psi, extras, tuple(exact), tuple(extra_matches)
-    )
+    return _oracle_framed_tag(n, exact, extra_matches)
 
 
 def per_psi_class_json(l_part_multipliers, n=None, refactorize=True):
@@ -789,6 +769,104 @@ def per_psi_class_json(l_part_multipliers, n=None, refactorize=True):
         "with_extras": [
             {"base": m.label(), "extras": [str(x) for x in extras]}
             for m, extras in tag.with_extras
+        ],
+    }
+
+
+@lru_cache(maxsize=None)
+def slot_class_supports(n):
+    """Every class support at dimension n as (canonical flat slots, match),
+    in ClassMatch order: Z1(2..n), Z2(2), which shares the slots of Z1(n),
+    then Z2(s), s >= 3, once per run (s, ..., s+t-1) its partial chain
+    keeps in canonical form."""
+    out = [(z1_slots(n, s), ClassMatch("Z1", s, None)) for s in range(2, n + 1)]
+    out.append((z2_slots(n, 2, None), ClassMatch("Z2", 2, None)))
+    for s in range(3, n + 1):
+        for t in range(n - s + 1):
+            run = tuple(range(s, s + t))
+            out.append((z2_slots(n, s, frozenset(run)), ClassMatch("Z2", s, run)))
+    return tuple(out)
+
+
+def positives_end_each_chain(flat, n):
+    """Whether each chain's positive entries in a lower flat vector form
+    the end of its slice: canonical form, tested by sorting each chain's
+    positivity pattern."""
+    layout = chain_layout(n)
+    patterns = [[x > 0 for x in flat[layout.chain(i)]] for i in range(2, n + 1)]
+    return all(p == sorted(p) for p in patterns)
+
+
+def slot_recognize_class(l_part_multipliers, n=None):
+    """Class recognition by slot sets: a class of :func:`slot_class_supports`
+    whose slots equal the positive slots of the canonical vector is an
+    exact match, one whose slots are a proper subset of them a with-extras
+    base carrying the positive factors outside it, in flat order.  The
+    reference for the run rule of ``exponent.recognize_class``, stated by
+    the slot sets of ``z1_slots``/``z2_slots``; the vector is refactorized
+    unless each chain's positive entries end its slice."""
+    flat = tuple(l_part_multipliers)
+    if n is None:
+        n = n_from_flat(flat)
+    if not positives_end_each_chain(flat, n):
+        part = SEBFactorization(n, flat, (_ONE,) * n, (_ZERO,) * len(flat))
+        flat = neville_factorize(compose(part)).l
+    cells = chain_layout(n).lower_cells
+    factors = {p: ebl(cells[p][1], x) for p, x in enumerate(flat) if x > 0}
+    positive = frozenset(factors)
+
+    exact, with_extras = [], []
+    for slots, match in slot_class_supports(n):
+        if slots == positive:
+            exact.append(match)
+        elif slots < positive:
+            extras = tuple(factors[p] for p in sorted(positive - slots))
+            with_extras.append((match, extras))
+    with_extras.sort(key=lambda pair: (len(pair[1]), pair[0]))
+    return _oracle_framed_tag(n, exact, with_extras)
+
+
+def _oracle_framed_tag(n, exact, with_extras):
+    """A tag framed by its first exact match, else by its first
+    with-extras base and that base's extras, else unrecognized."""
+    if exact:
+        primary, family, extras = exact[0], exact[0].family, ()
+    elif with_extras:
+        primary, extras = with_extras[0]
+        family = f"{primary.family}-plus-extra"
+    else:
+        return ClassTag(n, "unrecognized", None, None, (), (), ())
+    return ClassTag(
+        n, family, primary.s, primary.psi, extras, tuple(exact), tuple(with_extras)
+    )
+
+
+def value_keyed_tag_json(tag):
+    """The ``oscillax.exponent/1`` rendering of a class tag with each
+    factor text looked up by the factor's value, one entry per
+    partial-chain pattern, each support's entry repeated by reference:
+    the reference for ``ClassTag.to_json_dict``, which looks them up by
+    identity."""
+    n = tag.n
+    text = {
+        x: str(x)
+        for x in dict.fromkeys(
+            itertools.chain(tag.extras, *(e for _, e in tag.with_extras))
+        )
+    }
+    return {
+        "family": tag.family,
+        "s": tag.s,
+        "psi": list(tag.psi_pattern) if tag.psi_pattern is not None else None,
+        "extras": [text[x] for x in tag.extras],
+        "exact": [
+            label for m in tag.exact for label in [m.label()] * m.patterns(n)
+        ],
+        "with_extras": [
+            entry
+            for m, extras in tag.with_extras
+            for entry in [{"base": m.label(), "extras": [text[x] for x in extras]}]
+            * m.patterns(n)
         ],
     }
 

@@ -1,8 +1,10 @@
 import collections
+import gc
 import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from oracles import (
     fraction_mat_mul,
     min_copies_restart,
     per_psi_class_json,
+    positives_end_each_chain,
     power_loop_exponent_via_theorem,
     power_loop_r_lower,
     power_loop_r_upper,
@@ -19,14 +22,18 @@ from oracles import (
     scan_exponent_bruteforce,
     scan_early_tp_product_scan,
     scan_product_family_check,
+    slot_recognize_class,
     staircase_flat,
     token_corner_copies,
+    value_keyed_tag_json,
     width_recognize_class,
 )
 from oscillax.errors import (
     ClassMismatch,
     FeasibilityExceeded,
     InvalidPsiPattern,
+    MalformedNumber,
+    NotNormalizable,
     NotOscillatory,
     OscillaxError,
     ParamOutOfRange,
@@ -80,6 +87,7 @@ from oscillax.seb import (
     compose,
     demazure,
     ebd,
+    ebl,
     identity_factorization,
     multiplier_count,
     neville_factorize,
@@ -106,6 +114,17 @@ def test_psi_membership():
     assert not psi_membership((1, 2), 4)
     assert psi_membership((3, 0, 2, 5), 2)  # slot for index 4 is zero
     assert not psi_membership((3, 1, 2, 0), 2)  # own factor missing
+    # entries are read as recognize_class reads them
+    assert psi_membership(("1", "0", "2"), 3)
+    assert psi_membership((Fraction(1, 2), "0", "3/4"), 3)
+    with pytest.raises(MalformedNumber):
+        psi_membership((0.5, 0, 1), 3)
+    with pytest.raises(MalformedNumber):
+        psi_membership((True, 0, 1), 3)
+    with pytest.raises(MalformedNumber):
+        psi_membership(("abc", 0, 1), 3)
+    with pytest.raises(NotNormalizable):
+        psi_membership((-1, 0, 2), 3)
 
 
 def test_enumerate_psi_patterns():
@@ -834,16 +853,20 @@ def test_recognize_class_matches_width_oracle():
 def test_class_tag_json_renders_each_distinct_factor_once(monkeypatch):
     report = exponent_via_theorem(compose(with_transpose(generate_z1(16, 16, seed=1))))
     tags = (report.l_class, report.u_class)
+    # distinct by identity: equal-valued factors of different slots are
+    # distinct objects, each rendered once
     per_tag = collections.Counter(
-        x
-        for tag in tags
-        for x in set(itertools.chain(tag.extras, *(e for _, e in tag.with_extras)))
+        {
+            id(x)
+            for tag in tags
+            for x in itertools.chain(tag.extras, *(e for _, e in tag.with_extras))
+        }
     )
     rendered = collections.Counter()
     plain = EBFactor.__str__
 
     def counting(x):
-        rendered[x] += 1
+        rendered[id(x)] += 1
         return plain(x)
 
     monkeypatch.setattr(EBFactor, "__str__", counting)
@@ -871,6 +894,144 @@ def test_class_tag_json_bounds_its_entries(monkeypatch):
     assert [m.patterns(8) for m in lone.exact] == [32]
     with pytest.raises(FeasibilityExceeded, match="lists 32 exact entries"):
         lone.to_json_dict()
+
+
+def _entry_runs(doc):
+    """A tag's JSON with its ``exact`` and ``with_extras`` lists as runs of
+    (entry, count): lossless, and cheap to compare when each list repeats
+    its entries by reference."""
+    return {
+        **doc,
+        **{
+            key: [(e, len(list(g))) for e, g in itertools.groupby(doc[key])]
+            for key in ("exact", "with_extras")
+        },
+    }
+
+
+def _assert_runs_match_slot_oracle(flats, n, seen):
+    """Each tag equals the slot-set oracle's, and so does its JSON unless
+    a list would pass TAG_ENTRY_LIMIT, when rendering refuses; tallies
+    what the tags hold into ``seen``."""
+    for flat in flats:
+        tag = recognize_class(flat, n)
+        want = slot_recognize_class(flat, n)
+        assert tag == want, (n, flat)
+        entries = max(
+            sum(m.patterns(n) for m in want.exact),
+            sum(m.patterns(n) for m, _ in want.with_extras),
+        )
+        if entries <= TAG_ENTRY_LIMIT:
+            got = _entry_runs(tag.to_json_dict())
+            assert got == _entry_runs(value_keyed_tag_json(want)), (n, flat)
+            seen["rendered"] += 1
+        else:
+            with pytest.raises(FeasibilityExceeded):
+                tag.to_json_dict()
+            seen["past the entry limit"] += 1
+        seen["exact" if tag.exact else "no exact"] += 1
+        seen["with extras" if tag.with_extras else "no extras"] += 1
+        seen["unrecognized" if tag.family == "unrecognized" else "recognized"] += 1
+
+
+def test_run_rule_matches_slot_oracle_on_every_canonical_support():
+    # 2! + 3! + ... + 8! = 46,232 supports, of which n-1 + (n-1)(n-2)/2
+    # per n, 84 in all, are class supports
+    rng = random.Random(331)
+    seen = collections.Counter()
+    for n in range(2, 9):
+        _assert_runs_match_slot_oracle(_canonical_flats(n, rng), n, seen)
+    assert seen["rendered"] == 46_232
+    assert seen["exact"] == 84
+    assert min(seen["with extras"], seen["unrecognized"]) >= 10_000, seen
+
+
+def _seeded_canonical_flat(n, rng):
+    """A canonical lower vector whose chain runs are random, Z1- or
+    Z2-shaped, each shape with up to two runs lengthened; multipliers in
+    1..3, so equal-valued factors recur."""
+    widths = [n - i + 1 for i in range(2, n + 1)]
+    shape = rng.randrange(3)
+    if shape == 0:
+        runs = [rng.randint(0, w) for w in widths]
+    elif shape == 1:
+        s = rng.randint(2, n)
+        runs = widths[: s - 1] + [0] * (n - s)
+    else:
+        s = rng.randint(3, n)
+        runs = [1] * (s - 3) + [rng.randint(1, n - s + 1)] + widths[s - 2 :]
+    for _ in range(rng.randint(0, 2)):
+        c = rng.randrange(n - 1)
+        runs[c] = rng.randint(runs[c], widths[c])
+    flat = []
+    for run, w in zip(runs, widths):
+        flat += [Fraction(0)] * (w - run) + [Fraction(rng.randint(1, 3)) for _ in range(run)]
+    return tuple(flat)
+
+
+def test_run_rule_matches_slot_oracle_seeded():
+    # 2,000 canonical vectors at n = 9..30, and 500 that are not canonical,
+    # which recognize_class refactorizes first
+    rng = random.Random(337)
+    seen = collections.Counter()
+    for t in range(2000):
+        n = 9 + t % 22
+        flat = _seeded_canonical_flat(n, rng)
+        assert positives_end_each_chain(flat, n)
+        _assert_runs_match_slot_oracle([flat], n, seen)
+    assert min(seen.values()) >= 100, seen
+    seen.clear()
+    done = 0
+    while done < 500:
+        n = rng.randint(3, 10)
+        flat = _seeded_canonical_flat(n, rng)
+        scattered = list(flat)
+        for _ in range(rng.randint(1, 3)):
+            scattered[rng.randrange(len(flat))] = Fraction(rng.randint(1, 3))
+        if positives_end_each_chain(scattered, n):
+            continue
+        _assert_runs_match_slot_oracle([tuple(scattered)], n, seen)
+        done += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_class_tag_json_keys_factors_by_identity():
+    # equal-valued but distinct factors, and one factor repeated by
+    # reference, render as a rendering keyed by value does
+    equal_valued = 0
+    for n in range(5, 11):
+        for s in range(2, n + 1):
+            for f in (generate_z1(n, s, seed=s), generate_z2(n, s, "random", seed=s)):
+                for tag in recognize_sides(with_transpose(f)):
+                    assert tag.to_json_dict() == value_keyed_tag_json(tag)
+                    factors = list(
+                        itertools.chain(tag.extras, *(e for _, e in tag.with_extras))
+                    )
+                    equal_valued += len({id(x) for x in factors}) > len(set(factors))
+    assert equal_valued >= 20
+    x = ebl(3, Fraction(2, 7))
+    for extras in ((x, x, x), (ebl(3, 2), ebl(3, 2), ebl(4, 2))):
+        tag = plus_extra_tag(4, ClassMatch("Z2", 3, ()), extras)
+        assert tag.to_json_dict() == value_keyed_tag_json(tag)
+        assert tag.to_json_dict()["with_extras"][0]["extras"] == [str(e) for e in extras]
+
+
+def test_prediction_holds_no_catalog():
+    # recognition keeps no per-dimension table: a cold prediction at
+    # n = 60 stays small and leaves nothing behind
+    a = compose(with_transpose(generate_z1(60, 3, 1), range(1, 61)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prediction, _, _ = exponent_via_prediction(a)
+        gc.collect()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prediction == Prediction("exact", 30)
+    assert peak - before < 8 * 2**20
+    assert after - before < 64 * 2**10
 
 
 def _count_factorizations(monkeypatch):

@@ -45,6 +45,19 @@ def test_format_canonical():
     assert format_rational(Fraction(-3, 9)) == "-1/3"
 
 
+@pytest.mark.parametrize("bad", [0.1, True, "abc"])
+def test_format_refuses_what_the_readers_refuse(bad):
+    # a float, a bool and malformed text, each read by coerce_rational
+    with pytest.raises(MalformedNumber):
+        format_rational(bad)
+
+
+def test_format_reads_ints_and_text_by_the_grammar():
+    assert format_rational(6) == "6"
+    assert format_rational(" 4/6 ") == "2/3"
+    assert format_rational("0.25") == "1/4"
+
+
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
 def test_format_parse_roundtrip(num, den):
     value = Fraction(num, den)
