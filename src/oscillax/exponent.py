@@ -32,10 +32,10 @@ Both exponent routes count, for each corner, the power at which its minor
 turns positive, and build their report from these counts in one place
 (:func:`_report`), which takes the zero witness by one rule
 (:func:`_vanishing_corner`).  The brute-force route tests the corners of
-successive powers (:func:`_corner_powers`, behind :func:`r_lower` and
-:func:`r_upper`) and confirms A^r by one full minor scan.  The theorem
-route reads the counts off the cells of the canonical factor word
-(:func:`_corner_copies`): its L indices for the lower side, and its U
+successive powers (:func:`_corner_powers`) and confirms A^r by one full
+minor scan.  The theorem route, :func:`r_lower` and :func:`r_upper` read
+the counts off the cells of the Neville factor word
+(:func:`_neville_copies`): its L indices for the lower side, and its U
 indices reversed, the L indices of the transpose, for the upper side.
 The count of the size-c corner is the least k at which the first c
 entries of the k-th Demazure power of the cell all exceed n-c, so no
@@ -74,13 +74,14 @@ from .errors import (
     ShapeMismatch,
     Unpredictable,
 )
-from .matrix import Matrix, _check_count, _minor_int, _powers, _unscaled
+from .matrix import Matrix, _minor_int, _powers, _unscaled
 from .rational import coerce_rational
 from .seb import (
     _SIDES,
     EBFactor,
     FactorizationClass,
     SEBFactorization,
+    _check_slot_limit,
     _side_indices,
     _trusted_factor,
     chain_layout,
@@ -212,7 +213,11 @@ def _psi_from_mask(optional: list[int], mask: int) -> frozenset[int]:
 
 
 def generate_z1(n: int, s: int, seed: int) -> SEBFactorization:
-    """Seeded lower part with full chains W_2 .. W_s, multipliers in 1..9."""
+    """Seeded lower part with full chains W_2 .. W_s, multipliers in 1..9.
+    Past :data:`seb.NORMALIZE_SLOT_LIMIT` slots per side it raises
+    :class:`FeasibilityExceeded` before building anything, as
+    :func:`generate_z2` does."""
+    _check_slot_limit(n)
     rng = random.Random(seed)
     slots = z1_slots(n, s)
     return SEBFactorization(
@@ -253,6 +258,7 @@ def resolve_psi_choice(n: int, s: int, psi_choice, rng: random.Random):
 
 def generate_z2(n: int, s: int, psi_choice, seed: int) -> SEBFactorization:
     """Seeded lower part in the Z2(s) shape for the given partial chain."""
+    _check_slot_limit(n)
     rng = random.Random(seed)
     pattern = resolve_psi_choice(n, s, psi_choice, rng)
     slots = z2_slots(n, s, pattern)
@@ -527,11 +533,12 @@ def predict_exponent(l_tag: ClassTag, u_tag: ClassTag) -> Prediction:
 # -- exponent computation ---------------------------------------------------------
 
 
-def _corner_powers(a: Matrix, sides, limit: int):
-    """Per side, the least k <= limit at which each corner minor of A^k,
+def _corner_powers(a: Matrix, sides):
+    """Per side, the least k <= n-1 at which each corner minor of A^k,
     sizes 1..n-1, is positive (infinite if none is), and the last power
     formed, as the (int block, denominator) pair of the power chain
-    (:func:`matrix._powers`).  Needs limit >= 1 for n >= 2.
+    (:func:`matrix._powers`): the brute-force route's and ``verify``'s
+    reference by powers of A.
 
     On invertible TN inputs, bare triangular parts included, a positive
     corner minor stays positive in every higher power (Cauchy-Binet), so
@@ -549,36 +556,40 @@ def _corner_powers(a: Matrix, sides, limit: int):
         for side_counts, at, rows, cols in corners:
             if side_counts[at] > k and _minor_int(block, rows, cols) > 0:
                 side_counts[at] = k
-        if k == limit or all(c <= k for cs in counts.values() for c in cs):
+        if k == n - 1 or all(c <= k for cs in counts.values() for c in cs):
             return counts, power
 
 
-def _side_exponent(a: Matrix, side: str, max_power: int | None) -> int:
-    if not a.is_square():
-        raise ParamOutOfRange("square matrix required")
-    if max_power is None:
-        limit = a.rows - 1
-    else:
-        _check_count(max_power, "max_power")
-        limit = max_power
-    r = max(_corner_powers(a, (side,), limit)[0][side], default=1)
-    if r > limit:
-        raise NotOscillatory(f"{side} corner minors not all positive within {limit} powers")
+def _neville_copies(a: Matrix):
+    """The Neville factorization of A and, per side, its copy counts
+    (:func:`_corner_copies`) from its L indices and its U indices
+    reversed; :class:`NotOscillatory` if A is not invertible TN."""
+    try:
+        f = neville_factorize(a)
+    except NotITN as exc:
+        raise NotOscillatory(f"not invertible TN: {exc}") from exc
+    return f, {side: _corner_copies(ix, f.n) for side, ix in _side_indices(f).items()}
+
+
+def _side_exponent(a: Matrix, side: str) -> int:
+    r = max(_neville_copies(a)[1][side])
+    if r == float("inf"):
+        raise NotOscillatory(
+            f"{side} corner minors not all positive within {a.rows - 1} powers"
+        )
     return r
 
 
-def r_lower(a: Matrix, max_power: int | None = None) -> int:
+def r_lower(a: Matrix) -> int:
     """Least power making every lower-left corner minor (sizes 1..n-1)
-    positive.  Defined for invertible TN inputs, including bare
-    triangular parts; bounded by n-1 for anything oscillatory-shaped.
-    ``max_power`` (default n-1) must be an ``int`` >= 1, not a ``bool``:
-    :class:`ParamOutOfRange` otherwise."""
-    return _side_exponent(a, "lower-left", max_power)
+    positive: the largest lower copy count of A's Neville factorization.
+    Defined for invertible TN inputs, bare triangular parts included."""
+    return _side_exponent(a, "lower-left")
 
 
-def r_upper(a: Matrix, max_power: int | None = None) -> int:
+def r_upper(a: Matrix) -> int:
     """Least power making every upper-right corner minor positive."""
-    return _side_exponent(a, "upper-right", max_power)
+    return _side_exponent(a, "upper-right")
 
 
 def _corner_copies(descents, n: int) -> tuple[int | float, ...]:
@@ -618,12 +629,6 @@ def _corner_copies(descents, n: int) -> tuple[int | float, ...]:
         f"no disjoint family for corner size {counts.index(0) + 1}"
         f" within {n - 1} copies"
     )
-
-
-def _side_copies(f: SEBFactorization) -> dict:
-    """Per side, the copy counts (:func:`_corner_copies`) of the network
-    of a factorization."""
-    return {side: _corner_copies(ix, f.n) for side, ix in _side_indices(f).items()}
 
 
 class CornerZeroWitness(NamedTuple):
@@ -714,7 +719,7 @@ def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
     if not is_oscillatory(a, "gk", cap):
         raise NotOscillatory("input is not oscillatory")
     n = a.rows
-    counts, last = _corner_powers(a, _SIDES, n - 1)
+    counts, last = _corner_powers(a, _SIDES)
     power = _unscaled(*last)
     r = max(map(max, counts.values()))
     if r > n - 1 or not is_tp(power, cap).ok:
@@ -724,23 +729,15 @@ def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
 
 def exponent_via_theorem(a: Matrix) -> ExponentReport:
     """Factor the input, then take the max of the lower part's lower
-    exponent and the upper part's upper exponent.
-
-    Both come from copy counts on the canonical factorization
-    (:func:`_side_copies`): its L factors, and its U factors in reverse
-    order, read off the flat vectors, so neither a factor word nor a power
-    of a triangular part is formed; they are infinite
-    when a side misses a factor index.  The zero witness follows the
-    brute-force route's rule (:func:`_vanishing_corner`); one minor of
-    A^(r-1), on the int block of the power chain, confirms that it
-    vanishes, and A^r is the chain's next power.
+    exponent and the upper part's upper exponent, both read off the copy
+    counts of its Neville factorization (:func:`_neville_copies`); they
+    are infinite when a side misses a factor index.  The zero witness
+    follows the brute-force route's rule (:func:`_vanishing_corner`); one
+    minor of A^(r-1), on the int block of the power chain, confirms that
+    it vanishes, and A^r is the chain's next power.
     """
-    try:
-        f = neville_factorize(a)
-    except NotITN as exc:
-        raise NotOscillatory(f"not invertible TN: {exc}") from exc
+    f, counts = _neville_copies(a)
     n = f.n
-    counts = _side_copies(f)
     r = max(map(max, counts.values()))
     if r == float("inf"):
         raise NotOscillatory("factorization misses a factor index on some side")

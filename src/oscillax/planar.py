@@ -113,17 +113,16 @@ def concat_copies(net: PlanarNetwork, copies: int) -> PlanarNetwork:
     return PlanarNetwork(n=net.n, layers=net.layers * copies)
 
 
-def minor_via_paths(
-    net: PlanarNetwork, sources, sinks, cap: int | None = None
-) -> Fraction:
+def minor_via_paths(net: PlanarNetwork, sources, sinks) -> Fraction:
     """Sum of vertex-disjoint family weights from sources to sinks.
 
     Equals the minor of the composed matrix on the same index sets.
     """
     src, snk = _index_sets(sources, sinks, (net.n, net.n), ("source", "sink"))
-    limit = SCAN_CAP_DEFAULT if cap is None else cap
-    if net.n > limit:
-        raise FeasibilityExceeded(f"path sweep over {net.n} tracks exceeds cap {limit}")
+    if net.n > SCAN_CAP_DEFAULT:
+        raise FeasibilityExceeded(
+            f"path sweep over {net.n} tracks exceeds cap {SCAN_CAP_DEFAULT}"
+        )
 
     dp = _sweep(net.layers, {src: _ONE})
     return dp.get(snk, _ZERO)
@@ -161,16 +160,16 @@ def _sweep(
 
 
 def enumerate_path_families(
-    net: PlanarNetwork, sources, sinks, cap: int = 5
+    net: PlanarNetwork, sources, sinks
 ) -> tuple[PathFamily, ...]:
-    """Explicitly list every vertex-disjoint family (small networks only).
+    """Explicitly list every vertex-disjoint family (at most 5 tracks).
 
     Disjoint paths in these layered diagrams never cross, so each family
     is recorded with paths sorted by source track.
     """
     src, snk = _index_sets(sources, sinks, (net.n, net.n), ("source", "sink"))
-    if net.n > cap:
-        raise FeasibilityExceeded(f"enumeration over {net.n} tracks exceeds cap {cap}")
+    if net.n > 5:
+        raise FeasibilityExceeded(f"enumeration over {net.n} tracks exceeds cap 5")
 
     families: list[PathFamily] = []
     k = len(src)

@@ -644,8 +644,18 @@ def _side_indices(f: SEBFactorization) -> dict:
 
 # -- commutation normalization -------------------------------------------------
 
-# flat slots per side that normalize_commutation lays out (n <= 447)
+# flat slots per side that normalize_commutation and the class generators
+# lay out (n <= 447)
 NORMALIZE_SLOT_LIMIT = 100_000
+
+
+def _check_slot_limit(n: int) -> None:
+    """:class:`FeasibilityExceeded` past :data:`NORMALIZE_SLOT_LIMIT` slots."""
+    if multiplier_count(n) > NORMALIZE_SLOT_LIMIT:
+        raise FeasibilityExceeded(
+            f"{multiplier_count(n)} slots per side at n={n} exceed the limit"
+            f" of {NORMALIZE_SLOT_LIMIT} slots"
+        )
 
 
 def _assign_word_to_slots(word, slots):
@@ -704,11 +714,7 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
             n = max(idxs)
         else:
             raise NotNormalizable("cannot infer dimension from an empty product")
-    if multiplier_count(n) > NORMALIZE_SLOT_LIMIT:
-        raise FeasibilityExceeded(
-            f"{multiplier_count(n)} slots per side at n={n} exceed the limit"
-            f" of {NORMALIZE_SLOT_LIMIT} slots"
-        )
+    _check_slot_limit(n)
 
     diag = None
     seq: list[EBFactor] = []

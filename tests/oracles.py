@@ -963,24 +963,23 @@ def _lower_corners_positive(a):
     return True
 
 
-def power_loop_r_lower(a, max_power=None):
+def power_loop_r_lower(a):
     if not a.is_square():
         raise ParamOutOfRange("square matrix required")
     n = a.rows
-    limit = n - 1 if max_power is None else max_power
     power = a
-    for w in range(1, limit + 1):
+    for w in range(1, n):
         if _lower_corners_positive(power):
             return w
-        if w < limit:
+        if w < n - 1:
             power = mat_mul(power, a)
     raise NotOscillatory(
-        f"lower-left corner minors not all positive within {limit} powers"
+        f"lower-left corner minors not all positive within {n - 1} powers"
     )
 
 
-def power_loop_r_upper(a, max_power=None):
-    return power_loop_r_lower(a.transpose(), max_power)
+def power_loop_r_upper(a):
+    return power_loop_r_lower(a.transpose())
 
 
 def first_zero_corner(a):

@@ -463,6 +463,44 @@ def test_generate_bad_params_exit(capsys):
     assert code == 6
 
 
+@pytest.mark.parametrize("tail", ["z1", "z2 --psi random", "z2 --psi L2,L4"])
+def test_generate_refuses_past_the_slot_limit(capsys, monkeypatch, tail):
+    from oscillax import exponent, seb
+
+    def no_layout(n):
+        raise AssertionError(f"laid out n={n}")
+
+    for module in (exponent, seb):
+        monkeypatch.setattr(module, "chain_layout", no_layout)
+    argv = f"generate --n 448 --s 3 --seed 1 --class {tail}".split()
+    code, payload, err = run(capsys, argv)
+    message = "100128 slots per side at n=448 exceed the limit of 100000 slots"
+    assert code == 3
+    assert payload == {
+        "schema": "oscillax.error/1",
+        "status": "error",
+        "error": {"type": "FeasibilityExceeded", "message": message},
+    }
+    assert err == f"error: FeasibilityExceeded: {message}\n"
+
+
+# the largest n within the slot limit, and the generate calls of CI
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--class z1 --n 447 --s 2 --seed 1",
+        "--class z2 --n 5 --s 4 --psi L3,L5 --seed 1",
+        "--class z1 --n 30 --s 30 --full --seed 3",
+        "--class z1 --n 18 --s 18 --full --seed 3",
+        "--class z2 --n 16 --s 12 --psi L11,L13 --full --seed 3",
+        "--class z1 --n 80 --s 3 --full --seed 1",
+    ],
+)
+def test_generate_within_the_slot_limit(capsys, argv):
+    code, payload, _ = run(capsys, ["generate", *argv.split()])
+    assert code == 0 and payload["status"] == "ok"
+
+
 PSI_ARGV = ["generate", "--class", "z2", "--n", "5", "--s", "4", "--seed", "1", "--psi"]
 
 

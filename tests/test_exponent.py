@@ -306,7 +306,7 @@ def test_r_lower_blind_to_upper_side():
             tuple(Fraction(rng.randint(1, 5)) for _ in range(n)),
             (Fraction(0),) * multiplier_count(n),
         )
-        assert r_lower(a) == r_lower(compose(zeroed))
+        assert power_loop_r_lower(a) == power_loop_r_lower(compose(zeroed))
 
 
 def test_recognize_full_support_is_z1_n():
@@ -1382,8 +1382,10 @@ def test_corner_copies_match_matrix_power_exponents():
             word = f.factor_sequence()
             lower = [x.index for x in word if x.kind == "L"]
             upper = [x.index for x in reversed(word) if x.kind == "U"]
-            assert max(_corner_copies(lower, n)) == r_lower(compose(lower_part(f)))
-            assert max(_corner_copies(upper, n)) == r_upper(compose(upper_part(f)))
+            lower_r = power_loop_r_lower(compose(lower_part(f)))
+            assert max(_corner_copies(lower, n)) == lower_r
+            upper_r = power_loop_r_upper(compose(upper_part(f)))
+            assert max(_corner_copies(upper, n)) == upper_r
 
 
 def _report_or_error(route, a):
@@ -1509,41 +1511,67 @@ def test_bruteforce_matches_scan_oracle():
     } <= outcomes
 
 
-def _side_exponent_or_error(fn, a, max_power):
+def _side_exponent_or_error(fn, a):
     try:
-        return fn(a, max_power)
+        return fn(a)
     except OscillaxError as exc:
         return type(exc).__name__, str(exc)
 
 
-def test_r_lower_and_r_upper_match_power_loop():
+def test_r_lower_and_r_upper_match_power_loop(monkeypatch):
+    # both read the copy counts of one Neville factorization: no power of A
+    exponent = sys.modules["oscillax.exponent"]
+
+    def powers(*args):
+        raise AssertionError("the power chain started")
+
+    monkeypatch.setattr(exponent, "_powers", powers)
     rng = random.Random(199)
-    seen = set()
+    inputs = []
     for n in range(2, 10):
         for density in (0.1, 0.3, 1.0):
             f = random_oscillatory_factorization(n, rng, density)
             itn_only = generate_z1(n, rng.randint(2, n), rng.randrange(10**6))
-            for part in (f, lower_part(f), upper_part(f), itn_only):
-                a = compose(part)
-                for fn, oracle, side in (
-                    (r_lower, power_loop_r_lower, "lower-left"),
-                    (r_upper, power_loop_r_upper, "upper-right"),
-                ):
-                    r = _side_exponent_or_error(oracle, a, None)
-                    # a limit below 1 raises ParamOutOfRange before any power
-                    # (test_side_exponents_refuse_a_limit_below_one)
-                    limits = [None] if isinstance(r, tuple) else [None, r - 1, r]
-                    limits = [x for x in limits if x != 0]
-                    for max_power in limits:
-                        expected = _side_exponent_or_error(oracle, a, max_power)
-                        if isinstance(expected, tuple):
-                            # the transposing oracle names the lower-left side
-                            message = expected[1].replace("lower-left", side)
-                            expected = (expected[0], message)
-                        got = _side_exponent_or_error(fn, a, max_power)
-                        assert got == expected
-                        seen.add(got if isinstance(got, int) else got[0])
-    assert {1, 2, 3, "NotOscillatory"} <= seen
+            inputs += [compose(p) for p in (f, lower_part(f), upper_part(f), itn_only)]
+    # the bare Z1/Z2 lower parts at the sizes of the formula suites
+    for n in range(3, 8):
+        for s in range(2, n + 1):
+            inputs.append(compose(generate_z1(n, s, rng.randrange(10**6))))
+            for psi in enumerate_psi_patterns(n, s) if n <= 6 else ():
+                members = None if psi is None else psi | {s - 1}
+                inputs.append(compose(generate_z2(n, s, members, rng.randrange(10**6))))
+    # rational multipliers, and integer ones scaled by a rational
+    inputs += [a for a, _ in _chain_inputs(rng)]
+    seen = set()
+    for a in inputs:
+        for fn, oracle, side in (
+            (r_lower, power_loop_r_lower, "lower-left"),
+            (r_upper, power_loop_r_upper, "upper-right"),
+        ):
+            expected = _side_exponent_or_error(oracle, a)
+            if isinstance(expected, tuple):
+                # the transposing oracle names the lower-left side
+                expected = (expected[0], expected[1].replace("lower-left", side))
+            got = _side_exponent_or_error(fn, a)
+            assert got == expected
+            seen.add(got if isinstance(got, int) else got[0])
+    assert {1, 2, 3, 4, 5, 6, "NotOscillatory"} <= seen
+    # inputs that are not invertible TN: det -5, singular, a permutation,
+    # and a negative multiplier; a 1x1 or non-square input has no
+    # factorization
+    for rows in (
+        [[1, 2], [3, 1]],
+        [[1, 1], [1, 1]],
+        [[0, 1], [1, 0]],
+        [[1, -1, 0], [1, 1, 1], [0, 1, 1]],
+    ):
+        for fn in (r_lower, r_upper):
+            with pytest.raises(NotOscillatory, match="^not invertible TN: "):
+                fn(Matrix(rows))
+    for rows in ([[2]], [[1, 2, 3], [4, 5, 6]]):
+        for fn in (r_lower, r_upper):
+            with pytest.raises(ShapeMismatch, match="^factorization requires"):
+                fn(Matrix(rows))
 
 
 def test_bruteforce_runs_two_scans_and_no_side_loops(monkeypatch):
@@ -1584,30 +1612,6 @@ def test_bruteforce_runs_two_scans_and_no_side_loops(monkeypatch):
         assert calls["_int_mul"] <= a.rows - 2  # A^2 .. A^(n-1), one product each
         assert calls["r_lower"] == 0
     assert len(rs) > 1
-
-
-def test_side_exponents_refuse_a_limit_below_one(monkeypatch):
-    exponent = sys.modules["oscillax.exponent"]
-    a = M["exp4"]
-    started = []
-
-    def powers(*args):
-        started.append(args)
-        raise AssertionError("the power chain started")
-
-    monkeypatch.setattr(exponent, "_powers", powers)
-    for fn in (r_lower, r_upper):
-        for bad in (0, -1, True, False, 2.0, "2"):
-            with pytest.raises(ParamOutOfRange, match="^max_power must be an int >= 1"):
-                fn(a, bad)
-    assert started == []
-    monkeypatch.undo()
-    assert (r_lower(a, 3), r_upper(a, 2)) == (3, 2)
-    with pytest.raises(NotOscillatory, match="within 1 powers$"):
-        r_lower(a, 1)
-    # a 1x1 input has no corner to test within its default n - 1 = 0 powers
-    with pytest.raises(NotOscillatory, match="^lower-left .* within 0 powers$"):
-        r_lower(Matrix([[2]]))
 
 
 def _chain_inputs(rng):
@@ -1674,21 +1678,20 @@ def test_power_chain_matches_fraction_powers():
             if k > len(powers):
                 powers.append(fraction_mat_mul(powers[-1], a))
             assert mat_pow(a, k) == powers[k - 1]
-        for limit in sorted({n - 1, rng.randint(1, n - 1)}):
-            counts, last = _corner_powers(a, _SIDES, limit)
-            expected = _least_positive_powers(powers, limit)
-            assert counts == expected
-            stop = min(limit, max(max(c) for c in expected.values()))
-            assert _unscaled(*last) == powers[stop - 1]
-            assert last[1] == _scaled(powers[stop - 1].entries)[1]
-            for fn, side in ((r_lower, "lower-left"), (r_upper, "upper-right")):
-                r = max(expected[side])
-                if r <= limit:
-                    assert fn(a, limit) == r
-                else:
-                    message = f"^{side} corner minors not all positive within {limit} powers$"
-                    with pytest.raises(NotOscillatory, match=message):
-                        fn(a, limit)
+        counts, last = _corner_powers(a, _SIDES)
+        expected = _least_positive_powers(powers, n - 1)
+        assert counts == expected
+        stop = min(n - 1, max(max(c) for c in expected.values()))
+        assert _unscaled(*last) == powers[stop - 1]
+        assert last[1] == _scaled(powers[stop - 1].entries)[1]
+        for fn, side in ((r_lower, "lower-left"), (r_upper, "upper-right")):
+            r = max(expected[side])
+            if r <= n - 1:
+                assert fn(a) == r
+            else:
+                message = f"^{side} corner minors not all positive within {n - 1} powers$"
+                with pytest.raises(NotOscillatory, match=message):
+                    fn(a)
         if not oscillatory:
             continue
         rep = exponent_via_theorem(a)

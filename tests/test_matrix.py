@@ -36,7 +36,6 @@ from oscillax.matrix import (
     matrix_to_csv,
     minor,
 )
-from oscillax.exponent import r_lower
 from oscillax.planar import (
     build_network,
     concat_copies,
@@ -136,14 +135,13 @@ def test_mat_pow_zero_raises_param_out_of_range():
         mat_pow(M["exp4"], -2)
 
 
-#: Every count (a power, a number of copies, a corner size, a power limit)
-#: follows one rule: an int that is not a bool, at least 1.
+#: Every count (a power, a number of copies, a corner size) follows one
+#: rule: an int that is not a bool, at least 1.
 COUNT_TAKERS = {
     "mat_pow": lambda k: mat_pow(M["exp4"], k),
     "Matrix.__pow__": lambda k: M["exp4"] ** k,
     "concat_copies": lambda k: concat_copies(_net4(), k),
     "min_copies_lower_corner": lambda k: min_copies_lower_corner(_net4(), k),
-    "r_lower": lambda k: r_lower(M["exp4"], k),
 }
 
 

@@ -285,8 +285,14 @@ def test_sweep_validation():
     with pytest.raises(ShapeMismatch):
         minor_via_paths(net, (1, 2), (1,))
     big = PlanarNetwork(n=9, layers=())
-    with pytest.raises(FeasibilityExceeded):
+    with pytest.raises(FeasibilityExceeded, match="^path sweep over 9 tracks exceeds cap 8$"):
         minor_via_paths(big, (1,), (1,))
+    wide = PlanarNetwork(n=6, layers=())
+    with pytest.raises(FeasibilityExceeded, match="^enumeration over 6 tracks exceeds cap 5$"):
+        enumerate_path_families(wide, (1,), (1,))
+    # both caps are fixed: 8 and 5 tracks still run
+    assert minor_via_paths(PlanarNetwork(n=8, layers=()), (1,), (1,)) == 1
+    assert len(enumerate_path_families(PlanarNetwork(n=5, layers=()), (1,), (1,))) == 1
 
 
 def test_export_dot_deterministic():
