@@ -28,7 +28,6 @@ from .errors import (
     InvalidPsiPattern,
     InvariantViolation,
     MalformedNumber,
-    MethodDisagreement,
     NotITN,
     NotNormalizable,
     NotOscillatory,
@@ -53,11 +52,9 @@ from .classify import (
     MinorWitness,
     classify,
     corner_minors,
-    is_irreducible,
     is_oscillatory,
     is_tn,
     is_tp,
-    is_tp_given_tn,
 )
 
 __version__ = "0.1.0"

@@ -1,23 +1,20 @@
 """Total nonnegativity, total positivity, and oscillatory classification.
 
-The baseline tests scan every minor of every order (exponential, guarded
-by a feasibility cap).  Cheaper criteria (corner minors, tridiagonal
-entries, irreducibility, factorization support) are separate operations
-so their equivalence with the baseline is testable rather than assumed.
-
-:func:`classify` starts from one Neville elimination.  An invertible
+Every predicate starts from one Neville elimination.  An invertible
 matrix is TN iff the elimination runs with nonnegative multipliers and a
 positive diagonal, and TP iff every multiplier is positive (Gasca & Peña,
-LAA 165, 1992), so an invertible TN input is decided in O(n^3) and builds
-no minor table.  The TP witness of a non-TP one, its first zero minor,
+LAA 165, 1992), so :func:`is_tn`, :func:`is_tp`, :func:`is_oscillatory`
+and :func:`classify` decide an invertible TN input in O(n^3) and build no
+minor table.  The TP witness of a non-TP one, its first zero minor,
 comes from two token sets per minor (the minor pattern of a double Bruhat
 cell, Fomin & Zelevinsky, JAMS 12, 1999) by a polynomial greedy
 (:func:`_first_zero_by_tokens`) and one confirming Bareiss minor, at any
-n.  The cap guards the scans only: inputs the elimination refuses keep
-the one scan that stops at the first negative minor.  Oscillation
-is the Gantmacher–Krein test (nonsingular TN, positive sub- and
-superdiagonal); the four criteria of :func:`is_oscillatory` remain
-available and are cross-checked by the tests and by ``verify``.
+n.  The cap guards the scans only: inputs the elimination refuses, and
+rectangular inputs of :func:`is_tn`, keep the one scan that stops at the
+first decisive minor.  Oscillation is the Gantmacher–Krein test
+(nonsingular TN, positive sub- and superdiagonal); the definition, the
+irreducibility criterion and the factorization-support criterion are
+references in :mod:`oscillax.verify`, which checks them against it.
 """
 
 from __future__ import annotations
@@ -25,12 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import (
-    InvariantViolation,
-    MethodDisagreement,
-    NotITN,
-    ShapeMismatch,
-)
+from .errors import InvariantViolation, NotITN, ShapeMismatch
 from .matrix import (
     Matrix,
     check_scan_cap,
@@ -38,10 +30,6 @@ from .matrix import (
     minor,
     minor_levels,
 )
-
-_ZERO = Fraction(0)
-
-OSCILLATORY_METHODS = ("definition", "gk", "irreducible", "seb")
 
 
 class MinorWitness(NamedTuple):
@@ -87,20 +75,38 @@ def _first_minor(
     return ScanVerdict(True, None)
 
 
-def is_tn(a: Matrix, cap: int | None = None) -> ScanVerdict:
-    """Full minor scan for total nonnegativity.
+def _neville(a: Matrix):
+    """The Neville factorization of a square ``a``, None if singular or not TN."""
+    from .seb import neville_factorize
 
-    On failure the witness is the lexicographically first negative minor
-    (orders ascending, then row subset, then column subset).
-    """
+    _require_min_shape(a)
+    try:
+        return neville_factorize(a)
+    except NotITN:
+        return None
+
+
+def is_tn(a: Matrix, cap: int | None = None) -> ScanVerdict:
+    """Total nonnegativity.  A square input Neville elimination accepts
+    reads no minor; the others are scanned under ``cap``, and the witness
+    is the lexicographically first negative minor (orders ascending, then
+    row subset, then column subset)."""
+    if a.is_square() and _neville(a) is not None:
+        return ScanVerdict(True, None)
     return _first_minor(a, cap, lambda value: value < 0)
 
 
 def is_tp(a: Matrix, cap: int | None = None) -> ScanVerdict:
-    """Full minor scan for total positivity of a square matrix."""
+    """Total positivity of a square matrix, with the first nonpositive
+    minor as the witness: read off the Neville factorization of an
+    invertible TN input, else by a scan under ``cap``."""
     if not a.is_square():
         raise ShapeMismatch("total positivity test requires a square matrix")
-    return _first_minor(a, cap, lambda value: value <= 0)
+    f = _neville(a)
+    if f is None:
+        return _first_minor(a, cap, lambda value: value <= 0)
+    witness = _first_zero_minor(a, f)
+    return ScanVerdict(witness is None, witness)
 
 
 def corner_index_sets(
@@ -136,97 +142,19 @@ def corner_minors(a: Matrix) -> tuple[tuple[CornerSpec, Fraction], ...]:
     return tuple(out)
 
 
-def is_tp_given_tn(a: Matrix) -> bool:
-    """Corner-minor shortcut for total positivity, valid on TN inputs;
-    the caller checks the TN precondition."""
-    return all(value > 0 for _, value in corner_minors(a))
-
-
-def is_irreducible(a: Matrix) -> bool:
-    """Strong connectivity of the digraph with an arc i -> j iff a_ij != 0."""
-    if not a.is_square():
-        raise ShapeMismatch("irreducibility requires a square matrix")
-    n = a.rows
-
-    def reaches_all(start: int, transposed: bool) -> bool:
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if v in seen:
-                    continue
-                entry = a[v, u] if transposed else a[u, v]
-                if entry != 0:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == n
-
-    return reaches_all(0, False) and reaches_all(0, True)
-
-
 def _off_diagonals_positive(a: Matrix) -> bool:
     """Gantmacher–Krein: a nonsingular TN matrix is oscillatory iff its
     sub- and superdiagonal entries are all positive."""
     return all(a[i, i + 1] > 0 and a[i + 1, i] > 0 for i in range(a.rows - 1))
 
 
-def _oscillatory_by_method(
-    a: Matrix, method: str, cap: int | None, tn: bool | None = None
-) -> bool:
-    """One criterion's verdict; ``tn`` is a TN verdict already known for
-    ``a`` (the scan runs here when it is None and the method needs it)."""
-    n = a.rows
-    if method == "seb":
-        from .seb import FactorizationClass, classify_factorization, neville_factorize
-
-        try:
-            f = neville_factorize(a)
-        except NotITN:
-            return False
-        return classify_factorization(f) is not FactorizationClass.ITN_ONLY
-    if tn is None:
-        tn = is_tn(a, cap).ok
-    if not tn:
-        return False
-    if method == "definition":
-        power = a
-        for _ in range(n - 1):
-            if is_tp(power, cap).ok:
-                return True
-            power = power @ a
-        return False
-    if det(a) == 0:
-        return False
-    if method == "gk":
-        return _off_diagonals_positive(a)
-    return is_irreducible(a)
-
-
-def is_oscillatory(a: Matrix, method: str = "all", cap: int | None = None) -> bool:
-    """Oscillatory test by any of four equivalent criteria.
-
-    ``definition`` looks for a totally positive power (up to n-1, which
-    suffices), ``gk`` checks super/subdiagonal positivity of a nonsingular
-    TN matrix, ``irreducible`` checks strong connectivity, and ``seb``
-    checks factorization support.  ``all`` evaluates every criterion, the
-    first three on one shared TN scan, and raises
-    :class:`MethodDisagreement` if they differ, which would signal an
-    implementation bug.
-    """
+def is_oscillatory(a: Matrix) -> bool:
+    """Oscillation by the Gantmacher–Krein test: Neville elimination
+    accepts ``a`` (it is invertible TN) and its sub- and superdiagonal
+    entries are positive.  No minor is read, at any n."""
     if not a.is_square():
         raise ShapeMismatch("oscillatory test requires a square matrix")
-    _require_min_shape(a)
-    if method not in OSCILLATORY_METHODS and method != "all":
-        raise ValueError(f"unknown oscillatory method {method!r}")
-    if method != "all":
-        return _oscillatory_by_method(a, method, cap)
-    tn = is_tn(a, cap).ok
-    verdicts = {m: _oscillatory_by_method(a, m, cap, tn) for m in OSCILLATORY_METHODS}
-    values = set(verdicts.values())
-    if len(values) > 1:
-        raise MethodDisagreement(f"criteria disagree: {verdicts}")
-    return values.pop()
+    return _neville(a) is not None and _off_diagonals_positive(a)
 
 
 class ClassificationReport(NamedTuple):
@@ -273,18 +201,14 @@ def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
     inputs take one scan under ``cap``, which stops at the first negative
     minor, by which point the first nonpositive one has been seen.
     """
-    from .seb import _side_indices, is_basic_factorization, neville_factorize
+    from .seb import is_basic_factorization
 
     if not a.is_square():
         raise ShapeMismatch("classification requires a square matrix")
-    _require_min_shape(a)
-    try:
-        f = neville_factorize(a)
-    except NotITN:
+    f = _neville(a)
+    if f is None:
         return _classify_not_itn(a, cap)
-    tp_witness = None
-    if not all(x > 0 for x in f.l + f.u):
-        tp_witness = _first_zero_minor(a, _side_indices(f))
+    tp_witness = _first_zero_minor(a, f)
     return ClassificationReport(
         n=a.rows,
         is_tn=True,
@@ -339,16 +263,20 @@ def _first_zero_by_tokens(lower, upper, n: int) -> tuple[tuple, tuple] | None:
     return None
 
 
-def _first_zero_minor(a: Matrix, sides: dict) -> MinorWitness:
+def _first_zero_minor(a: Matrix, f) -> MinorWitness | None:
     """The first zero minor in scan order of an invertible TN matrix ``a``
-    that is not TP, given the side indices of its factorization: a zero
-    entry, else :func:`_first_zero_by_tokens`, confirmed by one Bareiss
-    :func:`minor`."""
+    of Neville factorization ``f``, None if every multiplier is positive
+    (``a`` is TP): a zero entry, else :func:`_first_zero_by_tokens` on the
+    side indices of ``f``, confirmed by one Bareiss :func:`minor`."""
+    from .seb import _side_indices
+
+    if all(x > 0 for x in f.l + f.u):
+        return None
     for i, row in enumerate(a.entries, 1):
         for j, x in enumerate(row, 1):
             if not x:
                 return MinorWitness((i,), (j,), x)
-    found = _first_zero_by_tokens(*sides.values(), a.rows)
+    found = _first_zero_by_tokens(*_side_indices(f).values(), a.rows)
     if found is None:
         raise InvariantViolation("a zero multiplier but no zero minor below order n")
     value = minor(a, *found)

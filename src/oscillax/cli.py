@@ -21,7 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from .classify import classify, is_oscillatory
+from .classify import classify
 from .errors import (
     ClassMismatch,
     FeasibilityExceeded,
@@ -121,12 +121,8 @@ def _note(message: str) -> None:
 
 def cmd_classify(args) -> int:
     a = _read_matrix(args.input)
-    verdict = None if args.method == "all" else is_oscillatory(a, args.method, args.cap)
     report = classify(a, args.cap)
     payload = {"schema": _schema("classify"), "status": "ok", **report.to_json_dict()}
-    if verdict is not None:
-        payload["method"] = args.method
-        payload["method_verdict"] = verdict
     _note(
         f"classify: n={a.rows} tn={payload['is_tn']} tp={payload['is_tp']} "
         f"oscillatory={payload['is_oscillatory']}"
@@ -325,16 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="TN/TP/oscillatory report for a matrix")
     p.add_argument("--input", required=True, help="matrix file (JSON or CSV)")
     p.add_argument(
-        "--method",
-        choices=("definition", "gk", "irreducible", "seb", "all"),
-        default="all",
-    )
-    p.add_argument(
         "--cap",
         type=int,
         default=SCAN_CAP_DEFAULT,
-        help="dimension cap of the minor scans (singular or non-TN inputs,"
-        " --method definition|gk|irreducible); invertible TN inputs need none",
+        help="dimension cap of the minor scan of singular or non-TN inputs;"
+        " invertible TN inputs need none",
     )
     common(p)
     p.set_defaults(fn=cmd_classify)
@@ -427,7 +418,7 @@ def main(argv=None) -> int:
                 sys.stdout.write(json.dumps(payload, indent=2) + "\n")
                 _note(f"error: {type(err).__name__}: {err}")
                 return code
-        raise  # internal invariants and disagreements are bugs, not exits
+        raise  # internal invariants are bugs, not exits
 
 
 if __name__ == "__main__":

@@ -33,10 +33,6 @@ class NotOscillatory(OscillaxError):
     """Input is not oscillatory (or no admissible power was found)."""
 
 
-class MethodDisagreement(OscillaxError):
-    """Independent classification criteria returned different verdicts."""
-
-
 class InvariantViolation(OscillaxError):
     """An internal consistency condition failed; indicates a bug."""
 

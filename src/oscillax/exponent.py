@@ -61,7 +61,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .classify import corner_index_sets, is_oscillatory, is_tp
+from .classify import _first_minor, _off_diagonals_positive, corner_index_sets
 from .errors import (
     ClassMismatch,
     FeasibilityExceeded,
@@ -74,7 +74,7 @@ from .errors import (
     ShapeMismatch,
     Unpredictable,
 )
-from .matrix import Matrix, _minor_int, _powers, _unscaled
+from .matrix import Matrix, _minor_int, _powers, _unscaled, det
 from .rational import coerce_rational
 from .seb import (
     _SIDES,
@@ -715,14 +715,18 @@ def _report(f: SEBFactorization, method: str, counts, power) -> ExponentReport:
 
 def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
     """Check oscillation by one full TN scan, find r from the corner minors
-    of successive powers, and confirm A^r by one full TP scan."""
-    if not is_oscillatory(a, "gk", cap):
+    of successive powers, and confirm A^r by one full TP scan: no verdict
+    of this reference route comes from a Neville factorization."""
+    if not a.is_square():
+        raise ShapeMismatch("oscillatory test requires a square matrix")
+    tn = _first_minor(a, cap, lambda value: value < 0).ok
+    if not (tn and det(a) != 0 and _off_diagonals_positive(a)):
         raise NotOscillatory("input is not oscillatory")
     n = a.rows
     counts, last = _corner_powers(a, _SIDES)
     power = _unscaled(*last)
     r = max(map(max, counts.values()))
-    if r > n - 1 or not is_tp(power, cap).ok:
+    if r > n - 1 or not _first_minor(power, cap, lambda value: value <= 0).ok:
         raise InvariantViolation(f"corner minors give r={r} but A^r is not TP")
     return _report(neville_factorize(a), "bruteforce", counts, power)
 
@@ -758,7 +762,7 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
 def exponent_via_prediction(a: Matrix) -> tuple[Prediction, ClassTag, ClassTag]:
     """Recognize both sides of the factorization and predict the exponent.
 
-    Shape errors and the verdict are those of ``is_oscillatory(a, "seb")``,
+    Shape errors and the verdict are those of :func:`classify.is_oscillatory`,
     from the one factorization the prediction needs.
     """
     if not a.is_square():

@@ -3,7 +3,9 @@
 The corpus holds the worked examples with externally known exact values;
 the seeded suites check the closed-form exponent statements against
 brute-force computation on powers of A.  Both are used by the
-command-line ``verify`` subcommand and by the acceptance tests.
+command-line ``verify`` subcommand and by the acceptance tests.  The
+four oscillation criteria and the corner shortcut are private references
+here, checked against ``classify``'s predicates by :func:`suite_equivalence`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,16 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .classify import classify, is_oscillatory, is_tn, is_tp, is_tp_given_tn
-from .errors import FeasibilityExceeded, OscillaxError, ParamOutOfRange
+from .classify import (
+    _first_minor,
+    _off_diagonals_positive,
+    classify,
+    corner_minors,
+    is_oscillatory,
+    is_tn,
+    is_tp,
+)
+from .errors import FeasibilityExceeded, NotITN, OscillaxError, ParamOutOfRange
 from .exponent import (
     ClassMatch,
     _corner_powers,
@@ -200,7 +210,8 @@ def suite_paper() -> SuiteResult:
             == "L3(1) L2(2) L4(3) D(1,1,1,1) U3(4) U4(5) U2(6)"
         )
         assert classify_factorization(f) is FactorizationClass.BASIC_OSCILLATORY
-        assert is_oscillatory(a, "all")
+        assert is_oscillatory(a)
+        assert all(criterion(a) for criterion in _OSCILLATION_CRITERIA.values())
 
     res.add("basic4 factorization", case_basic4)
 
@@ -353,6 +364,67 @@ def suite_paper() -> SuiteResult:
     return res
 
 
+# -- oscillation references ------------------------------------------------------
+#
+# Four criteria independent of the Neville test of classify.is_oscillatory (the
+# first three scan every minor under ``cap``), and the corner shortcut for TP.
+
+
+def _scan_tn(a: Matrix, cap: int | None) -> bool:
+    return _first_minor(a, cap, lambda value: value < 0).ok
+
+
+def _by_definition(a: Matrix, cap: int | None = None) -> bool:
+    """TN with a totally positive power; power n-1 suffices."""
+    powers = itertools.accumulate(itertools.repeat(a, a.rows - 1), mat_mul)
+    tp = (_first_minor(power, cap, lambda value: value <= 0).ok for power in powers)
+    return _scan_tn(a, cap) and any(tp)
+
+
+def _by_gk(a: Matrix, cap: int | None = None) -> bool:
+    """Gantmacher–Krein: nonsingular TN with a positive sub- and superdiagonal."""
+    return _scan_tn(a, cap) and det(a) != 0 and _off_diagonals_positive(a)
+
+
+def _irreducible(a: Matrix) -> bool:
+    """Strong connectivity of the digraph with an arc i -> j iff a_ij != 0,
+    by Warshall's transitive closure."""
+    n = a.rows
+    reach = [{i} | {j for j in range(n) if a[i, j] != 0} for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    return all(len(r) == n for r in reach)
+
+
+def _by_irreducible(a: Matrix, cap: int | None = None) -> bool:
+    """Nonsingular, TN and irreducible."""
+    return _scan_tn(a, cap) and det(a) != 0 and _irreducible(a)
+
+
+def _by_seb(a: Matrix, cap: int | None = None) -> bool:
+    """Neville elimination runs and each side has every factor index."""
+    try:
+        f = neville_factorize(a)
+    except NotITN:
+        return False
+    return classify_factorization(f) is not FactorizationClass.ITN_ONLY
+
+
+_OSCILLATION_CRITERIA = {
+    "definition": _by_definition,
+    "gk": _by_gk,
+    "irreducible": _by_irreducible,
+    "seb": _by_seb,
+}
+
+
+def _corner_shortcut(a: Matrix) -> bool:
+    """Total positivity of a TN matrix by its 2n-1 corner minors."""
+    return all(value > 0 for _, value in corner_minors(a))
+
+
 # -- seeded formula suites -------------------------------------------------------
 
 
@@ -449,8 +521,10 @@ def suite_theorem(
 def suite_equivalence(
     cases: int = 100, seed: int = 0, nmax: int = 5, cb_pairs: int = 50
 ) -> SuiteResult:
-    """Criteria agreement on mixed inputs, network/algebra minor equality,
-    and the composition identity for minors of a product."""
+    """On mixed inputs: ``is_tn``, ``is_tp`` and ``classify`` against the
+    full minor scan, the corner shortcut against the TP scan, the four
+    oscillation criteria against ``is_oscillatory``; then network/algebra
+    minor equality and the composition identity for minors of a product."""
     res = SuiteResult("equivalence")
     for idx in range(cases):
         n = 2 + (idx % (nmax - 1))
@@ -476,15 +550,20 @@ def suite_equivalence(
                 a = Matrix(
                     [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)]
                 )
-            tn = is_tn(a)
-            tp = is_tp(a)
+            tn = _first_minor(a, None, lambda value: value < 0)
+            tp = _first_minor(a, None, lambda value: value <= 0)
+            assert is_tn(a) == tn, "is_tn disagrees with the scan"
+            assert is_tp(a) == tp, "is_tp disagrees with the scan"
             if tn.ok:
-                assert is_tp_given_tn(a) == tp.ok, "corner shortcut disagrees"
+                assert _corner_shortcut(a) == tp.ok, "corner shortcut disagrees"
             rep = classify(a)
             assert (rep.is_tn, rep.tn_witness) == tn, "classify disagrees on TN"
             assert (rep.is_tp, rep.tp_witness) == tp, "classify disagrees on TP"
             assert rep.is_invertible == (det(a) != 0), "classify disagrees on det"
-            is_oscillatory(a, "all")  # raises MethodDisagreement on any split
+            oscillatory = is_oscillatory(a)
+            assert rep.is_oscillatory == oscillatory, "classify disagrees"
+            for criterion, holds in _OSCILLATION_CRITERIA.items():
+                assert holds(a) == oscillatory, f"criterion {criterion} disagrees"
             if f is not None:
                 net = build_network(f)
                 for p in range(1, n + 1):

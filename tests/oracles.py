@@ -9,11 +9,9 @@ from typing import NamedTuple
 from oscillax.classify import (
     ClassificationReport,
     CornerSpec,
+    _first_minor,
     _require_min_shape,
     corner_index_sets,
-    is_oscillatory,
-    is_tn,
-    is_tp,
 )
 from oscillax.errors import (
     ClassMismatch,
@@ -67,6 +65,7 @@ from oscillax.seb import (
     neville_factorize,
 )
 from oscillax.rational import format_rational
+from oscillax.verify import _OSCILLATION_CRITERIA, _by_gk
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -573,16 +572,34 @@ def zero_minors_by_tokens(word, n: int, orders):
                 if not (all(map(le, row_tokens, cset)) and all(map(le, gu, rset))):
                     yield rset, cset
 
+def scan_tn(a, cap=None):
+    """Total nonnegativity by the full minor scan: the first negative minor."""
+    return _first_minor(a, cap, lambda value: value < 0)
+
+
+def scan_tp(a, cap=None):
+    """Total positivity by the full minor scan: the first nonpositive minor."""
+    return _first_minor(a, cap, lambda value: value <= 0)
+
+
+def four_criteria_oscillatory(a, cap=None):
+    """The verdict of the four oscillation criteria of ``verify``, which
+    must agree."""
+    verdicts = {name: holds(a, cap) for name, holds in _OSCILLATION_CRITERIA.items()}
+    assert len(set(verdicts.values())) == 1, f"criteria disagree: {verdicts}"
+    return verdicts["gk"]
+
+
 def classify_four_criteria(a, cap=None):
     """Classification by separate TN and TP scans, with the oscillatory
-    verdict from all four criteria of ``is_oscillatory(a, "all")``."""
+    verdict from all four criteria of ``verify``."""
     if not a.is_square():
         raise ShapeMismatch("classification requires a square matrix")
     _require_min_shape(a)
-    tn = is_tn(a, cap)
-    tp = is_tp(a, cap)
+    tn = scan_tn(a, cap)
+    tp = scan_tp(a, cap)
     invertible = det(a) != 0
-    oscillatory = is_oscillatory(a, "all", cap)
+    oscillatory = four_criteria_oscillatory(a, cap)
     basic: bool | None = None
     if tn.ok and invertible:
         from oscillax.seb import is_basic_factorization, neville_factorize
@@ -871,7 +888,7 @@ def value_keyed_tag_json(tag):
     }
 
 
-# Product sweeps with a full ``is_tp`` minor scan on every product: the
+# Product sweeps with a full minor scan (``scan_tp``) on every product: the
 # references for the copy-count verdicts of ``exponent.product_family_check``
 # and ``exponent.early_tp_product_scan``.
 
@@ -897,10 +914,10 @@ def scan_product_family_check(factorizations, k, cap=None):
     if len({_supports(f) for f in members}) != 1:
         raise ClassMismatch("members do not share canonical supports on both sides")
     mats = [compose(f) for f in members]
-    if not all(is_oscillatory(mat, "gk", cap) for mat in mats):
+    if not all(_by_gk(mat, cap) for mat in mats):
         raise NotOscillatory("input is not oscillatory")
     for combo in itertools.product(range(len(members)), repeat=k):
-        if not is_tp(_product(mats, combo), cap).ok:
+        if not scan_tp(_product(mats, combo), cap).ok:
             return ProductFamilyResult(False, combo)
     return ProductFamilyResult(True, None)
 
@@ -914,7 +931,7 @@ def scan_early_tp_product_scan(factorizations, k, cap=None):
     hits = []
     for combo in itertools.product(range(len(members)), repeat=k):
         if all(exps[i] > k for i in combo):
-            if is_tp(_product(mats, combo), cap).ok:
+            if scan_tp(_product(mats, combo), cap).ok:
                 hits.append(tuple(combo))
     return tuple(hits)
 
@@ -948,7 +965,7 @@ def power_loop_exponent_via_theorem(a):
     )
 
 
-# The exponent by separate power loops: a full ``is_tp`` scan of every
+# The exponent by separate power loops: a full ``scan_tp`` scan of every
 # power, then one loop per side that tests all of a side's corners at each
 # power, with the zero witness found by scanning the corners of A^(r-1).
 # The reference for ``exponent._corner_powers`` and the brute-force route.
@@ -1006,13 +1023,15 @@ def zero_corner_witness(below, r):
 
 def scan_exponent_bruteforce(a, cap=None):
     """Scan powers 1..n-1 with the full minor test for total positivity."""
-    if not is_oscillatory(a, "gk", cap):
+    if not a.is_square():
+        raise ShapeMismatch("oscillatory test requires a square matrix")
+    if not _by_gk(a, cap):
         raise NotOscillatory("input is not oscillatory")
     n = a.rows
     r = None
     power = below = a
     for k in range(1, n):
-        if is_tp(power, cap).ok:
+        if scan_tp(power, cap).ok:
             r = k
             break
         below, power = power, mat_mul(power, a)

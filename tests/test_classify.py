@@ -9,7 +9,10 @@ import pytest
 
 from oracles import (
     classify_four_criteria,
+    four_criteria_oscillatory,
     random_canonical_factorization,
+    scan_tn,
+    scan_tp,
     word_side_indices,
     zero_minors_by_tokens,
 )
@@ -18,14 +21,12 @@ from oscillax.classify import (
     _first_zero_by_tokens,
     classify,
     corner_minors,
-    is_irreducible,
     is_oscillatory,
     is_tn,
     is_tp,
-    is_tp_given_tn,
 )
 from oscillax.errors import FeasibilityExceeded, InvariantViolation
-from oscillax.matrix import Matrix, mat_mul, mat_pow, minor, minor_levels
+from oscillax.matrix import Matrix, det, mat_mul, mat_pow, minor, minor_levels
 from oscillax.exponent import random_oscillatory_factorization
 from oscillax.seb import (
     SEBFactorization,
@@ -37,7 +38,12 @@ from oscillax.seb import (
     ebu,
     multiplier_count,
 )
-from oscillax.verify import corpus_matrices
+from oscillax.verify import (
+    _OSCILLATION_CRITERIA,
+    _corner_shortcut,
+    _irreducible,
+    corpus_matrices,
+)
 
 M = corpus_matrices()
 
@@ -92,13 +98,13 @@ def test_corner_minors_net4_zero_corner():
 
 
 def test_corner_shortcut_matches_full_scan():
-    assert not is_tp_given_tn(M["net4"])
-    assert not is_tp_given_tn(Matrix.identity(4))
+    assert not _corner_shortcut(M["net4"])
+    assert not _corner_shortcut(Matrix.identity(4))
     rng = random.Random(37)
     for _ in range(40):
         n = rng.randint(2, 5)
         a = compose(random_canonical_factorization(n, rng))
-        assert is_tp_given_tn(a) == is_tp(a).ok
+        assert _corner_shortcut(a) == scan_tp(a).ok
 
 
 def test_random_tp_matrix_has_positive_corners():
@@ -120,17 +126,17 @@ def test_random_tp_matrix_has_positive_corners():
 
 
 def test_is_irreducible():
-    assert not is_irreducible(Matrix.diagonal([1, 2]))
+    assert not _irreducible(Matrix.diagonal([1, 2]))
     tri = Matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
-    assert is_irreducible(tri)
-    assert is_irreducible(M["net4"])
+    assert _irreducible(tri)
+    assert _irreducible(M["net4"])
 
 
 def test_is_oscillatory_methods():
-    for method in ("definition", "gk", "irreducible", "seb", "all"):
-        assert is_oscillatory(M["net4"], method)
-        assert not is_oscillatory(Matrix.identity(3), method)
-    assert is_oscillatory(M["basic4"], "all")
+    for holds in (is_oscillatory, *_OSCILLATION_CRITERIA.values()):
+        assert holds(M["net4"])
+        assert not holds(Matrix.identity(3))
+        assert holds(M["basic4"])
 
 
 def test_oscillatory_methods_agree_on_seeded_inputs():
@@ -141,12 +147,13 @@ def test_oscillatory_methods_agree_on_seeded_inputs():
             a = compose(random_canonical_factorization(n, rng))
         else:
             a = Matrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
-        # raises MethodDisagreement if the four criteria split
-        is_oscillatory(a, "all")
+        # the oracle asserts that the four criteria agree
+        assert is_oscillatory(a) == four_criteria_oscillatory(a)
 
 
 def test_feasibility_cap():
-    big = Matrix.identity(9)
+    # the cap guards the scans of inputs Neville elimination refuses
+    big = Matrix([[int(i == j > 0) for j in range(9)] for i in range(9)])
     with pytest.raises(FeasibilityExceeded):
         is_tn(big)
     with pytest.raises(FeasibilityExceeded):
@@ -297,7 +304,7 @@ def test_classify_matches_four_criteria_oracle():
         rep = classify(a)
         expected = classify_four_criteria(a)
         assert rep.to_json_dict() == expected.to_json_dict()
-        # the oracle's verdict is is_oscillatory(a, "all") itself
+        # the oracle's verdict is that of the four criteria of verify
         assert rep.is_oscillatory == expected.is_oscillatory
         outcomes.add(
             (
@@ -361,26 +368,6 @@ def test_classify_makes_one_minor_pass(monkeypatch):
             if kind == "tp":
                 assert passes == []
             assert len(eliminations) == 1
-
-
-def test_oscillatory_all_shares_one_tn_scan(monkeypatch):
-    calls = _count_minor_passes(monkeypatch)
-    assert not is_oscillatory(Matrix([[1, 2], [3, 1]]), "all")
-    assert len(calls) == 1  # definition, gk and irreducible share it
-
-
-@pytest.mark.parametrize(
-    "a",
-    [Matrix([[1, 2], [3, 1]]), M["net4"], Matrix.identity(9)],
-    ids=["non-tn", "tn", "past-cap"],
-)
-def test_unknown_oscillatory_method_is_refused_before_any_scan(monkeypatch, a):
-    calls = _count_minor_passes(monkeypatch)
-    with pytest.raises(ValueError) as info:
-        is_oscillatory(a, "bogus")
-    assert type(info.value) is ValueError
-    assert str(info.value) == "unknown oscillatory method 'bogus'"
-    assert calls == []
 
 
 def _dense_factorization(n, rng, density):
@@ -477,6 +464,9 @@ def test_classify_reads_invertible_tn_witnesses_past_the_cap(monkeypatch):
         w = rep.tp_witness
         assert rep.is_tn and rep.is_invertible and not rep.is_tp
         assert len(w.rows) == order and w.value == 0 == minor(a, w.rows, w.cols)
+        # the predicates read the same factorization
+        assert is_tn(a, cap=2) == (True, None) and is_tp(a, cap=2) == (False, w)
+        assert is_oscillatory(a) == rep.is_oscillatory
     assert classify(Matrix.identity(9)).tp_witness == ((1,), (2,), 0)
     assert passes == []
 
@@ -588,3 +578,52 @@ def test_token_witness_is_confirmed_by_a_minor(monkeypatch):
     monkeypatch.setattr(module, "_first_zero_by_tokens", lambda *args: None)
     with pytest.raises(InvariantViolation, match="no zero minor"):
         classify(a)
+
+
+# Inputs per dimension of the differential test of the predicates: 2,026
+# in all.  The definition, irreducibility and Gantmacher-Krein references
+# each scan every minor of a TN input, so the large dimensions get few.
+PREDICATE_INPUTS = {2: 620, 3: 620, 4: 435, 5: 232, 6: 87, 7: 20, 8: 12}
+
+
+def _predicate_inputs(n, rng):
+    """ITN (TP, oscillatory, ITN-only), singular TN and non-TN inputs, 29
+    a round, round after round."""
+    while True:
+        for _, a in _differential_inputs(n, rng):
+            yield a
+        yield from _fast_path_inputs(n, rng)
+        yield _itn_not_tp(n, rng)
+
+
+@pytest.mark.parametrize("n", sorted(PREDICATE_INPUTS))
+def test_predicates_match_the_scan_and_the_four_criteria(monkeypatch, n):
+    passes = _count_minor_passes(monkeypatch)
+    rng = random.Random(3100 + n)
+    outcomes = Counter()
+    inputs = itertools.islice(_predicate_inputs(n, rng), PREDICATE_INPUTS[n])
+    for t, a in enumerate(inputs):
+        passes.clear()
+        tn, tp, oscillatory = is_tn(a), is_tp(a), is_oscillatory(a)
+        reads = len(passes)
+        itn = tn.ok and det(a) != 0
+        assert tn == scan_tn(a)
+        assert tp == scan_tp(a)
+        assert oscillatory == four_criteria_oscillatory(a)
+        # ITN inputs are decided by Neville elimination alone
+        assert reads == 0 if itn else reads >= 1
+        outcomes[tn.ok, itn, tp.ok, oscillatory] += 1
+        if n > 2:  # drop the last row or the first column
+            rect = Matrix(a.entries[:-1] if t % 2 else [r[1:] for r in a.entries])
+            verdict = is_tn(rect)
+            assert verdict == scan_tn(rect)
+            outcomes["rectangular", verdict.ok] += 1
+    assert {
+        (True, True, True, True),  # TP
+        (True, True, False, False),  # ITN only
+        (True, False, False, False),  # singular TN
+        (False, False, False, False),  # not TN
+    } <= set(outcomes)
+    if n > 2:  # a 2x2 oscillatory matrix is TP
+        assert outcomes[True, True, False, True]
+        assert outcomes["rectangular", True] and outcomes["rectangular", False]

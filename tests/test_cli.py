@@ -73,6 +73,17 @@ def test_classify_feasibility_exit(tmp_path, capsys):
     assert payload["is_tn"] and not payload["is_tp"]
 
 
+def test_classify_has_no_method_option(tmp_path, capsys):
+    # one oscillation test remains; --method and its payload keys are gone
+    path = write_matrix(tmp_path, "net4.json", M["net4"])
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--input", path, "--method", "seb"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --method seb" in capsys.readouterr().err
+    code, payload, _ = run(capsys, ["classify", "--input", path])
+    assert code == 0 and "method" not in payload and "method_verdict" not in payload
+
+
 def test_classify_missing_file(capsys):
     code, payload, _ = run(capsys, ["classify", "--input", "/nonexistent.json"])
     assert code == 2

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    four_criteria_oscillatory,
     fraction_mat_mul,
     min_copies_restart,
     per_psi_class_json,
@@ -92,7 +93,7 @@ from oscillax.seb import (
     multiplier_count,
     neville_factorize,
 )
-from oscillax.verify import corpus_matrices
+from oscillax.verify import _OSCILLATION_CRITERIA, corpus_matrices
 
 M = corpus_matrices()
 
@@ -193,11 +194,9 @@ def test_generate_z2_pattern_validation():
 
 
 def test_generate_z1_full_transpose_is_oscillatory():
-    from oscillax.classify import is_oscillatory
-
     f = generate_z1(4, 2, seed=7)
     a = compose(with_transpose(f))
-    assert is_oscillatory(a, "all")
+    assert is_oscillatory(a) and four_criteria_oscillatory(a)
     assert exponent_bruteforce(a).r == 3  # n - 1 for the single-chain shape
 
 
@@ -523,11 +522,11 @@ def test_witness_power_and_zero_corner_on_both_routes():
 def test_prediction_route_rejects_non_oscillatory_inputs():
     itn_only = (Matrix.identity(3), compose(generate_z1(4, 3, seed=5)))
     for a in itn_only + (Matrix([[1, 2], [3, 1]]),):
-        assert not is_oscillatory(a, "seb")
+        assert not _OSCILLATION_CRITERIA["seb"](a)
         with pytest.raises(NotOscillatory, match="^input is not oscillatory$"):
             exponent_via_prediction(a)
     for a in _class_inputs(131, (3, 4, 5, 6)):
-        assert is_oscillatory(a, "seb")
+        assert _OSCILLATION_CRITERIA["seb"](a)
         pred, _, _ = exponent_via_prediction(a)
         assert pred == Prediction("exact", exponent_via_theorem(a).r)
 

@@ -9,7 +9,7 @@ payloads are mostly repeated ``with_extras`` or ``exact`` entries.
 factor text of every corpus matrix and of seeded factorizations at
 n = 5..8, and the n = 9 ``--copies`` refusal (exit 3) with them.
 ``factorize`` (JSON and ``--form wq --format text``) and ``classify``
-(default and ``--method seb``) are pinned on every corpus matrix and on
+are pinned on every corpus matrix and on
 seeded TP, basic, oscillatory and ITN-only factorizations at n = 2..10;
 ``classify`` reports on every one of these invertible TN inputs, past
 the scan cap too, since the cap guards the minor scans only.
@@ -301,16 +301,15 @@ MATRIX_RUNS = {
     "factorize": ["factorize"],
     "factorize wq text": ["factorize", "--form", "wq", "--format", "text"],
     "classify": ["classify"],
-    "classify seb": ["classify", "--method", "seb"],
 }
 
 
 # exit code, stdout and stderr of each run, recorded while compose walked
 # the flat layout itself and the index counts read each side twice.  The
-# n = 9 and 10 basic, oscillatory and itn-only entries of "classify" and
-# "classify seb" were re-recorded when classify began reading an
-# invertible TN input's first zero minor off its factorization past the
-# scan cap: they were the exit-3 refusal, and are now reports
+# n = 9 and 10 basic, oscillatory and itn-only entries of "classify" were
+# re-recorded when classify began reading an invertible TN input's first
+# zero minor off its factorization past the scan cap: they were the exit-3
+# refusal, and are now reports
 MATRIX_DIGESTS = {
     "factorize": {
         "elim3": "14b962b13e2b6da54c03977b34a01e8fa4d880319a33a091fe2eed9945180023",
@@ -455,54 +454,6 @@ MATRIX_DIGESTS = {
         "n=10 basic": "13d5e113f2af592575e397db719a9e6e77d2bbda539426a287dc25e882dafffa",
         "n=10 oscillatory": "8a0feee5fa723fbbf21e92a56edd45eeb0372d26fa2455def494c6666ae93482",
         "n=10 itn-only": "d9c2b14c9c571b472ef127d5e5dc42d32589d3cd5ef0d78cb322d41f61b4a1cc",
-    },
-    "classify seb": {
-        "elim3": "5b1fbb6893a001d171ced3839be425b11bf74edef1a2cc28f5c282cc775f9705",
-        "basic4": "03b23a5dc73c0345292f67866564da091792540e43e916b4ca2daef1182730bd",
-        "net4": "37f812e809059ac4dfeb1717cd4978a24916b23eabf5475fbb14ce928cd28e68",
-        "exp4": "3bbfde9da2c1c4cb4d747d21abf969cf51f9d9adfebdf47ea83aee177b810680",
-        "exp5": "0f46c6e24d36c0886739c674661e87180e16636d56e8119346cd1ef64c7227fa",
-        "pair_a": "441440f416f7c2b55989fc0c96b16fea06a2589374d3a606a895937c665e2546",
-        "pair_b": "441440f416f7c2b55989fc0c96b16fea06a2589374d3a606a895937c665e2546",
-        "early_a": "3bbfde9da2c1c4cb4d747d21abf969cf51f9d9adfebdf47ea83aee177b810680",
-        "early_b": "735f79d7654e0296d40475a000beb84733aa5ab7379d973278196da7e49bdb02",
-        "bound3": "7d244d65fee899a887e32ef75a107a4cd491708ace9f79e5f6e62a2606b905cd",
-        "n=2 tp": "4b3aa8f8038b093b14888e88680de6c27e7bde1186efe8e6d237537947b781db",
-        "n=2 basic": "4b3aa8f8038b093b14888e88680de6c27e7bde1186efe8e6d237537947b781db",
-        "n=2 oscillatory": "4b3aa8f8038b093b14888e88680de6c27e7bde1186efe8e6d237537947b781db",
-        "n=2 itn-only": "db312f7f9bf4eca1157e82936982c69945100e65b712fce55ec0f34ade6828f0",
-        "n=3 tp": "5b1fbb6893a001d171ced3839be425b11bf74edef1a2cc28f5c282cc775f9705",
-        "n=3 basic": "6841ae448219a4732aea07335c48c8247d8a67467a13e859d383091e24cf60c8",
-        "n=3 oscillatory": "ec7a0f163cbb73390c21411dbc56d276c403c8d53fc206cb7049bb7068262f18",
-        "n=3 itn-only": "4582726b86f931b02e0ea3374a2d269094def502145655ada2ca43f164ae7d15",
-        "n=4 tp": "932b0aa34d7546e59bd34bbb2eb05c7d3750f44498fde78106e3dc432a1af46e",
-        "n=4 basic": "3f534c09dbcb821df4480be0bb809ed842abbfab091f584f56069cb97e660a08",
-        "n=4 oscillatory": "03b23a5dc73c0345292f67866564da091792540e43e916b4ca2daef1182730bd",
-        "n=4 itn-only": "4a79487b291f3a3fed0a976451343a19358c311ebdd1f2108ebb7c349587bd68",
-        "n=5 tp": "63b045d755161d91d85bbd9d1785d3caa40e3afa44aab650b2747534a4c042c1",
-        "n=5 basic": "8125c8854e8e0a5c8f52a4f0fb384b4729417203cd96f519b417ea05f453c28e",
-        "n=5 oscillatory": "be8a9db3edb97c1587b6b78cb410a4b0d06e7f2c7b3c7af2772e4d4b2c0890dd",
-        "n=5 itn-only": "5b67ec7f5d7c2be1591ba12658102fa2171d3e251422889b13f660b8e462cab3",
-        "n=6 tp": "de5ac1c04d5fe53d2eda553cfa27b29c0c5deeeef4bd25467a2060accb58e7ae",
-        "n=6 basic": "48d46e2b5c1aeae55e1c236d7a390c732a790c7b05d9ef94a1d1b168952ff8f7",
-        "n=6 oscillatory": "7495fd898e8ebfee73dfd2fcefd1a75e8989490e5fa94b1582121c983c85cc55",
-        "n=6 itn-only": "0a6889952f448b9af2abff4def04e9e89e8174601a0f88f08ef75697f3ba50ec",
-        "n=7 tp": "3058caa9d39c9cb3355bdda3c7183191cd5a7e349fa1a85e696172932c43631d",
-        "n=7 basic": "b69d9f231d64f4cc06682deed47a6c666f3045a56426ecfab5200d5f6cf5912b",
-        "n=7 oscillatory": "2c60fed50bb42f8e2f213c88efcb79ba2dc819d61c8bdc63e66d95540619af2d",
-        "n=7 itn-only": "f8f8ea111407b8fed08ecf08d24070314abe5fa593156a0c1aaf24e7d607505c",
-        "n=8 tp": "6b845872aa14ece6b4d15841669d2509e828628734cd47fcf30c99372b4fbed6",
-        "n=8 basic": "98cf6948a69a91f4a0ff17b337e0db9101a09d0db2893d7f5cede92b6065f3be",
-        "n=8 oscillatory": "f93c2fe051379384abdae58a66a4b2253320748d0971fc2ec219cc6913bde624",
-        "n=8 itn-only": "89a5e1bc1ca9856b05916c427b014aeacce998d1eff195bf77c96186d7bf1881",
-        "n=9 tp": "384a228f210c47b50d9f1783148e0879705f1c0a4892809c21a1a2f791ff34b3",
-        "n=9 basic": "76bb7638a9662555948e3fe4f9885f69d1dfe292a6afdcc3a3757ce068c4f8fe",
-        "n=9 oscillatory": "440726a25999419daea1884d70a9afea54a8f2a9281f967d81ee4129f91bf40e",
-        "n=9 itn-only": "417625d21ddcb0a246963e6772eb2cbd2ddb5f931a05cf675d19c98cc4f6391b",
-        "n=10 tp": "790f9308e4add2a2cfe0f0481d7abe1b409d2434a7f0c003e165523dd59a5cb8",
-        "n=10 basic": "3ef0af270d2aabdf14833de3eeb7f30f8c5aa297580c8d11effb5e2245068561",
-        "n=10 oscillatory": "092c7423003dcf5472dfe1b8a3e80934132d521e2ebd6f2c0a5f35979c82dfb7",
-        "n=10 itn-only": "03fd6c46853db36390f59ea13a1d2e7d0dcc67a9a8e17f191889cc7e1d88afb2",
     },
 }
 

@@ -19,6 +19,7 @@ from oracles import (
     mirror_flat,
     random_canonical_factorization,
     refactorizing_normalize_commutation,
+    scan_tp,
     search_assign_word_to_slots,
     slot_chain_factor,
     staircase_flat,
@@ -61,7 +62,7 @@ from oscillax.seb import (
     parse_factor_text,
     w_q_form,
 )
-from oscillax.verify import corpus_matrices
+from oscillax.verify import _OSCILLATION_CRITERIA, corpus_matrices
 
 M = corpus_matrices()
 
@@ -284,15 +285,13 @@ def test_classify_factorization():
 
 
 def test_factorization_class_matches_composition():
-    from oscillax.classify import is_oscillatory, is_tp
-
     rng = random.Random(73)
     for _ in range(30):
         n = rng.randint(2, 5)
         f = random_canonical_factorization(n, rng)
         a = compose(f)
         label = classify_factorization(f)
-        assert (label is FactorizationClass.TP) == is_tp(a).ok
+        assert (label is FactorizationClass.TP) == scan_tp(a).ok
         assert (
             label
             in (
@@ -300,7 +299,7 @@ def test_factorization_class_matches_composition():
                 FactorizationClass.BASIC_OSCILLATORY,
                 FactorizationClass.OSCILLATORY,
             )
-        ) == is_oscillatory(a, "definition")
+        ) == _OSCILLATION_CRITERIA["definition"](a)
 
 
 def _canonical_flats(n, side, rng):
