@@ -77,8 +77,8 @@ def _read_input(path: str, loads, parse_text, noun: str):
     """Read a JSON document (first non-blank character ``{``) by ``loads``,
     anything else by ``parse_text``."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedNumber(f"cannot read {path}: {exc}") from exc
     if not text.lstrip().startswith("{"):
         return parse_text(text)

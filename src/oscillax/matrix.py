@@ -22,13 +22,13 @@ a minor of A^k has the sign, and the zero test, of the same minor of
 M_k.  ``mat_pow`` and the exponent routes
 walk this chain and build a ``Fraction`` matrix only of a power they
 return (:func:`_unscaled`).  Neville elimination
-(``seb.neville_factorize``, on the rows of :class:`_ScaledRows`) and the
-factor word product (``seb._word_columns``, on columns) start from one
-denominator and then keep one positive denominator per vector, so an
-operation rescales only the vector it changes.  Each such operation ends
-with :func:`_reduce`, one gcd reduction of the vector and its
-denominator rather than one per entry, and only the results become
-``Fraction``s.
+(``seb._lower_elimination``, on rows) and the factor word product
+(``seb._word_columns``, on columns) run on plain lists of ints: they
+start from one denominator and then keep one positive denominator per
+vector, so an operation rescales only the vector it changes.  Each such
+operation ends with one gcd reduction of the vector and its denominator
+rather than one per entry (:func:`_reduce` in the word product, inline
+in elimination), and only the results become ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -181,73 +181,18 @@ class Matrix:
 def _scaled(rows) -> tuple[list[list[int]], int]:
     """The entries as Python ints scaled by their least common
     denominator ``d``, and ``d``; the rows are fresh lists."""
-    d = math.lcm(*(x.denominator for row in rows for x in row))
+    d = math.lcm(*[x.denominator for row in rows for x in row])
     if d == 1:
         return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-def _reduce(vecs: list[list[int]], dens: list[int], i: int, start: int = 0) -> None:
-    """Divide vector i of a scaled family and its denominator by their gcd.
-    Entries before ``start`` are zero, so only the rest is read and divided."""
-    vec = vecs[i]
-    tail = vec[start:] if start else vec
-    g = math.gcd(dens[i], *tail)
+def _reduce(vecs: list[list[int]], dens: list[int], i: int) -> None:
+    """Divide vector i of a scaled family and its denominator by their gcd."""
+    g = math.gcd(dens[i], *vecs[i])
     if g != 1:
-        vec[start:] = [x // g for x in tail]
+        vecs[i] = [x // g for x in vecs[i]]
         dens[i] //= g
-
-
-class _ScaledRows:
-    """A matrix held as rows of Python ints, each over one positive
-    denominator: entry (r, c) is ``ints[r][c] / dens[r]``.
-
-    Neville elimination in :mod:`oscillax.seb` runs both of its passes on
-    this kernel.
-    """
-
-    __slots__ = ("ints", "dens")
-
-    def __init__(self, ints: list[list[int]], dens: list[int]):
-        self.ints = ints
-        self.dens = dens
-
-    def transpose(self) -> "_ScaledRows":
-        """The transpose: column c over the lcm of the denominators of its
-        nonzero entries, reduced."""
-        ints, dens = [], []
-        for col in zip(*self.ints):
-            d = math.lcm(*(q for x, q in zip(col, self.dens) if x))
-            dens.append(d)
-            if d == 1:
-                ints.append(list(col))
-            else:
-                ints.append([x * (d // q) if x else 0 for x, q in zip(col, self.dens)])
-                _reduce(ints, dens, len(ints) - 1)
-        return _ScaledRows(ints, dens)
-
-    def clear_below(self, r: int, c: int) -> None:
-        """Zero entry (r, c), r >= 1, by subtracting the multiple
-        val / piv of row r-1, where val and piv are the entries (r, c)
-        and (r-1, c) and piv is nonzero:
-
-            row_r <- (piv row_r - val row_{r-1}) / (piv den_r),
-
-        reduced.  Entries left of column c must be zero in both rows; they
-        stay so.
-        """
-        row, above = self.ints[r], self.ints[r - 1]
-        val, piv = row[c], above[c]
-        if piv < 0:  # keeps the denominator positive
-            val, piv = -val, -piv
-        if piv == 1:
-            new = [x - val * y for x, y in zip(row[c + 1 :], above[c + 1 :])]
-        else:
-            new = [piv * x - val * y for x, y in zip(row[c + 1 :], above[c + 1 :])]
-        row[c] = 0
-        row[c + 1 :] = new
-        self.dens[r] *= piv
-        _reduce(self.ints, self.dens, r, c + 1)
 
 
 def _int_mul(x: list[list[int]], y) -> list[list[int]]:

@@ -35,8 +35,11 @@ product-family gate and the TP test of a product depend only on it.
 Factorizations are produced by Neville elimination: columns left to
 right, within each column bottom-up, always pivoting on the row directly
 above.  The transposed pass yields the upper multipliers and diagonal.
-Elimination is an integer kernel too (see :mod:`oscillax.matrix`); the
-multipliers and the diagonal are the only ``Fraction``s it builds.
+Both passes are :func:`_lower_elimination`, an integer kernel on plain
+lists of ints with one denominator per row (see :mod:`oscillax.matrix`)
+that does each row operation and its gcd reduction inline; the
+multipliers and the diagonal are the only ``Fraction``s it builds, and
+the round trip multiplies them back through :func:`_word_columns`.
 In the produced form, each chain's positive slots are a contiguous run
 starting at the chain's own index; this is what makes the factorization
 unique, and round-tripping reproduces it exactly.
@@ -63,7 +66,7 @@ from .errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from .matrix import Matrix, _reduce, _scaled, _ScaledRows
+from .matrix import Matrix, _reduce, _scaled
 from .rational import coerce_rational, format_rational, parse_rational
 
 _ZERO = Fraction(0)
@@ -348,7 +351,9 @@ def _word_columns(factors, n: int) -> tuple[list[list[int]], list[int]]:
     """Exact product of elementary factors in the given order, one column
     operation per factor (O(n) each): as a right factor, D scales the
     columns and an L/U factor adds its multiplier times column source to
-    column destination (:attr:`EBFactor.tracks`).
+    column destination, L_i from column i to i-1 and U_i from i-1 to i
+    (:attr:`EBFactor.tracks`).  Each factor is unpacked as its
+    ``(kind, index, multiplier, diag)`` tuple.
 
     Returns ``(cols, den)``: entry (r, c) of the product is
     ``cols[c][r] / den[c]``, with ``den[c]`` positive.  D multiplies column
@@ -361,27 +366,27 @@ def _word_columns(factors, n: int) -> tuple[list[list[int]], list[int]]:
     for c in range(n):
         cols[c][c] = 1
     den = [1] * n
-    for fac in factors:
-        if fac.kind == "D":
-            for c, x in enumerate(fac.diag):
+    lcm = math.lcm
+    for kind, i, m, diag in factors:
+        if kind == "D":
+            for c, x in enumerate(diag):
                 p, q = x.numerator, x.denominator
                 if p != 1:
                     cols[c] = [v * p for v in cols[c]]
                 if q != 1:
                     den[c] *= q
             continue
-        a, b = fac.multiplier.numerator, fac.multiplier.denominator
+        a = m.numerator
         if not a:
             continue
-        src, dst = fac.tracks
-        s, d = src - 1, dst - 1
-        d_src, d_dst = b * den[s], den[d]
+        s, d = (i - 1, i - 2) if kind == "L" else (i - 2, i - 1)
+        d_src, d_dst = m.denominator * den[s], den[d]
         if d_src == d_dst:  # integer columns and multiplier land here
             cols[d] = [x + a * y for x, y in zip(cols[d], cols[s])]
             if d_dst != 1:
                 _reduce(cols, den, d)
             continue
-        e = math.lcm(d_dst, d_src)
+        e = lcm(d_dst, d_src)
         fd, fs = e // d_dst, a * (e // d_src)
         cols[d] = [fd * x + fs * y for x, y in zip(cols[d], cols[s])]
         den[d] = e
@@ -419,35 +424,71 @@ def compose(f: SEBFactorization) -> Matrix:
 # -- Neville elimination -----------------------------------------------------
 
 
-def _lower_elimination(rows: _ScaledRows, n: int) -> list[Fraction]:
-    """Eliminate below the diagonal in place; return the flat multipliers.
+def _lower_elimination(ints, dens, n: int, lower: bool = False) -> list[Fraction]:
+    """Eliminate below the diagonal of scaled int rows in place; return the
+    flat multipliers.  Entry (r, c) is ``ints[r][c] / dens[r]``, each
+    denominator positive.  With ``lower`` the rows are lower triangular,
+    so row r is zero right of column r and stays so; it is left unread.
 
     Columns are processed left to right, each column bottom-up, pivoting
     on the row directly above.  A zero pivot under a nonzero entry, or a
-    negative multiplier, disqualifies the input.  Entry (r, c) is
-    val / den_r over the scaled rows, so the multiplier is
-    (val den_{r-1}) / (piv den_r): the one ``Fraction`` of a row operation.
+    negative multiplier, disqualifies the input.  The multiplier is
+    (val den_{r-1}) / (piv den_r), the one ``Fraction`` of a row
+    operation, which then sets
+
+        row_r <- (piv row_r - val row_{r-1}) / (piv den_r)
+
+    and divides the row and its denominator by their gcd.  val and piv are
+    divided by their own gcd first, so when piv divides val the row keeps
+    its denominator and an integer row needs no gcd.  Entries left of
+    column c are zero in both rows and stay so.
     """
     layout = chain_layout(n)
     flat = [_ZERO] * multiplier_count(n)
-    ints, dens = rows.ints, rows.dens
+    gcd = math.gcd
     for c in range(n - 1):
+        last = layout.chain(c + 2).start + n - 1  # L_{r+1} of chain c+2 at last - r
         for r in range(n - 1, c, -1):
-            val = ints[r][c]
+            row = ints[r]
+            val = row[c]
             if not val:
                 continue
-            piv = ints[r - 1][c]
+            above = ints[r - 1]
+            piv = above[c]
             if not piv:
                 raise NotITN(
                     f"zero pivot above nonzero entry at row {r + 1}, column {c + 1}"
                 )
-            q = Fraction(val * dens[r - 1], piv * dens[r])
+            d_above, den = dens[r - 1], dens[r]
+            g = gcd(val, piv)
+            if g != 1:
+                val, piv = val // g, piv // g
+            if piv == 1 and d_above == den:
+                q = Fraction(val)
+            else:
+                q = Fraction(val * d_above, piv * den)
             if (val < 0) != (piv < 0):  # q < 0: the denominators are positive
                 raise NotITN(
                     f"negative multiplier {q} at row {r + 1}, column {c + 1}"
                 )
-            rows.clear_below(r, c)
-            flat[layout.lower_slot(c + 2, r + 1)] = q  # L_{r+1} in chain c+2
+            flat[last - r] = q
+            if piv < 0:  # keeps the denominator positive
+                val, piv = -val, -piv
+            stop = r + 1 if lower else n
+            pairs = zip(row[c + 1 : stop], above[c + 1 : stop])
+            if piv == 1:
+                new = [x - val * y for x, y in pairs]
+            else:
+                new = [piv * x - val * y for x, y in pairs]
+                den *= piv
+            if den != 1:
+                g = gcd(den, *new)
+                if g != 1:
+                    new = [x // g for x in new]
+                    den //= g
+            row[c] = 0
+            row[c + 1 : stop] = new
+            dens[r] = den
     return flat
 
 
@@ -457,9 +498,10 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
     Raises :class:`NotITN` when elimination needs a negative multiplier,
     meets a zero pivot above a nonzero entry, or produces a nonpositive
     diagonal; by the classical characterization this happens exactly for
-    inputs that are not invertible TN.  Both passes run on integer rows
-    (:class:`~oscillax.matrix._ScaledRows`); the multipliers and the
-    diagonal are the only ``Fraction``s built.
+    inputs that are not invertible TN.  Both passes of
+    :func:`_lower_elimination` run on lists of Python ints, one positive
+    denominator per row; the multipliers and the diagonal are the only
+    ``Fraction``s built.
     """
     if not a.is_square():
         raise ShapeMismatch("factorization requires a square matrix")
@@ -468,18 +510,29 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
         raise ShapeMismatch("factorization requires n >= 2")
     ints, d = _scaled(a.entries)
     a_cols = (list(map(list, zip(*ints))), [d] * n)  # before elimination
-    work = _ScaledRows(ints, [d] * n)
-    l_flat = _lower_elimination(work, n)
+    dens = [d] * n
+    l_flat = _lower_elimination(ints, dens, n)
 
-    # transpose the upper-triangular remainder and repeat
-    workt = work.transpose()
-    v_flat = _lower_elimination(workt, n)
-    diag = tuple(Fraction(workt.ints[i][i], workt.dens[i]) for i in range(n))
-    if any(x <= 0 for x in diag):
+    # transpose the upper-triangular remainder, column c over the lcm of
+    # the denominators of its nonzero entries, reduced; and repeat
+    t_ints, t_dens = [], []
+    for col in zip(*ints):
+        e = math.lcm(*[q for x, q in zip(col, dens) if x])
+        if e == 1:
+            col = list(col)
+        else:
+            col = [x * (e // q) for x, q in zip(col, dens)]
+            g = math.gcd(e, *col)
+            if g != 1:
+                col, e = [x // g for x in col], e // g
+        t_ints.append(col)
+        t_dens.append(e)
+    v_flat = _lower_elimination(t_ints, t_dens, n, lower=True)
+    diag = tuple(Fraction(t_ints[i][i], t_dens[i]) for i in range(n))
+    if any(t_ints[i][i] <= 0 for i in range(n)):  # the denominators are positive
         raise NotITN(f"nonpositive diagonal {[format_rational(x) for x in diag]}")
-    for r, row in enumerate(workt.ints):
-        if any(x for c, x in enumerate(row) if c != r):
-            raise InvariantViolation("elimination left a nondiagonal residue")
+    if any(any(row[:r]) or any(row[r + 1 :]) for r, row in enumerate(t_ints)):
+        raise InvariantViolation("elimination left a nondiagonal residue")
 
     # transposing a descending lower chain yields the ascending upper chain
     u_flat = chain_layout(n).mirror(v_flat)

@@ -1,15 +1,15 @@
 """Derandomized fuzzing of the four input readers through ``cli.main``.
 
 ``classify --input`` reads matrix JSON and CSV; ``network --input`` reads
-factorization JSON and factor text.  Whatever a file holds, the command
-exits 0, 2 or 3, a non-zero exit prints an ``oscillax.error/1`` payload,
-and no exception escapes ``main``.
+factorization JSON and factor text.  Whatever a file holds, raw bytes that
+are not UTF-8 included, the command exits 0, 2 or 3, a non-zero exit
+prints an ``oscillax.error/1`` payload, and no exception escapes ``main``.
 """
 
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oscillax.cli import main
@@ -89,7 +89,10 @@ factor_text = st.one_of(
 
 def _check(tmp_path, capsys, command, body):
     path = tmp_path / "input"
-    path.write_text(body)
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body)
     code = main([command, "--input", str(path)])
     out = capsys.readouterr().out
     assert code in (0, 2, 3)
@@ -97,6 +100,7 @@ def _check(tmp_path, capsys, command, body):
         payload = json.loads(out)
         assert payload["schema"] == "oscillax.error/1"
         assert payload["status"] == "error"
+    return code, out
 
 
 @FUZZ
@@ -121,6 +125,33 @@ def test_network_reads_any_factorization_json(tmp_path, capsys, doc):
 @given(text=factor_text)
 def test_network_reads_any_factor_text(tmp_path, capsys, text):
     _check(tmp_path, capsys, "network", text)
+
+
+NOT_UTF8 = (b"\xff\xfe1,2\n3,4\n", b"{\"entries\": [[1, 2], [3, \xe9]]}", b"L2(1) \xc3")
+
+
+@FUZZ
+@given(body=st.binary(max_size=40))
+@example(body=NOT_UTF8[0])
+def test_classify_reads_any_bytes(tmp_path, capsys, body):
+    _check(tmp_path, capsys, "classify", body)
+
+
+@FUZZ
+@given(body=st.binary(max_size=40))
+@example(body=NOT_UTF8[2])
+def test_network_reads_any_bytes(tmp_path, capsys, body):
+    _check(tmp_path, capsys, "network", body)
+
+
+@pytest.mark.parametrize("command", ["classify", "network"])
+@pytest.mark.parametrize("body", NOT_UTF8)
+def test_bytes_that_are_not_utf8_exit_2(tmp_path, capsys, command, body):
+    code, out = _check(tmp_path, capsys, command, body)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedNumber"
+    assert "cannot read" in error["message"]
 
 
 # a string, or a dict, where a list belongs exits 2 instead of being read

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -700,6 +702,40 @@ def test_neville_matches_fraction_oracle():
         ("NotITN", "nonpositive"),
     }
     assert min(kinds.values()) >= 150
+
+
+def test_neville_matches_fraction_oracle_at_larger_n():
+    # the integer kernel's gcd reductions and row denominators meet far
+    # larger numbers here than at n <= 12
+    rng = random.Random(2203)
+    kinds = Counter()
+    for n in (16, 24, 32, 40):
+        for a in _neville_inputs(n, rng):
+            got = _neville_outcome(neville_factorize, a)
+            assert got == _neville_outcome(fraction_neville_factorize, a), n
+            ok = isinstance(got, SEBFactorization)
+            kinds["ok" if ok else (got[0], got[1].split()[0])] += 1
+    # the four invertible TN kinds factor; the other five are refused
+    assert kinds["ok"] == 16
+    assert set(kinds) == {"ok", ("NotITN", "negative"), ("NotITN", "zero")}
+
+
+def test_neville_holds_no_table():
+    # the chain layout is the one table kept per dimension: with it built
+    # and the code warmed at n = 59, factorizing at n = 60 leaves nothing
+    a = compose(random_oscillatory_factorization(60, random.Random(60), 0.6))
+    neville_factorize(compose(random_oscillatory_factorization(59, random.Random(59), 0.6)))
+    chain_layout(60)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert compose(neville_factorize(a)) == a
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 2**10
 
 
 def _factorization_types(f):
