@@ -64,7 +64,6 @@ _LAZY_EXPORTS = {
     "seb": (
         "EBFactor",
         "FactorizationClass",
-        "PackedParams",
         "SEBFactorization",
         "classify_factorization",
         "compose",
@@ -73,7 +72,6 @@ _LAZY_EXPORTS = {
         "factorization_to_text",
         "neville_factorize",
         "normalize_commutation",
-        "pack_parameters",
         "w_q_form",
     ),
     "planar": (

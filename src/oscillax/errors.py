@@ -22,7 +22,15 @@ class IndexOutOfRange(OscillaxError, IndexError):
 
 
 class FeasibilityExceeded(OscillaxError):
-    """An exhaustive scan was requested above the configured dimension cap."""
+    """A request past one of the library's size limits: the minor-scan
+    and path-sweep cap (``matrix.SCAN_CAP_DEFAULT``, or the caller's cap),
+    the 5 tracks of ``planar.enumerate_path_families``, the class tag's
+    entry limit (``exponent.TAG_ENTRY_LIMIT``), the copies limit
+    (``planar.COPIES_LAYER_LIMIT``), the DOT line limit
+    (``planar.DOT_LINE_LIMIT``), the ordered-product limit
+    (``exponent.PRODUCT_LIMIT``), the slot limit
+    (``seb.NORMALIZE_SLOT_LIMIT``), or a verify suite's ``nmax`` ceiling
+    (``verify.SUITE_NMAX``)."""
 
 
 class NotITN(OscillaxError):

@@ -74,7 +74,7 @@ from .errors import (
     ShapeMismatch,
     Unpredictable,
 )
-from .matrix import Matrix, _minor_int, _powers, _unscaled, det
+from .matrix import Matrix, _check_count, _is_int, _minor_int, _powers, _unscaled, det
 from .rational import coerce_rational
 from .seb import (
     _SIDES,
@@ -101,7 +101,14 @@ _ONE = Fraction(1)
 # -- closed forms --------------------------------------------------------------
 
 
-def _check_class_params(n: int, s: int) -> None:
+def _check_class_params(n: int, s: int, slots: bool = False) -> None:
+    """Ints, not bools, with n >= 2 and s in [2, n]; with ``slots``, the
+    slot limit (:func:`seb._check_slot_limit`) between types and ranges."""
+    for what, x in (("dimension", n), ("parameter s", s)):
+        if not _is_int(x):
+            raise ParamOutOfRange(f"{what} must be an int, got {x!r}")
+    if slots:
+        _check_slot_limit(n)
     if n < 2:
         raise ParamOutOfRange(f"dimension {n} must be at least 2")
     if not 2 <= s <= n:
@@ -217,7 +224,7 @@ def generate_z1(n: int, s: int, seed: int) -> SEBFactorization:
     Past :data:`seb.NORMALIZE_SLOT_LIMIT` slots per side it raises
     :class:`FeasibilityExceeded` before building anything, as
     :func:`generate_z2` does."""
-    _check_slot_limit(n)
+    _check_class_params(n, s, slots=True)
     rng = random.Random(seed)
     slots = z1_slots(n, s)
     return SEBFactorization(
@@ -258,7 +265,7 @@ def resolve_psi_choice(n: int, s: int, psi_choice, rng: random.Random):
 
 def generate_z2(n: int, s: int, psi_choice, seed: int) -> SEBFactorization:
     """Seeded lower part in the Z2(s) shape for the given partial chain."""
-    _check_slot_limit(n)
+    _check_class_params(n, s, slots=True)
     rng = random.Random(seed)
     pattern = resolve_psi_choice(n, s, psi_choice, rng)
     slots = z2_slots(n, s, pattern)
@@ -794,10 +801,11 @@ def _exceeds(m: int, k: int, limit: int) -> bool:
 
 def _family_members(factorizations, k: int) -> list[SEBFactorization]:
     """The members of a product check: at least one, all of one dimension,
-    with k >= 1."""
+    with k a count (:func:`matrix._check_count`)."""
     members = list(factorizations)
-    if not members or k < 1:
+    if not members or _is_int(k) and k < 1:
         raise ParamOutOfRange("need at least one member and k >= 1")
+    _check_count(k, "k")
     if len({f.n for f in members}) > 1:
         raise ShapeMismatch("members have different dimensions")
     return members

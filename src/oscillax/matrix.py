@@ -55,12 +55,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _is_int(x) -> bool:
+    """The type test of every count: an ``int`` that is not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_count(k, what: str, most: int | None = None) -> None:
     """The one rule for counts (powers, copies, corner sizes): an ``int``
     that is not a ``bool``, at least 1 and at most ``most`` when given;
     :class:`ParamOutOfRange` otherwise."""
     top = k if most is None else most
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= top:
+    if not _is_int(k) or not 1 <= k <= top:
         bound = ">= 1" if most is None else f"in [1, {most}]"
         raise ParamOutOfRange(f"{what} must be an int {bound}, got {k!r}")
 

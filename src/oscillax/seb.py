@@ -9,20 +9,24 @@ chain of lower elementary factors, Q_i(v) = U_i(v_1) ... U_n(v_{n-i+1})
 the ascending upper chain, and D a positive diagonal.  Flat multiplier
 vectors store l^2 ++ l^3 ++ ... ++ l^n (and the same layout for u), so
 the slice for chain i starts at offset x_i = (i-2)n - (i-3)i/2 (1-based).
-:class:`ChainLayout` is the one place that maps a chain and a factor
-index to a flat position and back; every other function goes through it.
+:class:`ChainLayout` is the one flat-layout abstraction: the chain
+slices, and the factor index of each lower slot in flat order, which is
+also the product order of W_2 ... W_n.  Every slot map is arithmetic on
+those two, and the upper product order Q_n ... Q_2 is the lower one
+reversed, read over :meth:`ChainLayout.mirror`.
 
-A factorization is read in product order only through its factor word,
-:meth:`SEBFactorization.factor_sequence`, and every product is built by
+Three readers take product order off the layout: the factor word
+(:meth:`SEBFactorization.factor_sequence`); the positive factor indices
+of each side (:func:`_side_indices`), behind
+:func:`classify_factorization` and the copy counts; and the slot
+placement of :func:`normalize_commutation`.  Every product is built by
 one column operation per factor in :func:`_word_columns`, the word
 product kernel: columns of Python ints, each over one denominator, one
 of the integer kernels that :mod:`oscillax.matrix` describes.
 :func:`compose` turns that product into a ``Fraction`` :class:`Matrix`
 (:func:`_word_product`); the round-trip checks of
 :func:`neville_factorize` and :func:`normalize_commutation` compare int
-columns (:func:`_same_columns`) and build no ``Fraction`` matrix.  The
-index counts behind :func:`classify_factorization` are taken over the
-word too.
+columns (:func:`_same_columns`) and build no ``Fraction`` matrix.
 
 Which factors of a word are positive is read through one permutation per
 side, the Demazure product of their indices (:func:`demazure`): the L
@@ -182,55 +186,49 @@ def n_from_flat(flat) -> int:
 
 
 class ChainLayout:
-    """Which slot of a flat multiplier vector holds chain i's multiplier
-    for factor j, at dimension n.
-
-    Lower chain W_i lists L_n .. L_i and upper chain Q_i lists U_i .. U_n,
-    both in the slice of chain i.  :meth:`runs` measures each chain's
-    positive run, and :meth:`is_canonical` tells from it whether a lower
-    flat vector already is the Neville factorization of its product.
-    Use :func:`chain_layout`, which builds the tables once per n.
+    """The chain slices of a flat multiplier vector at dimension n: lower
+    chain W_i lists L_n .. L_i and upper chain Q_i lists U_i .. U_n, both
+    in slice i, so every slot map is arithmetic on the slices.
+    :attr:`lower_indices` holds each lower slot's factor index in flat
+    order, the product order of W_2 .. W_n.  Use :func:`chain_layout`,
+    which builds the layout once per n.
     """
+
+    __slots__ = ("n", "_chains", "lower_indices")
 
     def __init__(self, n: int):
         self.n = n
         self._chains: dict[int, slice] = {}
-        lower: list[tuple[int, int]] = []
+        start = 0
         for i in range(2, n + 1):
-            self._chains[i] = slice(len(lower), len(lower) + n - i + 1)
-            lower.extend((i, j) for j in range(n, i - 1, -1))
-        # the same cell in the other side's layout: each chain slice reversed
-        self._mirror = tuple(
-            p for c in self._chains.values() for p in reversed(range(c.start, c.stop))
-        )
-        # flat position -> (chain i, factor index j)
-        self.lower_cells = tuple(lower)
-        self.upper_cells = self.mirror(lower)
-        self._lower_slot = {cell: p for p, cell in enumerate(lower)}
-        # (flat position, factor index) in product order: W_2 .. W_n is
-        # flat order, and Q_n .. Q_2 is that order reversed, each slot mirrored
-        self.lower_order = tuple((p, j) for p, (_, j) in enumerate(lower))
-        self.upper_order = tuple(
-            (self._mirror[p], j) for p, j in reversed(self.lower_order)
+            self._chains[i] = slice(start, start + n - i + 1)
+            start += n - i + 1
+        # chain i lists n, n-1, ..., i: prefixes of one tuple share its ints
+        descending = tuple(range(n, 1, -1))
+        self.lower_indices = tuple(
+            j for i in range(2, n + 1) for j in descending[: n - i + 1]
         )
 
     def chain(self, i: int) -> slice:
         """Slice of chain i within a flat vector."""
-        if i not in self._chains:
+        if not isinstance(i, int) or i not in self._chains:
             raise IndexOutOfRange(f"chain index {i} outside [2, {self.n}]")
         return self._chains[i]
 
+    def _start(self, i: int, j: int) -> int:
+        """Start of chain i once j is checked to lie in it (no bool does)."""
+        start = self.chain(i).start
+        if not isinstance(j, int) or not i <= j <= self.n:
+            raise IndexOutOfRange(f"factor {j} not in chain {i}")
+        return start
+
     def lower_slot(self, i: int, j: int) -> int:
         """Flat position of factor L_j in lower chain i."""
-        try:
-            return self._lower_slot[i, j]
-        except KeyError:
-            self.chain(i)  # reports a chain outside [2, n] as such
-            raise IndexOutOfRange(f"factor {j} not in chain {i}") from None
+        return self._start(i, j) + self.n - j
 
     def upper_slot(self, i: int, j: int) -> int:
         """Flat position of factor U_j in upper chain i."""
-        return self._mirror[self.lower_slot(i, j)]
+        return self._start(i, j) + j - i
 
     def runs(self, flat) -> tuple[int, ...] | None:
         """Per chain 2..n, the length of the positive suffix of its slice
@@ -260,7 +258,10 @@ class ChainLayout:
     def mirror(self, flat) -> tuple[Fraction, ...]:
         """Reverse every chain slice; converts between the lower flat layout
         of a product and the upper flat layout of its transpose."""
-        return tuple(flat[p] for p in self._mirror)
+        out: list = []
+        for chain in self._chains.values():
+            out += flat[chain][::-1]
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -314,10 +315,6 @@ class SEBFactorization(_SEBFactorizationFields):
         return cls(*iterable)
 
     @property
-    def k(self) -> int:
-        return multiplier_count(self.n)
-
-    @property
     def layout(self) -> ChainLayout:
         return chain_layout(self.n)
 
@@ -330,10 +327,12 @@ class SEBFactorization(_SEBFactorizationFields):
     def factor_sequence(self) -> tuple[EBFactor, ...]:
         """Factors in product order; zero multipliers are elided.  The
         vectors are checked already, so no factor coerces them again."""
-        layout, l, u, make = self.layout, self.l, self.u, _trusted_factor
-        out = [make(("L", j, l[p], None)) for p, j in layout.lower_order if l[p]]
+        layout, make = self.layout, _trusted_factor
+        indices = layout.lower_indices
+        out = [make(("L", j, x, None)) for j, x in zip(indices, self.l) if x]
         out.append(make(("D", None, None, self.d)))
-        out.extend(make(("U", j, u[p], None)) for p, j in layout.upper_order if u[p])
+        upper = zip(reversed(indices), reversed(layout.mirror(self.u)))
+        out.extend(make(("U", j, x, None)) for j, x in upper if x)
         return tuple(out)
 
 
@@ -542,27 +541,7 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
     return f
 
 
-# -- packed views and groupings ----------------------------------------------
-
-
-class PackedParams(NamedTuple):
-    """Chain-sliced view of the flat multipliers over :class:`ChainLayout`
-    (a derived view only); ``offsets`` are 1-based chain starts."""
-
-    n: int
-    l_vectors: dict[int, tuple[Fraction, ...]]
-    u_vectors: dict[int, tuple[Fraction, ...]]
-    offsets: dict[int, int]
-
-
-def pack_parameters(f: SEBFactorization) -> PackedParams:
-    chains = range(2, f.n + 1)
-    return PackedParams(
-        n=f.n,
-        l_vectors={i: f.l_chain(i) for i in chains},
-        u_vectors={i: f.u_chain(i) for i in chains},
-        offsets={i: f.layout.chain(i).start + 1 for i in chains},
-    )
+# -- groupings ---------------------------------------------------------------
 
 
 class WQForm(NamedTuple):
@@ -613,23 +592,13 @@ class FactorizationClass(enum.Enum):
     ITN_ONLY = "itn-only"
 
 
-def _index_counts(f: SEBFactorization) -> list[int]:
-    """Positive multipliers per factor index, L_2 .. L_n then U_2 .. U_n,
-    counted off the flat vectors through the layout's cells, so no factor
-    word is built."""
-    n, layout = f.n, f.layout
-    counts = [0] * (2 * n - 2)
-    sides = ((0, layout.lower_cells, f.l), (n - 1, layout.upper_cells, f.u))
-    for offset, cells, flat in sides:
-        for (_, j), x in zip(cells, flat):
-            if x:
-                counts[offset + j - 2] += 1
-    return counts
-
-
 def is_basic_factorization(f: SEBFactorization) -> bool:
-    """Exactly one positive multiplier per factor index on each side."""
-    return all(c == 1 for c in _index_counts(f))
+    """Exactly one positive multiplier per factor index on each side: n - 1
+    positive multipliers per side, no two of one index."""
+    n = f.n
+    if any(sum(map(bool, flat)) != n - 1 for flat in (f.l, f.u)):
+        return False
+    return all(len(set(ix)) == n - 1 for ix in _side_indices(f).values())
 
 
 def classify_factorization(f: SEBFactorization) -> FactorizationClass:
@@ -642,10 +611,10 @@ def classify_factorization(f: SEBFactorization) -> FactorizationClass:
     """
     if all(x > 0 for x in f.l) and all(x > 0 for x in f.u):
         return FactorizationClass.TP
-    counts = _index_counts(f)
-    if 0 in counts:
+    sides = _side_indices(f).values()
+    if any(len(set(ix)) < f.n - 1 for ix in sides):  # a factor index missing
         return FactorizationClass.ITN_ONLY
-    if all(c == 1 for c in counts):
+    if all(len(ix) == f.n - 1 for ix in sides):
         return FactorizationClass.BASIC_OSCILLATORY
     return FactorizationClass.OSCILLATORY
 
@@ -685,12 +654,13 @@ def _side_indices(f: SEBFactorization) -> dict:
     corners, in the order the factor word reads them: the L indices for
     the lower-left ones, and the U indices of the reversed word, the L
     indices of the transpose, for the upper-right ones.  Both are read off
-    a lower flat vector in product order, ``f.l`` and the mirrored ``f.u``
-    (as :func:`exponent.recognize_sides` reads them), so no factor word
-    is built."""
+    a lower flat vector, ``f.l`` and the mirrored ``f.u`` (as
+    :func:`exponent.recognize_sides` reads them), against
+    :attr:`ChainLayout.lower_indices`, so no factor word is built."""
     layout = f.layout
+    indices = layout.lower_indices
     return {
-        side: [j for p, j in layout.lower_order if flat[p]]
+        side: [j for j, x in zip(indices, flat) if x]
         for side, flat in zip(_SIDES, (f.l, layout.mirror(f.u)))
     }
 
@@ -711,9 +681,11 @@ def _check_slot_limit(n: int) -> None:
         )
 
 
-def _assign_word_to_slots(word, slots):
+def _assign_word_to_slots(word, indices):
     """Map word positions to canonical slots using only adjacent swaps of
-    commuting factors (indices differing by more than one).
+    commuting factors (indices differing by more than one).  ``word``
+    holds (index, multiplier) pairs and ``indices`` the factor index of
+    each slot, in product order.
 
     Returns a dict {slot position: word position} or None.  The swaps
     keep exactly the order of factors whose indices differ by at most
@@ -722,13 +694,13 @@ def _assign_word_to_slots(word, slots):
     of indices j-1, j and j+1, which leaves the most room to its left.
     """
     ranks: dict[int, list[int]] = {}
-    for si, (_, j) in enumerate(slots):
+    for si, j in enumerate(indices):
         ranks.setdefault(j, []).append(si)
     nearest: dict[int, int] = {}  # factor index -> slot of its next later factor
     assign = {}
     for wp in range(len(word) - 1, -1, -1):
         j = word[wp][0]
-        before = min(nearest.get(i, len(slots)) for i in (j - 1, j, j + 1))
+        before = min(nearest.get(i, len(indices)) for i in (j - 1, j, j + 1))
         k = bisect_left(ranks.get(j, ()), before)
         if k == 0:
             return None
@@ -815,7 +787,7 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
     flats = []
     for side, kind, facs in (("lower", "L", seq), ("upper", "U", seq[::-1])):
         word = tuple((fac.index, fac.multiplier) for fac in facs if fac.kind == kind)
-        assign = _assign_word_to_slots(word, layout.lower_order)
+        assign = _assign_word_to_slots(word, layout.lower_indices)
         if assign is None:
             raise NotNormalizable(f"{side} factors cannot reach canonical order")
         flat = [_ZERO] * multiplier_count(n)

@@ -2,10 +2,13 @@
 
 The corpus holds the worked examples with externally known exact values;
 the seeded suites check the closed-form exponent statements against
-brute-force computation on powers of A.  Both are used by the
-command-line ``verify`` subcommand and by the acceptance tests.  The
-four oscillation criteria and the corner shortcut are private references
-here, checked against ``classify``'s predicates by :func:`suite_equivalence`.
+brute-force computation on powers of A.  The command-line ``verify``
+subcommand runs the suites of :data:`SUITE_BUILDERS` (``paper``, ``z1``,
+``z2``, ``products`` and ``bounds``); :func:`suite_theorem` and
+:func:`suite_equivalence` are not among them and run only from the
+tier-1 acceptance tests.  The four oscillation criteria and the corner
+shortcut are private references here, checked against ``classify``'s
+predicates by :func:`suite_equivalence`.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ from .seb import (
     factorization_to_text,
     multiplier_count,
     neville_factorize,
-    pack_parameters,
 )
 
 _ZERO = Fraction(0)
@@ -271,12 +273,11 @@ def suite_paper() -> SuiteResult:
             "L2(2) L5(3) L4(4) L3(2) L5(2) L4(1) L5(2) D(1,1,1,1,1) "
             "U5(1) U4(2) U5(3) U3(3) U2(2)"
         )
-        packed = pack_parameters(f)
-        assert packed.l_vectors[3] == (3, 4, 2)
-        assert packed.l_vectors[4] == (2, 1)
-        assert packed.l_vectors[5] == (2,)
-        assert packed.u_vectors[5] == (1,)
-        assert packed.u_vectors[4] == (2, 3)
+        assert f.l_chain(3) == (3, 4, 2)
+        assert f.l_chain(4) == (2, 1)
+        assert f.l_chain(5) == (2,)
+        assert f.u_chain(5) == (1,)
+        assert f.u_chain(4) == (2, 3)
         assert minor(mat_pow(a, 2), (1,), (4,)) == 0
         brute = exponent_bruteforce(a)
         assert brute.r == 3
@@ -670,8 +671,8 @@ def suite_bounds(nmax: int = 6, cases: int = 20, seed: int = 0) -> SuiteResult:
                 itertools.takewhile(lpsi.__contains__, itertools.count(ls))
             )
             base_match = ClassMatch(lf, ls, run)
-            cells = f.layout.lower_cells
-            extras = tuple(ebl(cells[p][1], l[p]) for p in sorted(extra_slots))
+            indices = f.layout.lower_indices
+            extras = tuple(ebl(indices[p], l[p]) for p in sorted(extra_slots))
             l_tag = plus_extra_tag(n, base_match, extras)
             u_tag = recognize_class(f.layout.mirror(f.u), n)
             assert u_tag.is_pure, "upper side should recognize exactly"

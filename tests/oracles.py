@@ -313,9 +313,7 @@ def dense_word_columns(factors, n):
 
 def _side(f, side):
     """The flat multipliers of one side and its (position, factor) order."""
-    if side == "L":
-        return f.l, f.layout.lower_order
-    return f.u, f.layout.upper_order
+    return (f.l if side == "L" else f.u), product_order(f.n, side)
 
 
 def _family_counts(f, side):
@@ -343,29 +341,30 @@ def flat_layout_classification(f):
     return FactorizationClass.ITN_ONLY, basic
 
 
-def search_assign_word_to_slots(word, slots):
+def search_assign_word_to_slots(word, indices):
     """Map word positions to canonical slots using only adjacent swaps of
-    commuting factors (indices differing by more than one).
+    commuting factors (indices differing by more than one).  ``indices``
+    holds the factor index of each slot, in product order.
 
     Returns a dict {slot position: word position} or None.  The search
     consumes, for each slot, the earliest word occurrence of the slot's
     factor index, and only when no earlier unconsumed factor blocks it.
     """
-    indices = [j for j, _ in word]
+    word_indices = [j for j, _ in word]
 
     @lru_cache(maxsize=None)
     def solve(si: int, remaining: frozenset):
         if not remaining:
             return ()
-        if si == len(slots):
+        if si == len(indices):
             return None
-        _, slot_j = slots[si]
+        slot_j = indices[si]
         ordered = sorted(remaining)
         take = None
         for p in ordered:
-            if indices[p] == slot_j:
+            if word_indices[p] == slot_j:
                 blocked = any(
-                    q < p and abs(indices[q] - slot_j) <= 1 for q in ordered
+                    q < p and abs(word_indices[q] - slot_j) <= 1 for q in ordered
                 )
                 if not blocked:
                     take = p
@@ -452,13 +451,10 @@ def refactorizing_normalize_commutation(factors, n=None):
     lower_word = [(fac.index, fac.multiplier) for fac in seq if fac.kind == "L"]
     upper_word = [(fac.index, fac.multiplier) for fac in seq if fac.kind == "U"]
 
-    layout = chain_layout(n)
     flats = []
-    for word, slots, side in (
-        (lower_word, layout.lower_order, "lower"),
-        (upper_word, layout.upper_order, "upper"),
-    ):
-        assign = _assign_word_to_slots(tuple(word), slots)
+    for word, kind, side in ((lower_word, "L", "lower"), (upper_word, "U", "upper")):
+        slots = product_order(n, kind)
+        assign = _assign_word_to_slots(tuple(word), [j for _, j in slots])
         if assign is None:
             raise NotNormalizable(f"{side} factors cannot reach canonical order")
         flat = [_ZERO] * multiplier_count(n)
@@ -654,6 +650,26 @@ def slot_chain_factor(pos: int, n: int) -> tuple[int, int]:
     raise ParamOutOfRange(f"slot {pos} outside flat vector for n={n}")
 
 
+@lru_cache(maxsize=None)
+def slot_factor_indices(n: int) -> tuple[int, ...]:
+    """The factor index of every flat slot, in flat order."""
+    return tuple(slot_chain_factor(p, n)[1] for p in range(multiplier_count(n)))
+
+
+@lru_cache(maxsize=None)
+def product_order(n: int, side: str) -> tuple[tuple[int, int], ...]:
+    """(flat position, factor index) of every slot of side "L" or "U" in
+    product order: W_2 .. W_n, chain i listing L_n .. L_i, and Q_n .. Q_2,
+    chain i listing U_i .. U_n."""
+    if side == "L":
+        return tuple(
+            (flat_slot(i, j, n), j) for i in range(2, n + 1) for j in range(n, i - 1, -1)
+        )
+    return tuple(
+        (upper_flat_slot(i, j, n), j) for i in range(n, 1, -1) for j in range(i, n + 1)
+    )
+
+
 def mirror_flat(flat, n: int | None = None) -> tuple[Fraction, ...]:
     """Reverse every chain slice; converts between the lower flat layout
     of a product and the upper flat layout of its transpose."""
@@ -681,11 +697,11 @@ def _per_psi_recognize_class(flat, n, refactorize):
     catalog = enumerated_class_catalog(n)
 
     exact = catalog.get(support, ())
-    cells = chain_layout(n).lower_cells
+    indices = slot_factor_indices(n)
     extra_matches = []
     for supp, matches in catalog.items():
         if supp < support:
-            extras = tuple(ebl(cells[p][1], flat[p]) for p in sorted(support - supp))
+            extras = tuple(ebl(indices[p], flat[p]) for p in sorted(support - supp))
             for m in matches:
                 extra_matches.append((m, extras))
     extra_matches.sort(key=lambda pair: (len(pair[1]), pair[0]))
@@ -750,7 +766,7 @@ def width_recognize_class(l_part_multipliers, n=None):
     positive = tuple(x > 0 for x in flat)
     chains = [layout.chain(i) for i in range(2, n + 1)]
     widths = tuple(sum(positive[c]) for c in chains)
-    cells = layout.lower_cells
+    indices = slot_factor_indices(n)
 
     exact = []
     extra_matches = []
@@ -759,7 +775,7 @@ def width_recognize_class(l_part_multipliers, n=None):
             exact.append(ClassMatch(*match))
         elif all(b <= w for b, w in zip(base, widths)):
             extras = tuple(
-                ebl(cells[p][1], flat[p])
+                ebl(indices[p], flat[p])
                 for c, b, w in zip(chains, base, widths)
                 for p in range(c.stop - w, c.stop - b)
             )
@@ -828,8 +844,8 @@ def slot_recognize_class(l_part_multipliers, n=None):
     if not positives_end_each_chain(flat, n):
         part = SEBFactorization(n, flat, (_ONE,) * n, (_ZERO,) * len(flat))
         flat = neville_factorize(compose(part)).l
-    cells = chain_layout(n).lower_cells
-    factors = {p: ebl(cells[p][1], x) for p, x in enumerate(flat) if x > 0}
+    indices = slot_factor_indices(n)
+    factors = {p: ebl(indices[p], x) for p, x in enumerate(flat) if x > 0}
     positive = frozenset(factors)
 
     exact, with_extras = [], []

@@ -18,11 +18,13 @@ from oracles import (
     power_loop_exponent_via_theorem,
     power_loop_r_lower,
     power_loop_r_upper,
+    product_order,
     r_lower_via_network,
     refactorizing_recognize_class,
     scan_exponent_bruteforce,
     scan_early_tp_product_scan,
     scan_product_family_check,
+    slot_factor_indices,
     slot_recognize_class,
     staircase_flat,
     token_corner_copies,
@@ -73,6 +75,8 @@ from oscillax.exponent import (
     resolve_psi_choice,
     upper_part,
     with_transpose,
+    z1_slots,
+    z2_slots,
 )
 from oscillax.matrix import Matrix, _scaled, _unscaled, mat_pow, minor
 from oscillax.planar import (
@@ -108,6 +112,31 @@ def test_mu_values():
         mu1(4, 1)
     with pytest.raises(ParamOutOfRange):
         mu2(4, 5)
+
+
+_FAMILY = [generate_z1(4, 4, seed=1)]
+
+#: Each entry point that takes a count, called with one bad count.
+_COUNT_TAKERS = {
+    "product_family_check": lambda x: product_family_check(_FAMILY, x),
+    "early_tp_product_scan": lambda x: early_tp_product_scan(_FAMILY, x),
+    "mu1": lambda x: mu1(x, 2),
+    "mu2": lambda x: mu2(5, x),
+    "generate_z1": lambda x: generate_z1(x, 2, 1),
+    "generate_z2": lambda x: generate_z2(5, x, None, 1),
+    "z1_slots": lambda x: z1_slots(5, x),
+    "z2_slots": lambda x: z2_slots(x, 3, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_TAKERS))
+def test_counts_that_are_no_ints_get_param_out_of_range(name):
+    # k, n and s follow the one count rule: an int that is not a bool; a
+    # float or a bool equal to a valid count is refused all the same
+    for bad in (2.0, 2.5, 5.0, 3.5, "3", True):
+        with pytest.raises(ParamOutOfRange, match="must be an int") as info:
+            _COUNT_TAKERS[name](bad)
+        assert type(info.value) is ParamOutOfRange
 
 
 def test_psi_membership():
@@ -1368,7 +1397,7 @@ def test_cell_copy_counts_match_token_oracle():
             for i, w in zip(range(2, n + 1), widths):
                 chain = layout.chain(i)
                 positive.update(range(chain.stop - w, chain.stop))
-            cells.add(demazure([j for p, j in layout.lower_order if p in positive], n))
+            cells.add(demazure([j for p, j in product_order(n, "L") if p in positive], n))
         assert len(cells) == math.factorial(n)
         assert all(sorted(w) == list(range(1, n + 1)) for w in cells)
 
@@ -1620,7 +1649,7 @@ def _chain_inputs(rng):
     a rational, so that most scaled blocks have a denominator above 1."""
     out = []
     for n in range(2, 11):
-        lower_slots = chain_layout(n).lower_cells
+        indices = slot_factor_indices(n)
         for density in (0.1, 0.3, 0.6):
             for flavour in ("int", "rational", "scaled"):
                 f = random_oscillatory_factorization(n, rng, density)
@@ -1631,7 +1660,7 @@ def _chain_inputs(rng):
                     )
                 missing = rng.randint(2, n)
                 itn_only = f._replace(
-                    l=tuple(0 if j == missing else x for (_, j), x in zip(lower_slots, f.l))
+                    l=tuple(0 if j == missing else x for j, x in zip(indices, f.l))
                 )
                 for part in (f, lower_part(f), upper_part(f), itn_only):
                     a = compose(part)

@@ -44,7 +44,6 @@ from oscillax.seb import (
     ebl,
     ebu,
     neville_factorize,
-    pack_parameters,
     w_q_form,
 )
 from oscillax.verify import CaseResult, SuiteResult
@@ -67,7 +66,6 @@ def _records() -> dict:
         "EBFactor-L": ebl(2, Fraction(1, 2)),
         "EBFactor-D": ebd((1, 2)),
         "SEBFactorization": f,
-        "PackedParams": pack_parameters(f),
         "WQForm": w_q_form(f),
         "ClassMatch": ClassMatch("Z2", 3, (3,)),
         "ClassTag": tag,
@@ -90,8 +88,7 @@ def _records() -> dict:
 
 RECORDS = _records()
 
-# Recorded from the dataclass records.  PackedParams is the one change: the
-# dataclass hid its three dict fields from the repr.
+# Recorded from the dataclass records.
 REPRS = {
     "ClassificationReport": (
         "ClassificationReport(n=2, is_tn=False, is_invertible=True, is_tp=False, "
@@ -107,10 +104,6 @@ REPRS = {
     "SEBFactorization": (
         "SEBFactorization(n=2, l=(Fraction(1, 1),), d=(Fraction(1, 1), Fraction(1, 1)), "
         "u=(Fraction(1, 1),))"
-    ),
-    "PackedParams": (
-        "PackedParams(n=2, l_vectors={2: (Fraction(1, 1),)}, "
-        "u_vectors={2: (Fraction(1, 1),)}, offsets={2: 1})"
     ),
     "WQForm": (
         "WQForm(n=2, w_groups=((2, (Fraction(1, 1),)),), d=(Fraction(1, 1), Fraction(1, 1)), "
@@ -162,7 +155,7 @@ REPRS = {
 
 # Records holding a dict or a list were unhashable before too.  CaseResult,
 # a mutable dataclass before, is the one record that became hashable.
-UNHASHABLE = {"PackedParams", "SuiteResult"}
+UNHASHABLE = {"SuiteResult"}
 
 
 def _fields(record) -> tuple:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +20,7 @@ from oracles import (
     fraction_neville_factorize,
     fraction_word_product,
     mirror_flat,
+    product_order,
     random_canonical_factorization,
     refactorizing_normalize_commutation,
     scan_tp,
@@ -40,6 +42,7 @@ from oscillax.errors import (
 from oscillax.exponent import random_oscillatory_factorization
 from oscillax.matrix import Matrix, mat_mul
 from oscillax.seb import (
+    ChainLayout,
     EBFactor,
     FactorizationClass,
     SEBFactorization,
@@ -60,7 +63,6 @@ from oscillax.seb import (
     multiplier_count,
     neville_factorize,
     normalize_commutation,
-    pack_parameters,
     parse_factor_text,
     w_q_form,
 )
@@ -190,13 +192,12 @@ def test_is_canonical_matches_refactorization():
     assert chain_layout(3).is_canonical((0, 1, 0))
 
 
-def test_pack_offsets_n4():
+def test_chain_offsets_n4():
     assert chain_layout(4).chain(2).start + 1 == 1
     assert chain_layout(4).chain(3).start + 1 == 4
     assert chain_layout(4).chain(4).start + 1 == 6
     f = identity_factorization(4)
-    packed = pack_parameters(f)
-    assert [len(packed.l_vectors[i]) for i in (2, 3, 4)] == [3, 2, 1]
+    assert [len(f.l_chain(i)) for i in (2, 3, 4)] == [3, 2, 1]
 
 
 def test_chain_layout_matches_closed_form_oracle():
@@ -212,19 +213,15 @@ def test_chain_layout_matches_closed_form_oracle():
         for i, j in pairs:
             assert layout.lower_slot(i, j) == flat_slot(i, j, n)
             assert layout.upper_slot(i, j) == upper_flat_slot(i, j, n)
-        assert layout.lower_cells == tuple(slot_chain_factor(p, n) for p in range(k))
-        upper_cells = {upper_flat_slot(i, j, n): (i, j) for i, j in pairs}
-        assert layout.upper_cells == tuple(upper_cells[p] for p in range(k))
-        assert layout.lower_order == tuple(
-            (flat_slot(i, j, n), j)
-            for i in range(2, n + 1)
-            for j in range(n, i - 1, -1)
-        )
-        assert layout.upper_order == tuple(
-            (upper_flat_slot(i, j, n), j)
-            for i in range(n, 1, -1)
-            for j in range(i, n + 1)
-        )
+            assert slot_chain_factor(layout.lower_slot(i, j), n) == (i, j)
+        assert layout.lower_indices == tuple(slot_chain_factor(p, n)[1] for p in range(k))
+        # lower product order is flat order; the upper one is that order
+        # reversed, read over the mirror
+        positions = tuple(range(k))
+        mirrored = layout.mirror(positions)
+        assert mirrored == mirror_flat(positions, n)
+        assert tuple(zip(positions, layout.lower_indices)) == product_order(n, "L")
+        assert tuple(zip(mirrored, layout.lower_indices))[::-1] == product_order(n, "U")
         for _ in range(3):
             flat = tuple(Fraction(rng.randint(0, 9)) for _ in range(k))
             assert layout.mirror(flat) == mirror_flat(flat, n)
@@ -240,6 +237,12 @@ def test_chain_layout_matches_closed_form_oracle():
                     oracle(i, j, n)
                 with pytest.raises(IndexOutOfRange):
                     slot(i, j)
+        # a bool or a float is no chain or factor index, even where it
+        # compares equal to one
+        for i, j in ((True, n), (2.0, n), (n, True), (2, 2.0), (n, float(n))):
+            for slot in (layout.lower_slot, layout.upper_slot):
+                with pytest.raises(IndexOutOfRange):
+                    slot(i, j)
         for i in (0, 1, n + 1):
             with pytest.raises(IndexOutOfRange):
                 x_offset(i, n)
@@ -247,18 +250,53 @@ def test_chain_layout_matches_closed_form_oracle():
                 layout.chain(i)
 
 
-def test_pack_slices_n3():
+def test_chain_layout_errors_name_the_chain_and_the_factor():
+    layout = chain_layout(5)
+    for i, j, message in (
+        (1, 3, "chain index 1 outside [2, 5]"),
+        (6, 6, "chain index 6 outside [2, 5]"),
+        (True, 3, "chain index True outside [2, 5]"),
+        (2.0, 3, "chain index 2.0 outside [2, 5]"),
+        (3, 2, "factor 2 not in chain 3"),
+        (3, 6, "factor 6 not in chain 3"),
+        (3, True, "factor True not in chain 3"),
+        (3, 4.0, "factor 4.0 not in chain 3"),
+    ):
+        for slot in (layout.lower_slot, layout.upper_slot):
+            with pytest.raises(IndexOutOfRange, match=re.escape(message)):
+                slot(i, j)
+
+
+def test_chain_layout_holds_no_slot_table():
+    # a layout keeps its chain slices and one factor index per lower
+    # slot, whose ints it shares, and no per-slot table besides
+    for n, most in ((100, 0.2), (447, 5)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            layout = ChainLayout(n)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < most * 2**20, (n, after - before)
+        assert layout.lower_slot(n, n) == multiplier_count(n) - 1
+
+
+def test_chain_slices_n3():
     f = SEBFactorization(3, (10, 11, 12), (1, 1, 1), (0, 0, 0))
-    packed = pack_parameters(f)
-    assert packed.l_vectors[2] == (10, 11)
-    assert packed.l_vectors[3] == (12,)
+    assert f.l_chain(2) == (10, 11)
+    assert f.l_chain(3) == (12,)
 
 
-def test_pack_exp5_values():
-    packed = pack_parameters(neville_factorize(M["exp5"]))
-    assert packed.l_vectors[3] == (3, 4, 2)
-    assert packed.l_vectors[4] == (2, 1)
-    assert packed.l_vectors[5] == (2,)
+def test_chain_exp5_values():
+    f = neville_factorize(M["exp5"])
+    assert f.l_chain(3) == (3, 4, 2)
+    assert f.l_chain(4) == (2, 1)
+    assert f.l_chain(5) == (2,)
+    assert f.u_chain(5) == (1,)
+    assert f.u_chain(4) == (2, 3)
 
 
 def test_wq_form():
@@ -318,9 +356,11 @@ def _canonical_flats(n, side, rng):
         yield tuple(flat)
 
 
-def test_index_counts_match_the_factor_word():
-    """The flat-vector count of seb._index_counts against a count over the
-    factor word, on canonical and non-canonical, sparse and dense inputs."""
+def test_classification_matches_index_counts_of_the_factor_word():
+    """classify_factorization and is_basic_factorization, which read
+    seb._side_indices off the flat vectors, against positive-factor counts
+    per index over the factor word, on canonical and non-canonical, sparse
+    and dense inputs."""
     rng = random.Random(571)
     cases = []
     for n in range(2, 11):
@@ -335,13 +375,23 @@ def test_index_counts_match_the_factor_word():
                 cases.append(SEBFactorization(n, lower, d, upper))
             f = random_oscillatory_factorization(n, rng, density)
             cases += [f, neville_factorize(compose(f))]
-    counts = set()
+    seen = set()
     for f in cases:
         word = Counter((x.kind, x.index) for x in f.factor_sequence())
-        expected = [word[kind, j] for kind in "LU" for j in range(2, f.n + 1)]
-        assert seb._index_counts(f) == expected, f
-        counts.update(expected)
-    assert {0, 1, 2} <= counts
+        counts = [word[kind, j] for kind in "LU" for j in range(2, f.n + 1)]
+        if all(f.l) and all(f.u):
+            want = FactorizationClass.TP
+        elif 0 in counts:
+            want = FactorizationClass.ITN_ONLY
+        elif all(c == 1 for c in counts):
+            want = FactorizationClass.BASIC_OSCILLATORY
+        else:
+            want = FactorizationClass.OSCILLATORY
+        assert classify_factorization(f) is want, f
+        assert is_basic_factorization(f) == all(c == 1 for c in counts), f
+        seen.update(counts)
+        seen.add(want)
+    assert {0, 1, 2} | set(FactorizationClass) <= seen
 
 
 def test_index_counts_match_flat_layout_counts():
@@ -415,8 +465,8 @@ def test_normalize_canonical_word_takes_two_word_products(monkeypatch):
 def test_normalize_rejects_assignment_that_changes_the_product(monkeypatch):
     assign_once = seb._assign_word_to_slots
 
-    def swap_first_two(word, slots):
-        assign = assign_once(word, slots)
+    def swap_first_two(word, indices):
+        assign = assign_once(word, indices)
         if assign:
             assign[0], assign[1] = assign[1], assign[0]
         return assign
@@ -476,10 +526,9 @@ def _normalization_words(n, rng):
     identity factors inserted and shuffled by legal swaps, and a random
     word that is usually not normalizable."""
     f = random_canonical_factorization(n, rng)
-    layout = f.layout
-    canonical = [ebl(j, f.l[p]) for p, j in layout.lower_order]
+    canonical = [ebl(j, f.l[p]) for p, j in product_order(n, "L")]
     canonical.append(ebd(f.d))
-    canonical.extend(ebu(j, f.u[p]) for p, j in layout.upper_order)
+    canonical.extend(ebu(j, f.u[p]) for p, j in product_order(n, "U"))
     shuffled = list(canonical)
     for _ in range(2):
         shuffled.insert(rng.randrange(len(shuffled) + 1), ebd((1,) * n))
@@ -573,10 +622,9 @@ def test_factor_sequence_equals_checked_word():
         l, u = fraction_flat(n), fraction_flat(n)
         factorizations.append(SEBFactorization(n, l, d, u))
     for f in factorizations:
-        layout = f.layout
-        checked = [ebl(j, f.l[p]) for p, j in layout.lower_order if f.l[p]]
+        checked = [ebl(j, f.l[p]) for p, j in product_order(f.n, "L") if f.l[p]]
         checked.append(ebd(f.d))
-        checked.extend(ebu(j, f.u[p]) for p, j in layout.upper_order if f.u[p])
+        checked.extend(ebu(j, f.u[p]) for p, j in product_order(f.n, "U") if f.u[p])
         word = f.factor_sequence()
         assert word == tuple(checked)
         assert list(map(_field_types, word)) == list(map(_field_types, checked))
@@ -859,33 +907,35 @@ def test_normalize_drops_identities():
     assert f.l == (0,) and f.u == (3,)
 
 
-def _assert_assignment_matches_search(word, slots):
-    expected = search_assign_word_to_slots(word, slots)
-    got = seb._assign_word_to_slots(word, slots)
+def _assert_assignment_matches_search(word, indices):
+    expected = search_assign_word_to_slots(word, indices)
+    got = seb._assign_word_to_slots(word, indices)
     assert got == expected, word
     return got
 
 
+def _order_indices(n, side):
+    """The factor index of each slot of one side, in product order."""
+    return tuple(j for _, j in product_order(n, side))
+
+
 def test_assign_word_matches_search_on_every_short_word():
     for n in range(2, 6):
-        layout = chain_layout(n)
         for length in range(7):
             for indices in itertools.product(range(2, n + 1), repeat=length):
                 word = tuple((j, 1) for j in indices)
-                for slots in (layout.lower_order, layout.upper_order):
-                    _assert_assignment_matches_search(word, slots)
+                for side in "LU":
+                    _assert_assignment_matches_search(word, _order_indices(n, side))
 
 
 def test_assign_word_matches_search_on_random_words():
     rng = random.Random(4271)
     for _ in range(20_000):
         n = rng.randint(2, 8)
-        layout = chain_layout(n)
         word = tuple(
             (rng.randint(2, n), rng.randint(1, 9)) for _ in range(rng.randint(1, n + 3))
         )
-        slots = rng.choice((layout.lower_order, layout.upper_order))
-        _assert_assignment_matches_search(word, slots)
+        _assert_assignment_matches_search(word, _order_indices(n, rng.choice("LU")))
 
 
 def test_assign_word_matches_search_on_commuted_canonical_words():
@@ -894,16 +944,14 @@ def test_assign_word_matches_search_on_commuted_canonical_words():
     for n in range(2, 13):
         for make in makers * (8 if n <= 8 else 2):
             f = make(n, rng)
-            for flat, slots in (
-                (f.l, f.layout.lower_order),
-                (f.u, f.layout.upper_order),
-            ):
-                word = [(j, flat[p]) for p, j in slots if flat[p]]
+            for flat, side in ((f.l, "L"), (f.u, "U")):
+                word = [(j, flat[p]) for p, j in product_order(n, side) if flat[p]]
                 for _ in range(4 * (len(word) - 1)):
                     i = rng.randrange(len(word) - 1)
                     if abs(word[i][0] - word[i + 1][0]) > 1:
                         word[i], word[i + 1] = word[i + 1], word[i]
-                assert _assert_assignment_matches_search(tuple(word), slots) is not None
+                indices = _order_indices(n, side)
+                assert _assert_assignment_matches_search(tuple(word), indices) is not None
 
 
 def test_normalize_words_at_n_40():
