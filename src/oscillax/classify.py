@@ -5,9 +5,13 @@ matrix is TN iff the elimination runs with nonnegative multipliers and a
 positive diagonal, and TP iff every multiplier is positive (Gasca & Peña,
 LAA 165, 1992), so :func:`is_tn`, :func:`is_tp`, :func:`is_oscillatory`
 and :func:`classify` decide an invertible TN input in O(n^3) and build no
-minor table.  The TP witness of a non-TP one, its first zero minor,
-comes from two token sets per minor (the minor pattern of a double Bruhat
-cell, Fomin & Zelevinsky, JAMS 12, 1999) by a polynomial greedy
+minor table.  They read only which multipliers are zero, so they take
+the int run of the elimination (:func:`seb._neville_run`), whose
+multipliers are int pairs, and build no ``Fraction`` for it; the
+``Fraction`` factorization is :func:`seb.neville_factorize`'s.  The TP
+witness of a non-TP one, its first zero minor, comes from two token sets
+per minor (the minor pattern of a double Bruhat cell, Fomin &
+Zelevinsky, JAMS 12, 1999) by a polynomial greedy
 (:func:`_first_zero_by_tokens`) and one confirming Bareiss minor, at any
 n.  The cap guards the scans only: inputs the elimination refuses, and
 rectangular inputs of :func:`is_tn`, keep the one scan that stops at the
@@ -75,15 +79,18 @@ def _first_minor(
     return ScanVerdict(True, None)
 
 
-def _neville(a: Matrix):
-    """The Neville factorization of a square ``a``, None if singular or not TN."""
-    from .seb import neville_factorize
+def _neville(a: Matrix) -> dict | None:
+    """The side indices (:func:`seb._flat_sides`) of the Neville
+    factorization of a square ``a``, None if ``a`` is singular or not TN:
+    read off the int run (:func:`seb._neville_run`), no ``Fraction`` built."""
+    from .seb import _flat_sides, _neville_run
 
     _require_min_shape(a)
     try:
-        return neville_factorize(a)
+        l, _, _, v = _neville_run(a)
     except NotITN:
         return None
+    return _flat_sides(a.rows, l, v)
 
 
 def is_tn(a: Matrix, cap: int | None = None) -> ScanVerdict:
@@ -102,10 +109,10 @@ def is_tp(a: Matrix, cap: int | None = None) -> ScanVerdict:
     invertible TN input, else by a scan under ``cap``."""
     if not a.is_square():
         raise ShapeMismatch("total positivity test requires a square matrix")
-    f = _neville(a)
-    if f is None:
+    sides = _neville(a)
+    if sides is None:
         return _first_minor(a, cap, lambda value: value <= 0)
-    witness = _first_zero_minor(a, f)
+    witness = _first_zero_minor(a, sides)
     return ScanVerdict(witness is None, witness)
 
 
@@ -201,21 +208,21 @@ def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
     inputs take one scan under ``cap``, which stops at the first negative
     minor, by which point the first nonpositive one has been seen.
     """
-    from .seb import is_basic_factorization
+    from .seb import _is_basic
 
     if not a.is_square():
         raise ShapeMismatch("classification requires a square matrix")
-    f = _neville(a)
-    if f is None:
+    sides = _neville(a)
+    if sides is None:
         return _classify_not_itn(a, cap)
-    tp_witness = _first_zero_minor(a, f)
+    tp_witness = _first_zero_minor(a, sides)
     return ClassificationReport(
         n=a.rows,
         is_tn=True,
         is_invertible=True,
         is_tp=tp_witness is None,
         is_oscillatory=_off_diagonals_positive(a),
-        is_basic_oscillatory=is_basic_factorization(f),
+        is_basic_oscillatory=_is_basic(sides, a.rows),
         tn_witness=None,
         tp_witness=tp_witness,
     )
@@ -263,20 +270,21 @@ def _first_zero_by_tokens(lower, upper, n: int) -> tuple[tuple, tuple] | None:
     return None
 
 
-def _first_zero_minor(a: Matrix, f) -> MinorWitness | None:
+def _first_zero_minor(a: Matrix, sides: dict) -> MinorWitness | None:
     """The first zero minor in scan order of an invertible TN matrix ``a``
-    of Neville factorization ``f``, None if every multiplier is positive
-    (``a`` is TP): a zero entry, else :func:`_first_zero_by_tokens` on the
-    side indices of ``f``, confirmed by one Bareiss :func:`minor`."""
-    from .seb import _side_indices
+    whose Neville factorization has the side indices ``sides``, None if
+    every multiplier is positive (``a`` is TP): a zero entry, else
+    :func:`_first_zero_by_tokens` on ``sides``, confirmed by one Bareiss
+    :func:`minor`."""
+    from .seb import multiplier_count
 
-    if all(x > 0 for x in f.l + f.u):
+    if all(len(ix) == multiplier_count(a.rows) for ix in sides.values()):
         return None
     for i, row in enumerate(a.entries, 1):
         for j, x in enumerate(row, 1):
             if not x:
                 return MinorWitness((i,), (j,), x)
-    found = _first_zero_by_tokens(*_side_indices(f).values(), a.rows)
+    found = _first_zero_by_tokens(*sides.values(), a.rows)
     if found is None:
         raise InvariantViolation("a zero multiplier but no zero minor below order n")
     value = minor(a, *found)

@@ -314,8 +314,11 @@ def minor_levels(
 
     Tables are built by Laplace expansion along the last selected row,
     reusing the previous order.  Iteration order within each table is
-    lexicographic in (rows, cols).
+    lexicographic in (rows, cols).  A given ``max_order`` is a count
+    (:func:`_check_count`).
     """
+    if max_order is not None:
+        _check_count(max_order, "max_order")
     n, m = a.rows, a.cols
     limit = min(n, m) if max_order is None else min(max_order, n, m)
     ent = a.entries
@@ -371,6 +374,11 @@ def cauchy_binet_check(a: Matrix, b: Matrix, alpha, beta) -> bool:
 
 
 def check_scan_cap(a: Matrix, cap: int | None) -> None:
+    """:class:`FeasibilityExceeded` when a minor scan of ``a`` passes the
+    dimension cap, :data:`SCAN_CAP_DEFAULT` when ``cap`` is None; a cap
+    that is not an int (a bool is not) is :class:`ParamOutOfRange`."""
+    if cap is not None and not _is_int(cap):
+        raise ParamOutOfRange(f"cap must be an int, got {cap!r}")
     limit = SCAN_CAP_DEFAULT if cap is None else cap
     if max(a.rows, a.cols) > limit:
         raise FeasibilityExceeded(

@@ -21,12 +21,12 @@ of each side (:func:`_side_indices`), behind
 :func:`classify_factorization` and the copy counts; and the slot
 placement of :func:`normalize_commutation`.  Every product is built by
 one column operation per factor in :func:`_word_columns`, the word
-product kernel: columns of Python ints, each over one denominator, one
-of the integer kernels that :mod:`oscillax.matrix` describes.
-:func:`compose` turns that product into a ``Fraction`` :class:`Matrix`
-(:func:`_word_product`); the round-trip checks of
-:func:`neville_factorize` and :func:`normalize_commutation` compare int
-columns (:func:`_same_columns`) and build no ``Fraction`` matrix.
+product kernel: an int word in, columns of Python ints out, each over
+one denominator, one of the integer kernels that :mod:`oscillax.matrix`
+describes.  :func:`compose` turns that product into a ``Fraction``
+:class:`Matrix` (:func:`_word_product`); the round-trip checks of the
+Neville run and of :func:`normalize_commutation` compare int columns
+(:func:`_same_columns`) and build no ``Fraction`` matrix.
 
 Which factors of a word are positive is read through one permutation per
 side, the Demazure product of their indices (:func:`demazure`): the L
@@ -39,14 +39,19 @@ product-family gate and the TP test of a product depend only on it.
 Factorizations are produced by Neville elimination: columns left to
 right, within each column bottom-up, always pivoting on the row directly
 above.  The transposed pass yields the upper multipliers and diagonal.
-Both passes are :func:`_lower_elimination`, an integer kernel on plain
-lists of ints with one denominator per row (see :mod:`oscillax.matrix`)
-that does each row operation and its gcd reduction inline; the
-multipliers and the diagonal are the only ``Fraction``s it builds, and
-the round trip multiplies them back through :func:`_word_columns`.
-In the produced form, each chain's positive slots are a contiguous run
-starting at the chain's own index; this is what makes the factorization
-unique, and round-tripping reproduces it exactly.
+:func:`_neville_run` is the whole elimination on Python ints: both
+passes of :func:`_lower_elimination`, an integer kernel on plain lists
+of ints with one denominator per row (see :mod:`oscillax.matrix`) that
+does each row operation and its gcd reduction inline and leaves each
+multiplier as an int pair ``(num, den)``, or 0; then the diagonal and
+residue checks, and the round trip, which multiplies the int word back
+through :func:`_word_columns`.  It builds a ``Fraction`` only to render
+the message of a refusal.  ``classify`` reads its verdicts off the run's
+zero pattern (:func:`_flat_sides`); :func:`neville_factorize` builds one
+``Fraction`` per positive multiplier and diagonal entry once the run has
+returned.  In the produced form, each chain's positive slots are a
+contiguous run starting at the chain's own index; this is what makes the
+factorization unique, and round-tripping reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from .matrix import Matrix, _reduce, _scaled
+from .matrix import Matrix, _is_int, _reduce, _scaled
 from .rational import coerce_rational, format_rational, parse_rational
 
 _ZERO = Fraction(0)
@@ -346,13 +351,15 @@ def identity_factorization(n: int) -> SEBFactorization:
     return SEBFactorization(n, (_ZERO,) * k, (_ONE,) * n, (_ZERO,) * k)
 
 
-def _word_columns(factors, n: int) -> tuple[list[list[int]], list[int]]:
-    """Exact product of elementary factors in the given order, one column
-    operation per factor (O(n) each): as a right factor, D scales the
-    columns and an L/U factor adds its multiplier times column source to
-    column destination, L_i from column i to i-1 and U_i from i-1 to i
-    (:attr:`EBFactor.tracks`).  Each factor is unpacked as its
-    ``(kind, index, multiplier, diag)`` tuple.
+def _word_columns(word, n: int) -> tuple[list[list[int]], list[int]]:
+    """Exact product of an int factor word, one column operation per
+    factor (O(n) each): as a right factor, D scales the columns and an L/U
+    factor adds its multiplier times column source to column destination,
+    L_i from column i to i-1 and U_i from i-1 to i (:attr:`EBFactor.tracks`).
+    Each factor is a tuple ``(kind, index, a, b)``: an L or U factor of
+    multiplier a/b, ints with b positive, or ``("D", None, nums, dens)``,
+    the diagonal of entries nums[c]/dens[c].  :func:`_int_word` turns
+    :class:`EBFactor` words into this form.
 
     Returns ``(cols, den)``: entry (r, c) of the product is
     ``cols[c][r] / den[c]``, with ``den[c]`` positive.  D multiplies column
@@ -366,20 +373,18 @@ def _word_columns(factors, n: int) -> tuple[list[list[int]], list[int]]:
         cols[c][c] = 1
     den = [1] * n
     lcm = math.lcm
-    for kind, i, m, diag in factors:
+    for kind, i, a, b in word:
         if kind == "D":
-            for c, x in enumerate(diag):
-                p, q = x.numerator, x.denominator
+            for c, (p, q) in enumerate(zip(a, b)):
                 if p != 1:
                     cols[c] = [v * p for v in cols[c]]
                 if q != 1:
                     den[c] *= q
             continue
-        a = m.numerator
         if not a:
             continue
         s, d = (i - 1, i - 2) if kind == "L" else (i - 2, i - 1)
-        d_src, d_dst = m.denominator * den[s], den[d]
+        d_src, d_dst = b * den[s], den[d]
         if d_src == d_dst:  # integer columns and multiplier land here
             cols[d] = [x + a * y for x, y in zip(cols[d], cols[s])]
             if d_dst != 1:
@@ -393,6 +398,16 @@ def _word_columns(factors, n: int) -> tuple[list[list[int]], list[int]]:
     return cols, den
 
 
+def _int_word(factors) -> list[tuple]:
+    """An :class:`EBFactor` word as the int word of :func:`_word_columns`."""
+    return [
+        (kind, i, m.numerator, m.denominator)
+        if diag is None
+        else (kind, i, [x.numerator for x in diag], [x.denominator for x in diag])
+        for kind, i, m, diag in factors
+    ]
+
+
 def _same_columns(x, y) -> bool:
     """Whether two ``(cols, den)`` families hold the same matrix: equal
     ints where the denominators agree, equal cross products elsewhere."""
@@ -404,9 +419,9 @@ def _same_columns(x, y) -> bool:
 
 
 def _word_product(factors, n: int) -> Matrix:
-    """The product of :func:`_word_columns` as a :class:`Matrix`: each
-    entry becomes a ``Fraction`` once."""
-    cols, den = _word_columns(factors, n)
+    """The product of an :class:`EBFactor` word as a :class:`Matrix`, by
+    :func:`_word_columns`: each entry becomes a ``Fraction`` once."""
+    cols, den = _word_columns(_int_word(factors), n)
     out = [
         [Fraction(x) for x in col] if q == 1 else [Fraction(x, q) for x in col]
         for col, q in zip(cols, den)
@@ -423,27 +438,29 @@ def compose(f: SEBFactorization) -> Matrix:
 # -- Neville elimination -----------------------------------------------------
 
 
-def _lower_elimination(ints, dens, n: int, lower: bool = False) -> list[Fraction]:
+def _lower_elimination(ints, dens, n: int, lower: bool = False) -> list:
     """Eliminate below the diagonal of scaled int rows in place; return the
-    flat multipliers.  Entry (r, c) is ``ints[r][c] / dens[r]``, each
-    denominator positive.  With ``lower`` the rows are lower triangular,
-    so row r is zero right of column r and stays so; it is left unread.
+    flat multipliers: an int pair ``(num, den)`` for each positive one,
+    den positive and the pair not always in lowest terms, and 0 for each
+    zero one.  Entry (r, c) is ``ints[r][c] / dens[r]``, each denominator
+    positive.  With ``lower`` the rows are lower triangular, so row r is
+    zero right of column r and stays so; it is left unread.
 
     Columns are processed left to right, each column bottom-up, pivoting
     on the row directly above.  A zero pivot under a nonzero entry, or a
     negative multiplier, disqualifies the input.  The multiplier is
-    (val den_{r-1}) / (piv den_r), the one ``Fraction`` of a row
-    operation, which then sets
+    (val den_{r-1}) / (piv den_r), which then sets
 
         row_r <- (piv row_r - val row_{r-1}) / (piv den_r)
 
     and divides the row and its denominator by their gcd.  val and piv are
     divided by their own gcd first, so when piv divides val the row keeps
     its denominator and an integer row needs no gcd.  Entries left of
-    column c are zero in both rows and stay so.
+    column c are zero in both rows and stay so.  A ``Fraction`` is built
+    only for the message of a negative multiplier.
     """
     layout = chain_layout(n)
-    flat = [_ZERO] * multiplier_count(n)
+    flat: list = [0] * multiplier_count(n)
     gcd = math.gcd
     for c in range(n - 1):
         last = layout.chain(c + 2).start + n - 1  # L_{r+1} of chain c+2 at last - r
@@ -462,17 +479,12 @@ def _lower_elimination(ints, dens, n: int, lower: bool = False) -> list[Fraction
             g = gcd(val, piv)
             if g != 1:
                 val, piv = val // g, piv // g
-            if piv == 1 and d_above == den:
-                q = Fraction(val)
-            else:
+            if (val < 0) != (piv < 0):  # a negative multiplier: dens are positive
                 q = Fraction(val * d_above, piv * den)
-            if (val < 0) != (piv < 0):  # q < 0: the denominators are positive
-                raise NotITN(
-                    f"negative multiplier {q} at row {r + 1}, column {c + 1}"
-                )
-            flat[last - r] = q
+                raise NotITN(f"negative multiplier {q} at row {r + 1}, column {c + 1}")
             if piv < 0:  # keeps the denominator positive
                 val, piv = -val, -piv
+            flat[last - r] = (val * d_above, piv * den)
             stop = r + 1 if lower else n
             pairs = zip(row[c + 1 : stop], above[c + 1 : stop])
             if piv == 1:
@@ -491,16 +503,19 @@ def _lower_elimination(ints, dens, n: int, lower: bool = False) -> list[Fraction
     return flat
 
 
-def neville_factorize(a: Matrix) -> SEBFactorization:
-    """Factor an invertible totally nonnegative matrix exactly.
+def _neville_run(a: Matrix) -> tuple[list, list[int], list[int], list]:
+    """Neville elimination of ``a`` on Python ints, with every check of
+    :func:`neville_factorize` and its messages; a ``Fraction`` is built
+    only to render the message of a refusal.
 
-    Raises :class:`NotITN` when elimination needs a negative multiplier,
-    meets a zero pivot above a nonzero entry, or produces a nonpositive
-    diagonal; by the classical characterization this happens exactly for
-    inputs that are not invertible TN.  Both passes of
-    :func:`_lower_elimination` run on lists of Python ints, one positive
-    denominator per row; the multipliers and the diagonal are the only
-    ``Fraction``s built.
+    Returns ``(l, nums, dens, v)``: the lower flat multipliers ``l``, the
+    diagonal entries nums[i]/dens[i], and ``v``, the flat multipliers of
+    the transposed pass, the upper side in the lower layout
+    (:meth:`ChainLayout.mirror` maps it to ``u``).  A multiplier is an int
+    pair ``(num, den)`` when positive and 0 when zero, as
+    :func:`_lower_elimination` leaves it.  The round trip multiplies the
+    int word of the result back through :func:`_word_columns` and compares
+    it with the input's ints.
     """
     if not a.is_square():
         raise ShapeMismatch("factorization requires a square matrix")
@@ -510,7 +525,7 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
     ints, d = _scaled(a.entries)
     a_cols = (list(map(list, zip(*ints))), [d] * n)  # before elimination
     dens = [d] * n
-    l_flat = _lower_elimination(ints, dens, n)
+    l = _lower_elimination(ints, dens, n)
 
     # transpose the upper-triangular remainder, column c over the lcm of
     # the denominators of its nonzero entries, reduced; and repeat
@@ -526,19 +541,44 @@ def neville_factorize(a: Matrix) -> SEBFactorization:
                 col, e = [x // g for x in col], e // g
         t_ints.append(col)
         t_dens.append(e)
-    v_flat = _lower_elimination(t_ints, t_dens, n, lower=True)
-    diag = tuple(Fraction(t_ints[i][i], t_dens[i]) for i in range(n))
-    if any(t_ints[i][i] <= 0 for i in range(n)):  # the denominators are positive
-        raise NotITN(f"nonpositive diagonal {[format_rational(x) for x in diag]}")
+    v = _lower_elimination(t_ints, t_dens, n, lower=True)
+    nums = [t_ints[i][i] for i in range(n)]
+    if any(x <= 0 for x in nums):  # the denominators are positive
+        diag = [format_rational(Fraction(p, q)) for p, q in zip(nums, t_dens)]
+        raise NotITN(f"nonpositive diagonal {diag}")
     if any(any(row[:r]) or any(row[r + 1 :]) for r, row in enumerate(t_ints)):
         raise InvariantViolation("elimination left a nondiagonal residue")
 
-    # transposing a descending lower chain yields the ascending upper chain
-    u_flat = chain_layout(n).mirror(v_flat)
-    f = _trusted_factorization((n, tuple(l_flat), diag, u_flat))
-    if not _same_columns(_word_columns(f.factor_sequence(), n), a_cols):
+    indices = chain_layout(n).lower_indices
+    word = [("L", j, x[0], x[1]) for j, x in zip(indices, l) if x]
+    word.append(("D", None, nums, t_dens))
+    word += [("U", j, x[0], x[1]) for j, x in zip(reversed(indices), reversed(v)) if x]
+    if not _same_columns(_word_columns(word, n), a_cols):
         raise InvariantViolation("factorization does not reproduce the input")
-    return f
+    return l, nums, t_dens, v
+
+
+def _fractions(flat) -> tuple[Fraction, ...]:
+    """The ``Fraction``s of a flat vector of int pairs and zeros."""
+    return tuple(Fraction(*x) if x else _ZERO for x in flat)
+
+
+def neville_factorize(a: Matrix) -> SEBFactorization:
+    """Factor an invertible totally nonnegative matrix exactly.
+
+    Raises :class:`NotITN` when elimination needs a negative multiplier,
+    meets a zero pivot above a nonzero entry, or produces a nonpositive
+    diagonal; by the classical characterization this happens exactly for
+    inputs that are not invertible TN.  The elimination, its checks and
+    the round trip are :func:`_neville_run`, on Python ints; one
+    ``Fraction`` per positive multiplier and diagonal entry is built after
+    it returns.
+    """
+    l, nums, dens, v = _neville_run(a)
+    # transposing a descending lower chain yields the ascending upper chain
+    u = chain_layout(a.rows).mirror(_fractions(v))
+    d = tuple(map(Fraction, nums, dens))
+    return _trusted_factorization((a.rows, _fractions(l), d, u))
 
 
 # -- groupings ---------------------------------------------------------------
@@ -592,13 +632,16 @@ class FactorizationClass(enum.Enum):
     ITN_ONLY = "itn-only"
 
 
+def _is_basic(sides: dict, n: int) -> bool:
+    """Whether the side indices (:func:`_flat_sides`) hold exactly one
+    positive multiplier per factor index on each side: n - 1 positive
+    multipliers per side, no two of one index."""
+    return all(len(ix) == len(set(ix)) == n - 1 for ix in sides.values())
+
+
 def is_basic_factorization(f: SEBFactorization) -> bool:
-    """Exactly one positive multiplier per factor index on each side: n - 1
-    positive multipliers per side, no two of one index."""
-    n = f.n
-    if any(sum(map(bool, flat)) != n - 1 for flat in (f.l, f.u)):
-        return False
-    return all(len(set(ix)) == n - 1 for ix in _side_indices(f).values())
+    """Exactly one positive multiplier per factor index on each side."""
+    return _is_basic(_side_indices(f), f.n)
 
 
 def classify_factorization(f: SEBFactorization) -> FactorizationClass:
@@ -607,9 +650,10 @@ def classify_factorization(f: SEBFactorization) -> FactorizationClass:
     All multipliers positive gives TP; at least one positive multiplier
     per factor index on each side gives oscillatory; exactly one per
     index on each side is the basic oscillatory case.  At n = 2 the TP
-    and basic shapes coincide and TP is reported.
+    and basic shapes coincide and TP is reported.  The multipliers are
+    nonnegative, so a nonzero one is positive.
     """
-    if all(x > 0 for x in f.l) and all(x > 0 for x in f.u):
+    if all(f.l) and all(f.u):
         return FactorizationClass.TP
     sides = _side_indices(f).values()
     if any(len(set(ix)) < f.n - 1 for ix in sides):  # a factor index missing
@@ -649,20 +693,26 @@ def demazure(indices, n: int, start=None) -> tuple[int, ...]:
 _SIDES = ("lower-left", "upper-right")
 
 
-def _side_indices(f: SEBFactorization) -> dict:
+def _flat_sides(n: int, lower, upper) -> dict:
     """Per side, the indices of the positive factors that carry its
     corners, in the order the factor word reads them: the L indices for
     the lower-left ones, and the U indices of the reversed word, the L
     indices of the transpose, for the upper-right ones.  Both are read off
-    a lower flat vector, ``f.l`` and the mirrored ``f.u`` (as
-    :func:`exponent.recognize_sides` reads them), against
-    :attr:`ChainLayout.lower_indices`, so no factor word is built."""
-    layout = f.layout
-    indices = layout.lower_indices
+    a nonnegative lower flat vector, ``lower`` and ``upper`` (the upper
+    side mirrored, as :func:`exponent.recognize_sides` reads it), against
+    :attr:`ChainLayout.lower_indices`, so no factor word is built.  A
+    nonzero entry is positive: Fractions and the int pairs of
+    :func:`_neville_run` alike."""
+    indices = chain_layout(n).lower_indices
     return {
         side: [j for j, x in zip(indices, flat) if x]
-        for side, flat in zip(_SIDES, (f.l, layout.mirror(f.u)))
+        for side, flat in zip(_SIDES, (lower, upper))
     }
+
+
+def _side_indices(f: SEBFactorization) -> dict:
+    """:func:`_flat_sides` of a factorization: ``f.l`` and the mirrored ``f.u``."""
+    return _flat_sides(f.n, f.l, f.layout.mirror(f.u))
 
 
 # -- commutation normalization -------------------------------------------------
@@ -724,12 +774,15 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
     A shuffle of a canonical word gets that factorization back; a side
     that cannot reach canonical order, as in ``L3(1) L3(1)``, keeps its
     latest-slot placement, a non-canonical factorization of the product.
-    Raises :class:`NotNormalizable` when the relations rule the word out,
-    :class:`InvariantViolation` when the placement changes the product,
-    and :class:`FeasibilityExceeded`, before any layout is built, past
-    :data:`NORMALIZE_SLOT_LIMIT` slots.
+    Raises :class:`ParamOutOfRange` when a given ``n`` is not an int (a
+    bool is not) of at least 2, :class:`NotNormalizable` when the
+    relations rule the word out, :class:`InvariantViolation` when the
+    placement changes the product, and :class:`FeasibilityExceeded`,
+    before any layout is built, past :data:`NORMALIZE_SLOT_LIMIT` slots.
     """
     factors = list(factors)
+    if n is not None and (not _is_int(n) or n < 2):
+        raise ParamOutOfRange(f"dimension must be an int >= 2, got {n!r}")
     if n is None:
         dims = [len(fac.diag) for fac in factors if fac.kind == "D"]
         idxs = [fac.index for fac in factors if fac.kind != "D"]
@@ -797,8 +850,8 @@ def normalize_commutation(factors, n: int | None = None) -> SEBFactorization:
 
     d = diag if diag is not None else (_ONE,) * n
     f = SEBFactorization(n, flats[0], d, layout.mirror(flats[1]))
-    product = _word_columns(seq, n)
-    if not _same_columns(_word_columns(f.factor_sequence(), n), product):
+    product = _word_columns(_int_word(seq), n)
+    if not _same_columns(_word_columns(_int_word(f.factor_sequence()), n), product):
         raise InvariantViolation("normalization changed the composed matrix")
     return f
 

@@ -51,6 +51,7 @@ from oscillax.planar import (
 from oscillax.seb import (
     _SIDES,
     NORMALIZE_SLOT_LIMIT,
+    EBFactor,
     FactorizationClass,
     SEBFactorization,
     _assign_word_to_slots,
@@ -59,6 +60,7 @@ from oscillax.seb import (
     classify_factorization,
     compose,
     demazure,
+    ebd,
     ebl,
     multiplier_count,
     n_from_flat,
@@ -304,9 +306,13 @@ def dense_word_product(factors, n):
     return product
 
 
-def dense_word_columns(factors, n):
-    """:func:`dense_word_product` in the ``(cols, den)`` form of
-    ``seb._word_columns``."""
+def dense_word_columns(word, n):
+    """:func:`dense_word_product` of an int word of ``seb._word_columns``,
+    in its ``(cols, den)`` form."""
+    factors = [
+        ebd(map(Fraction, a, b)) if kind == "D" else EBFactor(kind, i, Fraction(a, b))
+        for kind, i, a, b in word
+    ]
     cols, d = _scaled(list(zip(*dense_word_product(factors, n).entries)))
     return cols, [d] * n
 

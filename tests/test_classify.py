@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import oscillax.seb as seb
 from oracles import (
     classify_four_criteria,
     four_criteria_oscillatory,
@@ -25,9 +27,9 @@ from oscillax.classify import (
     is_tn,
     is_tp,
 )
-from oscillax.errors import FeasibilityExceeded, InvariantViolation
+from oscillax.errors import FeasibilityExceeded, InvariantViolation, ParamOutOfRange
 from oscillax.matrix import Matrix, det, mat_mul, mat_pow, minor, minor_levels
-from oscillax.exponent import random_oscillatory_factorization
+from oscillax.exponent import exponent_bruteforce, random_oscillatory_factorization
 from oscillax.seb import (
     SEBFactorization,
     _word_product,
@@ -341,15 +343,16 @@ def _count_minor_passes(monkeypatch):
 
 
 def _count_factorizations(monkeypatch):
+    # classify reads its verdicts off the int run that neville_factorize wraps
     module = sys.modules["oscillax.seb"]
     calls = []
-    original = module.neville_factorize
+    original = module._neville_run
 
     def counting(a):
         calls.append(a)
         return original(a)
 
-    monkeypatch.setattr(module, "neville_factorize", counting)
+    monkeypatch.setattr(module, "_neville_run", counting)
     return calls
 
 
@@ -440,6 +443,53 @@ def test_classify_keeps_feasibility_cap():
     for a in ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 2, 0], [3, 1, 1], [0, 1, 2]]):
         with pytest.raises(FeasibilityExceeded):
             classify(Matrix(a), cap=2)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "8", Fraction(8)])
+def test_scan_cap_is_an_int_that_is_not_a_bool(bad):
+    # refused where the scan would start; an int cap keeps its meaning,
+    # and one below the dimension, 0 and -1 too, exceeds it
+    neg = Matrix([[1, 2], [3, 1]])
+    takers = (classify, is_tn, is_tp, exponent_bruteforce)
+    message = f"cap must be an int, got {re.escape(repr(bad))}$"
+    for take in takers:
+        with pytest.raises(ParamOutOfRange, match=message):
+            take(neg, bad)
+        for cap in (1, 0, -1):
+            with pytest.raises(FeasibilityExceeded):
+                take(neg, cap)
+    assert not classify(neg, 2).is_tn
+
+
+def test_predicates_build_no_fraction_in_seb_on_itn_inputs(monkeypatch):
+    # an invertible TN input is decided on the ints of one Neville run:
+    # TP, non-TP and rational inputs alike
+    rng = random.Random(83)
+    inputs = [M["elim3"], M["exp5"], M["basic4"], Matrix.identity(4)]
+    for n in range(2, 9):
+        inputs.append(_dense_factorization(n, rng, 1.0))
+        inputs.append(_dense_factorization(n, rng, 0.6))
+        canonical = compose(random_canonical_factorization(n, rng))
+        # positive row scalings keep an input invertible TN
+        scaled = [[x / (i + 2) for x in row] for i, row in enumerate(canonical.entries)]
+        inputs += [canonical, Matrix(scaled)]
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(seb, "Fraction", counting)
+    reports = []
+    for a in inputs:
+        rep = classify(a)
+        assert (rep.is_tn, rep.is_invertible) == (True, True)
+        assert is_tn(a) == (True, None)
+        assert is_tp(a) == (rep.is_tp, rep.tp_witness)
+        assert is_oscillatory(a) is rep.is_oscillatory
+        reports.append((rep.is_tp, rep.is_oscillatory))
+    assert built == []
+    assert {(True, True), (False, True), (False, False)} <= set(reports)
 
 
 def _one_zero_multiplier(n, i, j):

@@ -35,6 +35,7 @@ from oscillax.matrix import (
     matrix_from_csv,
     matrix_to_csv,
     minor,
+    minor_levels,
 )
 from oscillax.planar import (
     build_network,
@@ -142,6 +143,7 @@ COUNT_TAKERS = {
     "Matrix.__pow__": lambda k: M["exp4"] ** k,
     "concat_copies": lambda k: concat_copies(_net4(), k),
     "min_copies_lower_corner": lambda k: min_copies_lower_corner(_net4(), k),
+    "minor_levels": lambda k: next(minor_levels(M["exp4"], k)),
 }
 
 

@@ -37,6 +37,7 @@ from oscillax.errors import (
     InvariantViolation,
     NotITN,
     NotNormalizable,
+    ParamOutOfRange,
     ShapeMismatch,
 )
 from oscillax.exponent import random_oscillatory_factorization
@@ -750,6 +751,89 @@ def test_neville_matches_fraction_oracle():
         ("NotITN", "nonpositive"),
     }
     assert min(kinds.values()) >= 150
+
+
+def _run_outcome(a):
+    """The int run of ``a`` as a factorization, converted here after its
+    types are checked: int pairs (num, den > 0) and int zeros for the
+    multipliers, ints for the diagonal; or the refusal's type and message."""
+    try:
+        l, nums, dens, v = seb._neville_run(a)
+    except (NotITN, InvariantViolation) as exc:
+        return type(exc).__name__, str(exc)
+    for x in l + v:
+        if x:
+            assert type(x) is tuple and list(map(type, x)) == [int, int] and x[1] > 0
+        else:
+            assert type(x) is int
+    assert {type(x) for x in nums + dens} == {int}
+
+    def fractions(flat):
+        return [Fraction(*x) if x else Fraction(0) for x in flat]
+
+    n = a.rows
+    d = [Fraction(p, q) for p, q in zip(nums, dens)]
+    return SEBFactorization(n, fractions(l), d, chain_layout(n).mirror(fractions(v)))
+
+
+def test_neville_run_matches_fraction_oracle():
+    # the int run against Neville elimination on Fractions: the same
+    # verdict, the same multipliers once converted, the same refusal
+    rng = random.Random(2204)
+    kinds = Counter()  # as in test_neville_matches_fraction_oracle
+    shapes = Counter()
+    for n in range(2, 13):
+        for _ in range(28 if n <= 6 else 12):
+            for a in _neville_inputs(n, rng):
+                got = _run_outcome(a)
+                assert got == _neville_outcome(fraction_neville_factorize, a), a
+                ok = isinstance(got, SEBFactorization)
+                kinds["ok" if ok else (got[0], got[1].split()[0])] += 1
+                shapes["rational"] += any(x.denominator != 1 for row in a.entries for x in row)
+                shapes["zero multiplier"] += ok and not all(got.l + got.u)
+    assert sum(kinds.values()) >= 2_000
+    assert set(kinds) == {
+        "ok",
+        ("NotITN", "negative"),
+        ("NotITN", "zero"),
+        ("NotITN", "nonpositive"),
+    }
+    assert min(kinds.values()) >= 150
+    assert min(shapes.values()) >= 300
+
+
+def test_neville_builds_one_fraction_per_positive_multiplier_and_diagonal_entry(
+    monkeypatch,
+):
+    rng = random.Random(2205)
+    inputs = [M["elim3"], M["exp5"], M["net4"]]
+    for n in range(2, 9):
+        inputs.extend(_neville_inputs(n, rng)[:4])
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(seb, "Fraction", counting)
+    for a in inputs:
+        built.clear()
+        f = neville_factorize(a)
+        assert len(built) == sum(map(bool, f.l + f.u)) + f.n
+    assert compose(f) == a
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True, False, 1, 0])
+def test_normalize_dimension_is_an_int_of_at_least_two(bad):
+    f = neville_factorize(M["elim3"])
+    text = factorization_to_text(f)
+    assert normalize_commutation(f.factor_sequence(), 3) == f
+    assert factorization_from_text(text, 3) == f
+    message = f"dimension must be an int >= 2, got {re.escape(repr(bad))}$"
+    with pytest.raises(ParamOutOfRange, match=message):
+        normalize_commutation(f.factor_sequence(), bad)
+    with pytest.raises(ParamOutOfRange, match=message):
+        factorization_from_text(text, bad)
 
 
 def test_neville_matches_fraction_oracle_at_larger_n():
