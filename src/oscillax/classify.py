@@ -21,8 +21,6 @@ irreducibility criterion and the factorization-support criterion are
 references in :mod:`oscillax.verify`, which checks them against it.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 

@@ -3,8 +3,10 @@
 Machine-readable JSON goes to stdout; human-readable summaries go to
 stderr.  Exit codes: 0 ok, 1 verification failure, 2 parse error,
 3 feasibility cap, 4 not invertible-TN, 5 not oscillatory, 6 bad
-parameters.  All randomness flows through one seed, taken from --seed
-or the OSCILLAX_SEED environment variable (flag wins).
+parameters.  Each subcommand takes only the options it reads: ``--output``
+on all, ``--format`` on ``factorize`` and ``network`` (the two with a text
+rendering), and ``--seed`` (default 0), the one channel of randomness, on
+``generate`` and ``verify`` (the two that draw random numbers).
 
 Each subcommand imports the modules only it runs, so a cold call compiles
 and loads no more than its own work needs.  The records those modules
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -61,18 +62,6 @@ def _schema(name: str) -> str:
     return f"{SCHEMA_PREFIX}.{name}/{SCHEMA_VERSION}"
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("OSCILLAX_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParamOutOfRange(f"OSCILLAX_SEED is not an integer: {env!r}") from exc
-    return 0
-
-
 def _read_input(path: str, loads, parse_text, noun: str):
     """Read a JSON document (first non-blank character ``{``) by ``loads``,
     anything else by ``parse_text``."""
@@ -102,14 +91,13 @@ def _read_factorization(path: str):
 
 
 def _emit(payload: dict, args, text_body: str | None = None) -> None:
-    if getattr(args, "format", "json") == "text" and text_body is not None:
+    if text_body is not None and args.format == "text":
         body = text_body if text_body.endswith("\n") else text_body + "\n"
     else:
         body = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(body)
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(body)
+    if args.output:
+        Path(args.output).write_text(body)
 
 
 def _note(message: str) -> None:
@@ -230,7 +218,6 @@ def cmd_generate(args) -> int:
     from .exponent import generate_z1, generate_z2, with_transpose
     from .seb import compose, factorization_to_json_dict
 
-    seed = _resolve_seed(args.seed)
     psi = None
     if args.psi:
         if args.psi == "random":
@@ -247,9 +234,9 @@ def cmd_generate(args) -> int:
     if args.cls == "z1":
         if psi is not None:
             raise InvalidPsiPattern("z1 takes no partial-chain pattern")
-        part = generate_z1(args.n, args.s, seed)
+        part = generate_z1(args.n, args.s, args.seed)
     else:
-        part = generate_z2(args.n, args.s, psi, seed)
+        part = generate_z2(args.n, args.s, psi, args.seed)
     payload = {
         "schema": _schema("generate"),
         "status": "ok",
@@ -257,16 +244,16 @@ def cmd_generate(args) -> int:
         "n": args.n,
         "s": args.s,
         "psi": args.psi,
-        "seed": seed,
+        "seed": args.seed,
         "factorization": factorization_to_json_dict(part),
     }
     if args.full:
-        rng = random.Random(seed ^ 0x5EED)
+        rng = random.Random(args.seed ^ 0x5EED)
         d = tuple(rng.randint(1, 4) for _ in range(args.n))
         full = with_transpose(part, d)
         payload["full_factorization"] = factorization_to_json_dict(full)
         payload["matrix"] = matrix_to_json_dict(compose(full))
-    _note(f"generate: {args.cls}(s={args.s}) n={args.n} seed={seed}")
+    _note(f"generate: {args.cls}(s={args.s}) n={args.n} seed={args.seed}")
     _emit(payload, args)
     return EXIT_OK
 
@@ -274,14 +261,15 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suites
 
-    seed = _resolve_seed(args.seed)
-    results = run_suites([args.suite], nmax=args.nmax, cases=args.cases, seed=seed)
+    results = run_suites(
+        [args.suite], nmax=args.nmax, cases=args.cases, seed=args.seed
+    )
     suites = [r.to_json_dict() for r in results]
     ok = all(r.ok for r in results)
     payload = {
         "schema": _schema("verify"),
         "status": "ok" if ok else "error",
-        "seed": seed,
+        "seed": args.seed,
         "suites": suites,
     }
     for r in results:
@@ -306,16 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--output", help="also write the payload to this path")
+    def text_format(p):
         p.add_argument(
             "--format", choices=("json", "text"), default="json",
-            help="stdout format (default json)",
+            help="stdout format: the JSON payload (default) or its text rendering",
         )
+
+    def seeded(p):
         p.add_argument(
-            "--seed", type=int,
-            help="seed for any randomized work (overrides OSCILLAX_SEED); "
-            "deterministic subcommands ignore it",
+            "--seed", type=int, default=0, help="seed of the random draws (default 0)"
         )
 
     p = sub.add_parser("classify", help="TN/TP/oscillatory report for a matrix")
@@ -327,20 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="dimension cap of the minor scan of singular or non-TN inputs;"
         " invertible TN inputs need none",
     )
-    common(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("factorize", help="successive bidiagonal factorization")
     p.add_argument("--input", required=True, help="matrix file (JSON or CSV)")
     p.add_argument("--form", choices=("flat", "wq"), default="flat")
-    common(p)
+    text_format(p)
     p.set_defaults(fn=cmd_factorize)
 
     p = sub.add_parser("exponent", help="exponent of an oscillatory matrix")
     p.add_argument("--input", required=True, help="matrix file (JSON or CSV)")
     p.add_argument("--method", choices=("brute", "theorem", "predict"), default="brute")
     p.add_argument("--cap", type=int, default=SCAN_CAP_DEFAULT)
-    common(p)
     p.set_defaults(fn=cmd_exponent)
 
     p = sub.add_parser("network", help="planar network of a factorization")
@@ -350,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report corner reachability; DOT shows the concatenated copies",
     )
     p.add_argument("--dot", help="write Graphviz output to this path")
-    common(p)
+    text_format(p)
     p.set_defaults(fn=cmd_network)
 
     p = sub.add_parser("generate", help="seeded class-shaped factorizations")
@@ -364,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--full", action="store_true",
         help="pair with the transposed upper part and a diagonal",
     )
-    common(p)
+    seeded(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -375,9 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--nmax", type=int)
     p.add_argument("--cases", type=int)
-    common(p)
+    seeded(p)
     p.set_defaults(fn=cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", help="also write the payload to this path")
     return parser
 
 

@@ -25,7 +25,10 @@ class FeasibilityExceeded(OscillaxError):
     """A request past one of the library's size limits: the minor-scan
     and path-sweep cap (``matrix.SCAN_CAP_DEFAULT``, or the caller's cap),
     the 5 tracks of ``planar.enumerate_path_families``, the class tag's
-    entry limit (``exponent.TAG_ENTRY_LIMIT``), the copies limit
+    entry limit (``exponent.TAG_ENTRY_LIMIT``, which also bounds the
+    patterns of ``exponent.enumerate_psi_patterns``), the inner index sets
+    of ``matrix.cauchy_binet_check`` (the minors a full scan reads at
+    ``matrix.SCAN_CAP_DEFAULT``), the copies limit
     (``planar.COPIES_LAYER_LIMIT``), the DOT line limit
     (``planar.DOT_LINE_LIMIT``), the ordered-product limit
     (``exponent.PRODUCT_LIMIT``), the slot limit

@@ -54,8 +54,6 @@ positive exactly when each side's member cells fold to the longest
 permutation.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
 from fractions import Fraction
@@ -205,10 +203,19 @@ def enumerate_psi_patterns(n: int, s: int) -> tuple[frozenset[int] | None, ...]:
     """Admissible partial-chain patterns for Z2(s), deterministically ordered.
 
     For s=2 the class has a single shape and the only 'pattern' is None.
+    The 2^(n-s+1) - 1 patterns of s >= 3 raise :class:`FeasibilityExceeded`,
+    before any is built, when they would pass :data:`TAG_ENTRY_LIMIT`.
     """
     _check_class_params(n, s)
     if s == 2:
         return (None,)
+    free = n - s + 1
+    # 2^free - 1 > limit exactly when free reaches the bit length of limit + 1
+    if free >= (TAG_ENTRY_LIMIT + 1).bit_length():
+        raise FeasibilityExceeded(
+            f"Z2({s}) at n={n} has 2^{free} - 1 partial-chain patterns,"
+            f" past the limit of {TAG_ENTRY_LIMIT}"
+        )
     optional = sorted(range(s, n + 1))
     masks = range(2 ** len(optional) - 1)
     return tuple(_psi_from_mask(optional, mask) for mask in masks)
@@ -326,7 +333,8 @@ class ClassMatch(NamedTuple):
 
 
 #: Most entries :meth:`ClassTag.to_json_dict` lists in ``exact`` or in
-#: ``with_extras``.  Each list repeats a support once per partial-chain
+#: ``with_extras``, and most patterns :func:`enumerate_psi_patterns`
+#: builds.  Each list repeats a support once per partial-chain
 #: pattern, 2^(n-1)-2 ``with_extras`` entries on a TP input, whose printed
 #: payload grows about 4.7-fold per two rows (36.7 MB at n = 16): n = 17
 #: still fits, n = 18 does not.

@@ -306,24 +306,18 @@ def minor(a: Matrix, rows, cols) -> Fraction:
     return _det_bareiss([[ent[i - 1][j - 1] for j in cset] for i in rset])
 
 
-def minor_levels(
-    a: Matrix, max_order: int | None = None
-) -> Iterator[tuple[int, dict]]:
-    """Yield ``(p, table)`` for p = 1..max_order, where ``table`` maps
-    ``(row_subset, col_subset)`` to the exact minor.
+def minor_levels(a: Matrix) -> Iterator[tuple[int, dict]]:
+    """Yield ``(p, table)`` for p = 1..min(rows, cols), where ``table``
+    maps ``(row_subset, col_subset)`` to the exact minor.
 
     Tables are built by Laplace expansion along the last selected row,
     reusing the previous order.  Iteration order within each table is
-    lexicographic in (rows, cols).  A given ``max_order`` is a count
-    (:func:`_check_count`).
+    lexicographic in (rows, cols).
     """
-    if max_order is not None:
-        _check_count(max_order, "max_order")
     n, m = a.rows, a.cols
-    limit = min(n, m) if max_order is None else min(max_order, n, m)
     ent = a.entries
     prev: dict = {}
-    for p in range(1, limit + 1):
+    for p in range(1, min(n, m) + 1):
         # one tuple per column subset, shared by the keys of every row subset
         # instead of a copy per key: a level holds C(n, p) * C(m, p) keys
         csets = list(itertools.combinations(range(1, m + 1), p))
@@ -358,7 +352,9 @@ def cauchy_binet_check(a: Matrix, b: Matrix, alpha, beta) -> bool:
     """Check minor(AB, alpha, beta) against the sum over inner index sets.
 
     Both sides are computed independently, term by term; this always holds
-    mathematically and serves as a cross-check of the minor kernel.
+    mathematically and serves as a cross-check of the minor kernel.  Inner
+    index sets past the scan budget, the C(16, 8) - 1 minors a full scan
+    reads at the default cap, raise :class:`FeasibilityExceeded` first.
     """
     if a.cols != b.rows:
         raise ShapeMismatch("shapes do not compose")
@@ -366,6 +362,9 @@ def cauchy_binet_check(a: Matrix, b: Matrix, alpha, beta) -> bool:
     k = len(aset)
     if k > a.cols:
         raise ShapeMismatch(f"cardinality {k} exceeds inner dimension {a.cols}")
+    budget = math.comb(2 * SCAN_CAP_DEFAULT, SCAN_CAP_DEFAULT) - 1
+    if (sets := math.comb(a.cols, k)) > budget:
+        raise FeasibilityExceeded(f"{sets} inner index sets pass the scan budget {budget}")
     lhs = minor(mat_mul(a, b), aset, bset)
     rhs = _ZERO
     for gamma in itertools.combinations(range(1, a.cols + 1), k):

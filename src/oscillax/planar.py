@@ -24,8 +24,6 @@ network.  Like every sweep it is capped at ``SCAN_CAP_DEFAULT`` (8)
 tracks and raises :class:`FeasibilityExceeded` beyond that.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple
 

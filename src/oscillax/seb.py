@@ -54,8 +54,6 @@ contiguous run starting at the chain's own index; this is what makes the
 factorization unique, and round-tripping reproduces it exactly.
 """
 
-from __future__ import annotations
-
 import enum
 import json
 import math

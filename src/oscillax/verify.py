@@ -11,8 +11,6 @@ shortcut are private references here, checked against ``classify``'s
 predicates by :func:`suite_equivalence`.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
 from fractions import Fraction

@@ -1121,10 +1121,9 @@ def multiplicative_compound(a: Matrix, p: int) -> CompoundMatrix:
     n = a.rows
     if not 1 <= p <= n:
         raise ParamOutOfRange(f"compound order {p} outside [1, {n}]")
-    table = None
-    for order, tab in minor_levels(a, p):
+    for order, table in minor_levels(a):
         if order == p:
-            table = tab
+            break
     subs = lex_subsets(n, p)
     data = Matrix([[table[(r, c)] for c in subs] for r in subs])
     return CompoundMatrix(p=p, base_n=n, data=data)

@@ -334,9 +334,9 @@ def _count_minor_passes(monkeypatch):
     module = sys.modules["oscillax.classify"]
     calls = []
 
-    def counting(a, max_order=None):
+    def counting(a):
         calls.append(a)
-        return minor_levels(a, max_order)
+        return minor_levels(a)
 
     monkeypatch.setattr(module, "minor_levels", counting)
     return calls

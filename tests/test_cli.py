@@ -539,16 +539,75 @@ def test_generate_psi_accepts_l_index_tokens(capsys, psi, digest):
 
 
 def test_seed_env_and_flag_precedence(capsys, monkeypatch):
+    # --seed is the one channel: an exported OSCILLAX_SEED changes nothing
+    argv = ["generate", "--class", "z1", "--n", "4", "--s", "2"]
     monkeypatch.setenv("OSCILLAX_SEED", "11")
-    code, from_env, _ = run(capsys, ["generate", "--class", "z1", "--n", "4", "--s", "2"])
-    assert code == 0 and from_env["seed"] == 11
-    code, from_flag, _ = run(
-        capsys, ["generate", "--class", "z1", "--n", "4", "--s", "2", "--seed", "3"]
-    )
+    code, with_env, _ = run(capsys, argv)
+    assert code == 0 and with_env["seed"] == 0
+    code, from_flag, _ = run(capsys, argv + ["--seed", "3"])
     assert code == 0 and from_flag["seed"] == 3
     monkeypatch.delenv("OSCILLAX_SEED")
-    code, default, _ = run(capsys, ["generate", "--class", "z1", "--n", "4", "--s", "2"])
-    assert code == 0 and default["seed"] == 0
+    assert run(capsys, argv)[1] == with_env
+
+
+#: One short call per subcommand with every option it keeps but --output:
+#: --format on the two with a text rendering, --seed on the two that draw.
+KEPT_ARGV = {
+    "classify": ["classify", "--input", "{matrix}", "--cap", "4"],
+    "factorize": ["factorize", "--input", "{matrix}", "--format", "text"],
+    "exponent": ["exponent", "--input", "{matrix}", "--method", "theorem"],
+    "network": ["network", "--input", "{factorization}", "--format", "text"],
+    "generate": ["generate", "--class", "z1", "--n", "4", "--s", "2", "--seed", "5"],
+    "verify": ["verify", "--suite", "z1", "--nmax", "3", "--cases", "1", "--seed", "5"],
+}
+
+#: The options each subcommand does not read, and so refuses.
+REMOVED_FLAGS = {
+    "classify": ("--format", "--seed"),
+    "factorize": ("--seed",),
+    "exponent": ("--format", "--seed"),
+    "network": ("--seed",),
+    "generate": ("--format",),
+    "verify": ("--format",),
+}
+
+
+def _kept_argv(tmp_path, command):
+    files = {
+        "matrix": write_matrix(tmp_path, "net4.json", M["net4"]),
+        "factorization": str(tmp_path / "net4.fact.json"),
+    }
+    (tmp_path / "net4.fact.json").write_text(
+        dumps_factorization(neville_factorize(M["net4"]))
+    )
+    return [arg.format(**files) for arg in KEPT_ARGV[command]]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in REMOVED_FLAGS.items() for flag in flags],
+)
+def test_subcommands_refuse_the_flags_they_do_not_read(tmp_path, capsys, command, flag):
+    value = "text" if flag == "--format" else "1"
+    with pytest.raises(SystemExit) as info:
+        main(_kept_argv(tmp_path, command) + [flag, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(KEPT_ARGV))
+def test_subcommands_read_the_flags_they_keep(tmp_path, capsys, command):
+    out = tmp_path / "payload.out"
+    code, payload, _ = run(capsys, _kept_argv(tmp_path, command) + ["--output", str(out)])
+    assert code == 0
+    written = out.read_text()
+    if "--format" in KEPT_ARGV[command]:  # the text rendering, not the payload
+        assert isinstance(payload, str) and payload == written
+        assert not written.startswith("{")
+    else:
+        assert json.loads(written) == payload
+    if "--seed" in KEPT_ARGV[command]:
+        assert payload["seed"] == 5
 
 
 def test_verify_paper_suite(capsys):

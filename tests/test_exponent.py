@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -162,6 +163,24 @@ def test_enumerate_psi_patterns():
     pats = enumerate_psi_patterns(5, 4)
     assert frozenset() in pats and frozenset({4}) in pats and frozenset({5}) in pats
     assert frozenset({4, 5}) not in pats
+
+
+def test_enumerate_psi_patterns_refuses_past_the_entry_limit(monkeypatch):
+    # Z2(s) has 2^(n-s+1) - 1 patterns: 65,535 at n = 18, s = 3
+    assert len(enumerate_psi_patterns(18, 3)) == 2**16 - 1 <= TAG_ENTRY_LIMIT
+    message = "Z2(3) at n=19 has 2^17 - 1 partial-chain patterns, past the limit of 65536"
+    with pytest.raises(FeasibilityExceeded, match=re.escape(message)):
+        enumerate_psi_patterns(19, 3)
+    # before anything is built: n = 10**9 would not fit in memory
+    for n in (40, 10**9):
+        with pytest.raises(FeasibilityExceeded, match=f"at n={n} has"):
+            enumerate_psi_patterns(n, 3)
+    assert enumerate_psi_patterns(10**9, 2) == (None,)
+    # both sides of a smaller limit: 15 patterns fit it, 31 do not
+    monkeypatch.setattr(sys.modules["oscillax.exponent"], "TAG_ENTRY_LIMIT", 15)
+    assert len(enumerate_psi_patterns(7, 4)) == 15
+    with pytest.raises(FeasibilityExceeded, match="2\\^5 - 1 partial-chain patterns"):
+        enumerate_psi_patterns(7, 3)
 
 
 def test_random_psi_draw_matches_enumerated_pattern():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     multiplicative_compound,
 )
 from oscillax.errors import (
+    FeasibilityExceeded,
     IndexOutOfRange,
     MalformedNumber,
     OscillaxError,
@@ -35,7 +37,6 @@ from oscillax.matrix import (
     matrix_from_csv,
     matrix_to_csv,
     minor,
-    minor_levels,
 )
 from oscillax.planar import (
     build_network,
@@ -143,7 +144,6 @@ COUNT_TAKERS = {
     "Matrix.__pow__": lambda k: M["exp4"] ** k,
     "concat_copies": lambda k: concat_copies(_net4(), k),
     "min_copies_lower_corner": lambda k: min_copies_lower_corner(_net4(), k),
-    "minor_levels": lambda k: next(minor_levels(M["exp4"], k)),
 }
 
 
@@ -381,6 +381,33 @@ def test_cauchy_binet_rectangular_exhaustive():
     for alpha in itertools.combinations(range(1, 5), 2):
         for beta in itertools.combinations(range(1, 4), 2):
             assert cauchy_binet_check(a, b, alpha, beta)
+
+
+def test_cauchy_binet_refuses_more_inner_sets_than_a_full_scan_reads(monkeypatch):
+    # a full minor scan at the default cap of 8 reads C(16, 8) - 1 = 12,869
+    reads = []
+    monkeypatch.setattr(
+        sys.modules["oscillax.matrix"],
+        "minor",
+        lambda a, rows, cols: reads.append(rows) or Fraction(0),
+    )
+
+    def ones(rows, cols):
+        return Matrix([[1] * cols for _ in range(rows)])
+
+    # C(16, 7) = 11,440 inner sets: two minors each, and one of AB
+    assert cauchy_binet_check(ones(8, 16), ones(16, 8), range(1, 8), range(1, 8))
+    assert len(reads) == 1 + 2 * 11_440
+    reads.clear()
+    message = "^12870 inner index sets pass the scan budget 12869$"
+    with pytest.raises(FeasibilityExceeded, match=message):
+        cauchy_binet_check(ones(8, 16), ones(16, 8), range(1, 9), range(1, 9))
+    with pytest.raises(FeasibilityExceeded, match="^137846528820 inner index sets"):
+        cauchy_binet_check(ones(20, 40), ones(40, 20), range(1, 21), range(1, 21))
+    # the shape and index-set checks come first
+    with pytest.raises(ShapeMismatch):
+        cauchy_binet_check(ones(20, 40), ones(40, 20), (1, 1), (1, 2))
+    assert reads == []
 
 
 @settings(max_examples=30, deadline=None)

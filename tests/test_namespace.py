@@ -122,7 +122,6 @@ def run_fresh(code: str) -> str:
     its stdout."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    env.pop("OSCILLAX_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         capture_output=True,
