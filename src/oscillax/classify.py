@@ -9,13 +9,11 @@ minor table.  They read only which multipliers are zero, so they take
 the int run of the elimination (:func:`seb._neville_run`), whose
 multipliers are int pairs, and build no ``Fraction`` for it; the
 ``Fraction`` factorization is :func:`seb.neville_factorize`'s.  The TP
-witness of a non-TP one, its first zero minor, comes from two token sets
-per minor (the minor pattern of a double Bruhat cell, Fomin &
-Zelevinsky, JAMS 12, 1999) by a polynomial greedy
-(:func:`_first_zero_by_tokens`) and one confirming Bareiss minor, at any
-n.  The cap guards the scans only: inputs the elimination refuses, and
-rectangular inputs of :func:`is_tn`, keep the one scan that stops at the
-first decisive minor.  Oscillation is the Gantmacher–Krein test
+witness of a non-TP one, its first zero minor, is read off the cells of
+its factor word (:func:`cells.first_zero`) and confirmed by one Bareiss
+minor, at any n.  The cap guards the scans only: inputs the elimination
+refuses, and rectangular inputs of :func:`is_tn`, keep the one scan that
+stops at the first decisive minor.  Oscillation is the Gantmacher–Krein test
 (nonsingular TN, positive sub- and superdiagonal); the definition, the
 irreducibility criterion and the factorization-support criterion are
 references in :mod:`oscillax.verify`, which checks them against it.
@@ -201,12 +199,12 @@ def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
     """Produce the full classification report for a square matrix.
 
     Invertible TN inputs are decided by their Neville factorization, and
-    a non-TP one takes its first zero minor from the token sets of its
+    a non-TP one takes its first zero minor from the cells of its
     factorization (:func:`_first_zero_minor`), at any n.  The other
     inputs take one scan under ``cap``, which stops at the first negative
     minor, by which point the first nonpositive one has been seen.
     """
-    from .seb import _is_basic
+    from .cells import is_basic
 
     if not a.is_square():
         raise ShapeMismatch("classification requires a square matrix")
@@ -220,60 +218,19 @@ def classify(a: Matrix, cap: int | None = None) -> ClassificationReport:
         is_invertible=True,
         is_tp=tp_witness is None,
         is_oscillatory=_off_diagonals_positive(a),
-        is_basic_oscillatory=_is_basic(sides, a.rows),
+        is_basic_oscillatory=is_basic(sides, a.rows),
         tn_witness=None,
         tp_witness=tp_witness,
     )
-
-
-def _first_zero_by_tokens(lower, upper, n: int) -> tuple[tuple, tuple] | None:
-    """``(rows, cols)`` of the first zero minor of order 2..n-1, in scan
-    order, of a word with nonnegative multipliers whose positive factors
-    carry the side indices ``lower`` and ``upper`` (:func:`seb._side_indices`);
-    None if there is none.
-
-    By Cauchy–Binet and Lindström–Gessel–Viennot, minor (I, J) is zero
-    exactly when G_L(I) </= J or G_U(J) </= I entrywise (the Gale order),
-    where G moves the tokens of a subset by one side's indices
-    (:func:`seb.demazure` on a 0/1 start).  G is Gale-monotone and fixes
-    the least k-set [k], so with T = {n-k+1..n}: if G_U(T) != [k], the
-    first zero minor of order k has rows [k] and columns the lex-first J
-    with G_U(J) != [k]; else, if G_L(T) != [k], rows the lex-first I with
-    G_L(I) != [k] and columns [k]; else order k has none.  The k-sets S
-    with G(S) != [k] form a Gale up-set holding T, so its lex-first member
-    is fixed entry by entry in O(n) token runs.
-    """
-    from .seb import demazure
-
-    def stuck(indices, subset):  # G(subset) != [k]: a token stops above k
-        start = [int(i in subset) for i in range(1, n + 1)]
-        return demazure(indices, n, start) != tuple(sorted(start, reverse=True))
-
-    def lex_first(k, indices):
-        # each entry is the least whose top completion is still stuck; the
-        # largest completes to the previous top set, which is
-        chosen: tuple[int, ...] = ()
-        for last in range(n - k + 1, n + 1):
-            tail, low = range(last + 1, n + 1), chosen[-1] + 1 if chosen else 1
-            fits = (v for v in range(low, last) if stuck(indices, (*chosen, v, *tail)))
-            chosen += (next(fits, last),)
-        return chosen
-
-    for k in range(2, n):
-        first, top = tuple(range(1, k + 1)), tuple(range(n - k + 1, n + 1))
-        if stuck(upper, top):
-            return first, lex_first(k, upper)
-        if stuck(lower, top):
-            return lex_first(k, lower), first
-    return None
 
 
 def _first_zero_minor(a: Matrix, sides: dict) -> MinorWitness | None:
     """The first zero minor in scan order of an invertible TN matrix ``a``
     whose Neville factorization has the side indices ``sides``, None if
     every multiplier is positive (``a`` is TP): a zero entry, else
-    :func:`_first_zero_by_tokens` on ``sides``, confirmed by one Bareiss
+    :func:`cells.first_zero` on ``sides``, confirmed by one Bareiss
     :func:`minor`."""
+    from .cells import first_zero
     from .seb import multiplier_count
 
     if all(len(ix) == multiplier_count(a.rows) for ix in sides.values()):
@@ -282,7 +239,7 @@ def _first_zero_minor(a: Matrix, sides: dict) -> MinorWitness | None:
         for j, x in enumerate(row, 1):
             if not x:
                 return MinorWitness((i,), (j,), x)
-    found = _first_zero_by_tokens(*sides.values(), a.rows)
+    found = first_zero(*sides.values(), a.rows)
     if found is None:
         raise InvariantViolation("a zero multiplier but no zero minor below order n")
     value = minor(a, *found)

@@ -35,23 +35,18 @@ turns positive, and build their report from these counts in one place
 successive powers (:func:`_corner_powers`) and confirms A^r by one full
 minor scan.  The theorem route, :func:`r_lower` and :func:`r_upper` read
 the counts off the cells of the Neville factor word
-(:func:`_neville_copies`): its L indices for the lower side, and its U
-indices reversed, the L indices of the transpose, for the upper side.
-The count of the size-c corner is the least k at which the first c
-entries of the k-th Demazure power of the cell all exceed n-c, so no
-power of a triangular part is formed.  Powers of A come from one scaled
-integer chain (:func:`matrix._powers`): the brute-force route reads each
-corner's sign off the chain's int blocks, and the theorem route walks it
-to A^(r-1) to confirm its zero witness and one step further to A^r.  Each
-route builds one ``Fraction`` matrix, the A^r it reports.
+(:func:`cells.copy_counts`), so no power of a triangular part is formed.
+Powers of A come from one scaled integer chain (:func:`matrix._powers`):
+the brute-force route reads each corner's sign off the chain's int
+blocks, and the theorem route walks it to A^(r-1) to confirm its zero
+witness and one step further to A^r.  Each route builds one ``Fraction``
+matrix, the A^r it reports.
 
-The product checks read the same two cells (:func:`seb.demazure`).
-Whether a minor of a product of networks is positive depends only on
-which factors are positive, so no product is formed and no member is
-refactorized: members with equal cells give every ordered k-product the
-pattern of the first member's k-th power, and a product is totally
-positive exactly when each side's member cells fold to the longest
-permutation.
+The product checks read the same two cells, so no product is formed
+and no member is refactorized: members with equal cells give every
+ordered k-product the pattern of the first member's k-th power, and a
+product is totally positive exactly when each side's member cells fold
+to the longest permutation.
 """
 
 import itertools
@@ -59,6 +54,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
+from .cells import SIDES, copy_counts, demazure, exponent_of
 from .classify import _first_minor, _off_diagonals_positive, corner_index_sets
 from .errors import (
     ClassMismatch,
@@ -75,7 +71,6 @@ from .errors import (
 from .matrix import Matrix, _check_count, _is_int, _minor_int, _powers, _unscaled, det
 from .rational import coerce_rational
 from .seb import (
-    _SIDES,
     EBFactor,
     FactorizationClass,
     SEBFactorization,
@@ -86,7 +81,6 @@ from .seb import (
     checked_vectors,
     classify_factorization,
     compose,
-    demazure,
     multiplier_count,
     n_from_flat,
     neville_factorize,
@@ -575,19 +569,18 @@ def _corner_powers(a: Matrix, sides):
             return counts, power
 
 
-def _neville_copies(a: Matrix):
-    """The Neville factorization of A and, per side, its copy counts
-    (:func:`_corner_copies`) from its L indices and its U indices
-    reversed; :class:`NotOscillatory` if A is not invertible TN."""
+def _factorized(a: Matrix) -> SEBFactorization:
+    """The Neville factorization of A; :class:`NotOscillatory` if A is not
+    invertible TN."""
     try:
-        f = neville_factorize(a)
+        return neville_factorize(a)
     except NotITN as exc:
         raise NotOscillatory(f"not invertible TN: {exc}") from exc
-    return f, {side: _corner_copies(ix, f.n) for side, ix in _side_indices(f).items()}
 
 
 def _side_exponent(a: Matrix, side: str) -> int:
-    r = max(_neville_copies(a)[1][side])
+    """The largest copy count of one side of A's Neville factorization."""
+    r = max(copy_counts(_side_indices(_factorized(a))[side], a.rows))
     if r == float("inf"):
         raise NotOscillatory(
             f"{side} corner minors not all positive within {a.rows - 1} powers"
@@ -605,45 +598,6 @@ def r_lower(a: Matrix) -> int:
 def r_upper(a: Matrix) -> int:
     """Least power making every upper-right corner minor positive."""
     return _side_exponent(a, "upper-right")
-
-
-def _corner_copies(descents, n: int) -> tuple[int | float, ...]:
-    """Copy counts of the lower-left corners, sizes 1..n-1, of the
-    network of a word whose positive L factors have the indices
-    ``descents``, in product order; pass the reversed U factors for the
-    upper-right corners, which are the lower-left ones of the transpose.
-
-    The count of size c is the least number of concatenated copies that
-    carry a vertex-disjoint path family from tracks n-c+1..n to tracks
-    1..c.  With positive weights such a family exists exactly when that
-    corner minor of the matching power is positive (Lindstrom-Gessel-
-    Viennot), so the largest count is the lower exponent.  It depends only
-    on the word's cell w (:func:`seb.demazure`): the entries of w^k, the
-    k-fold Demazure product, above n-c sit on the lowest tracks that c
-    disjoint paths from the sources reach through k copies, so the count
-    is the least k at which they fill the first c entries.  Once they do,
-    they stay, so one pass over the powers finds every count.
-
-    Every count is infinite when some level 2..n has no positive
-    multiplier, as in ``planar.min_copies_lower_corner``; a count past
-    n-1 contradicts the power bound and raises
-    :class:`InvariantViolation`.
-    """
-    if not set(range(2, n + 1)) <= set(descents):
-        return (float("inf"),) * (n - 1)
-    counts = [0] * (n - 1)
-    power = None
-    for k in range(1, n):
-        power = demazure(descents, n, power)  # w^k: a word acts as its cell
-        for c, least in enumerate(itertools.accumulate(power[:-1], min), 1):
-            if not counts[c - 1] and least > n - c:
-                counts[c - 1] = k
-        if all(counts):
-            return tuple(counts)
-    raise InvariantViolation(
-        f"no disjoint family for corner size {counts.index(0) + 1}"
-        f" within {n - 1} copies"
-    )
 
 
 class CornerZeroWitness(NamedTuple):
@@ -701,8 +655,8 @@ def _vanishing_corner(counts, r: int) -> CornerZeroWitness | None:
         return None
     side, size = next(
         (side, size)
-        for size in range(1, len(counts[_SIDES[0]]) + 1)
-        for side in _SIDES
+        for size in range(1, len(counts[SIDES[0]]) + 1)
+        for side in SIDES
         if counts[side][size - 1] > r - 1
     )
     return CornerZeroWitness(side=side, size=size, power=r - 1)
@@ -738,7 +692,7 @@ def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
     if not (tn and det(a) != 0 and _off_diagonals_positive(a)):
         raise NotOscillatory("input is not oscillatory")
     n = a.rows
-    counts, last = _corner_powers(a, _SIDES)
+    counts, last = _corner_powers(a, SIDES)
     power = _unscaled(*last)
     r = max(map(max, counts.values()))
     if r > n - 1 or not _first_minor(power, cap, lambda value: value <= 0).ok:
@@ -749,14 +703,14 @@ def exponent_bruteforce(a: Matrix, cap: int | None = None) -> ExponentReport:
 def exponent_via_theorem(a: Matrix) -> ExponentReport:
     """Factor the input, then take the max of the lower part's lower
     exponent and the upper part's upper exponent, both read off the copy
-    counts of its Neville factorization (:func:`_neville_copies`); they
+    counts of its Neville factorization (:func:`cells.copy_counts`); they
     are infinite when a side misses a factor index.  The zero witness
     follows the brute-force route's rule (:func:`_vanishing_corner`); one
     minor of A^(r-1), on the int block of the power chain, confirms that
     it vanishes, and A^r is the chain's next power.
     """
-    f, counts = _neville_copies(a)
-    n = f.n
+    f = _factorized(a)
+    counts = {side: copy_counts(ix, f.n) for side, ix in _side_indices(f).items()}
     r = max(map(max, counts.values()))
     if r == float("inf"):
         raise NotOscillatory("factorization misses a factor index on some side")
@@ -765,7 +719,7 @@ def exponent_via_theorem(a: Matrix) -> ExponentReport:
         return _report(f, "theorem", counts, a)
     chain = _powers(a)
     below, _ = next(itertools.islice(chain, r - 2, None))
-    rows, cols = corner_index_sets(n, witness.side, witness.size)
+    rows, cols = corner_index_sets(f.n, witness.side, witness.size)
     if _minor_int(below, rows, cols) != 0:
         raise InvariantViolation(
             f"{witness.side} corner of size {witness.size} counted as zero"
@@ -807,8 +761,9 @@ def _exceeds(m: int, k: int, limit: int) -> bool:
     return m**k > limit
 
 
-def _family_members(factorizations, k: int) -> list[SEBFactorization]:
-    """The members of a product check: at least one, all of one dimension,
+def _family_sides(factorizations, k: int) -> tuple[int, list[dict]]:
+    """The dimension and the side indices (:func:`seb._side_indices`) of
+    the members of a product check: at least one, all of one dimension,
     with k a count (:func:`matrix._check_count`)."""
     members = list(factorizations)
     if not members or _is_int(k) and k < 1:
@@ -816,13 +771,7 @@ def _family_members(factorizations, k: int) -> list[SEBFactorization]:
     _check_count(k, "k")
     if len({f.n for f in members}) > 1:
         raise ShapeMismatch("members have different dimensions")
-    return members
-
-
-def _sides_exponent(sides: dict, n: int) -> int | float:
-    """The largest copy count over a word's side indices
-    (:func:`_side_indices`): the exponent of its product."""
-    return max(max(_corner_copies(ix, n)) for ix in sides.values())
+    return members[0].n, [_side_indices(f) for f in members]
 
 
 class ProductFamilyResult(NamedTuple):
@@ -841,8 +790,7 @@ class ProductFamilyResult(NamedTuple):
 def product_family_check(factorizations, k: int) -> ProductFamilyResult:
     """Are all ordered k-fold products of family members totally positive?
 
-    Members must share their cells on both sides (:func:`seb.demazure` of
-    the L indices of the word and of the U indices of the reversed word),
+    Members must share their cells on both sides (:mod:`oscillax.cells`),
     so every ordered k-product lies in the cells of A_1^k: all are
     totally positive exactly when k reaches the exponent of the first
     member, and A_1^k, the tuple ``(0,) * k``, is the counterexample
@@ -851,13 +799,11 @@ def product_family_check(factorizations, k: int) -> ProductFamilyResult:
     :class:`NotOscillatory` when the members miss a factor index on some
     side.
     """
-    members = _family_members(factorizations, k)
-    n = members[0].n
-    sides = [_side_indices(f) for f in members]
+    n, sides = _family_sides(factorizations, k)
     cells = {tuple(demazure(ix, n) for ix in s.values()) for s in sides}
     if len(cells) != 1:
         raise ClassMismatch("members do not share canonical supports on both sides")
-    r = _sides_exponent(sides[0], n)
+    r = exponent_of(sides[0], n)
     if r == float("inf"):
         raise NotOscillatory("input is not oscillatory")
     if k >= r:
@@ -871,21 +817,20 @@ def early_tp_product_scan(factorizations, k: int) -> tuple[tuple[int, ...], ...]
 
     A product is totally positive when both of its cells are the longest
     permutation w0 = (n, ..., 1), that is, when every copy count of its
-    word is 1.  Each side folds the member cells in the order its word
-    reads them (:func:`seb.demazure` from the cell so far): the tuple's
-    order for the lower side, the reverse for the upper side.  Raises
+    word is 1.  Each side's cell is the Demazure product of the member
+    words in the order it reads them: the tuple's order for the lower
+    side, the reverse for the upper side.  Raises
     :class:`FeasibilityExceeded` when the m**k ordered products of m
     members exceed :data:`PRODUCT_LIMIT`, and :class:`NotOscillatory` for
     a member that misses a factor index on some side.
     """
-    members = _family_members(factorizations, k)
-    m, n = len(members), members[0].n
+    n, sides = _family_sides(factorizations, k)
+    m = len(sides)
     if _exceeds(m, k, PRODUCT_LIMIT):
         raise FeasibilityExceeded(
             f"{m}**{k} ordered products exceed the limit {PRODUCT_LIMIT}"
         )
-    sides = [_side_indices(f) for f in members]
-    exponents = [_sides_exponent(s, n) for s in sides]
+    exponents = [exponent_of(s, n) for s in sides]
     if float("inf") in exponents:
         raise NotOscillatory("input is not oscillatory")
     eligible = [i for i, r in enumerate(exponents) if r > k]
@@ -894,11 +839,8 @@ def early_tp_product_scan(factorizations, k: int) -> tuple[tuple[int, ...], ...]
     lower, upper = zip(*(s.values() for s in sides))
     w0 = tuple(range(n, 0, -1))
 
-    def fold(indices, combo):
-        cell = None
-        for i in combo:
-            cell = demazure(indices[i], n, cell)
-        return cell
+    def fold(indices, combo):  # the cell of the members' words in this order
+        return demazure(itertools.chain.from_iterable(indices[i] for i in combo), n)
 
     return tuple(
         combo

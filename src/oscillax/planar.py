@@ -27,6 +27,7 @@ tracks and raises :class:`FeasibilityExceeded` beyond that.
 from fractions import Fraction
 from typing import NamedTuple
 
+from .cells import every_level
 from .classify import corner_index_sets
 from .errors import (
     FeasibilityExceeded,
@@ -213,9 +214,8 @@ def min_copies_lower_corner(net: PlanarNetwork, c: int):
     """Minimal number of concatenated copies admitting a disjoint family
     from the lower-left corner's sources to its sinks.
 
-    Returns infinity when some track level has no positive-weight
-    downward diagonal at all, since no number of copies can produce the
-    required descents.  A finite answer never exceeds n-1; running past
+    Returns infinity when the positive L layers fail the level rule
+    (:func:`cells.every_level`).  A finite answer never exceeds n-1; running past
     that bound would contradict the power bound for oscillatory matrices
     and raises :class:`InvariantViolation`.
 
@@ -233,10 +233,8 @@ def min_copies_lower_corner(net: PlanarNetwork, c: int):
                 raise ParamOutOfRange("copy counting needs positive scale weights")
         elif fac.multiplier < 0:
             raise ParamOutOfRange("copy counting needs nonnegative diagonal weights")
-    down_levels = {
-        fac.index for fac in net.layers if fac.kind == "L" and fac.multiplier > 0
-    }
-    if not set(range(2, n + 1)) <= down_levels:
+    descents = (fac.index for fac in net.layers if fac.kind == "L" and fac.multiplier > 0)
+    if not every_level(descents, n):
         return INFINITE_COPIES
     if n > SCAN_CAP_DEFAULT:
         raise FeasibilityExceeded(

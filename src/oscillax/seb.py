@@ -17,9 +17,9 @@ reversed, read over :meth:`ChainLayout.mirror`.
 
 Three readers take product order off the layout: the factor word
 (:meth:`SEBFactorization.factor_sequence`); the positive factor indices
-of each side (:func:`_side_indices`), behind
-:func:`classify_factorization` and the copy counts; and the slot
-placement of :func:`normalize_commutation`.  Every product is built by
+of each side (:func:`_side_indices`), which :mod:`oscillax.cells` reads
+for the class gates and the copy counts; and the slot placement of
+:func:`normalize_commutation`.  Every product is built by
 one column operation per factor in :func:`_word_columns`, the word
 product kernel: an int word in, columns of Python ints out, each over
 one denominator, one of the integer kernels that :mod:`oscillax.matrix`
@@ -27,14 +27,6 @@ describes.  :func:`compose` turns that product into a ``Fraction``
 :class:`Matrix` (:func:`_word_product`); the round-trip checks of the
 Neville run and of :func:`normalize_commutation` compare int columns
 (:func:`_same_columns`) and build no ``Fraction`` matrix.
-
-Which factors of a word are positive is read through one permutation per
-side, the Demazure product of their indices (:func:`demazure`): the L
-indices of the word for the lower side, and the U indices of the
-reversed word, the L indices of the transpose, for the upper side.  The
-positive factors of a side lie in that Bruhat cell (Fomin & Zelevinsky,
-J. Amer. Math. Soc. 12, 1999), so the side's copy counts, the
-product-family gate and the TP test of a product depend only on it.
 
 Factorizations are produced by Neville elimination: columns left to
 right, within each column bottom-up, always pivoting on the row directly
@@ -63,6 +55,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
 
+from .cells import SIDES, every_level, is_basic
 from .errors import (
     FeasibilityExceeded,
     IndexOutOfRange,
@@ -630,73 +623,33 @@ class FactorizationClass(enum.Enum):
     ITN_ONLY = "itn-only"
 
 
-def _is_basic(sides: dict, n: int) -> bool:
-    """Whether the side indices (:func:`_flat_sides`) hold exactly one
-    positive multiplier per factor index on each side: n - 1 positive
-    multipliers per side, no two of one index."""
-    return all(len(ix) == len(set(ix)) == n - 1 for ix in sides.values())
-
-
 def is_basic_factorization(f: SEBFactorization) -> bool:
     """Exactly one positive multiplier per factor index on each side."""
-    return _is_basic(_side_indices(f), f.n)
+    return is_basic(_side_indices(f), f.n)
 
 
 def classify_factorization(f: SEBFactorization) -> FactorizationClass:
-    """Positivity-pattern classification of a factorization.
-
-    All multipliers positive gives TP; at least one positive multiplier
-    per factor index on each side gives oscillatory; exactly one per
-    index on each side is the basic oscillatory case.  At n = 2 the TP
-    and basic shapes coincide and TP is reported.  The multipliers are
-    nonnegative, so a nonzero one is positive.
-    """
+    """Positivity-pattern classification of a factorization: TP when
+    every multiplier is positive, else oscillatory when both sides pass
+    the level rule (:func:`cells.every_level`), and basic oscillatory when
+    each side carries every level once.  At n = 2 the TP and basic shapes
+    coincide and TP is reported."""
     if all(f.l) and all(f.u):
         return FactorizationClass.TP
-    sides = _side_indices(f).values()
-    if any(len(set(ix)) < f.n - 1 for ix in sides):  # a factor index missing
+    sides = _side_indices(f)
+    if not all(every_level(ix, f.n) for ix in sides.values()):
         return FactorizationClass.ITN_ONLY
-    if all(len(ix) == f.n - 1 for ix in sides):
+    if is_basic(sides, f.n):
         return FactorizationClass.BASIC_OSCILLATORY
     return FactorizationClass.OSCILLATORY
 
 
-# -- Bruhat cells ----------------------------------------------------------------
-
-
-def demazure(indices, n: int, start=None) -> tuple[int, ...]:
-    """The Demazure (0-Hecke) product of a word of factor indices, in
-    one-line notation: the cell of every product of positive L factors
-    with these indices in this order.
-
-    Index j applies s_{j-1} to ``start`` (the identity when None): entries
-    j-1 and j swap when that makes the permutation longer, that is, when
-    entry j-1 is the smaller.  Words with one product act alike on every
-    start, so ``demazure(word of v, n, u)`` is the product u * v of cells.
-
-    A 0/1 ``start``, the indicator of a subset, gives the token action on
-    subsets: index j moves a token from j to an empty j-1.  The support of
-    the result is the entrywise least set of sinks that vertex-disjoint
-    paths from the subset reach in the planar network of the word, which
-    is how ``classify._first_zero_by_tokens`` reads minor signs.
-    """
-    w = list(range(1, n + 1) if start is None else start)
-    for j in indices:
-        if w[j - 2] < w[j - 1]:
-            w[j - 2], w[j - 1] = w[j - 1], w[j - 2]
-    return tuple(w)
-
-
-#: The two sides of a factor word, named by the corners they carry.
-_SIDES = ("lower-left", "upper-right")
+# -- side indices --------------------------------------------------------------
 
 
 def _flat_sides(n: int, lower, upper) -> dict:
-    """Per side, the indices of the positive factors that carry its
-    corners, in the order the factor word reads them: the L indices for
-    the lower-left ones, and the U indices of the reversed word, the L
-    indices of the transpose, for the upper-right ones.  Both are read off
-    a nonnegative lower flat vector, ``lower`` and ``upper`` (the upper
+    """The side indices (:mod:`oscillax.cells`) of a word, read off two
+    nonnegative lower flat vectors, ``lower`` and ``upper`` (the upper
     side mirrored, as :func:`exponent.recognize_sides` reads it), against
     :attr:`ChainLayout.lower_indices`, so no factor word is built.  A
     nonzero entry is positive: Fractions and the int pairs of
@@ -704,7 +657,7 @@ def _flat_sides(n: int, lower, upper) -> dict:
     indices = chain_layout(n).lower_indices
     return {
         side: [j for j, x in zip(indices, flat) if x]
-        for side, flat in zip(_SIDES, (lower, upper))
+        for side, flat in zip(SIDES, (lower, upper))
     }
 
 

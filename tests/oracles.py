@@ -6,6 +6,7 @@ from functools import lru_cache
 from operator import le
 from typing import NamedTuple
 
+from oscillax.cells import SIDES, demazure
 from oscillax.classify import (
     ClassificationReport,
     CornerSpec,
@@ -49,7 +50,6 @@ from oscillax.planar import (
     minor_via_paths,
 )
 from oscillax.seb import (
-    _SIDES,
     NORMALIZE_SLOT_LIMIT,
     EBFactor,
     FactorizationClass,
@@ -59,7 +59,6 @@ from oscillax.seb import (
     chain_layout,
     classify_factorization,
     compose,
-    demazure,
     ebd,
     ebl,
     multiplier_count,
@@ -504,7 +503,7 @@ def token_corner_copies(descents, n):
     simulation per corner: tokens start on tracks n-c+1..n, and at each
     positive L_j, in product order, the token on track j moves to track
     j-1 if that track is free; the count is the first copy that leaves
-    tracks 1..c full.  The reference for ``exponent._corner_copies``."""
+    tracks 1..c full.  The reference for ``cells.copy_counts``."""
     if not set(range(2, n + 1)) <= set(descents):
         return (float("inf"),) * (n - 1)
     counts = []
@@ -534,7 +533,7 @@ def word_side_indices(word) -> dict:
     reader of words that are no factorization."""
     return {
         side: [x.index for x in w if x.kind == kind and x.multiplier]
-        for side, kind, w in zip(_SIDES, "LU", (word, word[::-1]))
+        for side, kind, w in zip(SIDES, "LU", (word, word[::-1]))
     }
 
 
@@ -542,9 +541,9 @@ def zero_minors_by_tokens(word, n: int, orders):
     """``(rows, cols)`` of every zero minor of the given orders of the
     product of a factor word with nonnegative multipliers, in scan order,
     read off the word alone by walking every pair of row and column
-    subsets.  The reference for ``classify._first_zero_by_tokens``.
+    subsets.  The reference for ``cells.first_zero``.
 
-    The signs come from token sets (``seb.demazure`` on a 0/1 start):
+    The signs come from token sets (``cells.demazure`` on a 0/1 start):
     G_L(I) moves the tokens of the rows I by the word's positive L indices,
     and G_U(J) those of the columns J by the reversed word's positive U
     indices (:func:`word_side_indices`).  By Cauchy–Binet and

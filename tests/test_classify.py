@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import oscillax.cells as cells
 import oscillax.seb as seb
 from oracles import (
     classify_four_criteria,
@@ -20,7 +21,6 @@ from oracles import (
 )
 from oscillax.classify import (
     _first_minor,
-    _first_zero_by_tokens,
     classify,
     corner_minors,
     is_oscillatory,
@@ -595,7 +595,7 @@ def test_gale_greedy_finds_the_first_zero_minor_of_the_all_pairs_search():
             word = _interleaved_word(n, rng)
         else:  # canonical with 1-3 zero multipliers
             word = _zero_multipliers(n, rng).factor_sequence()
-        got = _first_zero_by_tokens(*word_side_indices(word).values(), n)
+        got = cells.first_zero(*word_side_indices(word).values(), n)
         assert got == next(zero_minors_by_tokens(word, n, range(2, n)), None)
         orders[kind, got and len(got[0])] += 1
     # every kind has words with no zero minor; the witnesses take orders 2..9
@@ -619,13 +619,12 @@ def test_token_witness_matches_the_laplace_scan(monkeypatch):
 
 
 def test_token_witness_is_confirmed_by_a_minor(monkeypatch):
-    module = sys.modules["oscillax.classify"]
     a = M["exp4"]  # no zero entry; first zero minor (2, 3) x (1, 2)
     assert classify(a).tp_witness == ((2, 3), (1, 2), 0)
-    monkeypatch.setattr(module, "_first_zero_by_tokens", lambda *args: ((1, 2), (1, 2)))
+    monkeypatch.setattr(cells, "first_zero", lambda *args: ((1, 2), (1, 2)))
     with pytest.raises(InvariantViolation, match="read minor"):
         classify(a)
-    monkeypatch.setattr(module, "_first_zero_by_tokens", lambda *args: None)
+    monkeypatch.setattr(cells, "first_zero", lambda *args: None)
     with pytest.raises(InvariantViolation, match="no zero minor"):
         classify(a)
 

@@ -44,13 +44,12 @@ from oscillax.errors import (
     ShapeMismatch,
     Unpredictable,
 )
+from oscillax.cells import SIDES, copy_counts, demazure
 from oscillax.classify import corner_index_sets, is_oscillatory, is_tp
 from oscillax.exponent import (
-    _SIDES,
     TAG_ENTRY_LIMIT,
     ClassMatch,
     Prediction,
-    _corner_copies,
     _corner_powers,
     _side_indices,
     early_tp_product_scan,
@@ -91,7 +90,6 @@ from oscillax.seb import (
     SEBFactorization,
     chain_layout,
     compose,
-    demazure,
     ebd,
     ebl,
     identity_factorization,
@@ -1359,7 +1357,7 @@ def test_corner_copies_match_network_copy_counts():
     for n in range(2, 9):
         for flat in _copy_count_flats(n, rng):
             net = _lower_network(flat, n)
-            counts = _corner_copies([x.index for x in net.layers if x.kind == "L"], n)
+            counts = copy_counts([x.index for x in net.layers if x.kind == "L"], n)
             for c in range(1, n):
                 assert counts[c - 1] == min_copies_lower_corner(net, c)
                 assert counts[c - 1] == min_copies_restart(net, c)
@@ -1371,7 +1369,7 @@ def test_corner_copies_match_network_copy_counts():
     for n in range(2, 8):
         for _ in range(30):
             net = _interleaved_network(n, rng)
-            counts = _corner_copies(_positive_descents(net), n)
+            counts = copy_counts(_positive_descents(net), n)
             for c in range(1, n):
                 assert counts[c - 1] == min_copies_lower_corner(net, c)
                 assert counts[c - 1] == min_copies_restart(net, c)
@@ -1393,9 +1391,9 @@ def test_cell_copy_counts_match_token_oracle():
             short = [j for j in repeated if j != missing]
             interleaved = _positive_descents(_interleaved_network(n, rng))
             for word in (repeated, short, interleaved):
-                assert _corner_copies(word, n) == token_corner_copies(word, n)
+                assert copy_counts(word, n) == token_corner_copies(word, n)
                 words += 1
-            assert _corner_copies(short, n) == (INFINITE_COPIES,) * (n - 1)
+            assert copy_counts(short, n) == (INFINITE_COPIES,) * (n - 1)
     assert words >= 5000
     # a factorization and its Neville refactorization lie in the same cells
     for n in range(2, 8):
@@ -1430,9 +1428,9 @@ def test_corner_copies_match_matrix_power_exponents():
             lower = [x.index for x in word if x.kind == "L"]
             upper = [x.index for x in reversed(word) if x.kind == "U"]
             lower_r = power_loop_r_lower(compose(lower_part(f)))
-            assert max(_corner_copies(lower, n)) == lower_r
+            assert max(copy_counts(lower, n)) == lower_r
             upper_r = power_loop_r_upper(compose(upper_part(f)))
-            assert max(_corner_copies(upper, n)) == upper_r
+            assert max(copy_counts(upper, n)) == upper_r
 
 
 def _report_or_error(route, a):
@@ -1706,7 +1704,7 @@ def _least_positive_powers(powers, limit):
             )
             for size in range(1, n)
         ]
-        for side in _SIDES
+        for side in SIDES
     }
 
 
@@ -1725,7 +1723,7 @@ def test_power_chain_matches_fraction_powers():
             if k > len(powers):
                 powers.append(fraction_mat_mul(powers[-1], a))
             assert mat_pow(a, k) == powers[k - 1]
-        counts, last = _corner_powers(a, _SIDES)
+        counts, last = _corner_powers(a, SIDES)
         expected = _least_positive_powers(powers, n - 1)
         assert counts == expected
         stop = min(n - 1, max(max(c) for c in expected.values()))
@@ -1752,7 +1750,7 @@ def test_power_chain_matches_fraction_powers():
         first_zero = next(
             (side, size)
             for size in range(1, n)
-            for side in _SIDES
+            for side in SIDES
             if minor(below, *corner_index_sets(n, side, size)) == 0
         )
         assert (rep.zero_witness.side, rep.zero_witness.size) == first_zero

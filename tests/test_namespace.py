@@ -189,7 +189,7 @@ NO_DATACLASSES = ("dataclasses", "inspect")
 @pytest.mark.parametrize(
     "argv, input_kind, forbidden",
     [
-        (None, None, ("oscillax.seb", *NO_EXPONENT)),
+        (None, None, ("oscillax.seb", "oscillax.cells", *NO_EXPONENT)),
         (["classify"], "matrix", NO_EXPONENT),
         (["factorize"], "matrix", NO_EXPONENT),
         (["network", "--copies", "2"], "factorization", ("oscillax.exponent", "oscillax.verify")),
