@@ -13,20 +13,28 @@ witness of a non-TP one, its first zero minor, is read off the cells of
 its factor word (:func:`cells.first_zero`) and confirmed by one Bareiss
 minor, at any n.  The cap guards the scans only: inputs the elimination
 refuses, and rectangular inputs of :func:`is_tn`, keep the one scan that
-stops at the first decisive minor.  Oscillation is the Gantmacher–Krein test
-(nonsingular TN, positive sub- and superdiagonal); the definition, the
-irreducibility criterion and the factorization-support criterion are
-references in :mod:`oscillax.verify`, which checks them against it.
+stops at the first decisive minor.  It reads one Bareiss minor per pair
+of subsets on the LCD-scaled int block (:func:`_minors`), keeps no
+table, and builds a ``Fraction`` only for a witness it reports.  The
+Laplace tables of :func:`matrix.minor_levels` (:func:`_first_minor`) are
+the reference scan: the brute exponent route, the criteria of
+:mod:`oscillax.verify` and the tests read them.  Oscillation is the
+Gantmacher–Krein test (nonsingular TN, positive sub- and superdiagonal);
+the definition, the irreducibility criterion and the
+factorization-support criterion are references in
+:mod:`oscillax.verify`, which checks them against it.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvariantViolation, NotITN, ShapeMismatch
 from .matrix import (
     Matrix,
+    _det_int,
+    _scaled,
     check_scan_cap,
-    det,
     minor,
     minor_levels,
 )
@@ -57,9 +65,45 @@ def _require_min_shape(a: Matrix) -> None:
         raise ShapeMismatch("classification requires at least a 2x2 matrix")
 
 
+def _scaled_block(a: Matrix, cap: int | None) -> tuple[list[list[int]], int]:
+    """The LCD-scaled int block (m, d) of ``a`` (:func:`matrix._scaled`),
+    after the shape and cap refusals every scan makes first."""
+    _require_min_shape(a)
+    check_scan_cap(a, cap)
+    return _scaled(a.entries)
+
+
+def _minors(m: list[list[int]], d: int) -> Iterator[tuple[tuple, tuple, int, int]]:
+    """Every minor of A = m / d (d > 0), in the reference scan order, as
+    ``(rows, cols, v, d**p)``: v is one :func:`matrix._det_int` of fresh
+    rows cut from ``m``, the order-p minor times d^p, so it has the
+    minor's sign and zero test.  No table and no ``Fraction``."""
+    n, k = len(m), len(m[0])
+    for p in range(1, min(n, k) + 1):
+        scale = d**p
+        csets = [(c, tuple(j + 1 for j in c)) for c in combinations(range(k), p)]
+        for rset in combinations(range(n), p):
+            cut = [m[i] for i in rset]
+            rows = tuple(i + 1 for i in rset)
+            for cset, cols in csets:
+                yield rows, cols, _det_int([[row[j] for j in cset] for row in cut]), scale
+
+
+def _first_bad_minor(
+    a: Matrix, cap: int | None, bad: Callable[[int], bool]
+) -> ScanVerdict:
+    """The production scan: the first minor whose scaled value is ``bad``,
+    in scan order, read by :func:`_minors` under ``cap``."""
+    for rows, cols, v, scale in _minors(*_scaled_block(a, cap)):
+        if bad(v):
+            return ScanVerdict(False, MinorWitness(rows, cols, Fraction(v, scale)))
+    return ScanVerdict(True, None)
+
+
 def _scan(a: Matrix, cap: int | None) -> Iterator[tuple[tuple, Fraction]]:
-    """Every ``((rows, cols), value)`` minor of ``a``: orders ascending,
-    then row subset, then column subset."""
+    """The reference scan: every ``((rows, cols), value)`` minor of ``a``
+    from the Laplace tables of :func:`matrix.minor_levels`, orders
+    ascending, then row subset, then column subset."""
     _require_min_shape(a)
     check_scan_cap(a, cap)
     for _, table in minor_levels(a):
@@ -69,6 +113,7 @@ def _scan(a: Matrix, cap: int | None) -> Iterator[tuple[tuple, Fraction]]:
 def _first_minor(
     a: Matrix, cap: int | None, bad: Callable[[Fraction], bool]
 ) -> ScanVerdict:
+    """The reference for :func:`_first_bad_minor`, on :func:`_scan`."""
     for (rset, cset), value in _scan(a, cap):
         if bad(value):
             return ScanVerdict(False, MinorWitness(rset, cset, value))
@@ -96,7 +141,7 @@ def is_tn(a: Matrix, cap: int | None = None) -> ScanVerdict:
     row subset, then column subset)."""
     if a.is_square() and _neville(a) is not None:
         return ScanVerdict(True, None)
-    return _first_minor(a, cap, lambda value: value < 0)
+    return _first_bad_minor(a, cap, lambda value: value < 0)
 
 
 def is_tp(a: Matrix, cap: int | None = None) -> ScanVerdict:
@@ -107,7 +152,7 @@ def is_tp(a: Matrix, cap: int | None = None) -> ScanVerdict:
         raise ShapeMismatch("total positivity test requires a square matrix")
     sides = _neville(a)
     if sides is None:
-        return _first_minor(a, cap, lambda value: value <= 0)
+        return _first_bad_minor(a, cap, lambda value: value <= 0)
     witness = _first_zero_minor(a, sides)
     return ScanVerdict(witness is None, witness)
 
@@ -252,16 +297,17 @@ def _first_zero_minor(a: Matrix, sides: dict) -> MinorWitness | None:
 
 def _classify_not_itn(a: Matrix, cap: int | None) -> ClassificationReport:
     """Report on an input Neville elimination refused: singular or not TN."""
+    m, d = _scaled_block(a, cap)
     tn_witness = tp_witness = None
-    for (rset, cset), value in _scan(a, cap):
-        if value <= 0:
-            found = MinorWitness(rset, cset, value)
+    for rows, cols, v, scale in _minors(m, d):
+        if v <= 0:
+            found = MinorWitness(rows, cols, Fraction(v, scale))
             if tp_witness is None:
                 tp_witness = found
-            if value < 0:
+            if v < 0:
                 tn_witness = found
                 break
-    invertible = det(a) != 0
+    invertible = _det_int([list(row) for row in m]) != 0
     if tn_witness is None and invertible:
         raise InvariantViolation(
             "Neville elimination refused an invertible matrix with no negative minor"

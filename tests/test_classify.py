@@ -331,14 +331,16 @@ def test_classify_matches_four_criteria_oracle():
 
 
 def _count_minor_passes(monkeypatch):
+    # the production scan: one Bareiss minor after another on the scaled block
     module = sys.modules["oscillax.classify"]
     calls = []
+    original = module._minors
 
-    def counting(a):
-        calls.append(a)
-        return minor_levels(a)
+    def counting(m, d):
+        calls.append(m)
+        return original(m, d)
 
-    monkeypatch.setattr(module, "minor_levels", counting)
+    monkeypatch.setattr(module, "_minors", counting)
     return calls
 
 
@@ -676,3 +678,76 @@ def test_predicates_match_the_scan_and_the_four_criteria(monkeypatch, n):
     if n > 2:  # a 2x2 oscillatory matrix is TP
         assert outcomes[True, True, False, True]
         assert outcomes["rectangular", True] and outcomes["rectangular", False]
+
+
+# Inputs per dimension of the differential test of the Bareiss scan against
+# the Laplace reference: 20,000 in all.  A singular TN input is scanned in
+# full by both kernels, so the large dimensions get few.
+SCAN_INPUTS = {2: 6000, 3: 6500, 4: 4500, 5: 2000, 6: 700, 7: 300}
+
+
+def _scan_inputs(n, rng):
+    """Bidiagonal products with zero multipliers and a duplicated row, the
+    same perturbed, random small integer matrices with negative entries,
+    and rational matrices of least common denominator > 1, round after
+    round."""
+    while True:
+        rows = [list(r) for r in compose(_zero_multipliers(n, rng)).entries]
+        i = rng.randrange(n)
+        j = i + 1 if i < n - 1 and rng.random() < 0.7 else rng.randrange(n)
+        rows[j] = list(rows[i])
+        yield rows
+        perturbed = [list(r) for r in rows]
+        perturbed[rng.randrange(n)][rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
+        yield perturbed
+        yield [[rng.randint(-1, 6) for _ in range(n)] for _ in range(n)]
+        # positive row and column scalings keep every minor's sign
+        base = rng.choice((rows, perturbed))
+        col = [Fraction(rng.randint(1, 3), rng.randint(1, 5)) for _ in range(n)]
+        yield [[x * c / (r + 2) for x, c in zip(row, col)] for r, row in enumerate(base)]
+
+
+def _refusal(call):
+    with pytest.raises(FeasibilityExceeded) as err:
+        call()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("n", sorted(SCAN_INPUTS))
+def test_bareiss_scan_matches_the_laplace_reference(n):
+    # classify, is_tn and is_tp read one Bareiss minor per subset on the
+    # scaled int block; _first_minor reads the Fraction Laplace tables
+    rng = random.Random(4200 + n)
+    outcomes, rectangular = Counter(), Counter()
+    rescaled = 0
+    for t, rows in enumerate(itertools.islice(_scan_inputs(n, rng), SCAN_INPUTS[n])):
+        a = Matrix(rows)
+        rep = classify(a)
+        tn, tp = scan_tn(a), scan_tp(a)
+        invertible = det(a) != 0
+        assert (rep.tn_witness, rep.tp_witness) == (tn.witness, tp.witness)
+        assert rep.is_invertible is invertible
+        assert is_tn(a) == tn and is_tp(a) == tp
+        scanned = not (tn.ok and invertible)
+        if scanned:  # Neville refuses it: the cap refuses first, as before
+            want = _refusal(lambda: scan_tn(a, n - 1))
+            for take in (classify, is_tn, is_tp):
+                assert _refusal(lambda: take(a, n - 1)) == want
+        if n > 2:  # drop the last row or the first column
+            rect = Matrix(a.entries[:-1] if t % 2 else [r[1:] for r in a.entries])
+            verdict = is_tn(rect)
+            assert verdict == scan_tn(rect)
+            rectangular[verdict.ok] += 1
+        w = tn.witness or tp.witness
+        order = len(w.rows) if w else 0
+        outcomes[scanned, tn.ok, invertible, order] += 1
+        # a nonzero witness of order >= 2 divided back by d^p, d > 1
+        lcd = math.lcm(*(x.denominator for row in a.entries for x in row))
+        rescaled += lcd > 1 and order and order > 1 and w.value != 0
+    assert outcomes[True, True, False, 1]  # singular TN, a zero entry
+    assert outcomes[True, False, True, 1]  # invertible, a negative entry
+    assert outcomes[True, False, False, 1]  # singular, a negative entry
+    assert set(range(1, n)) <= {key[3] for key in outcomes if key[0]}
+    assert rescaled
+    if n > 2:
+        assert rectangular[True] and rectangular[False]
