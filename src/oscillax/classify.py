@@ -100,23 +100,17 @@ def _first_bad_minor(
     return ScanVerdict(True, None)
 
 
-def _scan(a: Matrix, cap: int | None) -> Iterator[tuple[tuple, Fraction]]:
-    """The reference scan: every ``((rows, cols), value)`` minor of ``a``
-    from the Laplace tables of :func:`matrix.minor_levels`, orders
-    ascending, then row subset, then column subset."""
-    _require_min_shape(a)
-    check_scan_cap(a, cap)
-    for _, table in minor_levels(a):
-        yield from table.items()
-
-
 def _first_minor(
     a: Matrix, cap: int | None, bad: Callable[[Fraction], bool]
 ) -> ScanVerdict:
-    """The reference for :func:`_first_bad_minor`, on :func:`_scan`."""
-    for (rset, cset), value in _scan(a, cap):
-        if bad(value):
-            return ScanVerdict(False, MinorWitness(rset, cset, value))
+    """The reference for :func:`_first_bad_minor`: the first ``bad`` minor
+    of the Laplace tables of :func:`matrix.minor_levels`, under ``cap``."""
+    _require_min_shape(a)
+    check_scan_cap(a, cap)
+    for _, table in minor_levels(a):
+        for (rset, cset), value in table.items():
+            if bad(value):
+                return ScanVerdict(False, MinorWitness(rset, cset, value))
     return ScanVerdict(True, None)
 
 

@@ -743,7 +743,7 @@ def test_bareiss_scan_matches_the_laplace_reference(n):
         outcomes[scanned, tn.ok, invertible, order] += 1
         # a nonzero witness of order >= 2 divided back by d^p, d > 1
         lcd = math.lcm(*(x.denominator for row in a.entries for x in row))
-        rescaled += lcd > 1 and order and order > 1 and w.value != 0
+        rescaled += lcd > 1 and order > 1 and w.value != 0
     assert outcomes[True, True, False, 1]  # singular TN, a zero entry
     assert outcomes[True, False, True, 1]  # invertible, a negative entry
     assert outcomes[True, False, False, 1]  # singular, a negative entry
