@@ -13,9 +13,11 @@ witness of a non-TP one, its first zero minor, is read off the cells of
 its factor word (:func:`cells.first_zero`) and confirmed by one Bareiss
 minor, at any n.  The cap guards the scans only: inputs the elimination
 refuses, and rectangular inputs of :func:`is_tn`, keep the one scan that
-stops at the first decisive minor.  It reads one Bareiss minor per pair
-of subsets on the LCD-scaled int block (:func:`_minors`), keeps no
-table, and builds a ``Fraction`` only for a witness it reports.  The
+stops at the first decisive minor.  On the LCD-scaled int block
+(:func:`_minors`) it reads an order-1 minor as an entry, an order-2
+minor as the cross product of two rows, and each minor of order 3 and
+up by one Bareiss determinant; it keeps no table, and builds a
+``Fraction`` only for a witness it reports.  The
 Laplace tables of :func:`matrix.minor_levels` (:func:`_first_minor`) are
 the reference scan: the brute exponent route, the criteria of
 :mod:`oscillax.verify` and the tests read them.  Oscillation is the
@@ -75,11 +77,22 @@ def _scaled_block(a: Matrix, cap: int | None) -> tuple[list[list[int]], int]:
 
 def _minors(m: list[list[int]], d: int) -> Iterator[tuple[tuple, tuple, int, int]]:
     """Every minor of A = m / d (d > 0), in the reference scan order, as
-    ``(rows, cols, v, d**p)``: v is one :func:`matrix._det_int` of fresh
-    rows cut from ``m``, the order-p minor times d^p, so it has the
-    minor's sign and zero test.  No table and no ``Fraction``."""
+    ``(rows, cols, v, d**p)``: v is the order-p minor times d^p, so it has
+    the minor's sign and zero test.  An order-1 minor is the entry of
+    ``m``, an order-2 minor the cross product of two rows of ``m``, and a
+    minor of order p >= 3 one :func:`matrix._det_int` of fresh rows cut
+    from ``m``.  No table and no ``Fraction``."""
     n, k = len(m), len(m[0])
-    for p in range(1, min(n, k) + 1):
+    for i, row in enumerate(m, 1):
+        for j, x in enumerate(row, 1):
+            yield (i,), (j,), x, d
+    scale = d * d
+    pairs = [(j1, j2, (j1 + 1, j2 + 1)) for j1, j2 in combinations(range(k), 2)]
+    for (i1, a), (i2, b) in combinations(enumerate(m, 1), 2):
+        rows = (i1, i2)
+        for j1, j2, cols in pairs:
+            yield rows, cols, a[j1] * b[j2] - a[j2] * b[j1], scale
+    for p in range(3, min(n, k) + 1):
         scale = d**p
         csets = [(c, tuple(j + 1 for j in c)) for c in combinations(range(k), p)]
         for rset in combinations(range(n), p):
@@ -294,13 +307,13 @@ def _classify_not_itn(a: Matrix, cap: int | None) -> ClassificationReport:
     m, d = _scaled_block(a, cap)
     tn_witness = tp_witness = None
     for rows, cols, v, scale in _minors(m, d):
-        if v <= 0:
-            found = MinorWitness(rows, cols, Fraction(v, scale))
+        if v < 0:
+            tn_witness = MinorWitness(rows, cols, Fraction(v, scale))
             if tp_witness is None:
-                tp_witness = found
-            if v < 0:
-                tn_witness = found
-                break
+                tp_witness = tn_witness
+            break
+        if v == 0 and tp_witness is None:
+            tp_witness = MinorWitness(rows, cols, Fraction(0))
     invertible = _det_int([list(row) for row in m]) != 0
     if tn_witness is None and invertible:
         raise InvariantViolation(

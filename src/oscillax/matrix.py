@@ -4,8 +4,9 @@ Everything here is immutable and pure.  ``Fraction`` is the boundary
 type: entries, minors and results are ``Fraction``s.  The reference
 minor scan, :func:`minor_levels`, builds order-by-order Laplace tables
 over lexicographically ordered index subsets; the production scan of
-``classify`` reads one :func:`_det_int` per minor of the :func:`_scaled`
-block instead, with no table.  An index set is a plain tuple of 1-based
+``classify`` reads the minors of the :func:`_scaled` block instead, with
+no table: orders 1 and 2 in closed form, and one :func:`_det_int` per
+minor of order 3 and up.  An index set is a plain tuple of 1-based
 ``int``s; one rule (:func:`_index_sets`) checks the row and column sets
 of ``minor`` and ``cauchy_binet_check`` and the source and sink sets of
 ``planar.minor_via_paths`` and ``planar.enumerate_path_families``.

@@ -331,7 +331,7 @@ def test_classify_matches_four_criteria_oracle():
 
 
 def _count_minor_passes(monkeypatch):
-    # the production scan: one Bareiss minor after another on the scaled block
+    # the production scan: one minor after another on the scaled block
     module = sys.modules["oscillax.classify"]
     calls = []
     original = module._minors
@@ -715,8 +715,9 @@ def _refusal(call):
 
 @pytest.mark.parametrize("n", sorted(SCAN_INPUTS))
 def test_bareiss_scan_matches_the_laplace_reference(n):
-    # classify, is_tn and is_tp read one Bareiss minor per subset on the
-    # scaled int block; _first_minor reads the Fraction Laplace tables
+    # classify, is_tn and is_tp read the minors of the scaled int block,
+    # orders >= 3 by one Bareiss minor each; _first_minor reads the
+    # Fraction Laplace tables
     rng = random.Random(4200 + n)
     outcomes, rectangular = Counter(), Counter()
     rescaled = 0
@@ -751,3 +752,112 @@ def test_bareiss_scan_matches_the_laplace_reference(n):
     assert rescaled
     if n > 2:
         assert rectangular[True] and rectangular[False]
+
+
+# Square inputs per dimension of the order-1/2 differential test: 6,000 in
+# all.  A repeated-row input is scanned in full by both kernels, so the
+# large dimensions get few.
+CLOSED_FORM_INPUTS = {2: 1900, 3: 1600, 4: 1200, 5: 800, 6: 360, 7: 100, 8: 40}
+
+
+def _tp_product(n, rng):
+    """A bidiagonal product with every multiplier positive: TP."""
+    k = multiplier_count(n)
+
+    def side():
+        return [Fraction(rng.randint(1, 9)) for _ in range(k)]
+
+    d = [Fraction(rng.randint(1, 4)) for _ in range(n)]
+    return compose(SEBFactorization(n, side(), d, side()))
+
+
+def _bidiagonal_product(n, rng):
+    """A TP bidiagonal product, or one with zero multipliers (TN)."""
+    if rng.random() < 0.3:
+        return compose(_zero_multipliers(n, rng))
+    return _tp_product(n, rng)
+
+
+def _closed_form_inputs(n, rng):
+    """Bidiagonal products with two adjacent rows swapped, their
+    transposes, the products with one row repeated (singular TN), and a
+    positive row and column scaling of one of the three with least common
+    denominator > 1, round after round."""
+    while True:
+        base = [list(r) for r in _bidiagonal_product(n, rng).entries]
+        i = rng.randrange(n - 1)
+        swapped = [list(r) for r in base]
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        yield swapped
+        transposed = [list(c) for c in zip(*swapped)]
+        yield transposed
+        repeated = [list(r) for r in base]
+        i, j = rng.sample(range(n), 2)
+        repeated[j] = list(repeated[i])
+        yield repeated
+        pick = rng.choice((swapped, transposed, repeated))
+        row = [Fraction(rng.randint(1, 3), rng.randint(2, 5)) for _ in range(n)]
+        col = [Fraction(rng.randint(1, 3), rng.randint(1, 5)) for _ in range(n)]
+        yield [[x * r * c for x, c in zip(xs, col)] for r, xs in zip(row, pick)]
+
+
+def test_closed_form_minors_match_the_laplace_reference():
+    # the production scan reads order-1 minors as entries and order-2
+    # minors as cross products of two scaled rows; _first_minor reads the
+    # Fraction Laplace tables
+    rng = random.Random(4300)
+    tn_order2 = tp_zero_order2 = deep = rescaled = 0
+    cuts = Counter()
+    for n, count in CLOSED_FORM_INPUTS.items():
+        for t, rows in enumerate(itertools.islice(_closed_form_inputs(n, rng), count)):
+            a = Matrix(rows)
+            rep = classify(a)
+            tn = _first_minor(a, None, lambda value: value < 0)
+            tp = _first_minor(a, None, lambda value: value <= 0)
+            assert (rep.tn_witness, rep.tp_witness) == (tn.witness, tp.witness)
+            assert rep.is_invertible is (det(a) != 0)
+            assert is_tn(a) == tn and is_tp(a) == tp
+            if n > 2:  # drop the last row or the first column, by turns per round
+                shape = "wide" if (t + t // 4) % 2 else "tall"
+                cut = Matrix(a.entries[:-1] if shape == "wide" else [r[1:] for r in a.entries])
+                verdict = is_tn(cut)
+                assert verdict == _first_minor(cut, None, lambda value: value < 0)
+                cuts[shape, verdict.ok] += 1
+            if tn.witness and len(tn.witness.rows) == 2:
+                tn_order2 += 1
+                deep += tn.witness.rows[0] > 1
+                lcd = math.lcm(*(x.denominator for r in rows for x in r))
+                rescaled += lcd > 1
+            w = tp.witness
+            tp_zero_order2 += bool(w) and len(w.rows) == 2 and w.value == 0
+    assert tn_order2 >= 4000 and deep >= 1200 and rescaled >= 900
+    assert tp_zero_order2 >= 1200
+    assert all(cuts[shape, ok] for shape in ("wide", "tall") for ok in (True, False))
+
+
+def test_classify_builds_one_witness_per_verdict(monkeypatch):
+    # a repeated row makes every minor whose row set holds both copies
+    # zero; only the first zero minor becomes a witness
+    module = sys.modules["oscillax.classify"]
+    built = []
+    original = module.MinorWitness
+
+    class Counting(original):
+        def __new__(cls, *args):
+            built.append(args)
+            return original(*args)
+
+    monkeypatch.setattr(module, "MinorWitness", Counting)
+    rows = [list(r) for r in _tp_product(8, random.Random(8)).entries]
+    rows[4] = list(rows[3])
+    payload = classify(Matrix(rows)).to_json_dict()
+    assert len(built) <= 2
+    assert payload == {
+        "n": 8,
+        "is_tn": True,
+        "is_invertible": False,
+        "is_tp": False,
+        "is_oscillatory": False,
+        "is_basic_oscillatory": None,
+        "witnesses": {"tn": None, "tp": {"rows": [4, 5], "cols": [1, 2], "value": "0"}},
+    }
